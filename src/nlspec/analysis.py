@@ -23,7 +23,7 @@ from .pauli import (
     n_sites_of,
     partial_trace,
 )
-from .reference import nested_commutator_response
+from .reference import nested_commutator_series
 from .response import MultiIndex, reconstruct_response
 from .shift_rules import ShiftRule, rule_for_generator
 
@@ -245,41 +245,25 @@ def third_order_2dos(
     t3s = np.asarray(t3_grid, dtype=float)
     if np.any(t1s < 0) or np.any(t3s < 0):
         raise AnalysisError("t1 and t3 grids must be nonnegative")
-    out = np.empty((t1s.size, t3s.size))
-    if method == "oracle":
-        for i, t1 in enumerate(t1s):
-            for j, t3 in enumerate(t3s):
-                pulses = [(pump, t1 + t_2), (pump, t1), (pump, 0.0)]
-                out[i, j] = nested_commutator_response(
-                    h, observable, pulses, t1 + t_2 + t3, psi0, evolver
-                )
-        return out
-    if method != "shift_rule":
+    if method == "shift_rule":
+        rule = rule_for_generator(pump, [1])
+        rules = {0: rule, 1: rule, 2: rule}
+    elif method != "oracle":
         raise AnalysisError(f"unknown method {method!r}")
-    rule = rule_for_generator(pump, [1])
-    beta = MultiIndex([1, 1, 1])
-    rules = {0: rule, 1: rule, 2: rule}
+    out = np.empty((t1s.size, t3s.size))
     for i, t1 in enumerate(t1s):
-        for j, t3 in enumerate(t3s):
-            times = [0.0, t1, t1 + t_2]
-            if times[1] <= times[0] or times[2] <= times[1]:
-                # coincident pulses: fall back to the commutator route, which
-                # handles the equal-time step functions unambiguously
-                pulses = [(pump, t1 + t_2), (pump, t1), (pump, 0.0)]
-                out[i, j] = nested_commutator_response(
-                    h, observable, pulses, t1 + t_2 + t3, psi0, evolver
-                )
-                continue
+        # one row of measurement times; the kernel needs them strictly ascending
+        grid, cells = np.unique(t1 + t_2 + t3s, return_inverse=True)
+        times = [0.0, t1, t1 + t_2]
+        if method == "oracle" or times[1] <= times[0] or times[2] <= times[1]:
+            # coincident pulses take the commutator route too, which handles
+            # the equal-time step functions unambiguously
+            pulses = [(pump, t1 + t_2), (pump, t1), (pump, 0.0)]
+            row = nested_commutator_series(h, observable, pulses, grid, psi0, evolver)
+        else:
             schedule = PulseSchedule([(pump, [times[0]]), (pump, [times[1]]), (pump, [times[2]])])
-            series = reconstruct_response(
-                h,
-                schedule,
-                observable,
-                [t1 + t_2 + t3],
-                beta,
-                evolver,
-                psi0,
-                rules=rules,
-            )
-            out[i, j] = series.values[0]
+            row = reconstruct_response(
+                h, schedule, observable, grid, MultiIndex([1, 1, 1]), evolver, psi0, rules=rules
+            ).values
+        out[i] = row[cells]
     return out

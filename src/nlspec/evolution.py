@@ -10,24 +10,33 @@ two routes agree to rounding error.
 
 Kicks scheduled exactly at a measurement time are applied before measuring;
 pulses after the measurement time are ignored.
+
+Every function that takes a state also takes a (dim, K) block of K
+independent states, such as the K shift configurations that share one pulse
+schedule; the configuration axis is always the trailing one.  Exact evolution
+propagates the whole block at once (one GEMM pair per segment in the
+eigenbasis, one ``expm_multiply`` call on the Krylov path); first-order
+Trotter evolution loops over the columns, each column seeing exactly the
+single-state propagator.  Kicks take one amplitude per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .pauli import (
     DENSE_SITE_CAP,
     DimensionCapError,
+    Eigensystem,
     OperatorSum,
     PauliTerm,
     StateLike,
     _phase_signs,
     _xor_index,
+    along_rows,
     amplitudes_of,
     commutator_norm,
     eigendecompose,
@@ -111,41 +120,41 @@ def _ordered_terms(h: OperatorSum, evolver: Evolver) -> tuple[PauliTerm, ...]:
     return tuple(h.terms[i] for i in evolver.term_order)
 
 
-@lru_cache(maxsize=4096)
-def _string_masks(factors: tuple) -> tuple[int, int, complex]:
-    flip = phase = y_count = 0
-    for site, axis in factors:
-        bit = 1 << site
-        if axis in ("X", "Y"):
-            flip |= bit
-        if axis in ("Y", "Z"):
-            phase |= bit
-        if axis == "Y":
-            y_count += 1
-    return flip, phase, (1j) ** y_count
-
-
-def _apply_string_rotation(term: PauliTerm, angle: float, amps: np.ndarray, n_sites: int) -> np.ndarray:
-    """exp(-i angle P) |psi> for a single Pauli string P (P^2 = 1)."""
-    flip, phase, y_factor = _string_masks(term.factors)
-    scale = -1j * np.sin(angle) * y_factor
-    signed = amps if phase == 0 else amps * _phase_signs(n_sites, phase)
+def _apply_string_rotation(
+    masks: tuple[int, int, int], angle, amps: np.ndarray, n_sites: int
+) -> np.ndarray:
+    """exp(-i angle P) |psi> for a single Pauli string P (P^2 = 1) given by
+    its ``PauliTerm.masks()``; ``angle`` may hold one value per block column."""
+    flip, phase, y_count = masks
+    scale = -1j * np.sin(angle) * (1j) ** y_count
+    signed = amps if phase == 0 else amps * along_rows(_phase_signs(n_sites, phase), amps)
     applied = signed if flip == 0 else signed[_xor_index(n_sites, flip)]
     return np.cos(angle) * amps + scale * applied
 
 
+def _to_eigenbasis(eig: Eigensystem, amps: np.ndarray) -> np.ndarray:
+    """V^dagger |psi>, as conj(V^T conj(psi)): no dense copy of V per call."""
+    return (eig.vectors.T @ amps.conj()).conj()
+
+
 def _trotter_evolve(h: OperatorSum, amps: np.ndarray, t: float, evolver: Evolver) -> np.ndarray:
     dt = t / evolver.n_steps
-    terms = _ordered_terms(h, evolver)
-    state = amps
-    for _ in range(evolver.n_steps):
-        for term in terms:
-            state = _apply_string_rotation(term, term.coefficient * dt, state, h.n_sites)
-    return state
+    rotations = [(term.masks(), term.coefficient * dt) for term in _ordered_terms(h, evolver)]
+
+    def propagate(state: np.ndarray) -> np.ndarray:
+        for _ in range(evolver.n_steps):
+            for masks, angle in rotations:
+                state = _apply_string_rotation(masks, angle, state, h.n_sites)
+        return state
+
+    if amps.ndim == 1:
+        return propagate(amps)
+    return np.stack([propagate(column) for column in amps.T], axis=1)
 
 
 def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT) -> np.ndarray:
-    """Propagate |psi> by exp(-i H t) (exact) or its Trotter approximation."""
+    """Propagate |psi> (or every column of a block) by exp(-i H t) (exact) or
+    its Trotter approximation."""
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     amps = amplitudes_of(state)
@@ -156,7 +165,8 @@ def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT)
             raise DimensionCapError("exact evolution exceeds the dense cap")
         if h.n_sites <= _EIGH_SITE_CAP:
             eig = _hamiltonian_eigensystem(h)
-            return eig.vectors @ (np.exp(-1j * eig.values * t) * (eig.vectors.conj().T @ amps))
+            phases = along_rows(np.exp(-1j * eig.values * t), amps)
+            return eig.vectors @ (phases * _to_eigenbasis(eig, amps))
         from scipy.sparse.linalg import expm_multiply
 
         return expm_multiply((-1j * t) * _sparse_hamiltonian(h), amps)
@@ -168,7 +178,7 @@ def _kick_plan(b: OperatorSum):
 
     def compute():
         if terms_commute_pairwise(b):
-            return ("product", None)
+            return ("product", tuple((term.masks(), term.coefficient) for term in b.terms))
         support = b.support
         if len(support) > DENSE_SITE_CAP:
             raise DimensionCapError(
@@ -180,41 +190,50 @@ def _kick_plan(b: OperatorSum):
     return _KICK_CACHE.get_or_compute(b.cache_key(), compute)
 
 
-def _apply_on_support(matrix: np.ndarray, support: Sequence[int], amps: np.ndarray, n_sites: int) -> np.ndarray:
-    """Apply a 2^r x 2^r matrix acting on the given sites to the full state."""
-    tensor = amps.reshape([2] * n_sites)
+def _apply_on_support(
+    eig: Eigensystem, phases: np.ndarray, support: Sequence[int], amps: np.ndarray, n_sites: int
+) -> np.ndarray:
+    """Apply V diag(phases) V^dagger, acting on the given sites, to a state or
+    block; for a block ``phases`` has one column per block column."""
+    batch = amps.shape[1:]
+    tensor = amps.reshape([2] * n_sites + list(batch))
     axes = [n_sites - 1 - s for s in support]  # axis k of the tensor is site n-1-k
     moved = np.moveaxis(tensor, axes, range(len(axes)))
     shape = moved.shape
-    flat = moved.reshape(2 ** len(axes), -1)
-    flat = matrix @ flat
-    moved = flat.reshape(shape)
-    return np.moveaxis(moved, range(len(axes)), axes).reshape(-1)
+    dim = 2 ** len(axes)
+    coeffs = _to_eigenbasis(eig, moved.reshape(dim, -1)).reshape(dim, -1, *batch)
+    coeffs *= phases[:, None]
+    flat = eig.vectors @ coeffs.reshape(dim, -1)
+    return np.moveaxis(flat.reshape(shape), range(len(axes)), axes).reshape(amps.shape)
 
 
-def apply_kick(b: OperatorSum, eta: float, state: StateLike) -> np.ndarray:
-    """exp(-i eta B)|psi>, exactly.
+def apply_kick(b: OperatorSum, eta, state: StateLike) -> np.ndarray:
+    """exp(-i eta B)|psi>, exactly; a (dim, K) block takes one amplitude for
+    all columns or one per column.
 
     Mutually commuting term sums (single strings, site-local drives, cosine
     profiles) factorize into per-string rotations; otherwise the generator is
     diagonalized once on its support and the kick applied in that eigenbasis.
     """
     amps = amplitudes_of(state)
-    if eta == 0.0:
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape not in ((), amps.shape[1:]):
+        raise ValueError("a block kick takes one amplitude, or one per column")
+    eta = float(eta) if amps.ndim == 1 else np.broadcast_to(eta, amps.shape[1:])
+    if not np.any(eta):
         return amps.copy()
     kind, payload = _kick_plan(b)
     if kind == "product":
         out = amps
-        for term in b.terms:
-            out = _apply_string_rotation(term, eta * term.coefficient, out, b.n_sites)
+        for masks, coefficient in payload:
+            out = _apply_string_rotation(masks, eta * coefficient, out, b.n_sites)
         return out
     support, eig = payload
     # support order must match the reindexed operator used for eigendecompose:
     # site k of the support factor is support[k]
-    phases = np.exp(-1j * eta * eig.values)
-    matrix = (eig.vectors * phases) @ eig.vectors.conj().T
+    phases = np.exp(-1j * np.multiply.outer(eig.values, eta))
     # reversed: axis 0 of the 2^r block is the most significant support site
-    return _apply_on_support(matrix, list(reversed(support)), amps, b.n_sites)
+    return _apply_on_support(eig, phases, list(reversed(support)), amps, b.n_sites)
 
 
 @dataclass(frozen=True)
@@ -286,10 +305,59 @@ def time_grid(start: float, stop: float, points: int) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
+def driven_states(
+    h: OperatorSum,
+    schedule: PulseSchedule,
+    etas,
+    t_grid: Sequence[float],
+    evolver: Evolver,
+    psi0: StateLike,
+) -> Iterator[np.ndarray]:
+    """The kicked state at each grid time, in grid order.
+
+    ``etas`` holds one amplitude per channel, shape (L,), or one row of
+    amplitudes per shift configuration, shape (K, L); the states are then
+    (dim, K) blocks whose column k is driven by row k.  The initial state is
+    anchored at min(0, first pulse, first grid time); for H_0 eigenstates
+    under exact evolution the anchor is immaterial.  Each measurement
+    propagates afresh from the latest checkpoint, so the Trotterized signal
+    is a well-defined function of the amplitudes.  Yielded arrays may be
+    shared with the propagation and must not be modified.
+    """
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.size == 0:
+        raise ScheduleError("empty time grid")
+    if np.any(np.diff(grid) <= 0):
+        raise ScheduleError("time grid must be strictly ascending")
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim not in (1, 2) or etas.shape[-1] != schedule.n_channels:
+        raise ScheduleError("one amplitude per channel is required")
+    if etas.ndim == 2 and etas.shape[0] == 0:
+        raise ScheduleError("at least one shift configuration is required")
+    events = schedule.events()
+    if events and events[-1][0] > grid[-1]:
+        raise ScheduleError("pulses scheduled after the last measurement time")
+
+    anchor = min(0.0, grid[0], events[0][0] if events else 0.0)
+    psi = amplitudes_of(psi0)
+    state = psi.copy() if etas.ndim == 1 else np.repeat(psi[:, None], etas.shape[0], axis=1)
+    tau = anchor
+    pending = list(events)
+    for t in grid:
+        while pending and pending[0][0] <= t:
+            t_pulse, channel = pending.pop(0)
+            if t_pulse > tau:
+                state = evolve(h, state, t_pulse - tau, evolver)
+                tau = t_pulse
+            generator, _ = schedule.channels[channel]
+            state = apply_kick(generator, etas[..., channel], state)
+        yield evolve(h, state, t - tau, evolver) if t > tau else state
+
+
 def driven_signal(
     h: OperatorSum,
     schedule: PulseSchedule,
-    etas: Sequence[float],
+    etas,
     observable: OperatorSum,
     t_grid: Sequence[float],
     evolver: Evolver,
@@ -297,36 +365,9 @@ def driven_signal(
 ) -> np.ndarray:
     """<A(t)> under the kicked protocol, for each t in the grid.
 
-    The initial state is anchored at min(0, first pulse, first grid time);
-    for H_0 eigenstates under exact evolution the anchor is immaterial.
-    Each measurement propagates afresh from the latest checkpoint, so the
-    Trotterized signal is a well-defined function of the amplitudes.
+    ``etas`` of shape (L,) gives a (G,) signal; (K, L) gives (K, G), one row
+    per shift configuration, all propagated as one block (see
+    ``driven_states``).
     """
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.size == 0:
-        raise ScheduleError("empty time grid")
-    if np.any(np.diff(grid) <= 0):
-        raise ScheduleError("time grid must be strictly ascending")
-    etas = [float(e) for e in etas]
-    if len(etas) != schedule.n_channels:
-        raise ScheduleError("one amplitude per channel is required")
-    events = schedule.events()
-    if events and events[-1][0] > grid[-1]:
-        raise ScheduleError("pulses scheduled after the last measurement time")
-
-    anchor = min(0.0, grid[0], events[0][0] if events else 0.0)
-    state = amplitudes_of(psi0).copy()
-    tau = anchor
-    pending = list(events)
-    values = np.empty(grid.size, dtype=float)
-    for k, t in enumerate(grid):
-        while pending and pending[0][0] <= t:
-            t_pulse, channel = pending.pop(0)
-            if t_pulse > tau:
-                state = evolve(h, state, t_pulse - tau, evolver)
-                tau = t_pulse
-            generator, _ = schedule.channels[channel]
-            state = apply_kick(generator, etas[channel], state)
-        meas = evolve(h, state, t - tau, evolver) if t > tau else state
-        values[k] = expectation(observable, meas)
-    return values
+    states = driven_states(h, schedule, etas, t_grid, evolver, psi0)
+    return np.stack([expectation(observable, state) for state in states], axis=-1)

@@ -174,14 +174,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps, n_sites)
 
-    @classmethod
-    def from_unnormalized(cls, amplitudes: np.ndarray) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm)
-
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
@@ -230,11 +222,16 @@ def _phase_signs(n_sites: int, phase_mask: int) -> np.ndarray:
     return signs
 
 
+def along_rows(values: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Shape one value per basis index to broadcast over a state or a block."""
+    return values if amps.ndim == 1 else values[:, None]
+
+
 def apply_term(term: PauliTerm, amps: np.ndarray, n_sites: int, out: np.ndarray) -> None:
     """Accumulate term|psi> into ``out`` without materializing any matrix."""
     flip, phase, y_count = term.masks()
     scale = term.coefficient * (1j) ** y_count
-    signed = amps if phase == 0 else amps * _phase_signs(n_sites, phase)
+    signed = amps if phase == 0 else amps * along_rows(_phase_signs(n_sites, phase), amps)
     if flip == 0:
         out += scale * signed
     else:
@@ -242,9 +239,12 @@ def apply_term(term: PauliTerm, amps: np.ndarray, n_sites: int, out: np.ndarray)
 
 
 def apply_operator(op: OperatorSum, state: StateLike) -> np.ndarray:
-    """Return op|psi> as a (generally unnormalized) complex amplitude array."""
+    """Return op|psi> as a (generally unnormalized) complex amplitude array.
+
+    A (dim, K) block of states is mapped column by column.
+    """
     amps = amplitudes_of(state)
-    if 2**op.n_sites != amps.size:
+    if 2**op.n_sites != amps.shape[0]:
         raise ValueError("operator and state act on different registers")
     out = np.zeros_like(amps)
     for term in op.terms:
@@ -252,14 +252,24 @@ def apply_operator(op: OperatorSum, state: StateLike) -> np.ndarray:
     return out
 
 
-def expectation(op: OperatorSum, state: StateLike) -> float:
-    """<psi|op|psi> for a Hermitian operator; the imaginary part must vanish."""
+def expectation(op: OperatorSum, state: StateLike) -> float | np.ndarray:
+    """<psi|op|psi> for a Hermitian operator; the imaginary part must vanish.
+
+    A (dim, K) block of states gives one value per column, each checked.
+    """
     amps = amplitudes_of(state)
-    raw = np.vdot(amps, apply_operator(op, amps))
+    applied = apply_operator(op, amps)
+    if amps.ndim == 1:
+        raw = np.vdot(amps, applied)
+    else:
+        # contiguous rows: a strided vdot sums in another order than a state's
+        bras, kets = np.ascontiguousarray(amps.T), np.ascontiguousarray(applied.T)
+        raw = np.array([np.vdot(a, b) for a, b in zip(bras, kets)], dtype=complex)
     tol = 1e-10 * max(1.0, op.coefficient_l1)
-    if abs(raw.imag) > tol:
-        raise HermiticityError(f"imaginary part {raw.imag:.3e} exceeds tolerance {tol:.3e}")
-    return float(raw.real)
+    worst = float(np.max(np.abs(raw.imag), initial=0.0))
+    if worst > tol:
+        raise HermiticityError(f"imaginary part {worst:.3e} exceeds tolerance {tol:.3e}")
+    return float(raw.real) if amps.ndim == 1 else raw.real
 
 
 def complex_matrix_element(op_product: Sequence[OperatorSum], state: StateLike) -> complex:

@@ -115,11 +115,11 @@ def reconstruct_response(
         rules = rules_for_schedule(schedule, beta, n_shifts=n_shifts, mode=mode)
     configs, weights = shift_configurations(rules, beta)
     grid = np.asarray(t_grid, dtype=float)
+    active = weights != 0.0
     total = np.zeros(grid.size)
-    for etas, w in zip(configs, weights):
-        if w == 0.0:
-            continue
-        total += w * driven_signal(h, schedule, etas, observable, grid, evolver, psi0)
+    if np.any(active):
+        etas = np.asarray(configs)[active]
+        total = weights[active] @ driven_signal(h, schedule, etas, observable, grid, evolver, psi0)
     total /= beta.factorial_product
     meta = {
         "n_configurations": len(configs),
@@ -181,9 +181,10 @@ def response_decomposition(
     if any(r not in rule.coefficients for r in range(max_order + 1)):
         raise ShiftRuleError(f"rule lacks coefficients for some order <= {max_order}")
     grid = np.asarray(t_grid, dtype=float)
-    samples = np.empty((rule.n_shifts, grid.size))
-    for p, s in enumerate(rule.shifts):
-        samples[p] = driven_signal(h, schedule, [s], observable, grid, evolver, psi0)
+    # the shifted samples and the reference signal at eta_eval as one block
+    etas = np.append(rule.shifts, eta_eval)[:, None]
+    signals = driven_signal(h, schedule, etas, observable, grid, evolver, psi0)
+    samples, reference = signals[:-1], signals[-1]
     terms: dict[int, ResponseSeries] = {}
     partial = np.zeros(grid.size)
     factorial = 1.0
@@ -196,7 +197,6 @@ def response_decomposition(
         terms[n] = ResponseSeries(
             n, (n,), grid, values, {"eta_eval": eta_eval, "basis": rule.basis}
         )
-    reference = driven_signal(h, schedule, [eta_eval], observable, grid, evolver, psi0)
     diff = ResponseSeries(
         max_order,
         (max_order,),

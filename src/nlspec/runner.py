@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    AnalysisError,
     contrast_ratio,
     correlator_order_expansion,
     entanglement_entropy,
@@ -37,6 +38,7 @@ from .pauli import DimensionCapError, OperatorSum
 from .reference import finite_difference_derivative, nested_commutator_series
 from .response import (
     MultiIndex,
+    decomposition_rule,
     reconstruct_response,
     response_decomposition,
     rules_for_schedule,
@@ -154,6 +156,9 @@ def _run_decomposition(config: ExperimentConfig, out: Path) -> tuple[list[str], 
     files: list[str] = []
     per_eta_terms = {}
     per_eta_diff = {}
+    # the rule does not depend on eta: one gap set for all evaluation amplitudes
+    generator, _ = schedule.channels[0]
+    rule = decomposition_rule(generator, config.max_order, n_shifts=config.shifts.n_shifts)
     basis = None
     for eta in config.eta_eval:
         terms, diff = response_decomposition(
@@ -165,7 +170,7 @@ def _run_decomposition(config: ExperimentConfig, out: Path) -> tuple[list[str], 
             config.max_order,
             config.evolver,
             psi0,
-            n_shifts=config.shifts.n_shifts,
+            rule=rule,
         )
         per_eta_terms[eta] = terms
         per_eta_diff[eta] = diff
@@ -217,7 +222,7 @@ def _sweep_correlator_orders(
             ck = sampler(kappa)
             try:
                 contrast[i, j] = contrast_ratio(ck, c0)
-            except Exception:
+            except AnalysisError:
                 excluded += 1
     return order_values, contrast, excluded
 
@@ -317,7 +322,7 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
                 np.column_stack([xs.ravel(), ys.ravel()]), (f"C{a}", f"C{b}")
             )
             return pca_slope(cloud), quadrature
-        except Exception:
+        except AnalysisError:
             continue
     return float("nan"), "none"
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolution import EXACT, Evolver, PulseSchedule
+from .evolution import EXACT, Evolver, PulseSchedule, driven_states
 from .pauli import OperatorSum, PauliTerm, StateLike, amplitudes_of, expectation
 from .response import MultiIndex, ResponseSeries, rules_for_schedule, shift_configurations
 from .shift_rules import ShiftRule
@@ -200,18 +200,21 @@ def noisy_response(
     grid = np.asarray(t_grid, dtype=float)
     totals = np.zeros(grid.size)
     variances = np.zeros(grid.size)
-    root = np.random.SeedSequence(plan.seed)
-    for p, (etas, w) in enumerate(zip(configs, weights)):
-        shots = plan.per_configuration[p]
-        if shots == 0 or w == 0.0:
-            continue
+    active = [p for p, w in enumerate(weights) if plan.per_configuration[p] and w != 0.0]
+    if active:
         # exact signal states, sampled measurement; one substream per (p, t)
-        exact = _driven_states_expectations(
-            h, schedule, etas, observable, grid, evolver, psi0, shots, root, p
-        )
-        estimates, errors = exact
-        totals += w / beta.factorial_product * estimates
-        variances += (w / beta.factorial_product) ** 2 * errors**2
+        root = np.random.SeedSequence(plan.seed)
+        states = driven_states(h, schedule, np.asarray(configs)[active], grid, evolver, psi0)
+        for k, block in enumerate(states):
+            # contiguous columns, so each exact mean rounds as a single state's
+            for p, state in zip(active, np.ascontiguousarray(block.T)):
+                seed = np.random.SeedSequence(entropy=root.entropy, spawn_key=(p, k))
+                estimate, error = sample_expectation(
+                    observable, state, plan.per_configuration[p], seed
+                )
+                scale = weights[p] / beta.factorial_product
+                totals[k] += scale * estimate
+                variances[k] += scale**2 * error**2
     series = ResponseSeries(
         beta.order,
         beta.beta,
@@ -221,32 +224,3 @@ def noisy_response(
     )
     return series, np.sqrt(variances)
 
-
-def _driven_states_expectations(
-    h, schedule, etas, observable, grid, evolver, psi0, shots, root, config_index
-):
-    """Sampled estimates of the driven signal at every grid time."""
-    from .evolution import apply_kick, evolve
-    from .pauli import amplitudes_of
-
-    events = schedule.events()
-    anchor = min(0.0, grid[0], events[0][0] if events else 0.0)
-    state = amplitudes_of(psi0).copy()
-    tau = anchor
-    pending = list(events)
-    estimates = np.empty(grid.size)
-    errors = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        while pending and pending[0][0] <= t:
-            t_pulse, channel = pending.pop(0)
-            if t_pulse > tau:
-                state = evolve(h, state, t_pulse - tau, evolver)
-                tau = t_pulse
-            generator, _ = schedule.channels[channel]
-            state = apply_kick(generator, etas[channel], state)
-        meas = evolve(h, state, t - tau, evolver) if t > tau else state
-        seed = np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=(int(config_index), int(k))
-        )
-        estimates[k], errors[k] = sample_expectation(observable, meas, shots, seed)
-    return estimates, errors

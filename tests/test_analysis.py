@@ -245,6 +245,33 @@ class TestThirdOrder2DOS:
         o = third_order_2dos(h, a, pump, 0.5, grid, grid, psi, EXACT, "oracle")
         assert np.max(np.abs(g - o)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "t1_start, t_2", [(0.0, 0.5), (0.4, 0.0)], ids=["t1_from_zero", "t2_zero"]
+    )
+    def test_coincident_pulses_match_oracle(self, t1_start, t_2):
+        # rows with coincident pulses take the commutator fallback
+        h = build_tls_dimer(0.5, 1.0, 0.8)
+        psi = ground_state(h)
+        pump = build_pump(PumpSpec("cosine_profile", momentum=0), 2)
+        a = op(2, (1.0, {0: "X"}), (1.0, {1: "X"}))
+        t1s = np.linspace(t1_start, t1_start + 2.4, 4)
+        t3s = np.linspace(0.0, 2.4, 5)  # t3 = 0 reads out at the last kick
+        g = third_order_2dos(h, a, pump, t_2, t1s, t3s, psi, EXACT, "shift_rule")
+        o = third_order_2dos(h, a, pump, t_2, t1s, t3s, psi, EXACT, "oracle")
+        assert np.max(np.abs(o)) > 1e-3
+        assert np.max(np.abs(g - o)) < 1e-8
+
+    def test_noncommuting_pump_matches_oracle(self):
+        h = build_tls_dimer(0.5, 1.0, 0.8)
+        psi = ground_state(h)
+        pump = op(2, (1.0, {0: "X"}), (1.0, {0: "Z"}))
+        a = op(2, (1.0, {0: "X"}), (1.0, {1: "X"}))
+        grid = np.linspace(0.4, 2.8, 4)
+        g = third_order_2dos(h, a, pump, 0.5, grid, grid, psi, EXACT, "shift_rule")
+        o = third_order_2dos(h, a, pump, 0.5, grid, grid, psi, EXACT, "oracle")
+        assert np.max(np.abs(o)) > 1e-3
+        assert np.max(np.abs(g - o)) < 1e-8
+
     def test_trotter_consistency_between_paths(self):
         h = build_tls_dimer(0.5, 1.0, 0.8)
         psi = ground_state(h)

@@ -240,3 +240,89 @@ class TestDrivenSignal:
         full = driven_signal(h, sched, [0.4], a, grid, TROTTER10, psi)
         single = driven_signal(h, sched, [0.4], a, [grid[7]], TROTTER10, psi)
         assert abs(full[7] - single[0]) < 1e-14
+
+
+def stacked(h, sched, etas, a, grid, evolver, psi):
+    """K single-configuration calls, one row each."""
+    return np.stack([driven_signal(h, sched, row, a, grid, evolver, psi) for row in etas])
+
+
+class TestBlockSignal:
+    """(K, L) amplitudes propagate as one block and equal K separate calls."""
+
+    @pytest.mark.parametrize(
+        "n, evolver, grid",
+        [
+            (4, EXACT, time_grid(0, 3, 7)),
+            (10, EXACT, time_grid(0, 0.6, 3)),  # Krylov path
+            (4, TROTTER10, time_grid(0, 3, 7)),
+        ],
+        ids=["eigh", "krylov", "trotter1"],
+    )
+    def test_block_equals_stacked_calls(self, n, evolver, grid):
+        h = build_xxz(n, 0.7, 0.3)
+        psi = ground_state(h)
+        b = op(n, (1.0, {1: "X"}))
+        a = op(n, (1.0, {1: "Z"}), (0.5, {2: "Z"}))
+        sched = PulseSchedule([(b, [0.0])])
+        etas = np.array([[-0.9], [0.0], [0.25], [1.3]])
+        block = driven_signal(h, sched, etas, a, grid, evolver, psi)
+        assert block.shape == (4, grid.size)
+        assert np.max(np.abs(block - stacked(h, sched, etas, a, grid, evolver, psi))) < 1e-12
+
+    @pytest.mark.parametrize("evolver", [EXACT, TROTTER10], ids=["exact", "trotter1"])
+    def test_two_channels_and_kick_at_measurement_time(self, evolver):
+        h = build_xxz(3, 0.9, 0.3)
+        psi = ground_state(h)
+        b = op(3, (1.0, {0: "X"}))
+        c = op(3, (0.5, {1: "Y"}), (0.5, {2: "Y"}))
+        a = op(3, (1.0, {1: "Z"}))
+        # the second channel fires exactly at the grid time 1.0
+        sched = PulseSchedule([(b, [0.0, 1.5]), (c, [1.0])])
+        grid = np.array([0.5, 1.0, 1.5, 2.5])
+        etas = np.array([[0.3, -0.2], [0.0, 0.7], [-1.1, 0.0], [0.4, 0.4]])
+        block = driven_signal(h, sched, etas, a, grid, evolver, psi)
+        assert np.max(np.abs(block - stacked(h, sched, etas, a, grid, evolver, psi))) < 1e-12
+
+    def test_noncommuting_pump_support_plan(self):
+        h = build_xxz(3, 0.6, 0.2)
+        psi = ground_state(h)
+        b = op(3, (1.0, {0: "X"}), (1.0, {0: "Z"}))
+        a = op(3, (1.0, {0: "Y"}), (1.0, {2: "X"}))
+        sched = PulseSchedule([(b, [0.0])])
+        grid = time_grid(0, 2, 5)
+        etas = np.array([[-0.5], [0.0], [0.8]])
+        block = driven_signal(h, sched, etas, a, grid, EXACT, psi)
+        assert np.max(np.abs(block - stacked(h, sched, etas, a, grid, EXACT, psi))) < 1e-12
+
+    @pytest.mark.parametrize("commuting", [True, False], ids=["product", "support"])
+    def test_block_kick_per_column_amplitude(self, commuting):
+        b = op(3, (1.0, {0: "X"}), (0.4, {2: "Z"}) if commuting else (0.4, {0: "Z"}))
+        block = np.stack([random_state(3, s) for s in range(3)], axis=1)
+        etas = np.array([0.2, 0.0, -1.4])
+        out = apply_kick(b, etas, block)
+        shared = apply_kick(b, 0.2, block)
+        for k in range(3):
+            assert np.max(np.abs(out[:, k] - apply_kick(b, etas[k], block[:, k]))) < 1e-12
+            assert np.max(np.abs(shared[:, k] - apply_kick(b, 0.2, block[:, k]))) < 1e-12
+
+    def test_expectation_per_column(self):
+        a = op(3, (1.0, {0: "X", 1: "Y"}), (0.3, {2: "Z"}))
+        block = np.stack([random_state(3, s) for s in range(4)], axis=1)
+        values = expectation(a, block)
+        assert values.shape == (4,)
+        for k in range(4):
+            assert values[k] == expectation(a, block[:, k].copy())
+
+    def test_amplitude_shape_checked(self):
+        h = build_xxz(3, 0.9, 0.3)
+        psi = ground_state(h)
+        b = op(3, (1.0, {0: "X"}))
+        a = op(3, (1.0, {1: "Z"}))
+        sched = PulseSchedule([(b, [0.0])])
+        with pytest.raises(ScheduleError):
+            driven_signal(h, sched, np.zeros((3, 2)), a, [0.0, 1.0], EXACT, psi)
+        with pytest.raises(ScheduleError):
+            driven_signal(h, sched, np.zeros((0, 1)), a, [0.0, 1.0], EXACT, psi)
+        with pytest.raises(ValueError):
+            apply_kick(b, [0.1, 0.2], np.stack([psi.amplitudes] * 3, axis=1))
