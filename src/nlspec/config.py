@@ -159,7 +159,6 @@ class ShiftSettings:
 class SamplingSettings:
     total_shots: int
     mode: str = "uniform"
-    repetitions: int = 1
 
     def __post_init__(self):
         if self.mode not in ("uniform", "optimal"):
@@ -341,11 +340,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     sampling = None
     if raw.get("sampling") is not None:
         s = raw["sampling"]
-        _reject_unknown(s, ("total_shots", "mode", "repetitions"), "sampling")
+        _reject_unknown(s, ("total_shots", "mode"), "sampling")
         sampling = SamplingSettings(
-            int(_require(s, "total_shots", "sampling")),
-            s.get("mode", "uniform"),
-            int(s.get("repetitions", 1)),
+            int(_require(s, "total_shots", "sampling")), s.get("mode", "uniform")
         )
 
     n_qubits = model.n_qubits()
@@ -461,7 +458,6 @@ def to_json_dict(config: ExperimentConfig) -> dict:
         else {
             "total_shots": config.sampling.total_shots,
             "mode": config.sampling.mode,
-            "repetitions": config.sampling.repetitions,
         },
         "seed": config.seed,
         "output_dir": config.output_dir,

@@ -259,12 +259,9 @@ def expectation(op: OperatorSum, state: StateLike) -> float | np.ndarray:
     """
     amps = amplitudes_of(state)
     applied = apply_operator(op, amps)
-    if amps.ndim == 1:
-        raw = np.vdot(amps, applied)
-    else:
-        # contiguous rows: a strided vdot sums in another order than a state's
-        bras, kets = np.ascontiguousarray(amps.T), np.ascontiguousarray(applied.T)
-        raw = np.array([np.vdot(a, b) for a, b in zip(bras, kets)], dtype=complex)
+    # one contiguous row per state, so a column sums exactly as a single state
+    bras, kets = np.ascontiguousarray(amps.T), np.ascontiguousarray(applied.T)
+    raw = (bras.conj() * kets).sum(axis=-1)
     tol = 1e-10 * max(1.0, op.coefficient_l1)
     worst = float(np.max(np.abs(raw.imag), initial=0.0))
     if worst > tol:

@@ -166,8 +166,8 @@ def _powerset(items: Sequence[int]):
 class FiniteDifference:
     """Plain central-stencil estimate plus its Richardson refinement."""
 
-    value: float
-    refined: float
+    value: float | np.ndarray
+    refined: float | np.ndarray
     step: float
     order: int
 
@@ -189,23 +189,24 @@ def _stencil_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 
 
 def finite_difference_derivative(
-    sampler: Callable[[float], float], order: int, step: float
+    sampler: Callable[[float], float | np.ndarray], order: int, step: float
 ) -> FiniteDifference:
     """Central finite-difference m-th derivative at 0 with spacing ``step``.
 
     Also evaluates the half-step stencil and returns the Richardson
     combination (4 D_{h/2} - D_h) / 3, which cancels the leading h^2 error
-    of the symmetric stencil.
+    of the symmetric stencil.  A sampler that returns an array (say, one
+    value per time) gives estimates of that shape, element by element.
     """
     if order < 0 or order > 7:
         raise ValueError("finite differences supported for orders 0..7")
     if step <= 0:
         raise ValueError("step must be positive")
 
-    def estimate(h: float) -> float:
+    def estimate(h: float):
         offsets = _central_stencil(order)
         weights = _stencil_weights(offsets, order) / h**order
-        return float(sum(w * sampler(x * h) for w, x in zip(weights, offsets)))
+        return sum(w * sampler(x * h) for w, x in zip(weights, offsets))
 
     coarse = estimate(step)
     fine = estimate(step / 2.0)

@@ -161,47 +161,52 @@ def response_decomposition(
     schedule: PulseSchedule,
     observable: OperatorSum,
     t_grid: Sequence[float],
-    eta_eval: float,
+    eta_evals: Sequence[float],
     max_order: int,
     evolver: Evolver = EXACT,
     psi0: StateLike = None,
-    rule: ShiftRule | None = None,
     n_shifts: int | None = None,
-) -> tuple[dict[int, ResponseSeries], ResponseSeries]:
+) -> list[tuple[dict[int, ResponseSeries], ResponseSeries]]:
     """Order-by-order expansion A^n(t) = (eta^n / n!) F^(n)(0; t) plus the
-    truncation residual diff(t) = <A(t)>_eta - sum_n A^n(t).
+    truncation residual diff(t) = <A(t)>_eta - sum_n A^n(t), one
+    (terms, diff) pair per amplitude in ``eta_evals``.
 
     Single-channel protocol; all pulses in the channel share the amplitude.
+    The shifted samples and the reference signals are propagated together,
+    and each derivative F^(n)(0; t) is computed once for every amplitude.
     """
     if schedule.n_channels != 1:
         raise ValueError("response_decomposition expects a single drive channel")
+    eta_evals = np.asarray(eta_evals, dtype=float)
+    if eta_evals.ndim != 1 or eta_evals.size == 0:
+        raise ValueError("eta_evals must be a nonempty sequence of amplitudes")
     generator, _ = schedule.channels[0]
-    if rule is None:
-        rule = decomposition_rule(generator, max_order, n_shifts=n_shifts)
-    if any(r not in rule.coefficients for r in range(max_order + 1)):
-        raise ShiftRuleError(f"rule lacks coefficients for some order <= {max_order}")
+    rule = decomposition_rule(generator, max_order, n_shifts=n_shifts)
     grid = np.asarray(t_grid, dtype=float)
-    # the shifted samples and the reference signal at eta_eval as one block
-    etas = np.append(rule.shifts, eta_eval)[:, None]
+    # the shifted samples and the reference signal at every eta as one block
+    etas = np.concatenate([rule.shifts, eta_evals])[:, None]
     signals = driven_signal(h, schedule, etas, observable, grid, evolver, psi0)
-    samples, reference = signals[:-1], signals[-1]
-    terms: dict[int, ResponseSeries] = {}
-    partial = np.zeros(grid.size)
-    factorial = 1.0
-    for n in range(max_order + 1):
-        if n > 0:
-            factorial *= n
-        deriv = rule.coefficients[n] @ samples
-        values = (eta_eval**n / factorial) * deriv
-        partial += values
-        terms[n] = ResponseSeries(
-            n, (n,), grid, values, {"eta_eval": eta_eval, "basis": rule.basis}
+    samples, references = signals[: rule.n_shifts], signals[rule.n_shifts :]
+    derivs = [rule.coefficients[n] @ samples for n in range(max_order + 1)]
+    out = []
+    for eta_eval, reference in zip(eta_evals.tolist(), references):
+        terms: dict[int, ResponseSeries] = {}
+        partial = np.zeros(grid.size)
+        factorial = 1.0
+        for n, deriv in enumerate(derivs):
+            if n > 0:
+                factorial *= n
+            values = (eta_eval**n / factorial) * deriv
+            partial += values
+            terms[n] = ResponseSeries(
+                n, (n,), grid, values, {"eta_eval": eta_eval, "basis": rule.basis}
+            )
+        diff = ResponseSeries(
+            max_order,
+            (max_order,),
+            grid,
+            reference - partial,
+            {"eta_eval": eta_eval, "kind": "truncation_residual"},
         )
-    diff = ResponseSeries(
-        max_order,
-        (max_order,),
-        grid,
-        reference - partial,
-        {"eta_eval": eta_eval, "kind": "truncation_residual"},
-    )
-    return terms, diff
+        out.append((terms, diff))
+    return out

@@ -103,14 +103,38 @@ def _common_unit(positive: np.ndarray, tol: float) -> float | None:
     return g
 
 
+def _site_disjoint(generator: OperatorSum) -> bool:
+    sites = [s for term in generator.terms for s in term.sites]
+    return len(sites) == len(set(sites))
+
+
+def _spectrum(generator: OperatorSum, tol: float) -> np.ndarray:
+    """Distinct eigenvalues, ascending.
+
+    Terms on disjoint sites act on separate tensor factors, so the spectrum
+    is every signed sum of their coefficients (an identity term shifts it);
+    any other generator is diagonalized on its support factor.
+    """
+    if not _site_disjoint(generator):
+        return _dedup_sorted(eigendecompose(generator, on_support=True).values, tol)
+    values = np.zeros(1)
+    for term in generator.terms:
+        c = term.coefficient
+        if term.factors:
+            values = _dedup_sorted(np.concatenate([values - c, values + c]), tol)
+        else:
+            values = values + c
+    return values
+
+
 def gap_set(generator: OperatorSum, tol: float = DEFAULT_GAP_TOL) -> GapSet:
     """All pairwise eigenvalue differences of the generator, deduplicated.
 
-    The spectrum is taken on the generator's support factor, so the cost is
-    2**r for support size r regardless of the register size.
+    Site-disjoint generators (local drives, cosine profiles, single strings)
+    take their spectrum in closed form at any register size; any other is
+    diagonalized on its support factor, at cost 2**r for support size r.
     """
-    eig = eigendecompose(generator, on_support=True)
-    values = _dedup_sorted(eig.values, tol)
+    values = _spectrum(generator, tol)
     diffs = (values[:, None] - values[None, :]).ravel()
     gaps = _dedup_sorted(diffs, tol)
     # enforce exact symmetry and an exact zero entry

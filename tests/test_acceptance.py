@@ -118,8 +118,8 @@ def test_criterion_03_decomposition_residual_monotone():
     max_diff = {}
     for eta in (0.05, 0.2, 0.5):
         _, diff = response_decomposition(
-            h, schedule, observable, grid, eta, 7, TROTTER10, psi, n_shifts=8
-        )
+            h, schedule, observable, grid, [eta], 7, TROTTER10, psi, n_shifts=8
+        )[0]
         max_diff[eta] = float(np.max(np.abs(diff.values)))
     assert max_diff[0.05] < max_diff[0.2] < max_diff[0.5]
     report(
@@ -341,8 +341,8 @@ def test_criterion_09_selection_rules():
     summary = []
     for label, observable, forbidden, allowed in cases:
         terms, _ = response_decomposition(
-            h, schedule, observable, grid, 1.0, 5, EXACT, psi
-        )
+            h, schedule, observable, grid, [1.0], 5, EXACT, psi
+        )[0]
         peak = {m: float(np.max(np.abs(terms[m].values))) for m in range(1, 6)}
         for m in forbidden:
             assert peak[m] < 1e-9, f"{label}: order {m} = {peak[m]:.2e}"

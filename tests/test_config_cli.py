@@ -50,6 +50,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="typo_field"):
             load_config(write_config(tmp_path, payload))
 
+    def test_unknown_sampling_key_rejected(self, tmp_path):
+        payload = dict(MINIMAL, sampling={"total_shots": 100, "repetitions": 2})
+        with pytest.raises(ConfigError, match="repetitions"):
+            load_config(write_config(tmp_path, payload))
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"protocol": "response",\n  bad json\n}')

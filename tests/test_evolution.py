@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nlspec.evolution import (
     EXACT,
@@ -10,9 +10,17 @@ from nlspec.evolution import (
     apply_kick,
     driven_signal,
     evolve,
+    _commuting_runs,
     time_grid,
 )
-from nlspec.models import build_pump, build_xxz, ground_state, PumpSpec
+from nlspec.models import (
+    build_pump,
+    build_spin_boson,
+    build_toric_code,
+    build_xxz,
+    ground_state,
+    PumpSpec,
+)
 from nlspec.pauli import OperatorSum, PauliTerm, StateVector, expectation, to_dense
 
 TROTTER10 = Evolver("trotter1", 10)
@@ -90,6 +98,73 @@ class TestEvolve:
 
         ref = expm(-1.7j * to_dense(h)) @ psi
         assert np.max(np.abs(out - ref)) < 1e-9
+
+
+def dense_trotter(h, t, n_steps):
+    """prod_steps prod_terms expm(-i c dt P), term by term on dense matrices."""
+    from scipy.linalg import expm
+
+    dt = t / n_steps
+    step = np.eye(2**h.n_sites, dtype=complex)
+    for term in h.terms:
+        string = to_dense(OperatorSum((PauliTerm(1.0, term.factors),), h.n_sites))
+        step = expm(-1j * term.coefficient * dt * string) @ step
+    return np.linalg.matrix_power(step, n_steps)
+
+
+def strings_commute(a, b):
+    fa = dict(a.factors)
+    return sum(1 for site, axis in b.factors if site in fa and fa[site] != axis) % 2 == 0
+
+
+@st.composite
+def pauli_sums(draw):
+    """Random Pauli sums on at most 5 sites with a non-commuting adjacent pair."""
+    n = draw(st.integers(1, 5))
+    term = st.tuples(
+        st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3),
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1, max_size=n),
+    )
+    h = op(n, *draw(st.lists(term, min_size=2, max_size=8)))
+    assume(any(not strings_commute(a, b) for a, b in zip(h.terms, h.terms[1:])))
+    return h
+
+
+class TestFusedTrotter:
+    """Commuting runs applied as one op reproduce the term-by-term product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_sums(), st.floats(-2, 2, allow_nan=False), st.integers(1, 4), st.integers(0, 99))
+    def test_random_sums_match_dense_product(self, h, t, n_steps, seed):
+        u = dense_trotter(h, t, n_steps)
+        evolver = Evolver("trotter1", n_steps)
+        psi = random_state(h.n_sites, seed)
+        assert np.max(np.abs(evolve(h, psi, t, evolver) - u @ psi)) < 1e-12
+        block = np.stack([random_state(h.n_sites, seed + k) for k in range(3)], axis=1)
+        assert np.max(np.abs(evolve(h, block, t, evolver) - u @ block)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_xxz(5, 0.7, 0.3, "open"),
+            build_xxz(5, 0.7, 0.3, "periodic"),
+            build_toric_code(2, 2, 1.0, 0.6),
+            build_spin_boson(1.0, 1.3, 0.8, 0.4),
+            op(5, *((0.4 + 0.1 * j, {j: "X"}) for j in range(5))),  # runs capped by masks
+        ],
+        ids=["xxz_open", "xxz_periodic", "toric_2x2", "spin_boson", "x_field"],
+    )
+    def test_models_match_dense_product(self, h):
+        u = dense_trotter(h, 1.7, 6)
+        psi = random_state(h.n_sites, 11)
+        block = np.stack([random_state(h.n_sites, s) for s in range(3)], axis=1)
+        assert np.max(np.abs(evolve(h, psi, 1.7, Evolver("trotter1", 6)) - u @ psi)) < 1e-12
+        assert np.max(np.abs(evolve(h, block, 1.7, Evolver("trotter1", 6)) - u @ block)) < 1e-12
+
+    def test_periodic_chain_fuses_to_thirteen_ops(self):
+        runs = _commuting_runs(build_xxz(12, 0.5, 0.0, "periodic"))
+        assert sum(len(run) for run in runs) == 36
+        assert len(runs) == 13
 
 
 class TestKick:
@@ -313,6 +388,13 @@ class TestBlockSignal:
         assert values.shape == (4,)
         for k in range(4):
             assert values[k] == expectation(a, block[:, k].copy())
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (5, 27), (9, 3), (12, 11)])
+    def test_expectation_per_column_at_block_sizes(self, n, k):
+        a = op(n, (1.0, {0: "Z"}), (0.7, {n - 1: "X"}))
+        block = np.stack([random_state(n, s) for s in range(k)], axis=1)
+        values = expectation(a, block)
+        assert all(values[j] == expectation(a, block[:, j].copy()) for j in range(k))
 
     def test_amplitude_shape_checked(self):
         h = build_xxz(3, 0.9, 0.3)

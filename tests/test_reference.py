@@ -147,6 +147,14 @@ class TestFiniteDifference:
         fd = finite_difference_derivative(lambda e: np.sin(2 * e), 3, 0.05)
         assert abs(fd.refined + 8.0) < abs(fd.value + 8.0)
 
+    def test_array_sampler_matches_scalar_calls(self):
+        ts = np.array([0.0, 0.7, 1.9])
+        for order in (1, 2, 3):
+            fd = finite_difference_derivative(lambda e: np.sin(ts + 2 * e), order, 1e-2)
+            for k, t in enumerate(ts):
+                single = finite_difference_derivative(lambda e: np.sin(t + 2 * e), order, 1e-2)
+                assert fd.value[k] == single.value and fd.refined[k] == single.refined
+
     def test_order_cap(self):
         with pytest.raises(ValueError):
             finite_difference_derivative(lambda e: e, 8, 0.1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlspec.evolution import EXACT, PulseSchedule
+from nlspec.evolution import EXACT, Evolver, PulseSchedule
 from nlspec.models import build_pump, build_xxz, ground_state, PumpSpec
 from nlspec.pauli import OperatorSum, PauliTerm, StateVector
 from nlspec.response import (
@@ -95,7 +95,7 @@ class TestDecomposition:
         h, x, psi = single_qubit
         grid = np.linspace(0, 3, 7)
         sched = PulseSchedule([(x, [0.0])])
-        terms, diff = response_decomposition(h, sched, x, grid, 0.0, 3, EXACT, psi)
+        terms, diff = response_decomposition(h, sched, x, grid, [0.0], 3, EXACT, psi)[0]
         assert np.max(np.abs(diff.values)) < 1e-12
         for n in (1, 2, 3):
             assert np.max(np.abs(terms[n].values)) < 1e-12  # eta^n factor kills them
@@ -110,8 +110,8 @@ class TestDecomposition:
         grid = np.array([0.0, 1.0])
         eta = 0.1
         terms, diff = response_decomposition(
-            h, PulseSchedule([(b, [0.0])]), a, grid, eta, 2, EXACT, psi
-        )
+            h, PulseSchedule([(b, [0.0])]), a, grid, [eta], 2, EXACT, psi
+        )[0]
         assert np.allclose(terms[0].values, 1.0)
         assert np.max(np.abs(terms[1].values)) < 1e-12
         assert np.allclose(terms[2].values, -2 * eta**2, atol=1e-12)
@@ -144,9 +144,38 @@ class TestDecomposition:
         grid = np.linspace(0, 4, 9)
         residuals = []
         for max_order in (1, 3, 5):
-            _, diff = response_decomposition(h, sched, a, grid, 0.4, max_order, EXACT, psi)
+            _, diff = response_decomposition(h, sched, a, grid, [0.4], max_order, EXACT, psi)[0]
             residuals.append(np.max(np.abs(diff.values)))
         assert residuals[0] > residuals[1] > residuals[2]
+
+    def test_all_amplitudes_in_one_call_equal_separate_calls(self):
+        # Trotter propagates column by column, so the block is bitwise the same
+        n = 6
+        h = build_xxz(n, 0.5, 0.1, "periodic")
+        psi = ground_state(h)
+        pump = build_pump(PumpSpec("cosine_profile", momentum=1), n)
+        sched = PulseSchedule([(pump, [0.0])])
+        a = op(n, (1.0, {2: "Z"}), (1.0, {3: "Z"}))
+        grid = np.linspace(0, 2, 5)
+        trotter = Evolver("trotter1", 4)
+        etas = [0.05, 0.2, 0.5]
+        together = response_decomposition(h, sched, a, grid, etas, 5, trotter, psi, n_shifts=6)
+        assert len(together) == len(etas)
+        for eta, (terms, diff) in zip(etas, together):
+            [(alone_terms, alone_diff)] = response_decomposition(
+                h, sched, a, grid, [eta], 5, trotter, psi, n_shifts=6
+            )
+            assert diff.metadata["eta_eval"] == eta
+            assert np.array_equal(diff.values, alone_diff.values)
+            for k in range(6):
+                assert np.array_equal(terms[k].values, alone_terms[k].values)
+
+    def test_scalar_amplitude_rejected(self, single_qubit):
+        h, x, psi = single_qubit
+        sched = PulseSchedule([(x, [0.0])])
+        for bad in (0.2, []):
+            with pytest.raises(ValueError):
+                response_decomposition(h, sched, x, [0.0, 1.0], bad, 2, EXACT, psi)
 
     def test_multi_channel_rejected(self):
         h = build_xxz(3, 0.8, 0.2)
@@ -154,7 +183,7 @@ class TestDecomposition:
         b = op(3, (1.0, {0: "X"}))
         sched = PulseSchedule([(b, [0.0]), (b, [1.0])])
         with pytest.raises(ValueError):
-            response_decomposition(h, sched, b, [0.0, 1.0], 0.1, 2, EXACT, psi)
+            response_decomposition(h, sched, b, [0.0, 1.0], [0.1], 2, EXACT, psi)
 
 
 class TestDecompositionRule:

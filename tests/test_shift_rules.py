@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlspec import shift_rules
+from nlspec.models import build_pump, PumpSpec
 from nlspec.pauli import OperatorSum, PauliTerm
 from nlspec.shift_rules import (
     MultiIndex,
@@ -48,6 +52,76 @@ class TestGapSet:
         small = gap_set(op(2, (1.0, {1: "X"})))
         large = gap_set(op(10, (1.0, {7: "X"})))
         assert np.allclose(small.gaps, large.gaps)
+
+
+def eigh_route_gap_set(generator):
+    """gap_set with the closed form switched off."""
+    with mock.patch.object(shift_rules, "_site_disjoint", return_value=False):
+        return gap_set(generator)
+
+
+def assert_same_gap_set(closed, dense):
+    assert len(closed) == len(dense)
+    assert (closed.unit is None) == (dense.unit is None)
+    if closed.unit is not None:
+        assert abs(closed.unit - dense.unit) <= closed.tol
+    assert np.max(np.abs(closed.gaps - dense.gaps)) <= closed.tol
+
+
+def spy_on_eigh():
+    return mock.patch.object(shift_rules, "eigendecompose", wraps=shift_rules.eigendecompose)
+
+
+@st.composite
+def site_disjoint_generators(draw):
+    """Strings on disjoint sites, weights drawn to repeat and cancel."""
+    n = draw(st.integers(1, 6))
+    sites = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n), max_size=n)) | {n})
+    weights = st.sampled_from([0.5, -0.5, 1.0, -1.0, 1.5, 0.25]) | st.floats(-2, 2).filter(
+        lambda c: abs(c) > 1e-3
+    )
+    terms, start = [], 0
+    for stop in cuts:
+        axes = draw(st.lists(st.sampled_from("XYZ"), min_size=stop - start, max_size=stop - start))
+        terms.append((draw(weights), dict(zip(sites[start:stop], axes))))
+        start = stop
+    return op(n, *terms)
+
+
+class TestClosedFormGapSet:
+    """Site-disjoint generators skip the eigh and give the same gap set."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(site_disjoint_generators())
+    def test_matches_eigh_route(self, generator):
+        assert_same_gap_set(gap_set(generator), eigh_route_gap_set(generator))
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            op(4, (1.0, {0: "X", 2: "Y", 3: "Z"}), (-1.0, {1: "X"})),
+            op(3, (0.5, {0: "X"}), (0.5, {1: "Y"}), (-0.5, {2: "Z"})),
+            build_pump(PumpSpec("cosine_profile", momentum=1), 12),
+        ],
+        ids=["multi_site_string", "cancelling", "cosine_12"],
+    )
+    def test_skips_eigh(self, generator):
+        with spy_on_eigh() as spy:
+            closed = gap_set(generator)
+        assert not spy.called
+        assert_same_gap_set(closed, eigh_route_gap_set(generator))
+
+    def test_overlapping_terms_take_eigh_route(self):
+        with spy_on_eigh() as spy:
+            gaps = gap_set(op(1, (1.0, {0: "X"}), (1.0, {0: "Z"})))
+        assert spy.called
+        assert np.allclose(gaps.gaps, [-2 * np.sqrt(2), 0, 2 * np.sqrt(2)])
+
+    def test_beyond_dense_cap(self):
+        gaps = gap_set(op(14, *((0.5, {j: "X"}) for j in range(14))))
+        assert np.allclose(gaps.gaps, np.arange(-14, 15))
+        assert gaps.unit == pytest.approx(1.0)
 
 
 class TestShiftGrid:
