@@ -4,21 +4,26 @@ Entanglement entropy and its pump-amplitude expansion, toric-code style
 pump-probe correlators with channel contrast and principal-axis slopes, and
 the three-pulse protocol whose double Fourier transform gives a 2D optical
 spectrum.
+
+The pump-probe correlator follows the block convention of ``evolution``: a
+(K,) array of pump amplitudes is kicked and propagated as one (dim, K) block,
+one column per amplitude, so every shifted sample of a (t1, t2) cell and its
+contrast references come from a single call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .evolution import EXACT, Evolver, PulseSchedule, apply_kick, evolve
 from .pauli import (
     OperatorSum,
-    PauliTerm,
     StateLike,
+    amplitudes_of,
     apply_operator,
     n_sites_of,
     partial_trace,
@@ -30,32 +35,6 @@ from .shift_rules import ShiftRule, rule_for_generator
 
 class AnalysisError(ValueError):
     """Invalid input to one of the diagnostic routines."""
-
-
-@dataclass(frozen=True)
-class StringOperator:
-    """A Pauli string along lattice edges, e.g. a probe or pump channel."""
-
-    edges: tuple[int, ...]
-    axes: tuple[str, ...]
-    label: str = ""
-
-    def __init__(self, edges: Sequence[int], axes: Sequence[str] | str, label: str = ""):
-        edges = tuple(int(e) for e in edges)
-        if not edges:
-            raise AnalysisError("string operator needs at least one edge")
-        if isinstance(axes, str) and len(axes) == 1:
-            axes = (axes,) * len(edges)
-        else:
-            axes = tuple(axes)
-        if len(axes) != len(edges):
-            raise AnalysisError("one axis per edge is required")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "label", label)
-
-    def to_operator(self, n_sites: int) -> OperatorSum:
-        return OperatorSum((PauliTerm(1.0, dict(zip(self.edges, self.axes))),), n_sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +69,19 @@ def entanglement_entropy(state: StateLike, block_size: int, start: int = 0) -> f
 
 @dataclass(frozen=True, eq=False)
 class EntropyExpansion:
-    """Polynomial coefficients of S(eta) about eta = 0 from a symmetric grid."""
+    """Polynomial coefficients of S(eta) about eta = 0 from a symmetric grid,
+    with the entropy sampled at each grid amplitude."""
 
     coefficients: np.ndarray
     condition_number: float
     residual: float
+    entropies: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
+        for name in ("coefficients", "entropies"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 _FIT_CONDITION_LIMIT = 1e10
@@ -140,7 +122,7 @@ def entropy_expansion(
     scaled, res, *_ = np.linalg.lstsq(design, entropies, rcond=None)
     coeffs = scaled / scale ** np.arange(max_order + 1)
     residual = float(np.sqrt(np.mean((design @ scaled - entropies) ** 2)))
-    return EntropyExpansion(coeffs, cond, residual)
+    return EntropyExpansion(coeffs, cond, residual, entropies)
 
 
 def pump_probe_correlator(
@@ -150,36 +132,44 @@ def pump_probe_correlator(
     probe_2: OperatorSum,
     t_1: float,
     t_2: float,
-    eta: float,
+    eta,
     psi0: StateLike,
     evolver: Evolver = EXACT,
-) -> complex:
+) -> complex | np.ndarray:
     """C(t1, t2; eta) = <psi0| e^{i eta B} A2(t1+t2) A1(t1) e^{-i eta B} |psi0>.
 
     The probes are Heisenberg operators with respect to the unperturbed
-    Hamiltonian; the result is generally complex.
+    Hamiltonian; the result is generally complex.  A scalar ``eta`` gives a
+    complex number; a (K,) array gives (K,) values, all K amplitudes
+    propagated as one (dim, K) block.
     """
-    phi = apply_kick(pump, eta, psi0)
+    eta = np.asarray(eta, dtype=float)
+    psi = amplitudes_of(psi0)
+    if eta.ndim == 1:
+        psi = np.repeat(psi[:, None], eta.size, axis=1)
+    phi = apply_kick(pump, eta, psi)
     bra = evolve(h, phi, t_1 + t_2, evolver)
     ket = evolve(h, phi, t_1, evolver)
     ket = apply_operator(probe_1, ket)
     ket = evolve(h, ket, t_2, evolver)
     ket = apply_operator(probe_2, ket)
-    return complex(np.vdot(bra, ket))
+    values = (bra.conj() * ket).sum(axis=0)
+    return complex(values) if eta.ndim == 0 else values
 
 
 def correlator_order_expansion(
-    sampler: Callable[[float], complex],
+    samples: np.ndarray,
     rule: ShiftRule,
     orders: Sequence[int],
     eta: float,
 ) -> dict[int, complex]:
-    """C^(n) = (eta^n / n!) d^n C / d eta^n at 0, from shifted samples.
+    """C^(n) = (eta^n / n!) d^n C / d eta^n at 0, from the correlator sampled
+    at ``rule.shifts``.
 
     The shift rule is applied separately to the real and imaginary parts of
-    the sampled correlator.
+    the samples.
     """
-    samples = np.array([sampler(float(s)) for s in rule.shifts], dtype=complex)
+    samples = np.asarray(samples, dtype=complex)
     out: dict[int, complex] = {}
     for n in orders:
         c = rule.coefficients[int(n)]

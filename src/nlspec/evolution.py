@@ -29,6 +29,7 @@ differs from applying the rotations one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .pauli import (
     eigendecompose,
     expectation,
     terms_commute_pairwise,
+    to_sparse,
 )
 
 EVOLVER_KINDS = ("exact", "trotter1")
@@ -83,36 +85,14 @@ class Evolver:
 EXACT = Evolver("exact")
 
 
-class _BoundedCache:
-    """Tiny FIFO cache for eigendecompositions keyed by operator content."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._data: dict = {}
-
-    def get_or_compute(self, key, fn):
-        if key in self._data:
-            return self._data[key]
-        value = fn()
-        if len(self._data) >= self.cap:
-            self._data.pop(next(iter(self._data)))
-        self._data[key] = value
-        return value
+@lru_cache(maxsize=6)
+def _hamiltonian_eigensystem(h: OperatorSum) -> Eigensystem:
+    return eigendecompose(h)
 
 
-_EIG_CACHE = _BoundedCache(cap=6)
-_KICK_CACHE = _BoundedCache(cap=32)
-_SPARSE_CACHE = _BoundedCache(cap=6)
-
-
-def _hamiltonian_eigensystem(h: OperatorSum):
-    return _EIG_CACHE.get_or_compute(h.cache_key(), lambda: eigendecompose(h))
-
-
+@lru_cache(maxsize=6)
 def _sparse_hamiltonian(h: OperatorSum):
-    from .pauli import to_sparse
-
-    return _SPARSE_CACHE.get_or_compute(h.cache_key(), lambda: to_sparse(h).tocsr())
+    return to_sparse(h).tocsr()
 
 
 def _apply_string_rotation(
@@ -228,21 +208,18 @@ def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT)
     return _trotter_evolve(h, amps, t, evolver)
 
 
+@lru_cache(maxsize=32)
 def _kick_plan(b: OperatorSum):
     """Either the commuting-term factorization or the support eigensystem."""
-
-    def compute():
-        if terms_commute_pairwise(b):
-            return ("product", tuple((term.masks(), term.coefficient) for term in b.terms))
-        support = b.support
-        if len(support) > DENSE_SITE_CAP:
-            raise DimensionCapError(
-                f"kick generator support {len(support)} exceeds cap {DENSE_SITE_CAP}"
-            )
-        eig = eigendecompose(b, on_support=True)
-        return ("support", (support, eig))
-
-    return _KICK_CACHE.get_or_compute(b.cache_key(), compute)
+    if terms_commute_pairwise(b):
+        return ("product", tuple((term.masks(), term.coefficient) for term in b.terms))
+    support = b.support
+    if len(support) > DENSE_SITE_CAP:
+        raise DimensionCapError(
+            f"kick generator support {len(support)} exceeds cap {DENSE_SITE_CAP}"
+        )
+    eig = eigendecompose(b, on_support=True)
+    return ("support", (support, eig))
 
 
 def _apply_on_support(

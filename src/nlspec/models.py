@@ -281,7 +281,10 @@ def ground_state(h: OperatorSum) -> StateVector:
         vals, vecs = np.linalg.eigh(to_dense(h))
         amps = vecs[:, 0]
     else:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        # a generic start vector: a uniform one is the fully polarized
+        # S = N/2 state, orthogonal to the singlet ground state of SU(2)-
+        # symmetric chains, which ARPACK then reaches only through rounding
+        v0 = np.random.default_rng(0).standard_normal(dim)
         vals, vecs = eigsh(to_sparse(h), k=1, which="SA", v0=v0, maxiter=10_000)
         amps = vecs[:, 0].astype(np.complex128)
     amps = _canonical_phase(amps)

@@ -269,21 +269,6 @@ def expectation(op: OperatorSum, state: StateLike) -> float | np.ndarray:
     return float(raw.real) if amps.ndim == 1 else raw.real
 
 
-def complex_matrix_element(op_product: Sequence[OperatorSum], state: StateLike) -> complex:
-    """<psi| op_1 op_2 ... op_k |psi>, keeping the imaginary part.
-
-    The product is taken in sequence order, so the last operator in the
-    sequence acts on |psi> first.
-    """
-    amps = amplitudes_of(state)
-    ket = amps
-    for op in reversed(list(op_product)):
-        if 2**op.n_sites != amps.size:
-            raise ValueError("operator and state act on different registers")
-        ket = apply_operator(op, ket)
-    return complex(np.vdot(amps, ket))
-
-
 def to_dense(op: OperatorSum) -> np.ndarray:
     """Dense 2**N x 2**N matrix of the operator; refused above the cap."""
     if op.n_sites > DENSE_SITE_CAP:

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -35,7 +35,7 @@ from .analysis import (
 from .config import ExperimentConfig, build_observable, to_json_dict
 from .evolution import PulseSchedule, apply_kick, driven_signal, evolve
 from .models import ModelSpec, build_model, build_pump, ground_state
-from .pauli import DimensionCapError, OperatorSum
+from .pauli import DimensionCapError, OperatorSum, PauliTerm
 from .reference import finite_difference_derivative, nested_commutator_series
 from .response import (
     MultiIndex,
@@ -184,55 +184,45 @@ def _run_decomposition(config: ExperimentConfig, out: Path) -> tuple[list[str], 
     return files, meta
 
 
-def _sweep_correlator_orders(
-    h: OperatorSum,
-    pump: OperatorSum,
-    probe_1: OperatorSum,
-    probe_2: OperatorSum,
-    t1s: np.ndarray,
-    t2s: np.ndarray,
-    orders: Sequence[int],
-    eta_ref: float,
-    kappa: float,
-    psi0,
-    evolver,
-):
-    """C^(n) and the contrast ratio over a (t1, t2) grid."""
-    rule = rule_for_generator(pump, sorted(set(int(o) for o in orders)))
-    order_values = {int(n): np.empty((t1s.size, t2s.size), dtype=complex) for n in orders}
-    contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
-    excluded = 0
-    for i, t1 in enumerate(t1s):
-        for j, t2 in enumerate(t2s):
-            sampler = lambda eta: pump_probe_correlator(
-                h, pump, probe_1, probe_2, float(t1), float(t2), eta, psi0, evolver
-            )
-            expansion = correlator_order_expansion(sampler, rule, orders, eta_ref)
-            for n, v in expansion.items():
-                order_values[n][i, j] = v
-            c0 = sampler(0.0)
-            ck = sampler(kappa)
-            try:
-                contrast[i, j] = contrast_ratio(ck, c0)
-            except AnalysisError:
-                excluded += 1
-    return order_values, contrast, excluded
+def _pump_probe_orders(config: ExperimentConfig):
+    """The (t1, t2) grids, C^(n) per order and the contrast ratio of a
+    pump-probe config, with the count of cells whose contrast was excluded.
 
-
-def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+    One correlator call per cell samples every shift of the order rule plus
+    the contrast references C(0) and C(kappa) as one block.
+    """
     h = build_model(config.model)
     n = h.n_sites
     pump = build_pump(config.pumps[0].pump, n)
-    probe_1 = OperatorSum((_string_term(config.probe_1),), n)
-    probe_2 = OperatorSum((_string_term(config.probe_2),), n)
+    probe_1 = OperatorSum((PauliTerm(1.0, dict(config.probe_1)),), n)
+    probe_2 = OperatorSum((PauliTerm(1.0, dict(config.probe_2)),), n)
     psi0 = ground_state(h)
     t1s = (config.t1_grid or config.time_grid).values()
     t2s = (config.t3_grid or config.time_grid).values()
     orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
-    order_values, contrast, excluded = _sweep_correlator_orders(
-        h, pump, probe_1, probe_2, t1s, t2s, orders, config.eta_ref, config.kappa,
-        psi0, config.evolver,
-    )
+    rule = rule_for_generator(pump, orders)
+    etas = np.append(rule.shifts, [0.0, config.kappa])
+    order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
+    contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
+    excluded = 0
+    for i, t1 in enumerate(t1s):
+        for j, t2 in enumerate(t2s):
+            samples = pump_probe_correlator(
+                h, pump, probe_1, probe_2, float(t1), float(t2), etas, psi0, config.evolver
+            )
+            expansion = correlator_order_expansion(samples[:-2], rule, orders, config.eta_ref)
+            for m, v in expansion.items():
+                order_values[m][i, j] = v
+            try:
+                contrast[i, j] = contrast_ratio(samples[-1], samples[-2])
+            except AnalysisError:
+                excluded += 1
+    return t1s, t2s, order_values, contrast, excluded
+
+
+def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+    t1s, t2s, order_values, contrast, excluded = _pump_probe_orders(config)
+    orders = list(order_values)
     files: list[str] = []
     rows = []
     for i, t1 in enumerate(t1s):
@@ -292,12 +282,6 @@ def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dic
     return files, meta
 
 
-def _string_term(factors):
-    from .pauli import PauliTerm
-
-    return PauliTerm(1.0, dict(factors))
-
-
 def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
     """Principal-axis slope of an order pair, real quadrature preferred.
 
@@ -319,59 +303,28 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
     return float("nan"), "none"
 
 
-def _sweep_point(args):
-    (model_dict, boundary, g, pump_spec, p1, p2, t1_list, t2_list,
-     orders, eta_ref, kappa, evolver) = args
-    params = dict(model_dict)
-    params["j_plaquette"] = g
-    model = ModelSpec("toric_code", params, boundary)
-    h = build_model(model)
-    n = h.n_sites
-    pump = build_pump(pump_spec, n)
-    probe_1 = OperatorSum((_string_term(p1),), n)
-    probe_2 = OperatorSum((_string_term(p2),), n)
-    psi0 = ground_state(h)
-    t1s = np.asarray(t1_list)
-    t2s = np.asarray(t2_list)
-    order_values, _, _ = _sweep_correlator_orders(
-        h, pump, probe_1, probe_2, t1s, t2s, orders, eta_ref, kappa, psi0, evolver
-    )
-    slopes = []
-    for a, b in zip(orders, orders[1:]):
-        slope, _ = _order_pair_slope(order_values[a], order_values[b], a, b)
-        slopes.append(slope)
-    return g, slopes
+def _sweep_point(config: ExperimentConfig, g: float):
+    """The order-pair slopes of the pump-probe run at plaquette coupling g."""
+    model = replace(config.model, parameters={**config.model.parameters, "j_plaquette": g})
+    _, _, order_values, _, _ = _pump_probe_orders(replace(config, model=model))
+    orders = list(order_values)
+    return g, [
+        _order_pair_slope(order_values[a], order_values[b], a, b)[0]
+        for a, b in zip(orders, orders[1:])
+    ]
 
 
 def _run_sweep(config: ExperimentConfig, out: Path, threads: int) -> tuple[list[str], dict]:
     if config.model.kind != "toric_code":
         raise ValueError("the coupling sweep protocol targets the toric-code model")
-    g_values = config.sweep_values or tuple(np.linspace(-1.0, 1.0, 21))
-    t1s = (config.t1_grid or config.time_grid).values()
-    t2s = (config.t3_grid or config.time_grid).values()
+    g_values = [float(g) for g in config.sweep_values or np.linspace(-1.0, 1.0, 21)]
     orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
-    jobs = [
-        (
-            dict(config.model.parameters),
-            config.model.boundary,
-            float(g),
-            config.pumps[0].pump,
-            config.probe_1,
-            config.probe_2,
-            list(t1s),
-            list(t2s),
-            orders,
-            config.eta_ref,
-            config.kappa,
-            config.evolver,
-        )
-        for g in g_values
-    ]
+    configs = [config] * len(g_values)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+            results = list(pool.map(_sweep_point, configs, g_values))
     else:
-        results = [_sweep_point(j) for j in jobs]
+        results = list(map(_sweep_point, configs, g_values))
     results.sort(key=lambda r: r[0])
     pair_names = [f"s{a}{b}" for a, b in zip(orders, orders[1:])]
     write_csv(
@@ -389,8 +342,6 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     if config.observables:
         observable = build_observable(config.observables[0], n)
     else:
-        from .pauli import PauliTerm
-
         observable = OperatorSum(
             tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n
         )
@@ -440,18 +391,13 @@ def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     eta_grid = np.asarray(config.eta_grid or np.linspace(-0.03, 0.03, 7))
     files: list[str] = []
 
-    entropies = []
-    for eta in eta_grid:
-        state = apply_kick(pump, float(eta), psi0)
-        if config.entropy_time:
-            state = evolve(h, state, config.entropy_time, config.evolver)
-        entropies.append(entanglement_entropy(state, block))
-    write_csv(out / "entropy_vs_eta.csv", ["eta", f"S_{block}"], zip(eta_grid, entropies))
-    files.append("entropy_vs_eta.csv")
-
     expansion = entropy_expansion(
         h, pump, psi0, eta_grid, config.entropy_time, block, config.max_order, config.evolver
     )
+    write_csv(
+        out / "entropy_vs_eta.csv", ["eta", f"S_{block}"], zip(eta_grid, expansion.entropies)
+    )
+    files.append("entropy_vs_eta.csv")
     write_csv(
         out / "entropy_coefficients.csv",
         ["order", "coefficient"],
@@ -510,7 +456,7 @@ def run_experiment(
 ) -> RunResult:
     """Execute a validated config and persist all artifacts."""
     if seed is not None:
-        config = _replace_seed(config, seed)
+        config = replace(config, seed=seed)
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -535,12 +481,6 @@ def run_experiment(
     }
     _write_json(out / "run_metadata.json", metadata)
     return RunResult(out, files + ["resolved_config.json", "run_metadata.json"], metadata)
-
-
-def _replace_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(config, seed=seed)
 
 
 def verify_experiment(

@@ -362,15 +362,6 @@ def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule
     return ShiftRule(grid, coefficients, None, residuals, cond, "taylor")
 
 
-def reconstruct_derivative(samples: Sequence[float], coefficients: Sequence[float]) -> float:
-    """dot(c, F(shifts)); exact when the signal is band-limited to the gaps."""
-    samples = np.asarray(samples, dtype=float)
-    coefficients = np.asarray(coefficients, dtype=float)
-    if samples.shape[0] != coefficients.shape[0]:
-        raise ValueError("samples and coefficients must have matching length")
-    return float(np.dot(coefficients, samples))
-
-
 @dataclass(frozen=True)
 class MultiIndex:
     """Per-channel derivative orders beta_a; the response order is their sum."""

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from nlspec.analysis import (
-    StringOperator,
     contrast_ratio,
     entanglement_entropy,
     entropy_expansion,
@@ -228,10 +227,10 @@ def test_criterion_06_toric_contrast():
     psi = ground_state(h)
     lat = ToricLattice(2, 2)
     star = lat.star_edges(0, 0)
-    probe_1 = StringOperator(star[:2], "X").to_operator(8)
-    probe_2 = StringOperator(star[2:], "X").to_operator(8)
-    pump_anti = StringOperator([star[0]], "Z").to_operator(8)
-    pump_comm = StringOperator([lat.h_edge(0, 1)], "Z").to_operator(8)
+    probe_1 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[:2]}),), 8)
+    probe_2 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[2:]}),), 8)
+    pump_anti = OperatorSum((PauliTerm(1.0, {star[0]: "Z"}),), 8)
+    pump_comm = OperatorSum((PauliTerm(1.0, {lat.h_edge(0, 1): "Z"}),), 8)
     results = {}
     for label, pump in (("anticommuting", pump_anti), ("commuting", pump_comm)):
         c0 = pump_probe_correlator(h, pump, probe_1, probe_2, 0.7, 1.3, 0.0, psi)

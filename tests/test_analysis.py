@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from nlspec.analysis import (
     AnalysisError,
     PointCloud2D,
-    StringOperator,
     contrast_ratio,
     correlator_order_expansion,
     entanglement_entropy,
@@ -14,7 +13,7 @@ from nlspec.analysis import (
     pump_probe_correlator,
     third_order_2dos,
 )
-from nlspec.evolution import EXACT, Evolver
+from nlspec.evolution import EXACT, Evolver, apply_kick, evolve
 from nlspec.models import (
     PumpSpec,
     ToricLattice,
@@ -98,6 +97,17 @@ class TestEntropyExpansion:
         with pytest.raises(AnalysisError):
             entropy_expansion(h, pump, psi, [0.0, 0.1, 0.2], 1.0, 1, 2)
 
+    def test_entropies_match_kick_and_evolve(self):
+        h = build_xxz(4, 0.8, 0.1)
+        psi = ground_state(h)
+        pump = build_pump(PumpSpec("cosine_profile", momentum=1), 4)
+        etas = np.linspace(-0.2, 0.2, 5)
+        exp = entropy_expansion(h, pump, psi, etas, 0.9, 2, 4)
+        for eta, entropy in zip(etas, exp.entropies):
+            state = evolve(h, apply_kick(pump, float(eta), psi), 0.9)
+            assert entropy == entanglement_entropy(state, 2)
+        assert not exp.entropies.flags.writeable
+
     def test_local_kick_leaves_entropy_unchanged(self):
         # a sum of single-site rotations is a product unitary: at t = 0 the
         # expansion beyond order zero must vanish identically
@@ -118,18 +128,18 @@ class TestPumpProbe:
     def test_eta_zero_plain_correlator(self, toric):
         h, psi, lat = toric
         star = lat.star_edges(0, 0)
-        p1 = StringOperator(star[:2], "X").to_operator(8)
-        p2 = StringOperator(star[2:], "X").to_operator(8)
-        pump = StringOperator([star[0]], "Z").to_operator(8)
+        p1 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[:2]}),), 8)
+        p2 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[2:]}),), 8)
+        pump = OperatorSum((PauliTerm(1.0, {star[0]: "Z"}),), 8)
         c = pump_probe_correlator(h, pump, p1, p2, 0.0, 0.0, 0.0, psi)
         assert c == pytest.approx(1.0, abs=1e-12)  # probes compose to a stabilizer
 
     def test_commuting_pump_leaves_correlator(self, toric):
         h, psi, lat = toric
         star = lat.star_edges(0, 0)
-        p1 = StringOperator(star[:2], "X").to_operator(8)
-        p2 = StringOperator(star[2:], "X").to_operator(8)
-        pump = StringOperator([lat.h_edge(0, 1)], "Z").to_operator(8)
+        p1 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[:2]}),), 8)
+        p2 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[2:]}),), 8)
+        pump = OperatorSum((PauliTerm(1.0, {lat.h_edge(0, 1): "Z"}),), 8)
         c0 = pump_probe_correlator(h, pump, p1, p2, 0.8, 1.1, 0.0, psi)
         for eta in (0.3, 1.2):
             c = pump_probe_correlator(h, pump, p1, p2, 0.8, 1.1, eta, psi)
@@ -138,12 +148,49 @@ class TestPumpProbe:
     def test_anticommuting_pump_flips_sign_at_pi_over_2(self, toric):
         h, psi, lat = toric
         star = lat.star_edges(0, 0)
-        p1 = StringOperator(star[:2], "X").to_operator(8)
-        p2 = StringOperator(star[2:], "X").to_operator(8)
-        pump = StringOperator([star[0]], "Z").to_operator(8)
+        p1 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[:2]}),), 8)
+        p2 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[2:]}),), 8)
+        pump = OperatorSum((PauliTerm(1.0, {star[0]: "Z"}),), 8)
         c0 = pump_probe_correlator(h, pump, p1, p2, 0.7, 1.3, 0.0, psi)
         ck = pump_probe_correlator(h, pump, p1, p2, 0.7, 1.3, np.pi / 2, psi)
         assert ck == pytest.approx(-c0, abs=1e-12)
+
+
+class TestPumpProbeBlock:
+    """A (K,) amplitude array gives the K scalar correlators."""
+
+    @staticmethod
+    def assert_block_matches(h, pump, p1, p2, psi, etas, evolver=EXACT):
+        block = pump_probe_correlator(h, pump, p1, p2, 0.6, 0.9, etas, psi, evolver)
+        scalars = [pump_probe_correlator(h, pump, p1, p2, 0.6, 0.9, e, psi, evolver) for e in etas]
+        assert block.shape == (len(etas),)
+        assert all(isinstance(c, complex) for c in scalars)
+        assert np.max(np.abs(block - np.array(scalars))) < 1e-12
+
+    def test_toric_exact(self, toric):
+        h, psi, lat = toric
+        star = lat.star_edges(0, 0)
+        p1 = OperatorSum((PauliTerm(1.0, {e: "X" for e in star[:2]}),), 8)
+        p2 = OperatorSum((PauliTerm(1.0, {star[2]: "Z", star[3]: "Z"}),), 8)
+        pump = build_pump(PumpSpec("cosine_profile", axis="Y", momentum=0, sites=(0, 2, 3, 4)), 8)
+        rule = rule_for_generator(pump, [1, 3, 5])
+        self.assert_block_matches(h, pump, p1, p2, psi, [*rule.shifts, 0.0, np.pi / 2])
+
+    @pytest.mark.parametrize(
+        "pump",
+        [
+            op(4, (1.0, {0: "X"}), (0.5, {2: "X"})),
+            op(4, (1.0, {0: "X"}), (1.0, {0: "Z"})),  # support-eigenbasis kick
+        ],
+        ids=["product", "support"],
+    )
+    def test_xxz_trotter(self, pump):
+        h = build_xxz(4, 0.7, 0.2)
+        psi = ground_state(h)
+        p1 = op(4, (1.0, {1: "X"}))
+        p2 = op(4, (1.0, {3: "Y"}))
+        etas = [0.0, 0.3, -1.1, 0.0, 2.4]
+        self.assert_block_matches(h, pump, p1, p2, psi, etas, Evolver("trotter1", 5))
 
 
 class TestContrastRatio:
@@ -164,7 +211,9 @@ class TestContrastRatio:
 class TestOrderExpansion:
     def test_constant_correlator(self):
         rule = rule_for_generator(op(1, (1.0, {0: "X"})), [0, 1, 2, 3])
-        out = correlator_order_expansion(lambda eta: 0.7 - 0.2j, rule, [1, 2, 3], 0.4)
+        out = correlator_order_expansion(
+            np.full(rule.n_shifts, 0.7 - 0.2j), rule, [1, 2, 3], 0.4
+        )
         for n in (1, 2, 3):
             assert abs(out[n]) < 1e-12
 
@@ -172,9 +221,7 @@ class TestOrderExpansion:
         # C(eta) = exp(2 i eta) C0: C^(n) = (2 i eta)^n / n! C0
         rule = rule_for_generator(op(1, (1.0, {0: "X"})), [0, 1, 2])
         c0 = 0.8 - 0.3j
-        out = correlator_order_expansion(
-            lambda eta: np.exp(2j * eta) * c0, rule, [1, 2], 0.25
-        )
+        out = correlator_order_expansion(np.exp(2j * rule.shifts) * c0, rule, [1, 2], 0.25)
         assert out[1] == pytest.approx((2j * 0.25) * c0, abs=1e-12)
         assert out[2] == pytest.approx((2j * 0.25) ** 2 / 2 * c0, abs=1e-12)
 
@@ -282,17 +329,3 @@ class TestThirdOrder2DOS:
         g = third_order_2dos(h, a, pump, 0.4, grid, grid, psi, trotter, "shift_rule")
         o = third_order_2dos(h, a, pump, 0.4, grid, grid, psi, trotter, "oracle")
         assert np.max(np.abs(g - o)) < 1e-10
-
-
-class TestStringOperator:
-    def test_single_axis_broadcast(self):
-        s = StringOperator([0, 3, 5], "X")
-        assert s.axes == ("X", "X", "X")
-
-    def test_to_operator(self):
-        o = StringOperator([1, 4], ["X", "Z"]).to_operator(6)
-        assert o.terms[0].factors == ((1, "X"), (4, "Z"))
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            StringOperator([], "X")

@@ -178,6 +178,15 @@ class TestGroundState:
         ref = eigsh(to_sparse(h), k=1, which="SA", return_eigenvectors=False)[0]
         assert e == pytest.approx(float(ref), abs=1e-8)
 
+    def test_lanczos_reproducible_on_su2_chain(self):
+        # the Heisenberg chain's singlet ground state is orthogonal to the
+        # uniform |+x...+x>, so the Lanczos start vector must be generic
+        h = build_xxz(10, 1.0, 0.0)
+        runs = [ground_state(h).amplitudes for _ in range(3)]
+        assert all(np.array_equal(runs[0], other) for other in runs[1:])
+        exact = np.linalg.eigvalsh(to_dense(h))[0]
+        assert abs(expectation(h, runs[0]) - exact) < 1e-12
+
 
 class TestModelSpec:
     def test_requires_parameters(self):

@@ -10,7 +10,6 @@ from nlspec.pauli import (
     StateVector,
     apply_operator,
     commutator_norm,
-    complex_matrix_element,
     eigendecompose,
     expectation,
     partial_trace,
@@ -147,24 +146,6 @@ class TestExpectation:
     def test_real_for_hermitian(self, seed):
         o = random_operator(3, 5, seed)
         expectation(o, random_state(3, seed))  # raises HermiticityError if not real
-
-
-class TestComplexMatrixElement:
-    def test_x_offdiagonal(self):
-        psi = StateVector.computational_basis(1, 0)
-        assert complex_matrix_element([op(1, (1.0, {0: "X"}))], psi) == 0
-
-    def test_xy_product_is_iz(self):
-        psi = StateVector.computational_basis(1, 0)
-        val = complex_matrix_element(
-            [op(1, (1.0, {0: "X"})), op(1, (1.0, {0: "Y"}))], psi
-        )
-        assert abs(val - 1j) < 1e-12
-
-    def test_identity_product(self):
-        psi = StateVector(random_state(2, 3))
-        val = complex_matrix_element([], psi)
-        assert abs(val - 1.0) < 1e-12
 
 
 class TestEigendecompose:

@@ -130,10 +130,8 @@ class TestDecomposition:
         # the rule interface directly
         poly = np.polynomial.Polynomial([0.3, -0.4, 0.2, 0.05])
         samples = poly(rule.shifts)
-        from nlspec.shift_rules import reconstruct_derivative
-
         for n in (4, 5):
-            assert abs(reconstruct_derivative(samples, rule.coefficients[n])) < 1e-10
+            assert abs(float(np.dot(rule.coefficients[n], samples))) < 1e-10
 
     def test_partial_sums_converge_with_order(self):
         h = build_xxz(3, 0.8, 0.2)
