@@ -18,13 +18,13 @@ from nlspec.reference import finite_difference_derivative, nested_commutator_ser
 from nlspec.response import MultiIndex, reconstruct_response
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=5)
     parser.add_argument("--max-order", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     grid = np.linspace(0.0, 5.0, 11)

@@ -80,12 +80,13 @@ def _cmd_verify(args) -> int:
     config = load_config(args.config)
     report = verify_experiment(config, tolerance=args.tolerance)
     print(f"observable: {report['observable']}  tolerance: {report['tolerance']:.2e}")
-    print("order  max|shift rule - commutator|  max|fd - commutator|  oracle scale")
+    print(f"shift rule: {report['n_shifts']} shifts, condition number {report['condition_number']:.3e}")
+    print("order  max|shift rule - commutator|  max|fd - commutator|  oracle scale  rule residual")
     for row in report["orders"]:
         fd = "-" if row["max_abs_fd_minus_commutator"] is None else f"{row['max_abs_fd_minus_commutator']:.3e}"
         print(
             f"{row['order']:>5}  {row['max_abs_shift_rule_minus_commutator']:>22.3e}  "
-            f"{fd:>20}  {row['oracle_scale']:>12.3e}"
+            f"{fd:>20}  {row['oracle_scale']:>12.3e}  {row['residual']:>13.2e}"
         )
     if args.out:
         out = Path(args.out)

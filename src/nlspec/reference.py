@@ -6,6 +6,10 @@
   the driven protocol uses.  The nested commutator is expanded into its
   2^m left/right operator orderings and evaluated matrix-free on state
   vectors, so it shares no code path with the shift-rule reconstruction.
+  Chain states are shared by pulse sequence (m coincident copies of one
+  pulse need m + 1 kets, not 2^m); they are carried to the latest pulse
+  once and from there propagate afresh to each grid time as one (dim, D)
+  block, one ``evolve`` per grid time.
 
 * ``finite_difference_derivative`` is the deliberately imperfect baseline:
   minimal central stencils whose truncation error is the caller's problem.
@@ -84,53 +88,60 @@ def nested_commutator_series(
     times = [float(t) for _, t in pulses]
     if any(t2 > t1 for t1, t2 in zip(times, times[1:])):
         return np.zeros(grid.size)
+    keys = [(generator.cache_key(), t_k) for (generator, _), t_k in zip(pulses, times)]
     group_norm = 1.0
     group_counts: dict[tuple, int] = {}
-    for generator, t_k in pulses:
-        key = (generator.cache_key(), float(t_k))
+    for key in keys:
         group_counts[key] = group_counts.get(key, 0) + 1
         group_norm *= group_counts[key]
 
     anchor = min([0.0] + times) if times else 0.0
+    latest = times[0] if times else anchor
     checkpoints = sorted(set(times))
-    # chain states: ket(S) applies the pulses of S in descending-index
-    # (chronological) order, interleaved with free evolution
-    kets: dict[frozenset, tuple[np.ndarray, float]] = {frozenset(): (psi, anchor)}
+    # chain states: the ket of a subset applies its pulses in descending-index
+    # (chronological) order, interleaved with free evolution.  Kets are keyed
+    # by that pulse sequence, so subsets repeating one pulse share a state.
+    kets: dict[tuple, tuple[np.ndarray, float]] = {(): (psi, anchor)}
 
-    def ket(subset: frozenset) -> tuple[np.ndarray, float]:
-        if subset in kets:
-            return kets[subset]
-        k = min(subset)  # lowest index = latest time, applied last
-        prev_state, prev_tau = ket(subset - {k})
-        generator, t_k = pulses[k]
-        state = _propagate(h, prev_state, prev_tau, t_k, checkpoints, evolver)
-        state = apply_operator(generator, state)
-        kets[subset] = (state, t_k)
-        return kets[subset]
+    def ket(sequence: tuple[int, ...]) -> tuple:
+        key = tuple(keys[k] for k in sequence)
+        if key not in kets:
+            prev_state, prev_tau = kets[ket(sequence[:-1])]
+            generator, t_k = pulses[sequence[-1]]
+            state = _propagate(h, prev_state, prev_tau, t_k, checkpoints, evolver)
+            kets[key] = (apply_operator(generator, state), t_k)
+        return key
 
     all_indices = frozenset(range(m))
     subsets = [frozenset(s) for s in _powerset(range(m))]
-    for s in subsets:
-        ket(s)
+    key_of = {s: ket(tuple(sorted(s, reverse=True))) for s in subsets}
+    column = {key: j for j, key in enumerate(kets)}
+    # one signed term per subset: its complement's ket on the left
+    terms = [
+        (-1.0 if len(s) % 2 else 1.0, column[key_of[all_indices - s]], column[key_of[s]])
+        for s in subsets
+    ]
+    # a measurement at or after the latest pulse passes every checkpoint on
+    # the way, so each ket is carried to that pulse once; from there the
+    # distinct kets propagate afresh to each grid time as one (dim, D) block
+    block = np.stack(
+        [_propagate(h, state, tau, latest, checkpoints, evolver) for state, tau in kets.values()],
+        axis=1,
+    )
 
     values = np.zeros(grid.size)
-    latest = times[0] if times else -np.inf
     prefactor = 1j**m / group_norm
     for idx, t in enumerate(grid):
         if times and t < latest:
             values[idx] = 0.0
             continue
-        w: dict[frozenset, np.ndarray] = {}
-        aw: dict[frozenset, np.ndarray] = {}
-        for s in subsets:
-            state, tau = kets[s]
-            w[s] = _propagate(h, state, tau, float(t), checkpoints, evolver)
+        moved = _propagate(h, block, latest, float(t), checkpoints, evolver)
+        # contiguous rows, so each ket's vdot rounds as a single state's
+        w = np.ascontiguousarray(moved.T)
+        aw = np.ascontiguousarray(apply_operator(observable, moved).T)
         total = 0.0 + 0.0j
-        for right in subsets:
-            aw_right = apply_operator(observable, w[right])
-            left = all_indices - right
-            sign = -1.0 if len(right) % 2 else 1.0
-            total += sign * np.vdot(w[left], aw_right)
+        for sign, left, right in terms:
+            total += sign * np.vdot(w[left], aw[right])
         total *= prefactor
         scale = max(1.0, abs(total.real))
         if abs(total.imag) > 1e-8 * scale:
@@ -179,6 +190,13 @@ def _central_stencil(order: int) -> np.ndarray:
         return np.arange(-half, half + 1, dtype=float)
     offsets = np.arange(1, half + 1, dtype=float)
     return np.concatenate([-offsets[::-1], offsets])
+
+
+def stencil_amplitudes(order: int, step: float) -> np.ndarray:
+    """Every amplitude ``finite_difference_derivative(sampler, order, step)``
+    samples: the central stencil at ``step`` and at ``step / 2``."""
+    offsets = _central_stencil(order)
+    return np.concatenate([offsets * step, offsets * (step / 2.0)])
 
 
 def _stencil_weights(offsets: np.ndarray, order: int) -> np.ndarray:

@@ -32,11 +32,15 @@ from .analysis import (
     pump_probe_correlator,
     third_order_2dos,
 )
-from .config import ExperimentConfig, build_observable, to_json_dict
+from .config import ConfigError, ExperimentConfig, build_observable, to_json_dict
 from .evolution import PulseSchedule, apply_kick, driven_signal, evolve
 from .models import ModelSpec, build_model, build_pump, ground_state
 from .pauli import DimensionCapError, OperatorSum, PauliTerm
-from .reference import finite_difference_derivative, nested_commutator_series
+from .reference import (
+    finite_difference_derivative,
+    nested_commutator_series,
+    stencil_amplitudes,
+)
 from .response import (
     MultiIndex,
     reconstruct_response,
@@ -483,6 +487,10 @@ def run_experiment(
     return RunResult(out, files + ["resolved_config.json", "run_metadata.json"], metadata)
 
 
+#: amplitude step of the finite-difference baseline in ``verify_experiment``
+_FD_STEP = 1e-3
+
+
 def verify_experiment(
     config: ExperimentConfig,
     tolerance: float = 1e-8,
@@ -492,55 +500,63 @@ def verify_experiment(
 ) -> dict:
     """Cross-check the shift-rule reconstruction against the commutator route.
 
-    Returns a report with per-order maximum deviations (plus the
-    finite-difference baseline at low orders) and a pass flag; used by the
-    CLI `verify` subcommand.  ``coefficient_perturbation`` deliberately
-    corrupts the reconstruction weights (test hook for the failure path).
+    The config needs an observable (the first is checked), one pump channel
+    with one pulse (``ConfigError`` otherwise) and at most 10 sites
+    (``DimensionCapError``).  Returns a report with per-order maximum
+    deviations (plus the finite-difference baseline at low orders), the
+    shared shift rule's health (``n_shifts``, ``condition_number``, each
+    order's ``residual``) and a pass flag; used by the CLI `verify`
+    subcommand.  ``coefficient_perturbation`` deliberately corrupts the
+    reconstruction weights (test hook for the failure path).
     """
+    if not config.observables:
+        raise ConfigError("verification needs an observable; the config lists none")
+    if len(config.pumps) != 1:
+        raise ConfigError(
+            f"verification needs a single pump channel; the config has {len(config.pumps)}"
+        )
+    if len(config.pumps[0].times) != 1:
+        raise ConfigError(
+            "verification needs a single pulse; the pump lists "
+            f"{len(config.pumps[0].times)} times"
+        )
     h, schedule, observables, psi0 = _materialize(config)
     if h.n_sites > 10:
         raise DimensionCapError(
             f"oracle unavailable: verification needs <= 10 sites, model has {h.n_sites}"
         )
-    if schedule.n_channels != 1:
-        raise ValueError("verification uses a single-channel pulse schedule")
     label, observable = observables[0]
-    generator, times = schedule.channels[0]
-    if len(times) != 1:
-        raise ValueError("verification uses a single pulse")
+    generator, (t_pulse,) = schedule.channels[0]
     grid = np.linspace(config.time_grid.start, config.time_grid.stop, n_times)
-    grid = grid[grid >= times[0]]
+    grid = grid[grid >= t_pulse]
+    # one rule and one propagation of its shifts serve every order
+    rule = rule_for_generator(generator, range(1, max_order + 1))
+    signals = driven_signal(
+        h, schedule, rule.shifts[:, None], observable, grid, config.evolver, psi0
+    )
+    # every finite-difference stencil amplitude over the sampled times at once
+    stride = max(1, len(grid) // 4)
+    fd_etas = np.unique(np.concatenate([stencil_amplitudes(m, _FD_STEP) for m in (1, 2)]))
+    fd_signals = driven_signal(
+        h, schedule, fd_etas[:, None], observable, grid[::stride], config.evolver, psi0
+    )
+    fd_sample = dict(zip(fd_etas.tolist(), fd_signals))
     rows = []
     worst = 0.0
     for m in range(1, max_order + 1):
-        rule = rule_for_generator(generator, [m])
+        coefficients = rule.coefficients[m]
         if coefficient_perturbation:
-            from .shift_rules import ShiftRule
-
-            corrupted = rule.coefficients[m].copy()
-            corrupted[0] += coefficient_perturbation
-            coeffs = {m: corrupted}
-            rule = ShiftRule(
-                rule.shifts, coeffs, rule.gap_set, rule.residuals,
-                rule.condition_number, rule.basis,
-            )
-        series = reconstruct_response(
-            h, schedule, observable, grid, MultiIndex([m]), config.evolver, psi0,
-            rules={0: rule},
-        )
+            coefficients = coefficients.copy()
+            coefficients[0] += coefficient_perturbation
+        series = coefficients @ signals / math.factorial(m)
         oracle = nested_commutator_series(
-            h, observable, [(generator, times[0])] * m, grid, psi0, config.evolver
+            h, observable, [(generator, t_pulse)] * m, grid, psi0, config.evolver
         )
-        dev = float(np.max(np.abs(series.values - oracle)))
+        dev = float(np.max(np.abs(series - oracle)))
         worst = max(worst, dev)
         fd_dev = None
         if m <= 2:
-            # one propagation per stencil amplitude covers every sampled time
-            stride = max(1, len(grid) // 4)
-            sampler = lambda eta: driven_signal(
-                h, schedule, [eta], observable, grid[::stride], config.evolver, psi0
-            )
-            fd = finite_difference_derivative(sampler, m, 1e-3)
+            fd = finite_difference_derivative(fd_sample.__getitem__, m, _FD_STEP)
             target = oracle[::stride]
             fd_dev = float(np.max(np.abs(fd.refined / math.factorial(m) - target)))
         rows.append(
@@ -549,11 +565,14 @@ def verify_experiment(
                 "max_abs_shift_rule_minus_commutator": dev,
                 "max_abs_fd_minus_commutator": fd_dev,
                 "oracle_scale": float(np.max(np.abs(oracle))),
+                "residual": float(rule.residuals[m]),
             }
         )
     return {
         "observable": label,
         "tolerance": tolerance,
+        "n_shifts": rule.n_shifts,
+        "condition_number": float(rule.condition_number),
         "orders": rows,
         "max_deviation": worst,
         "passed": bool(worst < tolerance),

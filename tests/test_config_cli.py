@@ -13,6 +13,7 @@ from nlspec.config import (
     load_config,
     to_json_dict,
 )
+from nlspec import runner
 from nlspec.runner import run_experiment, verify_experiment
 
 MINIMAL = {
@@ -24,6 +25,25 @@ MINIMAL = {
     "evolver": {"kind": "exact"},
     "time_grid": {"start": 0.0, "stop": 3.0, "points": 7},
 }
+
+
+#: 10 sites, so exact evolution takes the sparse Krylov path; the X5 probe
+#: next to the X4 kick has first- and third-order responses of order one
+CHAIN10 = {
+    "protocol": "response",
+    "model": {
+        "kind": "xxz",
+        "parameters": {"n_sites": 10, "delta": 0.5, "h_field": 0.12},
+        "boundary": "open",
+    },
+    "pumps": [{"kind": "local_pauli", "site": 4, "axis": "X", "times": [0.0]}],
+    "observables": [{"kind": "single_site_pauli", "sites": [5], "axis": "X"}],
+    "orders": [3],
+    "evolver": {"kind": "exact"},
+    "time_grid": {"start": 0.0, "stop": 1.5, "points": 16},
+}
+
+FIGURES = Path(__file__).resolve().parents[1] / "figures"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -189,11 +209,42 @@ class TestVerify:
         report = verify_experiment(config, tolerance=1e-8)
         assert report["passed"]
         assert report["max_deviation"] < 1e-10
+        # the shared shift rule's health
+        assert report["n_shifts"] >= 2
+        assert report["condition_number"] >= 1.0
+        for row in report["orders"]:
+            assert 0.0 <= row["residual"] < 1e-8
 
     def test_corrupted_coefficients_fail(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
         report = verify_experiment(config, tolerance=1e-8, coefficient_perturbation=1e-3)
         assert not report["passed"]
+
+    def test_krylov_chain_checks_nonzero_orders(self, tmp_path):
+        config = load_config(write_config(tmp_path, CHAIN10))
+        report = verify_experiment(config, tolerance=1e-8)
+        scales = {row["order"]: row["oracle_scale"] for row in report["orders"]}
+        assert scales[1] > 0.5 and scales[3] > 0.3
+        assert report["passed"]
+        assert report["max_deviation"] < 1e-10
+        corrupted = verify_experiment(config, tolerance=1e-8, coefficient_perturbation=1e-3)
+        assert not corrupted["passed"]
+
+    def test_one_propagation_per_route(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_driven_signal(*args, **kwargs):
+            calls.append(np.shape(args[2]))
+            return driven_signal(*args, **kwargs)
+
+        driven_signal = runner.driven_signal
+        monkeypatch.setattr(runner, "driven_signal", counting_driven_signal)
+        config = load_config(write_config(tmp_path, MINIMAL))
+        assert verify_experiment(config, tolerance=1e-8)["passed"]
+        # the shared shifts of orders 1..5, then every stencil amplitude of
+        # orders 1 and 2 at step and half-step (+-h, +-h/2 and 0)
+        assert len(calls) == 2
+        assert calls[1] == (5, 1)
 
     def test_oracle_unavailable_above_cap(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -224,11 +275,36 @@ class TestCLI:
     def test_verify_exit_codes(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         assert main(["verify", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "shifts, condition number" in out and "rule residual" in out
         # an absurd tolerance cannot fail a clean engine; break it instead
         payload = json.loads(json.dumps(MINIMAL))
         payload["model"]["parameters"]["n_sites"] = 12
         big = write_config(tmp_path, payload, "big.json")
         assert main(["verify", "--config", str(big)]) == 4
+
+    def test_verify_without_observable_exit_two(self, capsys):
+        assert main(["verify", "--config", str(FIGURES / "fig5.json")]) == 2
+        assert "needs an observable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pumps, message",
+        [
+            ([{"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0, 1.0]}], "single pulse"),
+            (
+                [
+                    {"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0]},
+                    {"kind": "local_pauli", "site": 2, "axis": "Z", "times": [0.5]},
+                ],
+                "single pump channel",
+            ),
+        ],
+        ids=["multi_pulse", "multi_channel"],
+    )
+    def test_verify_precondition_exit_two(self, tmp_path, capsys, pumps, message):
+        payload = dict(MINIMAL, pumps=pumps, orders=[1] * len(pumps))
+        assert main(["verify", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert message in capsys.readouterr().err
 
     def test_gaps_prints_ledger(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

@@ -1,11 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlspec import reference
 from nlspec.evolution import EXACT, Evolver, PulseSchedule
 from nlspec.models import build_xxz, ground_state
-from nlspec.pauli import OperatorSum, PauliTerm, StateVector, expectation, to_dense
+from nlspec.pauli import (
+    OperatorSum,
+    PauliTerm,
+    StateVector,
+    apply_operator,
+    expectation,
+    to_dense,
+)
 from nlspec.reference import (
+    _propagate,
     finite_difference_derivative,
     nested_commutator_response,
     nested_commutator_series,
@@ -30,7 +41,7 @@ def dense_oracle(h, observable, pulses, t, psi):
         return u.conj().T @ mat @ u
 
     acc = heisenberg(ad, t)
-    for generator, tau in reversed(pulses):  # innermost (latest) applied last
+    for generator, tau in pulses:  # the latest pulse is the innermost commutator
         bd = heisenberg(to_dense(generator), tau)
         acc = bd @ acc - acc @ bd
     m = len(pulses)
@@ -127,6 +138,127 @@ class TestNestedCommutator:
         )
         oracle = nested_commutator_series(h, a, [(b, 1.0), (b, 0.0)], grid, psi, trotter)
         assert np.max(np.abs(series.values - oracle)) < 1e-12
+
+
+def per_subset_oracle(h, observable, pulses, t_grid, psi, evolver):
+    """The nested-commutator sum evaluated subset by subset: one ket per
+    index subset, each propagated on its own from its last pulse to every
+    grid time (no sharing between subsets, no blocks)."""
+    m = len(pulses)
+    times = [float(t) for _, t in pulses]
+    checkpoints = sorted(set(times))
+    kets = {frozenset(): (psi, min([0.0] + times))}
+
+    def ket(subset):
+        if subset not in kets:
+            k = min(subset)  # the latest pulse of the subset is applied last
+            state, tau = ket(subset - {k})
+            generator, t_k = pulses[k]
+            state = _propagate(h, state, tau, t_k, checkpoints, evolver)
+            kets[subset] = (apply_operator(generator, state), t_k)
+        return kets[subset]
+
+    norm, counts = 1.0, {}
+    for generator, t_k in pulses:
+        key = (generator.cache_key(), float(t_k))
+        counts[key] = counts.get(key, 0) + 1
+        norm *= counts[key]
+    everything = frozenset(range(m))
+    subsets = [frozenset(s) for r in range(m + 1) for s in itertools.combinations(range(m), r)]
+    values = np.zeros(len(t_grid))
+    for idx, t in enumerate(t_grid):
+        if t < times[0]:
+            continue
+        w = {s: _propagate(h, *ket(s), float(t), checkpoints, evolver) for s in subsets}
+        total = 0.0 + 0.0j
+        for right in subsets:
+            sign = -1.0 if len(right) % 2 else 1.0
+            total += sign * np.vdot(w[everything - right], apply_operator(observable, w[right]))
+        values[idx] = (total * (1j**m / norm)).real
+    return values
+
+
+#: (generator index, time) per pulse, latest first
+PULSE_PATTERNS = {
+    "coincident": [(0, 0.7)] * 3,
+    "distinct_times": [(0, 1.3), (0, 0.6), (0, 0.0)],
+    "two_generators_coincident": [(1, 0.6), (0, 0.6), (0, 0.6)],
+    "two_generators_mixed": [(1, 1.3), (0, 1.3), (1, 0.6), (0, 0.0)],
+}
+
+
+@st.composite
+def oracle_instances(draw):
+    """A random chain on at most 4 sites, two different pump generators, a
+    random observable and a random (not stationary) initial state."""
+    n = draw(st.integers(2, 4))
+    h = build_xxz(
+        n,
+        draw(st.floats(0.0, 2.0)),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.sampled_from(["open", "periodic"])),
+    )
+    site = st.integers(0, n - 1)
+    axis = st.sampled_from("XYZ")
+    first = op(n, (draw(st.floats(0.5, 1.5)), {draw(site): draw(axis)}))
+    a, b = draw(st.lists(site, min_size=2, max_size=2, unique=True))
+    second = op(n, (draw(st.floats(0.5, 1.5)), {a: draw(axis), b: draw(axis)}))
+    observable = op(
+        n, (draw(st.floats(-1.5, 1.5)), {draw(site): draw(axis)}), (0.5, {draw(site): "Z"})
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return h, (first, second), observable, psi / np.linalg.norm(psi)
+
+
+class TestOracleDifferential:
+    """The shared-ket, blocked oracle against a dense Kubo evaluation and,
+    under first-order Trotter evolution, against the subset-by-subset sum."""
+
+    @pytest.mark.parametrize("pattern", list(PULSE_PATTERNS))
+    @settings(max_examples=8, deadline=None)
+    @given(oracle_instances())
+    def test_matches_dense_kubo(self, pattern, instance):
+        h, generators, observable, psi = instance
+        pulses = [(generators[g], t) for g, t in PULSE_PATTERNS[pattern]]
+        latest = pulses[0][1]
+        # one time before the latest pulse, one exactly at it, two after
+        grid = [latest - 0.3, latest, latest + 0.45, latest + 1.2]
+        fast = nested_commutator_series(h, observable, pulses, grid, psi)
+        assert fast[0] == 0.0
+        for t, value in zip(grid[1:], fast[1:]):
+            assert abs(value - dense_oracle(h, observable, pulses, t, psi)) < 1e-10
+
+    @pytest.mark.parametrize("pattern", list(PULSE_PATTERNS))
+    @settings(max_examples=6, deadline=None)
+    @given(oracle_instances(), st.integers(1, 4))
+    def test_trotter_bitwise_equal_to_per_subset_sum(self, pattern, instance, n_steps):
+        h, generators, observable, psi = instance
+        pulses = [(generators[g], t) for g, t in PULSE_PATTERNS[pattern]]
+        latest = pulses[0][1]
+        grid = [latest - 0.3, latest, latest + 0.45, latest + 1.2]
+        trotter = Evolver("trotter1", n_steps)
+        fast = nested_commutator_series(h, observable, pulses, grid, psi, trotter)
+        slow = per_subset_oracle(h, observable, pulses, grid, psi, trotter)
+        assert np.array_equal(fast, slow)
+
+    def test_coincident_pulses_take_one_evolve_per_grid_time(self, monkeypatch):
+        h = build_xxz(4, 0.7, 0.3)
+        psi = ground_state(h)
+        b = op(4, (1.0, {1: "X"}))
+        a = op(4, (1.0, {2: "X"}))
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args[1].shape)
+            return evolve(*args, **kwargs)
+
+        evolve = reference.evolve
+        monkeypatch.setattr(reference, "evolve", counting_evolve)
+        grid = np.linspace(0.0, 2.0, 6)
+        nested_commutator_series(h, a, [(b, 0.0)] * 4, grid, psi)
+        # five distinct kets (B^0 .. B^4 psi) in one block, one call per time after t = 0
+        assert calls == [(16, 5)] * 5
 
 
 class TestFiniteDifference:
