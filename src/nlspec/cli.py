@@ -6,8 +6,10 @@ Subcommands:
   gaps     print gap sets, shifts, weights and norms for the config's pumps
   spectra  post-process an existing time-series CSV into a spectrum
 
-Exit codes: 0 success, 2 config error, 3 verification failure,
-4 resource cap exceeded.
+Exit codes: 0 success, 2 invalid input (config, pulse schedule, shift rule
+or spectrum input), 3 verification failure, 4 resource cap exceeded,
+5 numerical failure (an expectation with an imaginary part, an undefined or
+ill-conditioned analysis).
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import AnalysisError
 from .config import ConfigError, load_config
+from .evolution import ScheduleError
 from .models import build_model, build_pump
-from .pauli import DimensionCapError
+from .pauli import DimensionCapError, HermiticityError
 from .runner import run_experiment, verify_experiment, write_csv
 from .shift_rules import ShiftRuleError, gap_set, rule_for_generator
 from .spectra import SpectrumError, envelope_fit, response_spectrum
@@ -32,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
+EXIT_NUMERICAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,9 +173,12 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ShiftRuleError, SpectrumError) as exc:
+    except (ScheduleError, ShiftRuleError, SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (HermiticityError, AnalysisError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

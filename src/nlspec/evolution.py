@@ -14,10 +14,21 @@ pulses after the measurement time are ignored.
 Every function that takes a state also takes a (dim, K) block of K
 independent states, such as the K shift configurations that share one pulse
 schedule; the configuration axis is always the trailing one.  Exact evolution
-propagates the whole block at once (one GEMM pair per segment in the
-eigenbasis, one ``expm_multiply`` call on the Krylov path); first-order
-Trotter evolution loops over the columns, each column seeing exactly the
-single-state propagator.  Kicks take one amplitude per column.
+propagates the whole block at once; first-order Trotter evolution loops over
+the columns, each column seeing exactly the single-state propagator.  Kicks
+take one amplitude per column.
+
+Exact evolution follows one spectral plan per Hamiltonian, built on first use
+and cached.  Up to 9 sites it is one dense eigenbasis.  Above 9 sites, when H
+commutes with sum_i Z_i (XXZ chains in a Z field), H is block-diagonal in the
+popcount sectors of the basis index and each sector gets its own eigenbasis;
+otherwise the block goes through one Krylov ``expm_multiply`` call.  A block
+whose matrix has exactly zero imaginary part keeps real eigenvectors, applied
+to the complex (n, K) states as one real GEMM on their float64 (n, 2K) view.
+``driven_states`` projects the state into the eigenbasis once per segment
+(after each checkpoint or kick); every grid time of the segment, and the next
+pulse time, then costs phases and one back-transform, bitwise the same as an
+``evolve`` call from the checkpoint.
 
 First-order Trotter evolution applies each maximal run of consecutive,
 mutually commuting terms as one fused op: the run's product of rotations,
@@ -49,13 +60,15 @@ from .pauli import (
     eigendecompose,
     expectation,
     terms_commute_pairwise,
+    to_dense,
     to_sparse,
 )
 
 EVOLVER_KINDS = ("exact", "trotter1")
 
 #: exact evolution diagonalizes densely up to this many sites and switches to
-#: a sparse Krylov propagator above (same unitary, machine-precision accurate)
+#: magnetization sectors or a sparse Krylov propagator above (same unitary,
+#: machine-precision accurate)
 _EIGH_SITE_CAP = 9
 
 
@@ -85,14 +98,89 @@ class Evolver:
 EXACT = Evolver("exact")
 
 
-@lru_cache(maxsize=6)
-def _hamiltonian_eigensystem(h: OperatorSum) -> Eigensystem:
-    return eigendecompose(h)
+def _real_matmul(real: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """real @ amps for a complex state or block, as one real GEMM on the
+    float64 view (dim, 2K) that interleaves real and imaginary parts."""
+    flat = np.ascontiguousarray(amps).reshape(amps.shape[0], -1)
+    out = real @ flat.view(np.float64)
+    return out.view(np.complex128).reshape(real.shape[0], *amps.shape[1:])
+
+
+def _from_block_basis(vectors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """V c, with a real GEMM when V is real."""
+    return _real_matmul(vectors, coeffs) if vectors.dtype == np.float64 else vectors @ coeffs
+
+
+def _to_block_basis(vectors: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """V^dagger |psi>, with a real GEMM when V is real, else as
+    conj(V^T conj(psi)): no dense copy of V per call."""
+    if vectors.dtype == np.float64:
+        return _real_matmul(vectors.T, amps)
+    return (vectors.T @ amps.conj()).conj()
+
+
+def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a Hermitian block; an exactly real block keeps real vectors."""
+    return np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
+
+
+@dataclass(frozen=True, eq=False)
+class _SpectralPlan:
+    """exp(-i H t) for exact evolution, built once per Hamiltonian.
+
+    ``order`` lists the basis indices sector by sector (None: one dense
+    block over the natural order) and ``sectors`` slices it; ``values`` holds
+    every block's eigenvalues in that order and ``vectors`` one eigenbasis per
+    block.  ``sparse`` is set instead on the Krylov route.
+    """
+
+    values: np.ndarray | None = None
+    vectors: tuple[np.ndarray, ...] = ()
+    order: np.ndarray | None = None
+    sectors: tuple[slice, ...] = ()
+    sparse: object = None
+
+    def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
+        if self.order is None:
+            return _to_block_basis(self.vectors[0], amps)
+        rows = amps[self.order]
+        return np.concatenate(
+            [_to_block_basis(v, rows[s]) for s, v in zip(self.sectors, self.vectors)]
+        )
+
+    def propagate(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) applied to the state whose eigenbasis coefficients
+        ``to_eigenbasis`` returned: phases, then one back-transform."""
+        shifted = along_rows(np.exp(-1j * self.values * t), coeffs) * coeffs
+        if self.order is None:
+            return _from_block_basis(self.vectors[0], shifted)
+        out = np.empty_like(shifted)
+        for s, v in zip(self.sectors, self.vectors):
+            out[self.order[s]] = _from_block_basis(v, shifted[s])
+        return out
 
 
 @lru_cache(maxsize=6)
-def _sparse_hamiltonian(h: OperatorSum):
-    return to_sparse(h).tocsr()
+def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
+    """One dense eigenbasis up to ``_EIGH_SITE_CAP`` sites; above it one
+    eigenbasis per popcount sector when H conserves sum_i Z_i, otherwise the
+    sparse matrix for Krylov propagation."""
+    if h.n_sites > DENSE_SITE_CAP:
+        raise DimensionCapError("exact evolution exceeds the dense cap")
+    if h.n_sites <= _EIGH_SITE_CAP:
+        values, vectors = _block_eigh(to_dense(h))
+        return _SpectralPlan(values, (vectors,))
+    magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites)
+    sparse = to_sparse(h).tocsr()
+    if commutator_norm(h, magnetization) != 0.0:
+        return _SpectralPlan(sparse=sparse)
+    popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
+    order = np.argsort(popcount, kind="stable")
+    edges = np.append(0, np.cumsum(np.bincount(popcount)))
+    sectors = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+    spectra = [_block_eigh(sparse[order[s]][:, order[s]].toarray()) for s in sectors]
+    values = np.concatenate([values for values, _ in spectra])
+    return _SpectralPlan(values, tuple(v for _, v in spectra), order, sectors)
 
 
 def _apply_string_rotation(
@@ -105,11 +193,6 @@ def _apply_string_rotation(
     signed = amps if phase == 0 else amps * along_rows(_phase_signs(n_sites, phase), amps)
     applied = signed if flip == 0 else signed[_xor_index(n_sites, flip)]
     return np.cos(angle) * amps + scale * applied
-
-
-def _to_eigenbasis(eig: Eigensystem, amps: np.ndarray) -> np.ndarray:
-    """V^dagger |psi>, as conj(V^T conj(psi)): no dense copy of V per call."""
-    return (eig.vectors.T @ amps.conj()).conj()
 
 
 #: a commuting run stops growing before its fused op would need more
@@ -196,16 +279,26 @@ def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT)
     if t == 0.0:
         return amps.copy()
     if evolver.kind == "exact":
-        if h.n_sites > DENSE_SITE_CAP:
-            raise DimensionCapError("exact evolution exceeds the dense cap")
-        if h.n_sites <= _EIGH_SITE_CAP:
-            eig = _hamiltonian_eigensystem(h)
-            phases = along_rows(np.exp(-1j * eig.values * t), amps)
-            return eig.vectors @ (phases * _to_eigenbasis(eig, amps))
+        plan = _spectral_plan(h)
+        if plan.sparse is None:
+            return plan.propagate(plan.to_eigenbasis(amps), t)
         from scipy.sparse.linalg import expm_multiply
 
-        return expm_multiply((-1j * t) * _sparse_hamiltonian(h), amps)
+        return expm_multiply((-1j * t) * plan.sparse, amps)
     return _trotter_evolve(h, amps, t, evolver)
+
+
+def _segment(h: OperatorSum, state: np.ndarray, evolver: Evolver):
+    """dt -> the state propagated by dt: on the spectral route the state is
+    projected into the eigenbasis once and every dt costs phases and one
+    back-transform (bitwise the same as ``evolve``); Trotter and Krylov
+    restart ``evolve`` from ``state``."""
+    if evolver.kind == "exact":
+        plan = _spectral_plan(h)
+        if plan.sparse is None:
+            coeffs = plan.to_eigenbasis(state)
+            return lambda dt: plan.propagate(coeffs, dt)
+    return lambda dt: evolve(h, state, dt, evolver)
 
 
 @lru_cache(maxsize=32)
@@ -233,7 +326,7 @@ def _apply_on_support(
     moved = np.moveaxis(tensor, axes, range(len(axes)))
     shape = moved.shape
     dim = 2 ** len(axes)
-    coeffs = _to_eigenbasis(eig, moved.reshape(dim, -1)).reshape(dim, -1, *batch)
+    coeffs = _to_block_basis(eig.vectors, moved.reshape(dim, -1)).reshape(dim, -1, *batch)
     coeffs *= phases[:, None]
     flat = eig.vectors @ coeffs.reshape(dim, -1)
     return np.moveaxis(flat.reshape(shape), range(len(axes)), axes).reshape(amps.shape)
@@ -361,6 +454,8 @@ def driven_states(
         raise ScheduleError("empty time grid")
     if np.any(np.diff(grid) <= 0):
         raise ScheduleError("time grid must be strictly ascending")
+    if not np.all(np.isfinite(grid)):
+        raise ScheduleError("time grid must be finite")
     etas = np.asarray(etas, dtype=float)
     if etas.ndim not in (1, 2) or etas.shape[-1] != schedule.n_channels:
         raise ScheduleError("one amplitude per channel is required")
@@ -374,16 +469,23 @@ def driven_states(
     psi = amplitudes_of(psi0)
     state = psi.copy() if etas.ndim == 1 else np.repeat(psi[:, None], etas.shape[0], axis=1)
     tau = anchor
+    segment = None  # propagation from the state at tau, built on first use
     pending = list(events)
     for t in grid:
         while pending and pending[0][0] <= t:
             t_pulse, channel = pending.pop(0)
             if t_pulse > tau:
-                state = evolve(h, state, t_pulse - tau, evolver)
+                segment = segment or _segment(h, state, evolver)
+                state = segment(t_pulse - tau)
                 tau = t_pulse
             generator, _ = schedule.channels[channel]
             state = apply_kick(generator, etas[..., channel], state)
-        yield evolve(h, state, t - tau, evolver) if t > tau else state
+            segment = None
+        if t > tau:
+            segment = segment or _segment(h, state, evolver)
+            yield segment(t - tau)
+        else:
+            yield state
 
 
 def driven_signal(

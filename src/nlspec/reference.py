@@ -1,6 +1,6 @@
 """Independent reference routes for cross-validating the shift-rule engine.
 
-* ``nested_commutator_response`` evaluates the causal Kubo form of the
+* ``nested_commutator_series`` evaluates the causal Kubo form of the
   order-m response, i^m <psi_0| ad_{B(t_m)} ... ad_{B(t_1)} A(t) |psi_0>
   with Heisenberg operators X(tau) built from the same segmented propagator
   the driven protocol uses.  The nested commutator is expanded into its
@@ -150,20 +150,6 @@ def nested_commutator_series(
             )
         values[idx] = total.real
     return values
-
-
-def nested_commutator_response(
-    h: OperatorSum,
-    observable: OperatorSum,
-    pulses: Sequence[tuple[OperatorSum, float]],
-    t: float,
-    psi0: StateLike,
-    evolver: Evolver = EXACT,
-) -> float:
-    """Single-time convenience wrapper around ``nested_commutator_series``."""
-    return float(
-        nested_commutator_series(h, observable, pulses, [t], psi0, evolver)[0]
-    )
 
 
 def _powerset(items: Sequence[int]):

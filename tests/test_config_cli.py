@@ -27,8 +27,9 @@ MINIMAL = {
 }
 
 
-#: 10 sites, so exact evolution takes the sparse Krylov path; the X5 probe
-#: next to the X4 kick has first- and third-order responses of order one
+#: 10 sites, so exact evolution takes the magnetization-sector route; the
+#: X5 probe next to the X4 kick has first- and third-order responses of
+#: order one
 CHAIN10 = {
     "protocol": "response",
     "model": {
@@ -305,6 +306,31 @@ class TestCLI:
         payload = dict(MINIMAL, pumps=pumps, orders=[1] * len(pumps))
         assert main(["verify", "--config", str(write_config(tmp_path, payload))]) == 2
         assert message in capsys.readouterr().err
+
+    def test_schedule_error_exit_two(self, tmp_path, capsys):
+        pumps = [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [5.0]}]
+        path = write_config(tmp_path, dict(MINIMAL, pumps=pumps))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "after the last measurement time" in capsys.readouterr().err
+
+    def test_analysis_error_exit_five(self, tmp_path, capsys):
+        payload = dict(MINIMAL, protocol="entropy", eta_grid=[-0.03, 0.0, 0.01], max_order=2)
+        del payload["orders"], payload["observables"]
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
+        assert "AnalysisError: eta grid must be symmetric" in capsys.readouterr().err
+
+    def test_hermiticity_error_exit_five(self, tmp_path, capsys, monkeypatch):
+        from nlspec import cli
+        from nlspec.pauli import HermiticityError
+
+        def leaking_run(*args, **kwargs):
+            raise HermiticityError("imaginary part 1.000e-03 exceeds tolerance 1.000e-10")
+
+        monkeypatch.setattr(cli, "run_experiment", leaking_run)
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["run", "--config", str(path)]) == 5
+        assert "HermiticityError: imaginary part" in capsys.readouterr().err
 
     def test_gaps_prints_ledger(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

@@ -11,6 +11,7 @@ from nlspec.evolution import (
     driven_signal,
     evolve,
     _commuting_runs,
+    _spectral_plan,
     time_grid,
 )
 from nlspec.models import (
@@ -89,8 +90,9 @@ class TestEvolve:
         for r in ratios:
             assert 1.5 < r < 3.0  # ~2 for a first-order formula
 
-    def test_krylov_path_matches_eigh_path(self):
-        # 10 sites takes the sparse branch; compare against dense evolution
+    def test_sector_path_matches_expm(self):
+        # a 10-site XXZ chain takes the magnetization-sector route; compare
+        # against dense evolution
         h = build_xxz(10, 0.6, 0.3)
         psi = random_state(10, 3)
         out = evolve(h, psi, 1.7, EXACT)
@@ -98,6 +100,97 @@ class TestEvolve:
 
         ref = expm(-1.7j * to_dense(h)) @ psi
         assert np.max(np.abs(out - ref)) < 1e-9
+
+
+@st.composite
+def u1_sums(draw):
+    """Random 10-site Pauli sums that conserve sum_i Z_i: equal-weight XX + YY
+    pairs, ZZ bonds and Z fields."""
+    n = 10
+    coefficient = st.floats(-1.5, 1.5, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    terms = []
+    for i, j in draw(st.lists(pair, min_size=1, max_size=6)):
+        c = draw(coefficient)
+        terms += [(c, {i: "X", j: "X"}), (c, {i: "Y", j: "Y"})]
+    for i, j in draw(st.lists(pair, max_size=4)):
+        terms.append((draw(coefficient), {i: "Z", j: "Z"}))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        terms.append((draw(coefficient), {i: "Z"}))
+    return op(n, *terms)
+
+
+def dense_propagator(h, t):
+    from scipy.linalg import expm
+
+    return expm(-1j * t * to_dense(h))
+
+
+class TestSpectralRoutes:
+    """Above 9 sites exact evolution diagonalizes each popcount sector when H
+    conserves sum_i Z_i and falls back to Krylov otherwise."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(u1_sums(), st.floats(-2, 2, allow_nan=False), st.integers(0, 99))
+    def test_sector_route_matches_expm(self, h, t, seed):
+        assert _spectral_plan(h).order is not None
+        u = dense_propagator(h, t)
+        psi = random_state(10, seed)
+        assert np.max(np.abs(evolve(h, psi, t, EXACT) - u @ psi)) < 1e-10
+        block = np.stack([random_state(10, seed + k) for k in range(3)], axis=1)
+        assert np.max(np.abs(evolve(h, block, t, EXACT) - u @ block)) < 1e-10
+
+    def test_non_u1_sum_takes_krylov_route(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        expm_multiply = scipy.sparse.linalg.expm_multiply
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return expm_multiply(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+        h = build_xxz(10, 0.6, 0.3) + op(10, *((0.2, {i: "X"}) for i in range(10)))
+        psi = random_state(10, 5)
+        block = np.stack([psi, random_state(10, 6)], axis=1)
+        u = dense_propagator(h, 1.3)
+        assert np.max(np.abs(evolve(h, psi, 1.3, EXACT) - u @ psi)) < 1e-10
+        assert np.max(np.abs(evolve(h, block, 1.3, EXACT) - u @ block)) < 1e-10
+        assert calls == [(1024,), (1024, 2)]
+
+    def test_complex_u1_hamiltonian_keeps_complex_vectors(self):
+        # a Dzyaloshinskii-Moriya bond X_i Y_j - Y_i X_j conserves sum_i Z_i
+        # but has imaginary matrix elements
+        dm = op(10, *(term for i in range(9) for term in (
+            (0.3, {i: "X", i + 1: "Y"}), (-0.3, {i: "Y", i + 1: "X"}))))
+        h = build_xxz(10, 0.6, 0.3) + dm
+        plan = _spectral_plan(h)
+        assert plan.order is not None
+        assert all(v.dtype == np.complex128 for v in plan.vectors if v.shape[0] > 1)
+        assert _spectral_plan(build_xxz(10, 0.6, 0.3)).vectors[5].dtype == np.float64
+        psi = random_state(10, 7)
+        ref = dense_propagator(h, 0.9) @ psi
+        assert np.max(np.abs(evolve(h, psi, 0.9, EXACT) - ref)) < 1e-10
+
+    @pytest.mark.parametrize("etas", [[0.4, -0.7], [[0.4, -0.7], [0.0, 1.1], [-1.2, 0.3]]])
+    def test_segment_projection_bitwise_equals_evolve_calls(self, etas):
+        h = build_xxz(5, 0.7, 0.3)
+        psi = ground_state(h)
+        b = op(5, (1.0, {1: "X"}))
+        c = op(5, (0.5, {2: "Y"}), (0.5, {3: "X"}))
+        a = op(5, (1.0, {1: "Z"}), (0.5, {2: "X"}))
+        sched = PulseSchedule([(b, [0.0]), (c, [1.0])])
+        grid = np.array([0.5, 1.0, 1.5, 2.5])
+        etas = np.asarray(etas)
+        signal = driven_signal(h, sched, etas, a, grid, EXACT, psi)
+        # the same protocol with one evolve call per time from the checkpoint
+        start = psi.amplitudes if etas.ndim == 1 else np.repeat(psi.amplitudes[:, None], 3, axis=1)
+        first = apply_kick(b, etas[..., 0], start)
+        second = apply_kick(c, etas[..., 1], evolve(h, first, 1.0))
+        states = [evolve(h, first, 0.5), second, evolve(h, second, 0.5), evolve(h, second, 1.5)]
+        expected = np.stack([expectation(a, state) for state in states], axis=-1)
+        assert np.array_equal(signal, expected)
 
 
 def dense_trotter(h, t, n_steps):
@@ -273,6 +366,14 @@ class TestDrivenSignal:
         assert np.max(np.abs(weak[early] - strong[early])) < 1e-14
         assert np.max(np.abs(weak[~early] - strong[~early])) > 1e-4
 
+    def test_nonfinite_grid_rejected(self):
+        h = build_xxz(3, 0.9, 0.3)
+        psi = ground_state(h)
+        b = op(3, (1.0, {1: "X"}))
+        a = op(3, (1.0, {1: "Z"}))
+        with pytest.raises(ScheduleError, match="finite"):
+            driven_signal(h, PulseSchedule([(b, [0.0])]), [0.1], a, [0, 1, np.inf], EXACT, psi)
+
     def test_pulse_after_grid_rejected(self):
         h = build_xxz(3, 0.9, 0.3)
         psi = ground_state(h)
@@ -329,10 +430,10 @@ class TestBlockSignal:
         "n, evolver, grid",
         [
             (4, EXACT, time_grid(0, 3, 7)),
-            (10, EXACT, time_grid(0, 0.6, 3)),  # Krylov path
+            (10, EXACT, time_grid(0, 0.6, 3)),  # magnetization-sector route
             (4, TROTTER10, time_grid(0, 3, 7)),
         ],
-        ids=["eigh", "krylov", "trotter1"],
+        ids=["eigh", "sector", "trotter1"],
     )
     def test_block_equals_stacked_calls(self, n, evolver, grid):
         h = build_xxz(n, 0.7, 0.3)

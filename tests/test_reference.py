@@ -18,7 +18,6 @@ from nlspec.pauli import (
 from nlspec.reference import (
     _propagate,
     finite_difference_derivative,
-    nested_commutator_response,
     nested_commutator_series,
     stepwise_subtraction,
 )
@@ -60,7 +59,7 @@ class TestNestedCommutator:
         h = build_xxz(3, 1.0, 0.4)
         psi = ground_state(h)
         a = op(3, (1.0, {1: "Z"}))
-        val = nested_commutator_response(h, a, [], 2.0, psi)
+        val = nested_commutator_series(h, a, [], [2.0], psi)[0]
         assert val == pytest.approx(expectation(a, psi.amplitudes), abs=1e-12)
 
     def test_single_qubit_linear(self):
@@ -77,11 +76,9 @@ class TestNestedCommutator:
         b = op(3, (1.0, {0: "X"}))
         a = op(3, (1.0, {1: "X"}))
         # measurement before the pulse
-        assert nested_commutator_response(h, a, [(b, 1.0)], 0.5, psi) == 0.0
+        assert nested_commutator_series(h, a, [(b, 1.0)], [0.5], psi)[0] == 0.0
         # ascending pulse times violate the ordering
-        assert (
-            nested_commutator_response(h, a, [(b, 0.0), (b, 1.0)], 2.0, psi) == 0.0
-        )
+        assert nested_commutator_series(h, a, [(b, 0.0), (b, 1.0)], [2.0], psi)[0] == 0.0
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 1000), st.integers(1, 3))
@@ -93,7 +90,7 @@ class TestNestedCommutator:
         a = op(3, (1.0, {1: "X"}), (0.5, {0: "Z"}))
         t = float(rng.uniform(0.5, 3.0))
         pulses = [(b, 0.0)] * m
-        fast = nested_commutator_response(h, a, pulses, t, psi)
+        fast = nested_commutator_series(h, a, pulses, [t], psi)[0]
         slow = dense_oracle(h, a, pulses, t, psi.amplitudes)
         assert fast == pytest.approx(slow, abs=1e-10)
 
@@ -103,7 +100,7 @@ class TestNestedCommutator:
         b = op(3, (1.0, {1: "X"}))
         a = op(3, (1.0, {2: "X"}))
         pulses = [(b, 1.2), (b, 0.4)]
-        fast = nested_commutator_response(h, a, pulses, 2.5, psi)
+        fast = nested_commutator_series(h, a, pulses, [2.5], psi)[0]
         slow = dense_oracle(h, a, pulses, 2.5, psi.amplitudes)
         assert fast == pytest.approx(slow, abs=1e-10)
 
