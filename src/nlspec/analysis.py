@@ -7,8 +7,9 @@ spectrum.
 
 The pump-probe correlator follows the block convention of ``evolution``: a
 (K,) array of pump amplitudes is kicked and propagated as one (dim, K) block,
-one column per amplitude, so every shifted sample of a (t1, t2) cell and its
-contrast references come from a single call.
+one column per amplitude, and it takes whole (t1, t2) grids, so every
+shifted sample of every cell and the contrast references come from a single
+call with a single kick.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import EXACT, Evolver, PulseSchedule, apply_kick, evolve
+from .evolution import EXACT, Evolver, PulseSchedule, apply_kick, evolve, propagator
 from .pauli import (
     OperatorSum,
     StateLike,
@@ -130,8 +131,8 @@ def pump_probe_correlator(
     pump: OperatorSum,
     probe_1: OperatorSum,
     probe_2: OperatorSum,
-    t_1: float,
-    t_2: float,
+    t_1,
+    t_2,
     eta,
     psi0: StateLike,
     evolver: Evolver = EXACT,
@@ -139,22 +140,28 @@ def pump_probe_correlator(
     """C(t1, t2; eta) = <psi0| e^{i eta B} A2(t1+t2) A1(t1) e^{-i eta B} |psi0>.
 
     The probes are Heisenberg operators with respect to the unperturbed
-    Hamiltonian; the result is generally complex.  A scalar ``eta`` gives a
-    complex number; a (K,) array gives (K,) values, all K amplitudes
-    propagated as one (dim, K) block.
+    Hamiltonian; the result is generally complex.  Scalar times and a scalar
+    ``eta`` give a complex number.  A (T1,) ``t_1`` grid, a (T2,) ``t_2``
+    grid and a (K,) ``eta`` array each add an axis, in that order: arrays of
+    all three give (T1, T2, K) values.  The pump is kicked once, for all K
+    amplitudes as one (dim, K) block; one propagator from the kicked state
+    serves ket(t1) and bra(t1 + t2), and one per t1 the probed ket.
     """
+    t1s = np.asarray(t_1, dtype=float)
+    t2s = np.asarray(t_2, dtype=float)
     eta = np.asarray(eta, dtype=float)
     psi = amplitudes_of(psi0)
     if eta.ndim == 1:
         psi = np.repeat(psi[:, None], eta.size, axis=1)
-    phi = apply_kick(pump, eta, psi)
-    bra = evolve(h, phi, t_1 + t_2, evolver)
-    ket = evolve(h, phi, t_1, evolver)
-    ket = apply_operator(probe_1, ket)
-    ket = evolve(h, ket, t_2, evolver)
-    ket = apply_operator(probe_2, ket)
-    values = (bra.conj() * ket).sum(axis=0)
-    return complex(values) if eta.ndim == 0 else values
+    from_phi = propagator(h, apply_kick(pump, eta, psi), evolver)
+    values = np.empty((t1s.size, t2s.size, *eta.shape), dtype=complex)
+    for i, t1 in enumerate(t1s.flat):
+        from_probe = propagator(h, apply_operator(probe_1, from_phi(t1)), evolver)
+        for j, t2 in enumerate(t2s.flat):
+            ket = apply_operator(probe_2, from_probe(t2))
+            values[i, j] = (from_phi(t1 + t2).conj() * ket).sum(axis=0)
+    values = values.reshape(t1s.shape + t2s.shape + eta.shape)
+    return complex(values) if values.ndim == 0 else values
 
 
 def correlator_order_expansion(

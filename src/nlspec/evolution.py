@@ -25,10 +25,12 @@ popcount sectors of the basis index and each sector gets its own eigenbasis;
 otherwise the block goes through one Krylov ``expm_multiply`` call.  A block
 whose matrix has exactly zero imaginary part keeps real eigenvectors, applied
 to the complex (n, K) states as one real GEMM on their float64 (n, 2K) view.
-``driven_states`` projects the state into the eigenbasis once per segment
-(after each checkpoint or kick); every grid time of the segment, and the next
-pulse time, then costs phases and one back-transform, bitwise the same as an
-``evolve`` call from the checkpoint.
+``propagator(h, state)`` projects a state into the eigenbasis once; every
+later time then costs phases and one back-transform, bitwise the same as an
+``evolve`` call from that state.  ``driven_states`` builds one propagator per
+segment (after each checkpoint or kick), serving every grid time of the
+segment and the next pulse time; the pump-probe correlator builds one from
+the kicked state and one per probed state.
 
 First-order Trotter evolution applies each maximal run of consecutive,
 mutually commuting terms as one fused op: the run's product of rotations,
@@ -288,17 +290,34 @@ def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT)
     return _trotter_evolve(h, amps, t, evolver)
 
 
-def _segment(h: OperatorSum, state: np.ndarray, evolver: Evolver):
-    """dt -> the state propagated by dt: on the spectral route the state is
-    projected into the eigenbasis once and every dt costs phases and one
+def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
+    """dt -> the state (or block) propagated by dt, the same values as
+    ``evolve(h, state, dt, evolver)``; dt == 0 returns the state's amplitude
+    array itself.
+
+    On the spectral route the state is projected into the eigenbasis once,
+    on the first nonzero dt, and every dt then costs phases and one
     back-transform (bitwise the same as ``evolve``); Trotter and Krylov
-    restart ``evolve`` from ``state``."""
-    if evolver.kind == "exact":
-        plan = _spectral_plan(h)
-        if plan.sparse is None:
-            coeffs = plan.to_eigenbasis(state)
-            return lambda dt: plan.propagate(coeffs, dt)
-    return lambda dt: evolve(h, state, dt, evolver)
+    restart ``evolve`` from ``state``.  Returned arrays may be shared with
+    the propagator and must not be modified.
+    """
+    amps = amplitudes_of(state)
+    plan = _spectral_plan(h) if evolver.kind == "exact" else None
+    if plan is None or plan.sparse is not None:
+        return lambda dt: amps if dt == 0.0 else evolve(h, amps, dt, evolver)
+    coeffs = None  # the eigenbasis projection, made on first use
+
+    def step(dt: float) -> np.ndarray:
+        nonlocal coeffs
+        if not np.isfinite(dt):
+            raise ValueError("evolution time must be finite")
+        if dt == 0.0:
+            return amps
+        if coeffs is None:
+            coeffs = plan.to_eigenbasis(amps)
+        return plan.propagate(coeffs, dt)
+
+    return step
 
 
 @lru_cache(maxsize=32)
@@ -469,23 +488,17 @@ def driven_states(
     psi = amplitudes_of(psi0)
     state = psi.copy() if etas.ndim == 1 else np.repeat(psi[:, None], etas.shape[0], axis=1)
     tau = anchor
-    segment = None  # propagation from the state at tau, built on first use
+    segment = propagator(h, state, evolver)
     pending = list(events)
     for t in grid:
         while pending and pending[0][0] <= t:
             t_pulse, channel = pending.pop(0)
-            if t_pulse > tau:
-                segment = segment or _segment(h, state, evolver)
-                state = segment(t_pulse - tau)
-                tau = t_pulse
+            state = segment(t_pulse - tau)
+            tau = t_pulse
             generator, _ = schedule.channels[channel]
             state = apply_kick(generator, etas[..., channel], state)
-            segment = None
-        if t > tau:
-            segment = segment or _segment(h, state, evolver)
-            yield segment(t - tau)
-        else:
-            yield state
+            segment = propagator(h, state, evolver)
+        yield segment(t - tau)
 
 
 def driven_signal(

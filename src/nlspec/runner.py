@@ -192,8 +192,8 @@ def _pump_probe_orders(config: ExperimentConfig):
     """The (t1, t2) grids, C^(n) per order and the contrast ratio of a
     pump-probe config, with the count of cells whose contrast was excluded.
 
-    One correlator call per cell samples every shift of the order rule plus
-    the contrast references C(0) and C(kappa) as one block.
+    One correlator call samples every cell of the grid at every shift of the
+    order rule plus the contrast references C(0) and C(kappa).
     """
     h = build_model(config.model)
     n = h.n_sites
@@ -209,16 +209,15 @@ def _pump_probe_orders(config: ExperimentConfig):
     order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
     contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
     excluded = 0
-    for i, t1 in enumerate(t1s):
-        for j, t2 in enumerate(t2s):
-            samples = pump_probe_correlator(
-                h, pump, probe_1, probe_2, float(t1), float(t2), etas, psi0, config.evolver
-            )
-            expansion = correlator_order_expansion(samples[:-2], rule, orders, config.eta_ref)
+    samples = pump_probe_correlator(h, pump, probe_1, probe_2, t1s, t2s, etas, psi0, config.evolver)
+    for i in range(t1s.size):
+        for j in range(t2s.size):
+            cell = samples[i, j]
+            expansion = correlator_order_expansion(cell[:-2], rule, orders, config.eta_ref)
             for m, v in expansion.items():
                 order_values[m][i, j] = v
             try:
-                contrast[i, j] = contrast_ratio(samples[-1], samples[-2])
+                contrast[i, j] = contrast_ratio(cell[-1], cell[-2])
             except AnalysisError:
                 excluded += 1
     return t1s, t2s, order_values, contrast, excluded

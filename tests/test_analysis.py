@@ -24,7 +24,7 @@ from nlspec.models import (
     build_xxz,
     ground_state,
 )
-from nlspec.pauli import OperatorSum, PauliTerm, StateVector
+from nlspec.pauli import OperatorSum, PauliTerm, StateVector, apply_operator
 from nlspec.shift_rules import rule_for_generator
 
 
@@ -191,6 +191,88 @@ class TestPumpProbeBlock:
         p2 = op(4, (1.0, {3: "Y"}))
         etas = [0.0, 0.3, -1.1, 0.0, 2.4]
         self.assert_block_matches(h, pump, p1, p2, psi, etas, Evolver("trotter1", 5))
+
+
+def toric_degenerate():
+    # g < 0: a 4-fold degenerate ground space, solved by the dense eigh
+    h = build_toric_code(2, 2, 1.0, -0.5)
+    pump = build_pump(PumpSpec("cosine_profile", axis="Y", momentum=0, sites=(0, 2, 3, 4)), 8)
+    return h, pump, op(8, (1.0, {0: "X"})), op(8, (1.0, {0: "Z"})), EXACT
+
+
+def xxz_sector():
+    # 10 sites: exact evolution takes the magnetization-sector route
+    h = build_xxz(10, 0.6, 0.2)
+    return h, op(10, (1.0, {4: "X"})), op(10, (1.0, {5: "X"})), op(10, (1.0, {3: "Y"})), EXACT
+
+
+def xxz_trotter():
+    h = build_xxz(4, 0.7, 0.2)
+    pump = op(4, (1.0, {0: "X"}), (0.5, {2: "X"}))
+    return h, pump, op(4, (1.0, {1: "X"})), op(4, (1.0, {3: "Y"})), Evolver("trotter1", 5)
+
+
+class TestPumpProbeGrid:
+    """(T1,) and (T2,) time grids give (T1, T2[, K]) values, bitwise equal to
+    one call per cell and to the kick / evolve / probe formula."""
+
+    T1 = np.array([0.0, 0.25, 0.67, 1.3])
+    T2 = np.array([0.0, 0.4, 2.35])
+
+    @staticmethod
+    def formula(h, pump, p1, p2, t1, t2, eta, psi, evolver):
+        eta = np.asarray(eta, dtype=float)
+        amps = psi.amplitudes
+        if eta.ndim == 1:
+            amps = np.repeat(amps[:, None], eta.size, axis=1)
+        phi = apply_kick(pump, eta, amps)
+        bra = evolve(h, phi, t1 + t2, evolver)
+        ket = evolve(h, apply_operator(p1, evolve(h, phi, t1, evolver)), t2, evolver)
+        return (bra.conj() * apply_operator(p2, ket)).sum(axis=0)
+
+    @pytest.mark.parametrize("case", [toric_degenerate, xxz_sector, xxz_trotter])
+    def test_grid_equals_cells_and_formula(self, case):
+        h, pump, p1, p2, evolver = case()
+        psi = ground_state(h)
+        etas = np.append(rule_for_generator(pump, [1, 3]).shifts, [0.0, np.pi / 2])
+        grid = pump_probe_correlator(h, pump, p1, p2, self.T1, self.T2, etas, psi, evolver)
+        assert grid.shape == (self.T1.size, self.T2.size, etas.size)
+        for i, t1 in enumerate(self.T1):
+            for j, t2 in enumerate(self.T2):
+                t1, t2 = float(t1), float(t2)
+                cell = pump_probe_correlator(h, pump, p1, p2, t1, t2, etas, psi, evolver)
+                assert np.array_equal(grid[i, j], cell)
+                expected = self.formula(h, pump, p1, p2, t1, t2, etas, psi, evolver)
+                assert np.array_equal(grid[i, j], expected)
+
+    def test_scalar_amplitude_and_mixed_shapes(self):
+        h, pump, p1, p2, evolver = toric_degenerate()
+        psi = ground_state(h)
+        grid = pump_probe_correlator(h, pump, p1, p2, self.T1, self.T2, 0.3, psi, evolver)
+        assert grid.shape == (self.T1.size, self.T2.size)
+        for i, t1 in enumerate(self.T1):
+            for j, t2 in enumerate(self.T2):
+                expected = self.formula(h, pump, p1, p2, t1, t2, 0.3, psi, evolver)
+                assert np.array_equal(grid[i, j], expected)
+        row = pump_probe_correlator(h, pump, p1, p2, self.T1, 0.4, 0.3, psi, evolver)
+        assert np.array_equal(row, grid[:, 1])
+        column = pump_probe_correlator(h, pump, p1, p2, 0.25, self.T2, [0.3, 0.0], psi, evolver)
+        assert column.shape == (self.T2.size, 2)
+
+    def test_one_kick_per_grid(self, monkeypatch):
+        from nlspec import analysis
+
+        kicks = []
+
+        def counting_kick(*args, **kwargs):
+            kicks.append(np.shape(args[1]))
+            return apply_kick(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "apply_kick", counting_kick)
+        h, pump, p1, p2, evolver = toric_degenerate()
+        etas = [0.0, 0.3, np.pi / 2]
+        pump_probe_correlator(h, pump, p1, p2, self.T1, self.T2, etas, ground_state(h), evolver)
+        assert kicks == [(3,)]
 
 
 class TestContrastRatio:

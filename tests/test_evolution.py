@@ -10,6 +10,7 @@ from nlspec.evolution import (
     apply_kick,
     driven_signal,
     evolve,
+    propagator,
     _commuting_runs,
     _spectral_plan,
     time_grid,
@@ -191,6 +192,26 @@ class TestSpectralRoutes:
         states = [evolve(h, first, 0.5), second, evolve(h, second, 0.5), evolve(h, second, 1.5)]
         expected = np.stack([expectation(a, state) for state in states], axis=-1)
         assert np.array_equal(signal, expected)
+
+
+class TestPropagator:
+    @pytest.mark.parametrize(
+        "h, evolver",
+        [
+            (build_xxz(5, 0.7, 0.3), EXACT),
+            (build_xxz(10, 0.6, 0.3), EXACT),
+            (build_xxz(4, 0.7, 0.3), TROTTER10),
+        ],
+        ids=["dense", "sector", "trotter"],
+    )
+    def test_matches_evolve_and_returns_state_at_zero(self, h, evolver):
+        state = np.stack([random_state(h.n_sites, 1), random_state(h.n_sites, 2)], axis=1)
+        step = propagator(h, state, evolver)
+        assert step(0.0) is state
+        for dt in (0.3, 1.7, 0.3):
+            assert np.array_equal(step(dt), evolve(h, state, dt, evolver))
+        with pytest.raises(ValueError, match="finite"):
+            step(np.inf)
 
 
 def dense_trotter(h, t, n_steps):
