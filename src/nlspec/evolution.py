@@ -25,16 +25,18 @@ popcount sectors of the basis index and each sector gets its own eigenbasis;
 otherwise the block goes through one Krylov ``expm_multiply`` call.  A block
 whose matrix has exactly zero imaginary part keeps real eigenvectors, applied
 to the complex (n, K) states as one real GEMM on their float64 (n, 2K) view.
-``propagator(h, state)`` projects a state into the eigenbasis once; every
-later time then costs phases and one back-transform, bitwise the same as an
-``evolve`` call from that state.  ``driven_states`` builds one propagator per
-segment (after each checkpoint or kick), serving every grid time of the
-segment and the next pulse time; the pump-probe correlator builds one from
-the kicked state and one per probed state.
+``propagator(h, state)`` is the one place that picks the route: on the
+spectral routes it projects a state into the eigenbasis once, and every later
+time then costs phases and one back-transform.  ``evolve`` is a propagator
+used for a single time, so both give bitwise the same values.
+``driven_states`` builds one propagator per segment (after each checkpoint or
+kick), serving every grid time of the segment and the next pulse time; the
+pump-probe correlator builds one from the kicked state and one per probed
+state.
 
 First-order Trotter evolution applies each maximal run of consecutive,
 mutually commuting terms as one fused op: the run's product of rotations,
-expanded once per ``evolve`` call into one diagonal per distinct flip mask.
+expanded once per propagation into one diagonal per distinct flip mask.
 The product formula, and so the Trotter error, is unchanged; only rounding
 differs from applying the rotations one by one.
 """
@@ -275,36 +277,22 @@ def _trotter_evolve(h: OperatorSum, amps: np.ndarray, t: float, evolver: Evolver
 def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT) -> np.ndarray:
     """Propagate |psi> (or every column of a block) by exp(-i H t) (exact) or
     its Trotter approximation."""
-    if not np.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    amps = amplitudes_of(state)
-    if t == 0.0:
-        return amps.copy()
-    if evolver.kind == "exact":
-        plan = _spectral_plan(h)
-        if plan.sparse is None:
-            return plan.propagate(plan.to_eigenbasis(amps), t)
-        from scipy.sparse.linalg import expm_multiply
-
-        return expm_multiply((-1j * t) * plan.sparse, amps)
-    return _trotter_evolve(h, amps, t, evolver)
+    out = propagator(h, state, evolver)(t)
+    return out.copy() if t == 0.0 else out
 
 
 def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
-    """dt -> the state (or block) propagated by dt, the same values as
-    ``evolve(h, state, dt, evolver)``; dt == 0 returns the state's amplitude
-    array itself.
+    """dt -> the state (or block) propagated by exp(-i H dt) (exact) or its
+    Trotter approximation; dt == 0 returns the state's amplitude array itself.
 
     On the spectral route the state is projected into the eigenbasis once,
     on the first nonzero dt, and every dt then costs phases and one
-    back-transform (bitwise the same as ``evolve``); Trotter and Krylov
-    restart ``evolve`` from ``state``.  Returned arrays may be shared with
-    the propagator and must not be modified.
+    back-transform; Trotter and Krylov restart from ``state`` at every dt.
+    Returned arrays may be shared with the propagator and must not be
+    modified.
     """
     amps = amplitudes_of(state)
     plan = _spectral_plan(h) if evolver.kind == "exact" else None
-    if plan is None or plan.sparse is not None:
-        return lambda dt: amps if dt == 0.0 else evolve(h, amps, dt, evolver)
     coeffs = None  # the eigenbasis projection, made on first use
 
     def step(dt: float) -> np.ndarray:
@@ -313,6 +301,12 @@ def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
             raise ValueError("evolution time must be finite")
         if dt == 0.0:
             return amps
+        if plan is None:
+            return _trotter_evolve(h, amps, dt, evolver)
+        if plan.sparse is not None:
+            from scipy.sparse.linalg import expm_multiply
+
+            return expm_multiply((-1j * dt) * plan.sparse, amps)
         if coeffs is None:
             coeffs = plan.to_eigenbasis(amps)
         return plan.propagate(coeffs, dt)

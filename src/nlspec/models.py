@@ -8,7 +8,6 @@ model, plus the pump profiles used to drive them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -264,10 +263,8 @@ def _stabilizer_projection(h: OperatorSum) -> np.ndarray | None:
 _DENSE_GROUND_CAP = 2**9
 
 
-@lru_cache(maxsize=8)
 def ground_state(h: OperatorSum) -> StateVector:
-    """Deterministic lowest-energy eigenvector of the Hamiltonian, solved once
-    per Hamiltonian (cached; the returned state is read-only).
+    """Deterministic lowest-energy eigenvector of the Hamiltonian.
 
     Commuting all-negative Pauli sums (the toric code at its solvable point)
     use the stabilizer projection of |0...0>; everything else falls back to a

@@ -247,23 +247,6 @@ class TestVerify:
         assert len(calls) == 2
         assert calls[1] == (5, 1)
 
-    def test_ground_state_solved_once_for_run_and_verify(self, tmp_path, monkeypatch):
-        from nlspec import models
-
-        calls = []
-
-        def counting_eigsh(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigsh(*args, **kwargs)
-
-        eigsh = models.eigsh
-        monkeypatch.setattr(models, "eigsh", counting_eigsh)
-        models.ground_state.cache_clear()
-        config = load_config(write_config(tmp_path, CHAIN10))
-        run_experiment(config, output_dir=tmp_path / "out")
-        assert verify_experiment(config, tolerance=1e-8)["passed"]
-        assert calls == [(1024, 1024)]
-
     def test_oracle_unavailable_above_cap(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
         payload["model"]["parameters"]["n_sites"] = 12
