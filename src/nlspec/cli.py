@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input (config, pulse schedule, shift rule
 or spectrum input), 3 verification failure, 4 resource cap exceeded,
-5 numerical failure (an expectation with an imaginary part, an undefined or
-ill-conditioned analysis).
+5 numerical failure (an expectation with an imaginary part, a ground state
+that does not converge, an undefined or ill-conditioned analysis).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import AnalysisError
 from .config import ConfigError, load_config
 from .evolution import ScheduleError
-from .models import build_model, build_pump
+from .models import GroundStateError, build_model, build_pump
 from .pauli import DimensionCapError, HermiticityError
 from .runner import run_experiment, verify_experiment, write_csv
 from .shift_rules import ShiftRuleError, gap_set, rule_for_generator
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except (ScheduleError, ShiftRuleError, SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HermiticityError, AnalysisError) as exc:
+    except (HermiticityError, GroundStateError, AnalysisError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

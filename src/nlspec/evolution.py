@@ -21,10 +21,12 @@ take one amplitude per column.
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
 and cached.  Up to 9 sites it is one dense eigenbasis.  Above 9 sites, when H
 commutes with sum_i Z_i (XXZ chains in a Z field), H is block-diagonal in the
-popcount sectors of the basis index and each sector gets its own eigenbasis;
-otherwise the block goes through one Krylov ``expm_multiply`` call.  A block
-whose matrix has exactly zero imaginary part keeps real eigenvectors, applied
-to the complex (n, K) states as one real GEMM on their float64 (n, 2K) view.
+popcount sectors of the basis index and each sector gets its own eigenbasis,
+its block read from H's per-flip-mask diagonals; otherwise the block goes
+through one Krylov ``expm_multiply`` call, the only place a run imports
+scipy.  A block whose matrix has exactly zero imaginary part keeps real
+eigenvectors, applied to the complex (n, K) states as one real GEMM on their
+float64 (n, 2K) view.
 ``propagator(h, state)`` is the one place that picks the route: on the
 spectral routes it projects a state into the eigenbasis once, and every later
 time then costs phases and one back-transform.  ``evolve`` is a propagator
@@ -61,8 +63,10 @@ from .pauli import (
     along_rows,
     amplitudes_of,
     commutator_norm,
+    dense_block,
     eigendecompose,
     expectation,
+    flip_diagonals,
     terms_commute_pairwise,
     to_dense,
     to_sparse,
@@ -167,22 +171,23 @@ class _SpectralPlan:
 @lru_cache(maxsize=6)
 def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
     """One dense eigenbasis up to ``_EIGH_SITE_CAP`` sites; above it one
-    eigenbasis per popcount sector when H conserves sum_i Z_i, otherwise the
-    sparse matrix for Krylov propagation."""
+    eigenbasis per popcount sector when H conserves sum_i Z_i (each block
+    read from ``flip_diagonals``), otherwise the sparse matrix for Krylov
+    propagation, the only route that imports scipy."""
     if h.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError("exact evolution exceeds the dense cap")
     if h.n_sites <= _EIGH_SITE_CAP:
         values, vectors = _block_eigh(to_dense(h))
         return _SpectralPlan(values, (vectors,))
     magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites)
-    sparse = to_sparse(h).tocsr()
     if commutator_norm(h, magnetization) != 0.0:
-        return _SpectralPlan(sparse=sparse)
+        return _SpectralPlan(sparse=to_sparse(h))
     popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
     order = np.argsort(popcount, kind="stable")
     edges = np.append(0, np.cumsum(np.bincount(popcount)))
     sectors = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
-    spectra = [_block_eigh(sparse[order[s]][:, order[s]].toarray()) for s in sectors]
+    diagonals = flip_diagonals(h)
+    spectra = [_block_eigh(dense_block(diagonals, order[s])) for s in sectors]
     values = np.concatenate([values for values, _ in spectra])
     return _SpectralPlan(values, tuple(v for _, v in spectra), order, sectors)
 

@@ -269,40 +269,65 @@ def expectation(op: OperatorSum, state: StateLike) -> float | np.ndarray:
     return float(raw.real) if amps.ndim == 1 else raw.real
 
 
+def flip_diagonals(op: OperatorSum) -> dict[int, np.ndarray]:
+    """The operator as op|psi> = sum_f D_f * psi[x ^ f]: one diagonal D_f per
+    distinct flip mask f, keyed in term order.  A term c P with masks
+    (flip, phase, y_count) adds c i^y_count (-1)^popcount((x ^ flip) & phase)
+    to D_flip[x], the terms summed in term order.
+
+    ``to_dense``, ``to_sparse`` and ``dense_block`` are all read from this
+    form, so their entries agree bitwise.
+    """
+    dim = 2**op.n_sites
+    diagonals: dict[int, np.ndarray] = {}
+    for term in op.terms:
+        flip, phase, y_count = term.masks()
+        scale = term.coefficient * (1j) ** y_count
+        signs = _phase_signs(op.n_sites, phase)
+        if flip not in diagonals:
+            diagonals[flip] = np.zeros(dim, dtype=np.complex128)
+        diagonals[flip] += scale * (signs if flip == 0 else signs[_xor_index(op.n_sites, flip)])
+    return diagonals
+
+
+def dense_block(diagonals: Mapping[int, np.ndarray], indices: np.ndarray) -> np.ndarray:
+    """The matrix entries (op[i, j]) for i, j in ``indices``, read from the
+    operator's ``flip_diagonals``; every row and column keeps its place in
+    ``indices``."""
+    indices = np.asarray(indices, dtype=np.int64)
+    block = np.zeros((indices.size, indices.size), dtype=np.complex128)
+    if not diagonals:
+        return block
+    position = np.full(next(iter(diagonals.values())).size, -1, dtype=np.int64)
+    position[indices] = np.arange(indices.size)
+    for flip, diagonal in diagonals.items():
+        cols = position[indices ^ flip]
+        kept = cols >= 0
+        block[np.flatnonzero(kept), cols[kept]] = diagonal[indices[kept]]
+    return block
+
+
 def to_dense(op: OperatorSum) -> np.ndarray:
     """Dense 2**N x 2**N matrix of the operator; refused above the cap."""
     if op.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError(f"dense matrix for {op.n_sites} sites exceeds cap {DENSE_SITE_CAP}")
-    dim = 2**op.n_sites
-    rows = np.arange(dim, dtype=np.int64)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for term in op.terms:
-        flip, phase, y_count = term.masks()
-        scale = term.coefficient * (1j) ** y_count
-        phases = scale * _phase_signs(op.n_sites, phase)
-        mat[rows ^ flip, rows] += phases
-    return mat
+    return dense_block(flip_diagonals(op), np.arange(2**op.n_sites))
 
 
 def to_sparse(op: OperatorSum):
-    """CSR matrix of the operator (any N); one dim-length block per term."""
+    """CSR matrix of the operator (any N); one dim-length diagonal per flip mask."""
     from scipy.sparse import csr_matrix
 
     dim = 2**op.n_sites
-    rows_all = []
-    cols_all = []
-    data_all = []
-    cols = np.arange(dim, dtype=np.int64)
-    for term in op.terms:
-        flip, phase, y_count = term.masks()
-        scale = term.coefficient * (1j) ** y_count
-        rows_all.append(cols ^ flip)
-        cols_all.append(cols)
-        data_all.append(scale * _phase_signs(op.n_sites, phase))
-    if not rows_all:
+    diagonals = flip_diagonals(op)
+    if not diagonals:
         return csr_matrix((dim, dim), dtype=np.complex128)
+    rows = np.arange(dim, dtype=np.int64)
     return csr_matrix(
-        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        (
+            np.concatenate(list(diagonals.values())),
+            (np.tile(rows, len(diagonals)), np.concatenate([rows ^ f for f in diagonals])),
+        ),
         shape=(dim, dim),
     )
 

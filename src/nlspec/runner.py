@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -324,6 +323,8 @@ def _run_sweep(config: ExperimentConfig, out: Path, threads: int) -> tuple[list[
     orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
     configs = [config] * len(g_values)
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_point, configs, g_values))
     else:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +335,14 @@ class TestCLI:
         assert main(["run", "--config", str(path)]) == 5
         assert "HermiticityError: imaginary part" in capsys.readouterr().err
 
+    def test_ground_state_error_exit_five(self, tmp_path, capsys, monkeypatch):
+        from nlspec import models
+
+        monkeypatch.setattr(models, "_LANCZOS_CAP", 4)
+        path = write_config(tmp_path, CHAIN10)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
+        assert "GroundStateError: Lanczos ground state not converged" in capsys.readouterr().err
+
     def test_gaps_prints_ledger(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         assert main(["gaps", "--config", str(path), "--max-order", "2"]) == 0
@@ -356,3 +367,42 @@ class TestCLI:
         a = (tmp_path / "s1" / "response_m1_single_site_pauli_2_x_sampled.csv").read_bytes()
         b = (tmp_path / "s2" / "response_m1_single_site_pauli_2_x_sampled.csv").read_bytes()
         assert a != b
+
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+from pathlib import Path
+
+import nlspec.cli, nlspec.config, nlspec.runner
+
+root = Path(sys.argv[1])
+for name in ("dimer", "chain10"):
+    config = nlspec.config.load_config(root / f"{name}.json")
+    nlspec.runner.run_experiment(config, output_dir=root / name)
+nlspec.runner.verify_experiment(config, tolerance=1e-8)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestImportFootprint:
+    """scipy costs about half a second of start-up; only Krylov propagation
+    (non-U(1) models above 9 sites) may import it."""
+
+    def test_runs_load_no_scipy(self, tmp_path):
+        import nlspec
+
+        dimer = json.loads((FIGURES / "fig5.json").read_text())
+        for grid in ("time_grid", "t1_grid", "t3_grid"):
+            dimer[grid] = dict(dimer[grid], points=3)
+        write_config(tmp_path, dimer, "dimer.json")
+        write_config(tmp_path, CHAIN10, "chain10.json")
+        src = str(Path(nlspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

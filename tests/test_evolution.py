@@ -23,7 +23,16 @@ from nlspec.models import (
     ground_state,
     PumpSpec,
 )
-from nlspec.pauli import OperatorSum, PauliTerm, StateVector, expectation, to_dense
+from nlspec.pauli import (
+    OperatorSum,
+    PauliTerm,
+    StateVector,
+    dense_block,
+    expectation,
+    flip_diagonals,
+    to_dense,
+    to_sparse,
+)
 
 TROTTER10 = Evolver("trotter1", 10)
 
@@ -140,6 +149,26 @@ class TestSpectralRoutes:
         assert np.max(np.abs(evolve(h, psi, t, EXACT) - u @ psi)) < 1e-10
         block = np.stack([random_state(10, seed + k) for k in range(3)], axis=1)
         assert np.max(np.abs(evolve(h, block, t, EXACT) - u @ block)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_xxz(10, 0.5, 0.12),
+            build_xxz(11, -0.72, 0.6, "periodic"),
+            build_xxz(10, 0.6, 0.3)
+            + op(10, *(term for i in range(9) for term in (
+                (0.3, {i: "X", i + 1: "Y"}), (-0.3, {i: "Y", i + 1: "X"})))),
+        ],
+        ids=["chain10", "ring11", "complex"],
+    )
+    def test_sector_blocks_equal_sparse_slices(self, h):
+        plan = _spectral_plan(h)
+        assert len(plan.sectors) == h.n_sites + 1
+        sparse = to_sparse(h).tocsr()
+        diagonals = flip_diagonals(h)
+        for s in plan.sectors:
+            rows = plan.order[s]
+            assert np.array_equal(dense_block(diagonals, rows), sparse[rows][:, rows].toarray())
 
     def test_non_u1_sum_takes_krylov_route(self, monkeypatch):
         import scipy.sparse.linalg

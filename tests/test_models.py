@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from nlspec import models
 from nlspec.models import (
+    GroundStateError,
     ModelSpec,
     PumpSpec,
     ToricLattice,
@@ -186,6 +189,60 @@ class TestGroundState:
         assert all(np.array_equal(runs[0], other) for other in runs[1:])
         exact = np.linalg.eigvalsh(to_dense(h))[0]
         assert abs(expectation(h, runs[0]) - exact) < 1e-12
+
+
+@st.composite
+def lanczos_sums(draw):
+    """Random 10-site Pauli sums of three kinds: XXZ-type bonds and Z fields
+    (real, U(1)), the same with X fields (real, not U(1)), and the same with
+    complex X_i Y_j - Y_i X_j bonds.  Every site carries a bond and a field,
+    so no free spin makes the ground state degenerate."""
+    n = 10
+    coefficient = st.builds(lambda m, sign: sign * m, st.floats(1e-2, 1.5), st.sampled_from([-1, 1]))
+    kind = draw(st.sampled_from(["u1", "x_field", "complex"]))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    extra = draw(st.lists(pair, max_size=3))
+    terms = []
+    for i, j in [(i, i + 1) for i in range(n - 1)] + extra:
+        c = draw(coefficient)
+        terms += [PauliTerm(c, {i: "X", j: "X"}), PauliTerm(c, {i: "Y", j: "Y"})]
+        terms.append(PauliTerm(draw(coefficient), {i: "Z", j: "Z"}))
+        if kind == "complex":
+            c = draw(coefficient)
+            terms += [PauliTerm(c, {i: "X", j: "Y"}), PauliTerm(-c, {i: "Y", j: "X"})]
+    for i in range(n):
+        terms.append(PauliTerm(draw(coefficient), {i: "Z"}))
+        if kind == "x_field":
+            terms.append(PauliTerm(draw(coefficient), {i: "X"}))
+    return OperatorSum(terms, n)
+
+
+class TestLanczosGroundState:
+    """Above 2**9 amplitudes ``ground_state`` runs Lanczos instead of eigh."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(lanczos_sums())
+    def test_matches_dense_eigh(self, h):
+        dense = to_dense(h)
+        values, vectors = np.linalg.eigh(dense if dense.imag.any() else dense.real)
+        assume(values[1] - values[0] >= 1e-2)
+        psi = ground_state(h).amplitudes
+        assert expectation(h, psi) == pytest.approx(values[0], abs=1e-12)
+        # states agree up to a global phase: _canonical_phase pins the
+        # largest amplitude, which may tie between sites on symmetric chains
+        assert abs(np.vdot(vectors[:, 0], psi)) >= 1 - 1e-10
+
+    def test_real_hamiltonian_runs_in_real_arithmetic(self):
+        assert models._lanczos_ground_state(build_xxz(10, 0.5, 0.12)).dtype == np.float64
+        dm = OperatorSum(
+            [PauliTerm(0.3, {0: "X", 1: "Y"}), PauliTerm(-0.3, {0: "Y", 1: "X"})], 10
+        )
+        assert models._lanczos_ground_state(build_xxz(10, 0.5, 0.12) + dm).dtype == np.complex128
+
+    def test_not_converged_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(models, "_LANCZOS_CAP", 4)
+        with pytest.raises(GroundStateError, match="4 steps"):
+            ground_state(build_xxz(10, 0.5, 0.12))
 
 
 class TestModelSpec:
