@@ -58,11 +58,25 @@ class PointCloud2D:
 
 
 def entanglement_entropy(state: StateLike, block_size: int, start: int = 0) -> float:
-    """Von Neumann entropy (natural log) of a contiguous block of sites."""
+    """Von Neumann entropy (natural log) of a contiguous block of sites.
+
+    A pure state's block and complement share their nonzero spectrum, so it
+    is taken from the smaller side: the block's reduced density matrix, or,
+    for a block larger than half the register, the Gram matrix of the
+    complement's rows of the (rest, block) reshaped amplitudes.
+    """
     n = n_sites_of(state)
     if not 1 <= block_size < n:
         raise AnalysisError(f"block size must be in [1, {n - 1}]")
-    rho = partial_trace(state, range(start, start + block_size))
+    if 2 * block_size <= n:
+        rho = partial_trace(state, range(start, start + block_size))
+    else:
+        if not 0 <= start <= n - block_size:
+            raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
+        # axes (high bits, block, low bits), site 0 being the LSB
+        tensor = amplitudes_of(state).reshape(-1, 2**block_size, 2**start)
+        rest = np.moveaxis(tensor, 1, -1).reshape(-1, 2**block_size)
+        rho = rest @ rest.conj().T
     evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-14]
     return float(-np.sum(evals * np.log(evals)))

@@ -19,14 +19,19 @@ the columns, each column seeing exactly the single-state propagator.  Kicks
 take one amplitude per column.
 
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
-and cached.  Up to 9 sites it is one dense eigenbasis.  Above 9 sites, when H
-commutes with sum_i Z_i (XXZ chains in a Z field), H is block-diagonal in the
-popcount sectors of the basis index and each sector gets its own eigenbasis,
-its block read from H's per-flip-mask diagonals; otherwise the block goes
-through one Krylov ``expm_multiply`` call, the only place a run imports
-scipy.  A block whose matrix has exactly zero imaginary part keeps real
-eigenvectors, applied to the complex (n, K) states as one real GEMM on their
-float64 (n, 2K) view.
+and cached: groups of invariant blocks of H, each group a (C, m) array of
+basis indices (one block per row), its blocks read from H's per-flip-mask
+diagonals and diagonalized by one batched ``eigh``.  Up to 9 sites the plan
+is one group of cosets: a Pauli string maps |x> to |x ^ f> for its flip mask
+f, so H has no entries between the cosets x ^ S of the GF(2) span S of its
+flip masks (rank r), and the basis splits into 2**(n - r) blocks of 2**r
+(the 2x2 toric code: 32 blocks of 8; a full span: one dense block).  Above 9
+sites, when H commutes with sum_i Z_i (XXZ chains in a Z field), each
+popcount sector is a group of one block; otherwise the state goes through
+one Krylov ``expm_multiply`` call, the only place a run imports scipy.  A
+group whose blocks have exactly zero imaginary part keeps real
+eigenvectors, applied to the gathered complex (C, m, K) states as one
+batched real GEMM on their float64 (C, m, 2K) view.
 ``propagator(h, state)`` is the one place that picks the route: on the
 spectral routes it projects a state into the eigenbasis once, and every later
 time then costs phases and one back-transform.  ``evolve`` is a propagator
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,15 +73,14 @@ from .pauli import (
     expectation,
     flip_diagonals,
     terms_commute_pairwise,
-    to_dense,
     to_sparse,
 )
 
 EVOLVER_KINDS = ("exact", "trotter1")
 
-#: exact evolution diagonalizes densely up to this many sites and switches to
-#: magnetization sectors or a sparse Krylov propagator above (same unitary,
-#: machine-precision accurate)
+#: exact evolution diagonalizes the flip-mask cosets up to this many sites and
+#: switches to magnetization sectors or a sparse Krylov propagator above (same
+#: unitary, machine-precision accurate)
 _EIGH_SITE_CAP = 9
 
 
@@ -107,11 +111,10 @@ EXACT = Evolver("exact")
 
 
 def _real_matmul(real: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """real @ amps for a complex state or block, as one real GEMM on the
-    float64 view (dim, 2K) that interleaves real and imaginary parts."""
-    flat = np.ascontiguousarray(amps).reshape(amps.shape[0], -1)
-    out = real @ flat.view(np.float64)
-    return out.view(np.complex128).reshape(real.shape[0], *amps.shape[1:])
+    """real @ amps for complex (m, K) blocks (stacked or not), as one real
+    GEMM per block on the float64 (m, 2K) view that interleaves real and
+    imaginary parts."""
+    return (real @ np.ascontiguousarray(amps).view(np.float64)).view(np.complex128)
 
 
 def _from_block_basis(vectors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -123,12 +126,13 @@ def _to_block_basis(vectors: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """V^dagger |psi>, with a real GEMM when V is real, else as
     conj(V^T conj(psi)): no dense copy of V per call."""
     if vectors.dtype == np.float64:
-        return _real_matmul(vectors.T, amps)
-    return (vectors.T @ amps.conj()).conj()
+        return _real_matmul(vectors.mT, amps)
+    return (vectors.mT @ amps.conj()).conj()
 
 
 def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a Hermitian block; an exactly real block keeps real vectors."""
+    """eigh of a Hermitian block or stack of blocks; an exactly real stack
+    keeps real vectors."""
     return np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
 
 
@@ -136,60 +140,76 @@ def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _SpectralPlan:
     """exp(-i H t) for exact evolution, built once per Hamiltonian.
 
-    ``order`` lists the basis indices sector by sector (None: one dense
-    block over the natural order) and ``sectors`` slices it; ``values`` holds
-    every block's eigenvalues in that order and ``vectors`` one eigenbasis per
-    block.  ``sparse`` is set instead on the Krylov route.
+    ``groups`` holds (rows, values, vectors) triples, one per stack of
+    invariant blocks of H: ``rows`` is a (C, m) array of basis indices, one
+    block per row, ``values`` (C, m) the blocks' eigenvalues and ``vectors``
+    (C, m, m) their eigenbases.  The rows of all groups partition the basis.
+    ``sparse`` is set instead on the Krylov route.
     """
 
-    values: np.ndarray | None = None
-    vectors: tuple[np.ndarray, ...] = ()
-    order: np.ndarray | None = None
-    sectors: tuple[slice, ...] = ()
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
     sparse: object = None
 
-    def to_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
-        if self.order is None:
-            return _to_block_basis(self.vectors[0], amps)
-        rows = amps[self.order]
-        return np.concatenate(
-            [_to_block_basis(v, rows[s]) for s, v in zip(self.sectors, self.vectors)]
-        )
+    def to_eigenbasis(self, amps: np.ndarray) -> list[np.ndarray]:
+        """Per group, the (C, m, K) eigenbasis coefficients of a state
+        (K = 1) or a (dim, K) block: one gather and one batched GEMM."""
+        flat = amps.reshape(amps.shape[0], -1)
+        return [_to_block_basis(vectors, flat[rows]) for rows, _, vectors in self.groups]
 
-    def propagate(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+    def propagate(self, coeffs: list[np.ndarray], t: float) -> np.ndarray:
         """exp(-i H t) applied to the state whose eigenbasis coefficients
-        ``to_eigenbasis`` returned: phases, then one back-transform."""
-        shifted = along_rows(np.exp(-1j * self.values * t), coeffs) * coeffs
-        if self.order is None:
-            return _from_block_basis(self.vectors[0], shifted)
-        out = np.empty_like(shifted)
-        for s, v in zip(self.sectors, self.vectors):
-            out[self.order[s]] = _from_block_basis(v, shifted[s])
+        ``to_eigenbasis`` returned, as a (dim, K) array: batched phases,
+        then one batched back-transform and one scatter per group."""
+        dim = sum(rows.size for rows, _, _ in self.groups)
+        out = np.empty((dim, coeffs[0].shape[-1]), dtype=complex)
+        for (rows, values, vectors), c in zip(self.groups, coeffs):
+            out[rows] = _from_block_basis(vectors, np.exp(-1j * values * t)[..., None] * c)
         return out
+
+
+def _coset_rows(n_sites: int, flips: Iterable[int]) -> np.ndarray:
+    """The basis split into the cosets x ^ S of the GF(2) span S of the flip
+    masks, one coset per row: a (2**(n - r), 2**r) array for rank r, each
+    coset ascending, cosets ordered by their smallest index.  A Hamiltonian
+    with these flip masks has no entries between cosets."""
+    basis: list[int] = []  # distinct leading bits, descending
+    for f in flips:
+        for b in basis:
+            f = min(f, f ^ b)
+        if f:
+            basis = sorted(basis + [f], reverse=True)
+    # clearing every leading bit maps x to the smallest index of its coset
+    smallest = np.arange(2**n_sites)
+    for b in basis:
+        smallest = np.minimum(smallest, smallest ^ b)
+    return np.argsort(smallest, kind="stable").reshape(-1, 2 ** len(basis))
 
 
 @lru_cache(maxsize=6)
 def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
-    """One dense eigenbasis up to ``_EIGH_SITE_CAP`` sites; above it one
-    eigenbasis per popcount sector when H conserves sum_i Z_i (each block
-    read from ``flip_diagonals``), otherwise the sparse matrix for Krylov
-    propagation, the only route that imports scipy."""
+    """Up to ``_EIGH_SITE_CAP`` sites one group of flip-mask cosets; above
+    it one group per popcount sector when H conserves sum_i Z_i, otherwise
+    the sparse matrix for Krylov propagation, the only route that imports
+    scipy.  Every block is read from ``flip_diagonals`` and diagonalized by
+    one batched ``eigh`` per group."""
     if h.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError("exact evolution exceeds the dense cap")
     if h.n_sites <= _EIGH_SITE_CAP:
-        values, vectors = _block_eigh(to_dense(h))
-        return _SpectralPlan(values, (vectors,))
-    magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites)
-    if commutator_norm(h, magnetization) != 0.0:
-        return _SpectralPlan(sparse=to_sparse(h))
-    popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
-    order = np.argsort(popcount, kind="stable")
-    edges = np.append(0, np.cumsum(np.bincount(popcount)))
-    sectors = tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+        groups = [_coset_rows(h.n_sites, [term.masks()[0] for term in h.terms])]
+    else:
+        magnetization = OperatorSum(
+            [PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites
+        )
+        if commutator_norm(h, magnetization) != 0.0:
+            return _SpectralPlan(sparse=to_sparse(h))
+        popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
+        order = np.argsort(popcount, kind="stable")
+        edges = np.append(0, np.cumsum(np.bincount(popcount)))
+        groups = [order[None, a:b] for a, b in zip(edges, edges[1:])]
     diagonals = flip_diagonals(h)
-    spectra = [_block_eigh(dense_block(diagonals, order[s])) for s in sectors]
-    values = np.concatenate([values for values, _ in spectra])
-    return _SpectralPlan(values, tuple(v for _, v in spectra), order, sectors)
+    return _SpectralPlan(
+        tuple((rows, *_block_eigh(dense_block(diagonals, rows))) for rows in groups)
+    )
 
 
 def _apply_string_rotation(
@@ -314,7 +334,7 @@ def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
             return expm_multiply((-1j * dt) * plan.sparse, amps)
         if coeffs is None:
             coeffs = plan.to_eigenbasis(amps)
-        return plan.propagate(coeffs, dt)
+        return plan.propagate(coeffs, dt).reshape(amps.shape)
 
     return step
 

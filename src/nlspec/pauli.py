@@ -293,18 +293,23 @@ def flip_diagonals(op: OperatorSum) -> dict[int, np.ndarray]:
 def dense_block(diagonals: Mapping[int, np.ndarray], indices: np.ndarray) -> np.ndarray:
     """The matrix entries (op[i, j]) for i, j in ``indices``, read from the
     operator's ``flip_diagonals``; every row and column keeps its place in
-    ``indices``."""
+    ``indices``.  A (C, m) index array (disjoint rows) gives the C blocks as
+    one (C, m, m) stack."""
     indices = np.asarray(indices, dtype=np.int64)
-    block = np.zeros((indices.size, indices.size), dtype=np.complex128)
-    if not diagonals:
-        return block
-    position = np.full(next(iter(diagonals.values())).size, -1, dtype=np.int64)
-    position[indices] = np.arange(indices.size)
-    for flip, diagonal in diagonals.items():
-        cols = position[indices ^ flip]
-        kept = cols >= 0
-        block[np.flatnonzero(kept), cols[kept]] = diagonal[indices[kept]]
-    return block
+    rows = indices.reshape(-1, indices.shape[-1])
+    count, m = rows.shape
+    block = np.zeros((count, m, m), dtype=np.complex128)
+    if diagonals:
+        # slot[i] = b * m + k for i = rows[b, k]; -1 outside every block
+        slot = np.full(next(iter(diagonals.values())).size, -1, dtype=np.int64)
+        slot[rows] = np.arange(count * m).reshape(count, m)
+        owner = np.arange(count)[:, None]
+        for flip, diagonal in diagonals.items():
+            target = slot[rows ^ flip]
+            kept = target // m == owner
+            b, k = np.nonzero(kept)
+            block[b, k, target[kept] % m] = diagonal[rows[kept]]
+    return block.reshape(indices.shape + (m,))
 
 
 def to_dense(op: OperatorSum) -> np.ndarray:

@@ -9,7 +9,7 @@ with weights prod_a c_{a, p_a}^{(beta_a)}.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -72,28 +72,23 @@ def rules_for_schedule(
 
 def shift_configurations(
     rules: Mapping[int, ShiftRule], beta: MultiIndex
-) -> tuple[list[tuple[float, ...]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cartesian shift grid over the active channels and the product weights.
 
-    Inactive channels are pinned at amplitude 0.  Returns the list of full
-    amplitude vectors (length = channel count) and the weight C_p for each.
+    Inactive channels are pinned at amplitude 0.  Returns the (P, L) array of
+    amplitude vectors (L = channel count), one row per configuration in
+    ``itertools.product`` order over the active channels' shifts, and the
+    weight C_p of each row, its factors multiplied in channel order.
     """
-    n_channels = len(beta.beta)
     active = beta.support
-    per_channel_shifts = [rules[a].shifts for a in active]
-    per_channel_coeffs = [rules[a].coefficients[beta.beta[a]] for a in active]
-    configs: list[tuple[float, ...]] = []
-    weights: list[float] = []
-    for combo in itertools.product(*(range(len(s)) for s in per_channel_shifts)):
-        etas = [0.0] * n_channels
-        w = 1.0
-        for a, p in zip(active, combo):
-            etas[a] = float(rules[a].shifts[p])
-        for coeffs, p in zip(per_channel_coeffs, combo):
-            w *= float(coeffs[p])
-        configs.append(tuple(etas))
-        weights.append(w)
-    return configs, np.asarray(weights)
+    shifts = [rules[a].shifts for a in active]
+    configs = np.zeros((math.prod(s.size for s in shifts), len(beta.beta)))
+    for a, grid in zip(active, np.meshgrid(*shifts, indexing="ij")):
+        configs[:, a] = grid.ravel()
+    weights = np.ones(1)
+    for a in active:
+        weights = np.multiply.outer(weights, rules[a].coefficients[beta.beta[a]]).ravel()
+    return configs, weights
 
 
 def reconstruct_response(
@@ -118,8 +113,9 @@ def reconstruct_response(
     active = weights != 0.0
     total = np.zeros(grid.size)
     if np.any(active):
-        etas = np.asarray(configs)[active]
-        total = weights[active] @ driven_signal(h, schedule, etas, observable, grid, evolver, psi0)
+        total = weights[active] @ driven_signal(
+            h, schedule, configs[active], observable, grid, evolver, psi0
+        )
     total /= beta.factorial_product
     meta = {
         "n_configurations": len(configs),

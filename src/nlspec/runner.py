@@ -45,6 +45,7 @@ from .response import (
     reconstruct_response,
     response_decomposition,
     rules_for_schedule,
+    shift_configurations,
 )
 from .sampling import allocate_shots, noisy_response, variance_bound_for_rules
 from .shift_rules import rule_for_generator
@@ -126,17 +127,10 @@ def _run_response(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]
         name = f"response_{tag}_{label}"
         _emit_series_and_spectrum(out, name, grid, series.values, files, config.time_grid.dt)
         if config.sampling is not None:
-            plan_weights = np.ones(series.metadata["n_configurations"])
+            _, weights = shift_configurations(rules, beta)
             plan = allocate_shots(
-                plan_weights, config.sampling.total_shots, "uniform", seed=config.seed
+                weights, config.sampling.total_shots, config.sampling.mode, seed=config.seed
             )
-            if config.sampling.mode == "optimal":
-                from .response import shift_configurations
-
-                _, weights = shift_configurations(rules, beta)
-                plan = allocate_shots(
-                    weights, config.sampling.total_shots, "optimal", seed=config.seed
-                )
             noisy, errors = noisy_response(
                 h, schedule, observable, grid, beta, plan, config.evolver, psi0, rules
             )

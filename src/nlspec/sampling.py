@@ -204,7 +204,7 @@ def noisy_response(
     if active:
         # exact signal states, sampled measurement; one substream per (p, t)
         root = np.random.SeedSequence(plan.seed)
-        states = driven_states(h, schedule, np.asarray(configs)[active], grid, evolver, psi0)
+        states = driven_states(h, schedule, configs[active], grid, evolver, psi0)
         for k, block in enumerate(states):
             # contiguous columns, so each exact mean rounds as a single state's
             for p, state in zip(active, np.ascontiguousarray(block.T)):

@@ -78,21 +78,17 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept)
 
 
-def _float_gcd(a: float, b: float, tol: float) -> float:
-    while b > tol:
-        a, b = b, math.fmod(a, b)
-    return a
-
-
 def _common_unit(positive: np.ndarray, tol: float) -> float | None:
-    """Approximate positive GCD of the gaps, or None if incommensurate."""
+    """Approximate positive GCD of the gaps, or None if incommensurate.
+
+    Euclid runs exactly on the gaps rounded to integer multiples of ``tol``,
+    so spectra that differ only in the last bits give the same unit: the
+    smallest gap over its integer multiple of the common divisor.
+    """
     if positive.size == 0:
         return None
-    g = float(positive[0])
-    for v in positive[1:]:
-        g = _float_gcd(float(v), g, tol)
-        if g <= tol:
-            return None
+    counts = [round(float(v) / tol) for v in positive]
+    g = float(positive[0]) / (counts[0] // math.gcd(*counts))
     max_gap = float(positive[-1])
     if g < max_gap / _MAX_HARMONIC:
         return None

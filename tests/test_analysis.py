@@ -57,6 +57,8 @@ class TestEntropy:
             left = entanglement_entropy(psi, d)
             right = entanglement_entropy(psi, 5 - d, start=d)
             assert left == pytest.approx(right, abs=1e-10)
+            top = entanglement_entropy(psi, d, start=5 - d)
+            assert entanglement_entropy(psi, 5 - d) == pytest.approx(top, abs=1e-10)
 
     def test_invalid_block(self):
         with pytest.raises(AnalysisError):

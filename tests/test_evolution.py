@@ -18,6 +18,7 @@ from nlspec.evolution import (
 from nlspec.models import (
     build_pump,
     build_spin_boson,
+    build_tls_dimer,
     build_toric_code,
     build_xxz,
     ground_state,
@@ -143,7 +144,7 @@ class TestSpectralRoutes:
     @settings(max_examples=4, deadline=None)
     @given(u1_sums(), st.floats(-2, 2, allow_nan=False), st.integers(0, 99))
     def test_sector_route_matches_expm(self, h, t, seed):
-        assert _spectral_plan(h).order is not None
+        assert len(_spectral_plan(h).groups) == h.n_sites + 1
         u = dense_propagator(h, t)
         psi = random_state(10, seed)
         assert np.max(np.abs(evolve(h, psi, t, EXACT) - u @ psi)) < 1e-10
@@ -163,11 +164,12 @@ class TestSpectralRoutes:
     )
     def test_sector_blocks_equal_sparse_slices(self, h):
         plan = _spectral_plan(h)
-        assert len(plan.sectors) == h.n_sites + 1
+        assert len(plan.groups) == h.n_sites + 1
         sparse = to_sparse(h).tocsr()
         diagonals = flip_diagonals(h)
-        for s in plan.sectors:
-            rows = plan.order[s]
+        for rows, _, _ in plan.groups:
+            assert rows.shape[0] == 1
+            (rows,) = rows
             assert np.array_equal(dense_block(diagonals, rows), sparse[rows][:, rows].toarray())
 
     def test_non_u1_sum_takes_krylov_route(self, monkeypatch):
@@ -196,31 +198,116 @@ class TestSpectralRoutes:
             (0.3, {i: "X", i + 1: "Y"}), (-0.3, {i: "Y", i + 1: "X"}))))
         h = build_xxz(10, 0.6, 0.3) + dm
         plan = _spectral_plan(h)
-        assert plan.order is not None
-        assert all(v.dtype == np.complex128 for v in plan.vectors if v.shape[0] > 1)
-        assert _spectral_plan(build_xxz(10, 0.6, 0.3)).vectors[5].dtype == np.float64
+        assert plan.sparse is None
+        assert all(v.dtype == np.complex128 for _, _, v in plan.groups if v.shape[-1] > 1)
+        assert _spectral_plan(build_xxz(10, 0.6, 0.3)).groups[5][2].dtype == np.float64
         psi = random_state(10, 7)
         ref = dense_propagator(h, 0.9) @ psi
         assert np.max(np.abs(evolve(h, psi, 0.9, EXACT) - ref)) < 1e-10
 
     @pytest.mark.parametrize("etas", [[0.4, -0.7], [[0.4, -0.7], [0.0, 1.1], [-1.2, 0.3]]])
     def test_segment_projection_bitwise_equals_evolve_calls(self, etas):
-        h = build_xxz(5, 0.7, 0.3)
-        psi = ground_state(h)
-        b = op(5, (1.0, {1: "X"}))
-        c = op(5, (0.5, {2: "Y"}), (0.5, {3: "X"}))
-        a = op(5, (1.0, {1: "Z"}), (0.5, {2: "X"}))
-        sched = PulseSchedule([(b, [0.0]), (c, [1.0])])
-        grid = np.array([0.5, 1.0, 1.5, 2.5])
-        etas = np.asarray(etas)
-        signal = driven_signal(h, sched, etas, a, grid, EXACT, psi)
-        # the same protocol with one evolve call per time from the checkpoint
-        start = psi.amplitudes if etas.ndim == 1 else np.repeat(psi.amplitudes[:, None], 3, axis=1)
-        first = apply_kick(b, etas[..., 0], start)
-        second = apply_kick(c, etas[..., 1], evolve(h, first, 1.0))
-        states = [evolve(h, first, 0.5), second, evolve(h, second, 0.5), evolve(h, second, 1.5)]
-        expected = np.stack([expectation(a, state) for state in states], axis=-1)
-        assert np.array_equal(signal, expected)
+        assert_segment_projection_equals_evolve_calls(build_xxz(5, 0.7, 0.3), etas)
+
+
+def assert_segment_projection_equals_evolve_calls(h, etas):
+    """driven_signal with one eigenbasis projection per segment is bitwise
+    equal to one evolve call per time from the checkpoint."""
+    n = h.n_sites
+    psi = ground_state(h)
+    b = op(n, (1.0, {1: "X"}))
+    c = op(n, (0.5, {2: "Y"}), (0.5, {3: "X"}))
+    a = op(n, (1.0, {1: "Z"}), (0.5, {2: "X"}))
+    sched = PulseSchedule([(b, [0.0]), (c, [1.0])])
+    grid = np.array([0.5, 1.0, 1.5, 2.5])
+    etas = np.asarray(etas)
+    signal = driven_signal(h, sched, etas, a, grid, EXACT, psi)
+    start = psi.amplitudes if etas.ndim == 1 else np.repeat(psi.amplitudes[:, None], 3, axis=1)
+    first = apply_kick(b, etas[..., 0], start)
+    second = apply_kick(c, etas[..., 1], evolve(h, first, 1.0))
+    states = [evolve(h, first, 0.5), second, evolve(h, second, 0.5), evolve(h, second, 1.5)]
+    expected = np.stack([expectation(a, state) for state in states], axis=-1)
+    assert np.array_equal(signal, expected)
+
+
+@st.composite
+def coset_sums(draw):
+    """Random Pauli sums on at most 9 sites: real (X and Z factors), complex
+    (a lone Y in some term), commuting toric-like (X strings plus the Z
+    strings that commute with all of them) or full-span (plus an X field)."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["real", "complex", "commuting", "full_span"]))
+    coefficient = st.floats(-1.5, 1.5, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    sites = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    terms = []
+    if kind == "commuting":
+        x_strings = draw(st.lists(sites, min_size=1, max_size=4))
+        for support in x_strings:
+            terms.append((draw(coefficient), {i: "X" for i in support}))
+        for support in draw(st.lists(sites, max_size=4)):
+            if all(len(set(support) & set(x)) % 2 == 0 for x in x_strings):
+                terms.append((draw(coefficient), {i: "Z" for i in support}))
+        return op(n, *terms)
+    axes = "XYZ" if kind == "complex" else "XZ"
+    for support in draw(st.lists(sites, min_size=1, max_size=6)):
+        terms.append((draw(coefficient), {i: draw(st.sampled_from(axes)) for i in support}))
+    if kind == "complex":
+        site = draw(st.integers(0, n - 1))
+        terms.append((draw(coefficient), {site: "Y"}))
+    if kind == "full_span":
+        terms += [(draw(coefficient), {i: "X"}) for i in range(n)]
+    return op(n, *terms)
+
+
+class TestCosetRoute:
+    """Up to 9 sites exact evolution diagonalizes the blocks of H on the
+    cosets of its flip masks' GF(2) span, all in one batched eigh."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(coset_sums(), st.floats(-2, 2, allow_nan=False), st.integers(0, 99))
+    def test_matches_expm(self, h, t, seed):
+        assert len(_spectral_plan(h).groups) == 1
+        u = dense_propagator(h, t)
+        psi = random_state(h.n_sites, seed)
+        assert np.max(np.abs(evolve(h, psi, t, EXACT) - u @ psi)) < 1e-10
+        block = np.stack([random_state(h.n_sites, seed + k) for k in range(3)], axis=1)
+        assert np.max(np.abs(evolve(h, block, t, EXACT) - u @ block)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "h, shape",
+        [
+            (build_toric_code(2, 2, 1.0, -0.5), (32, 8)),
+            (build_tls_dimer(1.0, 1.3, 0.2), (2, 2)),
+            (build_spin_boson(1.0, 1.3, 0.8, 0.4), (4, 2)),
+            (build_xxz(5, 0.7, 0.3), (2, 16)),
+            (build_xxz(4, 0.7, 0.3) + op(4, *((0.3, {i: "X"}) for i in range(4))), (1, 16)),
+            (op(3, (0.5, {0: "Z"}), (-0.2, {1: "Z", 2: "Z"})), (8, 1)),
+        ],
+        ids=["toric_2x2", "dimer", "spin_boson", "xxz5", "full_span", "diagonal"],
+    )
+    def test_rows_partition_basis_and_block_h(self, h, shape):
+        (rows, values, vectors), = _spectral_plan(h).groups
+        dim = 2**h.n_sites
+        assert rows.shape == values.shape == shape
+        assert vectors.shape == shape + shape[-1:]
+        assert np.array_equal(np.sort(rows.ravel()), np.arange(dim))
+        assert np.all(np.diff(rows, axis=1) > 0)
+        owner = np.empty(dim, dtype=int)  # the row (coset) of each basis index
+        owner[rows] = np.arange(rows.shape[0])[:, None]
+        off_block = owner[:, None] != owner[None, :]
+        assert np.all(to_dense(h)[off_block] == 0)
+        if shape[0] == 1:
+            assert np.array_equal(rows[0], np.arange(dim))
+
+    def test_real_stack_keeps_real_vectors(self):
+        for h in (build_toric_code(2, 2, 1.0, 0.6), build_tls_dimer(1.0, 1.3, 0.2)):
+            assert _spectral_plan(h).groups[0][2].dtype == np.float64
+        dm = op(3, (0.3, {0: "X", 1: "Y"}), (-0.3, {0: "Y", 1: "X"}), (0.5, {2: "Z"}))
+        assert _spectral_plan(dm).groups[0][2].dtype == np.complex128
+
+    @pytest.mark.parametrize("etas", [[0.4, -0.7], [[0.4, -0.7], [0.0, 1.1], [-1.2, 0.3]]])
+    def test_toric_segment_projection_bitwise_equals_evolve_calls(self, etas):
+        assert_segment_projection_equals_evolve_calls(build_toric_code(2, 2, 1.0, -0.5), etas)
 
 
 class TestPropagator:

@@ -10,8 +10,10 @@ from nlspec.pauli import (
     StateVector,
     apply_operator,
     commutator_norm,
+    dense_block,
     eigendecompose,
     expectation,
+    flip_diagonals,
     partial_trace,
     terms_commute_pairwise,
     to_dense,
@@ -121,6 +123,19 @@ class TestApply:
     def test_sparse_matches_dense(self):
         o = random_operator(4, 5, 77)
         assert np.max(np.abs(to_sparse(o).toarray() - to_dense(o))) < 1e-14
+
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_block_stack_is_principal_submatrices(self, seed):
+        # disjoint rows that are not invariant blocks: entries between rows
+        # must not leak into the stack
+        o = random_operator(4, 6, seed)
+        rows = np.random.default_rng(seed).permutation(16)[:12].reshape(3, 4)
+        dense = to_dense(o)
+        stack = dense_block(flip_diagonals(o), rows)
+        assert stack.shape == (3, 4, 4)
+        for block, index in zip(stack, rows):
+            assert np.array_equal(block, dense[np.ix_(index, index)])
+            assert np.array_equal(block, dense_block(flip_diagonals(o), index))
 
 
 class TestExpectation:

@@ -69,7 +69,7 @@ class TestReconstructResponse:
         beta = MultiIndex([2, 1])
         rules = rules_for_schedule(sched, beta)
         configs, weights = shift_configurations(rules, beta)
-        assert len(configs) == 9  # 3 x 3 Cartesian grid
+        assert configs.shape == (9, 2)  # 3 x 3 Cartesian grid
         assert weights.shape == (9,)
 
     def test_requires_initial_state(self, single_qubit):

@@ -111,6 +111,14 @@ class TestClosedFormGapSet:
         assert not spy.called
         assert_same_gap_set(closed, eigh_route_gap_set(generator))
 
+    def test_spectra_differing_in_last_bit_share_unit(self):
+        # gaps 0.99998, 1, 1.99998, 2.99998 carry different last bits on the
+        # two routes; both must find the common unit 2e-5
+        generator = op(4, (0.5, {0: "X", 1: "X"}), (0.99999, {2: "Z", 3: "X"}))
+        closed, dense = gap_set(generator), eigh_route_gap_set(generator)
+        assert_same_gap_set(closed, dense)
+        assert closed.unit == pytest.approx(2e-5, rel=1e-9)
+
     def test_overlapping_terms_take_eigh_route(self):
         with spy_on_eigh() as spy:
             gaps = gap_set(op(1, (1.0, {0: "X"}), (1.0, {0: "Z"})))
