@@ -78,17 +78,48 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept)
 
 
+def _harmonic(gap: float, base: float, tol: float) -> int | None:
+    """Smallest q <= _MAX_HARMONIC with q * gap within tol of a multiple of base.
+
+    Walks the continued-fraction convergents p/q of gap / base in exact
+    integer arithmetic on the two floats' ratios; convergents are the best
+    rational approximations, so the first with |q gap - p base| <= tol has
+    the smallest such q, whatever the scale of the gaps.
+    """
+    gap_num, gap_den = gap.as_integer_ratio()
+    base_num, base_den = base.as_integer_ratio()
+    # gap / base = num / den and q gap - p base = (q num - p den) / scale
+    num, den, scale = gap_num * base_den, gap_den * base_num, gap_den * base_den
+    p_prev, q_prev, p, q = 1, 0, num // den, 1
+    rest_num, rest_den = den, num % den
+    while abs(q * num - p * den) / scale > tol:
+        a, rest_num, rest_den = rest_num // rest_den, rest_den, rest_num % rest_den
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        if q > _MAX_HARMONIC:
+            return None
+    return q
+
+
 def _common_unit(positive: np.ndarray, tol: float) -> float | None:
     """Approximate positive GCD of the gaps, or None if incommensurate.
 
-    Euclid runs exactly on the gaps rounded to integer multiples of ``tol``,
-    so spectra that differ only in the last bits give the same unit: the
-    smallest gap over its integer multiple of the common divisor.
+    Each gap is rationalized against the smallest one (``_harmonic``); the
+    unit is the smallest gap over the least common multiple of the
+    denominators, so it depends neither on the gaps' scale nor on their last
+    bits.
     """
     if positive.size == 0:
         return None
-    counts = [round(float(v) / tol) for v in positive]
-    g = float(positive[0]) / (counts[0] // math.gcd(*counts))
+    base = float(positive[0])
+    lcm = 1
+    for v in positive[1:]:
+        q = _harmonic(float(v), base, tol)
+        if q is None:
+            return None
+        lcm = math.lcm(lcm, q)
+        if lcm > _MAX_HARMONIC:
+            return None
+    g = base / lcm
     max_gap = float(positive[-1])
     if g < max_gap / _MAX_HARMONIC:
         return None

@@ -63,6 +63,9 @@ class TestEntropy:
     def test_invalid_block(self):
         with pytest.raises(AnalysisError):
             entanglement_entropy(StateVector.computational_basis(3, 0), 3)
+        # a block larger than its complement takes the Gram-matrix branch
+        with pytest.raises(AnalysisError):
+            entanglement_entropy(StateVector.computational_basis(5, 0), 4, start=2)
 
 
 class TestEntropyExpansion:

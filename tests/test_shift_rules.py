@@ -46,6 +46,21 @@ class TestGapSet:
         gaps = gap_set(op(2, (1.0, {0: "X"}), (np.sqrt(2), {1: "X"})))
         assert gaps.unit is None
 
+    @pytest.mark.parametrize(
+        "coefficients, unit",
+        [
+            ((1 / 3, 1 / 3), 2 / 3),
+            ((np.sqrt(2), np.sqrt(2)), 2 * np.sqrt(2)),
+            ((1 / 6, 1 / 3), 1 / 3),
+            ((0.5, 0.99999), 2e-5),
+        ],
+        ids=["third", "sqrt2", "sixth_third", "near_one"],
+    )
+    def test_unit_that_is_not_a_short_decimal(self, coefficients, unit):
+        a, b = coefficients
+        gaps = gap_set(op(2, (a, {0: "X"}), (b, {1: "X"})))
+        assert gaps.unit == pytest.approx(unit, rel=1e-9)
+
     def test_support_scaling(self):
         # identical gaps regardless of register size
         small = gap_set(op(2, (1.0, {1: "X"})))
