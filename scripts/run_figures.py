@@ -23,7 +23,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--only", nargs="*", default=None, help="config names to run")
     parser.add_argument("--out", default="out", help="output root directory")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     names = sorted(p.stem for p in FIGURE_DIR.glob("*.json"))
@@ -36,9 +35,7 @@ def main() -> int:
     for name in names:
         config = load_config(FIGURE_DIR / f"{name}.json")
         started = time.perf_counter()
-        result = run_experiment(
-            config, output_dir=Path(args.out) / name, threads=args.threads
-        )
+        result = run_experiment(config, output_dir=Path(args.out) / name)
         print(f"{name}: {len(result.files)} files in {time.perf_counter() - started:.1f}s")
     return 0
 

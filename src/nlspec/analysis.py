@@ -21,14 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import EXACT, Evolver, PulseSchedule, apply_kick, evolve, propagator
-from .pauli import (
-    OperatorSum,
-    StateLike,
-    amplitudes_of,
-    apply_operator,
-    n_sites_of,
-    partial_trace,
-)
+from .pauli import OperatorSum, apply_operator, partial_trace
 from .reference import nested_commutator_series
 from .response import MultiIndex, reconstruct_response
 from .shift_rules import ShiftRule, rule_for_generator
@@ -57,7 +50,7 @@ class PointCloud2D:
         object.__setattr__(self, "points", pts)
 
 
-def entanglement_entropy(state: StateLike, block_size: int, start: int = 0) -> float:
+def entanglement_entropy(state: np.ndarray, block_size: int, start: int = 0) -> float:
     """Von Neumann entropy (natural log) of a contiguous block of sites.
 
     A pure state's block and complement share their nonzero spectrum, so it
@@ -65,16 +58,19 @@ def entanglement_entropy(state: StateLike, block_size: int, start: int = 0) -> f
     for a block larger than half the register, the Gram matrix of the
     complement's rows of the (rest, block) reshaped amplitudes.
     """
-    n = n_sites_of(state)
+    amps = np.asarray(state, dtype=np.complex128)
+    n = amps.size.bit_length() - 1
+    if amps.shape != (2**n,):
+        raise AnalysisError("a state holds 2**N amplitudes")
     if not 1 <= block_size < n:
         raise AnalysisError(f"block size must be in [1, {n - 1}]")
     if 2 * block_size <= n:
-        rho = partial_trace(state, range(start, start + block_size))
+        rho = partial_trace(amps, range(start, start + block_size))
     else:
         if not 0 <= start <= n - block_size:
             raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
         # axes (high bits, block, low bits), site 0 being the LSB
-        tensor = amplitudes_of(state).reshape(-1, 2**block_size, 2**start)
+        tensor = amps.reshape(-1, 2**block_size, 2**start)
         rest = np.moveaxis(tensor, 1, -1).reshape(-1, 2**block_size)
         rho = rest @ rest.conj().T
     evals = np.linalg.eigvalsh(rho)
@@ -105,7 +101,7 @@ _FIT_CONDITION_LIMIT = 1e10
 def entropy_expansion(
     h: OperatorSum,
     pump: OperatorSum,
-    psi0: StateLike,
+    psi0: np.ndarray,
     eta_grid: Sequence[float],
     t: float,
     block_size: int,
@@ -148,7 +144,7 @@ def pump_probe_correlator(
     t_1,
     t_2,
     eta,
-    psi0: StateLike,
+    psi0: np.ndarray,
     evolver: Evolver = EXACT,
 ) -> complex | np.ndarray:
     """C(t1, t2; eta) = <psi0| e^{i eta B} A2(t1+t2) A1(t1) e^{-i eta B} |psi0>.
@@ -164,7 +160,7 @@ def pump_probe_correlator(
     t1s = np.asarray(t_1, dtype=float)
     t2s = np.asarray(t_2, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    psi = amplitudes_of(psi0)
+    psi = np.asarray(psi0, dtype=np.complex128)
     if eta.ndim == 1:
         psi = np.repeat(psi[:, None], eta.size, axis=1)
     from_phi = propagator(h, apply_kick(pump, eta, psi), evolver)
@@ -234,7 +230,7 @@ def third_order_2dos(
     t_2: float,
     t1_grid: Sequence[float],
     t3_grid: Sequence[float],
-    psi0: StateLike,
+    psi0: np.ndarray,
     evolver: Evolver = EXACT,
     method: str = "shift_rule",
 ) -> np.ndarray:

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", default=None, help="output directory (overrides config)")
     run_p.add_argument("--seed", type=int, default=None, help="seed override")
-    run_p.add_argument("--threads", type=int, default=None, help="worker count for sweeps")
 
     ver_p = sub.add_parser("verify", help="oracle cross-check of the reconstruction")
     ver_p.add_argument("--config", required=True)
@@ -73,10 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     out = args.out or os.environ.get("NLSPEC_OUT_DIR")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("NLSPEC_THREADS", "1"))
-    result = run_experiment(config, output_dir=out, threads=threads, seed=args.seed)
+    result = run_experiment(config, output_dir=out, seed=args.seed)
     print(f"wrote {len(result.files)} files to {result.output_dir}")
     return EXIT_OK
 

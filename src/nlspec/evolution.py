@@ -11,12 +11,13 @@ two routes agree to rounding error.
 Kicks scheduled exactly at a measurement time are applied before measuring;
 pulses after the measurement time are ignored.
 
-Every function that takes a state also takes a (dim, K) block of K
-independent states, such as the K shift configurations that share one pulse
-schedule; the configuration axis is always the trailing one.  Exact evolution
-propagates the whole block at once; first-order Trotter evolution loops over
-the columns, each column seeing exactly the single-state propagator.  Kicks
-take one amplitude per column.
+A state is a complex amplitude array, as in ``pauli``.  Every function that
+takes a state also takes a (dim, K) block of K independent states, such as
+the K shift configurations that share one pulse schedule; the configuration
+axis is always the trailing one.  Exact evolution propagates the whole block
+at once; first-order Trotter evolution loops over the columns, each column
+seeing exactly the single-state propagator.  Kicks take one amplitude per
+column.
 
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
 and cached: groups of invariant blocks of H, each group a (C, m) array of
@@ -59,14 +60,11 @@ import numpy as np
 from .pauli import (
     DENSE_SITE_CAP,
     DimensionCapError,
-    Eigensystem,
     OperatorSum,
     PauliTerm,
-    StateLike,
     _phase_signs,
     _xor_index,
     along_rows,
-    amplitudes_of,
     commutator_norm,
     dense_block,
     eigendecompose,
@@ -299,14 +297,14 @@ def _trotter_evolve(h: OperatorSum, amps: np.ndarray, t: float, evolver: Evolver
     return np.stack([propagate(column) for column in amps.T], axis=1)
 
 
-def evolve(h: OperatorSum, state: StateLike, t: float, evolver: Evolver = EXACT) -> np.ndarray:
+def evolve(h: OperatorSum, state: np.ndarray, t: float, evolver: Evolver = EXACT) -> np.ndarray:
     """Propagate |psi> (or every column of a block) by exp(-i H t) (exact) or
     its Trotter approximation."""
     out = propagator(h, state, evolver)(t)
     return out.copy() if t == 0.0 else out
 
 
-def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
+def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
     """dt -> the state (or block) propagated by exp(-i H dt) (exact) or its
     Trotter approximation; dt == 0 returns the state's amplitude array itself.
 
@@ -316,7 +314,7 @@ def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
     Returned arrays may be shared with the propagator and must not be
     modified.
     """
-    amps = amplitudes_of(state)
+    amps = np.asarray(state, dtype=np.complex128)
     plan = _spectral_plan(h) if evolver.kind == "exact" else None
     coeffs = None  # the eigenbasis projection, made on first use
 
@@ -341,7 +339,7 @@ def propagator(h: OperatorSum, state: StateLike, evolver: Evolver = EXACT):
 
 @lru_cache(maxsize=32)
 def _kick_plan(b: OperatorSum):
-    """Either the commuting-term factorization or the support eigensystem."""
+    """Either the commuting-term factorization or the support eigenbasis."""
     if terms_commute_pairwise(b):
         return ("product", tuple((term.masks(), term.coefficient) for term in b.terms))
     support = b.support
@@ -349,12 +347,11 @@ def _kick_plan(b: OperatorSum):
         raise DimensionCapError(
             f"kick generator support {len(support)} exceeds cap {DENSE_SITE_CAP}"
         )
-    eig = eigendecompose(b, on_support=True)
-    return ("support", (support, eig))
+    return ("support", (support, *eigendecompose(b, on_support=True)))
 
 
 def _apply_on_support(
-    eig: Eigensystem, phases: np.ndarray, support: Sequence[int], amps: np.ndarray, n_sites: int
+    vectors: np.ndarray, phases: np.ndarray, support: Sequence[int], amps: np.ndarray, n_sites: int
 ) -> np.ndarray:
     """Apply V diag(phases) V^dagger, acting on the given sites, to a state or
     block; for a block ``phases`` has one column per block column."""
@@ -364,13 +361,13 @@ def _apply_on_support(
     moved = np.moveaxis(tensor, axes, range(len(axes)))
     shape = moved.shape
     dim = 2 ** len(axes)
-    coeffs = _to_block_basis(eig.vectors, moved.reshape(dim, -1)).reshape(dim, -1, *batch)
+    coeffs = _to_block_basis(vectors, moved.reshape(dim, -1)).reshape(dim, -1, *batch)
     coeffs *= phases[:, None]
-    flat = eig.vectors @ coeffs.reshape(dim, -1)
+    flat = vectors @ coeffs.reshape(dim, -1)
     return np.moveaxis(flat.reshape(shape), range(len(axes)), axes).reshape(amps.shape)
 
 
-def apply_kick(b: OperatorSum, eta, state: StateLike) -> np.ndarray:
+def apply_kick(b: OperatorSum, eta, state: np.ndarray) -> np.ndarray:
     """exp(-i eta B)|psi>, exactly; a (dim, K) block takes one amplitude for
     all columns or one per column.
 
@@ -378,7 +375,7 @@ def apply_kick(b: OperatorSum, eta, state: StateLike) -> np.ndarray:
     profiles) factorize into per-string rotations; otherwise the generator is
     diagonalized once on its support and the kick applied in that eigenbasis.
     """
-    amps = amplitudes_of(state)
+    amps = np.asarray(state, dtype=np.complex128)
     eta = np.asarray(eta, dtype=float)
     if eta.shape not in ((), amps.shape[1:]):
         raise ValueError("a block kick takes one amplitude, or one per column")
@@ -391,12 +388,12 @@ def apply_kick(b: OperatorSum, eta, state: StateLike) -> np.ndarray:
         for masks, coefficient in payload:
             out = _apply_string_rotation(masks, eta * coefficient, out, b.n_sites)
         return out
-    support, eig = payload
+    support, values, vectors = payload
     # support order must match the reindexed operator used for eigendecompose:
     # site k of the support factor is support[k]
-    phases = np.exp(-1j * np.multiply.outer(eig.values, eta))
+    phases = np.exp(-1j * np.multiply.outer(values, eta))
     # reversed: axis 0 of the 2^r block is the most significant support site
-    return _apply_on_support(eig, phases, list(reversed(support)), amps, b.n_sites)
+    return _apply_on_support(vectors, phases, list(reversed(support)), amps, b.n_sites)
 
 
 @dataclass(frozen=True)
@@ -461,20 +458,13 @@ class PulseSchedule:
         return tuple(sorted({t for _, times in self.channels for t in times}))
 
 
-def time_grid(start: float, stop: float, points: int) -> np.ndarray:
-    """Uniform inclusive grid; dt = (stop - start)/(points - 1)."""
-    if points < 1:
-        raise ValueError("grid needs at least one point")
-    return np.linspace(start, stop, points)
-
-
 def driven_states(
     h: OperatorSum,
     schedule: PulseSchedule,
     etas,
     t_grid: Sequence[float],
     evolver: Evolver,
-    psi0: StateLike,
+    psi0: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The kicked state at each grid time, in grid order.
 
@@ -486,7 +476,14 @@ def driven_states(
     propagates afresh from the latest checkpoint, so the Trotterized signal
     is a well-defined function of the amplitudes.  Yielded arrays may be
     shared with the propagation and must not be modified.
+
+    ``psi0`` must be one normalized state of 2**N amplitudes (``ValueError``
+    otherwise); the response, decomposition, sampling and 2D paths all get
+    their initial state checked here.
     """
+    psi = np.asarray(psi0, dtype=np.complex128)
+    if psi.shape != (2**h.n_sites,) or abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+        raise ValueError(f"psi0 must be one normalized state of {2**h.n_sites} amplitudes")
     grid = np.asarray(t_grid, dtype=float)
     if grid.size == 0:
         raise ScheduleError("empty time grid")
@@ -504,7 +501,6 @@ def driven_states(
         raise ScheduleError("pulses scheduled after the last measurement time")
 
     anchor = min(0.0, grid[0], events[0][0] if events else 0.0)
-    psi = amplitudes_of(psi0)
     state = psi.copy() if etas.ndim == 1 else np.repeat(psi[:, None], etas.shape[0], axis=1)
     tau = anchor
     segment = propagator(h, state, evolver)
@@ -527,7 +523,7 @@ def driven_signal(
     observable: OperatorSum,
     t_grid: Sequence[float],
     evolver: Evolver,
-    psi0: StateLike,
+    psi0: np.ndarray,
 ) -> np.ndarray:
     """<A(t)> under the kicked protocol, for each t in the grid.
 

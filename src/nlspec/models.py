@@ -17,7 +17,6 @@ from .pauli import (
     DimensionCapError,
     OperatorSum,
     PauliTerm,
-    StateVector,
     _xor_index,
     apply_operator,
     flip_diagonals,
@@ -318,8 +317,9 @@ def _lanczos_ground_state(h: OperatorSum) -> np.ndarray:
     raise GroundStateError(f"Lanczos ground state not converged after {cap} steps")
 
 
-def ground_state(h: OperatorSum) -> StateVector:
-    """Deterministic lowest-energy eigenvector of the Hamiltonian.
+def ground_state(h: OperatorSum) -> np.ndarray:
+    """Deterministic lowest-energy eigenvector of the Hamiltonian, as a
+    read-only complex amplitude array (one state every run shares).
 
     Commuting all-negative Pauli sums (the toric code at its solvable point)
     use the stabilizer projection of |0...0>.  Everything else is solved
@@ -330,13 +330,15 @@ def ground_state(h: OperatorSum) -> StateVector:
     """
     if h.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError(f"ground state for {h.n_sites} sites exceeds cap {DENSE_SITE_CAP}")
-    projected = _stabilizer_projection(h)
-    if projected is not None:
-        return StateVector(projected, h.n_sites)
-    if 2**h.n_sites <= _DENSE_GROUND_CAP:
-        vals, vecs = np.linalg.eigh(to_dense(h))
-        amps = vecs[:, 0]
-    else:
-        amps = _lanczos_ground_state(h).astype(np.complex128)
-    amps = _canonical_phase(amps)
-    return StateVector(amps / np.linalg.norm(amps), h.n_sites)
+    amps = _stabilizer_projection(h)
+    if amps is None:
+        if 2**h.n_sites <= _DENSE_GROUND_CAP:
+            vals, vecs = np.linalg.eigh(to_dense(h))
+            amps = vecs[:, 0]
+        else:
+            amps = _lanczos_ground_state(h).astype(np.complex128)
+        amps = _canonical_phase(amps)
+        amps = amps / np.linalg.norm(amps)
+    # every branch made a fresh complex array
+    amps.flags.writeable = False
+    return amps

@@ -1,19 +1,21 @@
-"""Pauli-string operators and state vectors for spin-1/2 registers.
+"""Pauli-string operators acting on states of spin-1/2 registers.
 
 Conventions
 -----------
 Site 0 is the least significant bit of the computational-basis index, so the
 basis state |b_{N-1} ... b_1 b_0> has index sum_j b_j 2^j and Z_j |b> =
 (-1)^{b_j} |b>.  All operators are weighted sums of Pauli strings with real
-coefficients, hence Hermitian by construction.  Operators and states are
-immutable after construction; every function here is pure.
+coefficients, hence Hermitian by construction.  A state is a complex
+amplitude array of length 2**N, and a (2**N, K) array is a block of K
+states, one per column.  Operators are immutable after construction; every
+function here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +34,6 @@ class DimensionCapError(RuntimeError):
 
 class HermiticityError(RuntimeError):
     """A quantity that must be real came out with a large imaginary part."""
-
-
-StateLike = Union["StateVector", np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,6 @@ class OperatorSum:
     def coefficient_l1(self) -> float:
         return float(sum(abs(t.coefficient) for t in self.terms))
 
-    def cache_key(self) -> tuple:
-        return (self.n_sites, tuple((t.factors, t.coefficient) for t in self.terms))
-
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if other.n_sites != self.n_sites:
             raise ValueError("site-count mismatch")
@@ -140,71 +136,6 @@ class OperatorSum:
         )
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized pure state over 2**n_sites basis states."""
-
-    amplitudes: np.ndarray
-    n_sites: int
-
-    def __init__(self, amplitudes: np.ndarray, n_sites: int | None = None):
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be one-dimensional")
-        inferred = int(np.log2(amps.size))
-        if 2**inferred != amps.size:
-            raise ValueError(f"amplitude length {amps.size} is not a power of two")
-        if n_sites is None:
-            n_sites = inferred
-        elif 2**n_sites != amps.size:
-            raise ValueError("n_sites inconsistent with amplitude length")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm!r} deviates from 1 by more than 1e-12")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "n_sites", int(n_sites))
-
-    @classmethod
-    def computational_basis(cls, n_sites: int, index: int = 0) -> "StateVector":
-        amps = np.zeros(2**n_sites, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(amps, n_sites)
-
-
-@dataclass(frozen=True, eq=False)
-class Eigensystem:
-    """Spectral decomposition B = V diag(values) V^dagger, values ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vecs = np.asarray(self.vectors, dtype=np.complex128)
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "vectors", vecs)
-
-
-def amplitudes_of(state: StateLike) -> np.ndarray:
-    """Coerce a StateVector or raw complex array to an amplitude array."""
-    if isinstance(state, StateVector):
-        return state.amplitudes
-    return np.asarray(state, dtype=np.complex128)
-
-
-def n_sites_of(state: StateLike) -> int:
-    if isinstance(state, StateVector):
-        return state.n_sites
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
-        raise ValueError("amplitude length is not a power of two")
-    return n
 
 
 @lru_cache(maxsize=256)
@@ -238,12 +169,12 @@ def apply_term(term: PauliTerm, amps: np.ndarray, n_sites: int, out: np.ndarray)
         out += scale * signed[_xor_index(n_sites, flip)]
 
 
-def apply_operator(op: OperatorSum, state: StateLike) -> np.ndarray:
+def apply_operator(op: OperatorSum, state: np.ndarray) -> np.ndarray:
     """Return op|psi> as a (generally unnormalized) complex amplitude array.
 
     A (dim, K) block of states is mapped column by column.
     """
-    amps = amplitudes_of(state)
+    amps = np.asarray(state, dtype=np.complex128)
     if 2**op.n_sites != amps.shape[0]:
         raise ValueError("operator and state act on different registers")
     out = np.zeros_like(amps)
@@ -252,12 +183,12 @@ def apply_operator(op: OperatorSum, state: StateLike) -> np.ndarray:
     return out
 
 
-def expectation(op: OperatorSum, state: StateLike) -> float | np.ndarray:
+def expectation(op: OperatorSum, state: np.ndarray) -> float | np.ndarray:
     """<psi|op|psi> for a Hermitian operator; the imaginary part must vanish.
 
     A (dim, K) block of states gives one value per column, each checked.
     """
-    amps = amplitudes_of(state)
+    amps = np.asarray(state, dtype=np.complex128)
     applied = apply_operator(op, amps)
     # one contiguous row per state, so a column sums exactly as a single state
     bras, kets = np.ascontiguousarray(amps.T), np.ascontiguousarray(applied.T)
@@ -347,8 +278,9 @@ def _project_to_support(op: OperatorSum) -> OperatorSum:
     return OperatorSum(terms, max(1, len(support)))
 
 
-def eigendecompose(op: OperatorSum, on_support: bool = False) -> Eigensystem:
-    """Dense spectral decomposition, optionally on the support factor only.
+def eigendecompose(op: OperatorSum, on_support: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Dense spectral decomposition (eigenvalues ascending, eigenvectors as
+    columns), optionally on the support factor only.
 
     ``on_support=True`` diagonalizes the operator restricted to the tensor
     factor where it acts nontrivially; the distinct eigenvalues (and hence
@@ -359,14 +291,15 @@ def eigendecompose(op: OperatorSum, on_support: bool = False) -> Eigensystem:
         raise DimensionCapError(
             f"eigendecomposition of {target.n_sites} sites exceeds cap {DENSE_SITE_CAP}"
         )
-    vals, vecs = np.linalg.eigh(to_dense(target))
-    return Eigensystem(vals, vecs)
+    return np.linalg.eigh(to_dense(target))
 
 
-def partial_trace(state: StateLike, keep: Sequence[int]) -> np.ndarray:
+def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix over a contiguous block of kept sites."""
-    amps = amplitudes_of(state)
-    n = n_sites_of(state)
+    amps = np.asarray(state, dtype=np.complex128)
+    n = amps.size.bit_length() - 1
+    if amps.shape != (2**n,):
+        raise ValueError("a state holds 2**N amplitudes")
     keep = sorted(int(k) for k in keep)
     if not keep:
         raise ValueError("keep block must be nonempty")

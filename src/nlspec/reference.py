@@ -28,13 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .evolution import EXACT, Evolver, evolve
-from .pauli import (
-    HermiticityError,
-    OperatorSum,
-    StateLike,
-    amplitudes_of,
-    apply_operator,
-)
+from .pauli import HermiticityError, OperatorSum, apply_operator
 
 
 def _propagate(
@@ -66,7 +60,7 @@ def nested_commutator_series(
     observable: OperatorSum,
     pulses: Sequence[tuple[OperatorSum, float]],
     t_grid: Sequence[float],
-    psi0: StateLike,
+    psi0: np.ndarray,
     evolver: Evolver = EXACT,
 ) -> np.ndarray:
     """Kubo nested-commutator response at every grid time.
@@ -84,11 +78,11 @@ def nested_commutator_series(
     """
     grid = np.asarray(t_grid, dtype=float)
     m = len(pulses)
-    psi = amplitudes_of(psi0)
+    psi = np.asarray(psi0, dtype=np.complex128)
     times = [float(t) for _, t in pulses]
     if any(t2 > t1 for t1, t2 in zip(times, times[1:])):
         return np.zeros(grid.size)
-    keys = [(generator.cache_key(), t_k) for (generator, _), t_k in zip(pulses, times)]
+    keys = [(generator, t_k) for (generator, _), t_k in zip(pulses, times)]
     group_norm = 1.0
     group_counts: dict[tuple, int] = {}
     for key in keys:

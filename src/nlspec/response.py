@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evolution import EXACT, Evolver, PulseSchedule, driven_signal
-from .pauli import OperatorSum, StateLike
+from .pauli import OperatorSum
 from .shift_rules import (
     MultiIndex,
     ShiftRule,
@@ -98,14 +98,12 @@ def reconstruct_response(
     t_grid: Sequence[float],
     beta: MultiIndex,
     evolver: Evolver = EXACT,
-    psi0: StateLike = None,
+    psi0: np.ndarray | None = None,
     rules: Mapping[int, ShiftRule] | None = None,
     n_shifts: int | None = None,
     mode: str = "full",
 ) -> ResponseSeries:
     """Pulse-summed order-m response chi^(m)(t) over the time grid."""
-    if psi0 is None:
-        raise ValueError("psi0 must be provided (prepare it from the model)")
     if rules is None:
         rules = rules_for_schedule(schedule, beta, n_shifts=n_shifts, mode=mode)
     configs, weights = shift_configurations(rules, beta)
@@ -160,7 +158,7 @@ def response_decomposition(
     eta_evals: Sequence[float],
     max_order: int,
     evolver: Evolver = EXACT,
-    psi0: StateLike = None,
+    psi0: np.ndarray | None = None,
     n_shifts: int | None = None,
 ) -> list[tuple[dict[int, ResponseSeries], ResponseSeries]]:
     """Order-by-order expansion A^n(t) = (eta^n / n!) F^(n)(0; t) plus the

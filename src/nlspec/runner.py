@@ -310,20 +310,12 @@ def _sweep_point(config: ExperimentConfig, g: float):
     ]
 
 
-def _run_sweep(config: ExperimentConfig, out: Path, threads: int) -> tuple[list[str], dict]:
+def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     if config.model.kind != "toric_code":
         raise ValueError("the coupling sweep protocol targets the toric-code model")
     g_values = [float(g) for g in config.sweep_values or np.linspace(-1.0, 1.0, 21)]
     orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
-    configs = [config] * len(g_values)
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, configs, g_values))
-    else:
-        results = list(map(_sweep_point, configs, g_values))
-    results.sort(key=lambda r: r[0])
+    results = [_sweep_point(config, g) for g in sorted(g_values)]
     pair_names = [f"s{a}{b}" for a, b in zip(orders, orders[1:])]
     write_csv(
         out / "s35_vs_g.csv",
@@ -452,7 +444,14 @@ def run_experiment(
     threads: int = 1,
     seed: int | None = None,
 ) -> RunResult:
-    """Execute a validated config and persist all artifacts."""
+    """Execute a validated config and persist all artifacts.
+
+    Runs are serial; ``threads`` accepts only 1.
+    """
+    # the benchmark worker (perfbench/worker.py) is the last caller passing
+    # threads=1; drop the keyword together with that argument
+    if threads != 1:
+        raise ValueError(f"runs are serial; threads={threads!r} is not supported")
     if seed is not None:
         config = replace(config, seed=seed)
     out = Path(output_dir if output_dir is not None else config.output_dir)
@@ -463,7 +462,7 @@ def run_experiment(
         "response": lambda: _run_response(config, out),
         "decomposition": lambda: _run_decomposition(config, out),
         "pump_probe": lambda: _run_pump_probe(config, out),
-        "sweep": lambda: _run_sweep(config, out, threads),
+        "sweep": lambda: _run_sweep(config, out),
         "2dos": lambda: _run_2dos(config, out),
         "entropy": lambda: _run_entropy(config, out),
     }
@@ -472,7 +471,6 @@ def run_experiment(
         "engine_version": __version__,
         "protocol": config.protocol,
         "seed": config.seed,
-        "threads": threads,
         "wall_time_s": time.perf_counter() - start,
         "files": files,
         **meta,

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evolution import EXACT, Evolver, PulseSchedule, driven_states
-from .pauli import OperatorSum, PauliTerm, StateLike, amplitudes_of, expectation
+from .pauli import OperatorSum, PauliTerm, expectation
 from .response import MultiIndex, ResponseSeries, rules_for_schedule, shift_configurations
 from .shift_rules import ShiftRule
 
@@ -98,7 +98,7 @@ def allocate_shots(
 
 def sample_expectation(
     observable: OperatorSum,
-    state: StateLike,
+    state: np.ndarray,
     shots: int,
     seed: int | np.random.SeedSequence = 0,
 ) -> tuple[float, float]:
@@ -111,7 +111,6 @@ def sample_expectation(
     if shots < 1:
         raise ValueError("at least one shot is required")
     rng = np.random.default_rng(seed)
-    amps = amplitudes_of(state)
     terms = observable.terms
     if not terms:
         return 0.0, 0.0
@@ -123,7 +122,7 @@ def sample_expectation(
         if n == 0:
             continue
         string = OperatorSum((PauliTerm(1.0, term.factors),), observable.n_sites)
-        mean = expectation(string, amps)
+        mean = expectation(string, state)
         mean = min(1.0, max(-1.0, mean))
         p_up = 0.5 * (1.0 + mean)
         k = rng.binomial(n, p_up)
@@ -179,7 +178,7 @@ def noisy_response(
     beta: MultiIndex,
     plan: SamplingPlan,
     evolver: Evolver = EXACT,
-    psi0: StateLike = None,
+    psi0: np.ndarray | None = None,
     rules: Mapping[int, ShiftRule] | None = None,
 ) -> tuple[ResponseSeries, np.ndarray]:
     """Shift-rule reconstruction from finite-shot estimates.
@@ -188,8 +187,6 @@ def noisy_response(
     error sqrt(sum_p C_p^2 se_p^2).  Exact states are propagated noiselessly;
     only the measurement is sampled.
     """
-    if psi0 is None:
-        raise ValueError("psi0 must be provided")
     if rules is None:
         rules = rules_for_schedule(schedule, beta)
     configs, weights = shift_configurations(rules, beta)

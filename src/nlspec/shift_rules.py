@@ -143,7 +143,7 @@ def _spectrum(generator: OperatorSum, tol: float) -> np.ndarray:
     any other generator is diagonalized on its support factor.
     """
     if not _site_disjoint(generator):
-        return _dedup_sorted(eigendecompose(generator, on_support=True).values, tol)
+        return _dedup_sorted(eigendecompose(generator, on_support=True)[0], tol)
     values = np.zeros(1)
     for term in generator.terms:
         c = term.coefficient

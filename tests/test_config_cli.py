@@ -376,17 +376,19 @@ from pathlib import Path
 import nlspec.cli, nlspec.config, nlspec.runner
 
 root = Path(sys.argv[1])
-for name in ("dimer", "chain10"):
+for name in ("dimer", "sweep", "chain10"):
     config = nlspec.config.load_config(root / f"{name}.json")
     nlspec.runner.run_experiment(config, output_dir=root / name)
 nlspec.runner.verify_experiment(config, tolerance=1e-8)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+banned = ("scipy", "concurrent", "multiprocessing")
+print(sorted(m for m in sys.modules if m.split(".")[0] in banned))
 """
 
 
 class TestImportFootprint:
     """scipy costs about half a second of start-up; only Krylov propagation
-    (non-U(1) models above 9 sites) may import it."""
+    (non-U(1) models above 9 sites) may import it.  Runs are serial, so no
+    protocol loads a process pool either."""
 
     def test_runs_load_no_scipy(self, tmp_path):
         import nlspec
@@ -395,6 +397,11 @@ class TestImportFootprint:
         for grid in ("time_grid", "t1_grid", "t3_grid"):
             dimer[grid] = dict(dimer[grid], points=3)
         write_config(tmp_path, dimer, "dimer.json")
+        sweep = json.loads((FIGURES / "fig4_sweep.json").read_text())
+        sweep["sweep_values"] = [-0.5, 0.5]
+        for grid in ("time_grid", "t1_grid", "t3_grid"):
+            sweep[grid] = dict(sweep[grid], points=3)
+        write_config(tmp_path, sweep, "sweep.json")
         write_config(tmp_path, CHAIN10, "chain10.json")
         src = str(Path(nlspec.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -13,7 +13,6 @@ from nlspec.evolution import (
     propagator,
     _commuting_runs,
     _spectral_plan,
-    time_grid,
 )
 from nlspec.models import (
     build_pump,
@@ -27,7 +26,6 @@ from nlspec.models import (
 from nlspec.pauli import (
     OperatorSum,
     PauliTerm,
-    StateVector,
     dense_block,
     expectation,
     flip_diagonals,
@@ -40,6 +38,12 @@ TROTTER10 = Evolver("trotter1", 10)
 
 def op(n, *terms):
     return OperatorSum(tuple(PauliTerm(c, f) for c, f in terms), n)
+
+
+def basis_state(n, index):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def random_state(n, seed):
@@ -222,7 +226,7 @@ def assert_segment_projection_equals_evolve_calls(h, etas):
     grid = np.array([0.5, 1.0, 1.5, 2.5])
     etas = np.asarray(etas)
     signal = driven_signal(h, sched, etas, a, grid, EXACT, psi)
-    start = psi.amplitudes if etas.ndim == 1 else np.repeat(psi.amplitudes[:, None], 3, axis=1)
+    start = psi if etas.ndim == 1 else np.repeat(psi[:, None], 3, axis=1)
     first = apply_kick(b, etas[..., 0], start)
     second = apply_kick(c, etas[..., 1], evolve(h, first, 1.0))
     states = [evolve(h, first, 0.5), second, evolve(h, second, 0.5), evolve(h, second, 1.5)]
@@ -405,13 +409,13 @@ class TestKick:
 
     def test_quarter_pi_x(self):
         b = op(1, (1.0, {0: "X"}))
-        psi = StateVector.computational_basis(1, 0)
+        psi = basis_state(1, 0)
         out = apply_kick(b, np.pi / 2, psi)
         assert np.allclose(out, [0, -1j], atol=1e-12)
 
     def test_eighth_pi_x(self):
         b = op(1, (1.0, {0: "X"}))
-        psi = StateVector.computational_basis(1, 0)
+        psi = basis_state(1, 0)
         out = apply_kick(b, np.pi / 4, psi)
         assert np.allclose(out, np.array([1, -1j]) / np.sqrt(2), atol=1e-12)
 
@@ -474,9 +478,9 @@ class TestDrivenSignal:
         psi = ground_state(h)
         b = op(3, (1.0, {0: "X"}))
         a = op(3, (1.0, {1: "Z"}))
-        grid = time_grid(0, 4, 9)
+        grid = np.linspace(0, 4, 9)
         sig = driven_signal(h, PulseSchedule([(b, [0.0])]), [0.0], a, grid, EXACT, psi)
-        flat = expectation(a, psi.amplitudes)
+        flat = expectation(a, psi)
         assert np.max(np.abs(sig - flat)) < 1e-12
 
     def test_free_hamiltonian_conjugation(self):
@@ -484,8 +488,8 @@ class TestDrivenSignal:
         h = OperatorSum((), 1)
         b = op(1, (1.0, {0: "X"}))
         a = op(1, (1.0, {0: "Z"}))
-        psi = StateVector.computational_basis(1, 0)
-        grid = time_grid(0, 3, 7)
+        psi = basis_state(1, 0)
+        grid = np.linspace(0, 3, 7)
         for eta in (0.0, 0.4, 1.1):
             sig = driven_signal(h, PulseSchedule([(b, [0.0])]), [eta], a, grid, EXACT, psi)
             assert np.max(np.abs(sig - np.cos(2 * eta))) < 1e-12
@@ -526,7 +530,7 @@ class TestDrivenSignal:
         b = op(3, (1.0, {0: "X"}))
         a = op(3, (1.0, {0: "X"}))
         sched = PulseSchedule([(b, [0.0])])
-        grid = time_grid(0, 2, 5)
+        grid = np.linspace(0, 2, 5)
         base = driven_signal(h, sched, [0.3], a, grid, EXACT, psi)
         shifted = driven_signal(h, sched, [0.3 + np.pi], a, grid, EXACT, psi)
         assert np.max(np.abs(base - shifted)) < 1e-12
@@ -537,7 +541,7 @@ class TestDrivenSignal:
         b = op(3, (1.0, {0: "X"}))
         a = op(3, (1.0, {1: "Z"}))
         sched = PulseSchedule([(b, [0.0]), (b, [1.0])])
-        grid = time_grid(0, 4, 9)
+        grid = np.linspace(0, 4, 9)
         sig = driven_signal(h, sched, [0.0, 0.0], a, grid, EXACT, psi)
         assert np.max(np.abs(sig - sig[0])) < 1e-12
 
@@ -549,7 +553,7 @@ class TestDrivenSignal:
         b = op(4, (1.0, {1: "X"}))
         a = op(4, (1.0, {2: "Z"}))
         sched = PulseSchedule([(b, [0.0])])
-        grid = time_grid(0, 3, 13)
+        grid = np.linspace(0, 3, 13)
         full = driven_signal(h, sched, [0.4], a, grid, TROTTER10, psi)
         single = driven_signal(h, sched, [0.4], a, [grid[7]], TROTTER10, psi)
         assert abs(full[7] - single[0]) < 1e-14
@@ -566,9 +570,9 @@ class TestBlockSignal:
     @pytest.mark.parametrize(
         "n, evolver, grid",
         [
-            (4, EXACT, time_grid(0, 3, 7)),
-            (10, EXACT, time_grid(0, 0.6, 3)),  # magnetization-sector route
-            (4, TROTTER10, time_grid(0, 3, 7)),
+            (4, EXACT, np.linspace(0, 3, 7)),
+            (10, EXACT, np.linspace(0, 0.6, 3)),  # magnetization-sector route
+            (4, TROTTER10, np.linspace(0, 3, 7)),
         ],
         ids=["eigh", "sector", "trotter1"],
     )
@@ -603,7 +607,7 @@ class TestBlockSignal:
         b = op(3, (1.0, {0: "X"}), (1.0, {0: "Z"}))
         a = op(3, (1.0, {0: "Y"}), (1.0, {2: "X"}))
         sched = PulseSchedule([(b, [0.0])])
-        grid = time_grid(0, 2, 5)
+        grid = np.linspace(0, 2, 5)
         etas = np.array([[-0.5], [0.0], [0.8]])
         block = driven_signal(h, sched, etas, a, grid, EXACT, psi)
         assert np.max(np.abs(block - stacked(h, sched, etas, a, grid, EXACT, psi))) < 1e-12
@@ -645,4 +649,4 @@ class TestBlockSignal:
         with pytest.raises(ScheduleError):
             driven_signal(h, sched, np.zeros((0, 1)), a, [0.0, 1.0], EXACT, psi)
         with pytest.raises(ValueError):
-            apply_kick(b, [0.1, 0.2], np.stack([psi.amplitudes] * 3, axis=1))
+            apply_kick(b, [0.1, 0.2], np.stack([psi] * 3, axis=1))

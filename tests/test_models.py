@@ -120,7 +120,7 @@ class TestSmallModels:
         h = build_spin_boson(1.0, 2.0, 0.5, 0.0)
         psi = ground_state(h)
         # all three qubits polarized: a computational-basis state
-        assert np.sort(np.abs(psi.amplitudes))[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.sort(np.abs(psi))[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPump:
@@ -157,18 +157,31 @@ class TestGroundState:
     def test_z_field(self):
         h = OperatorSum((PauliTerm(1.0, {0: "Z"}),), 1)
         psi = ground_state(h)
-        assert abs(psi.amplitudes[1]) == pytest.approx(1.0)
+        assert abs(psi[1]) == pytest.approx(1.0)
 
     def test_xxz_dimer_singlet(self):
         psi = ground_state(build_xxz(2, 1.0, 0.0))
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        overlap = abs(np.vdot(singlet, psi.amplitudes))
+        overlap = abs(np.vdot(singlet, psi))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "h",
+        [build_toric_code(2, 2, 1.0, 0.5), build_xxz(6, 0.7, 0.3), build_xxz(10, 0.7, 0.3)],
+        ids=["stabilizer", "dense", "lanczos"],
+    )
+    def test_read_only_complex_array(self, h):
+        # every run shares one ground state, so no caller may write to it
+        psi = ground_state(h)
+        assert psi.dtype == np.complex128 and psi.shape == (2**h.n_sites,)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        with pytest.raises(ValueError):
+            psi[0] = 0.0
 
     def test_deterministic(self):
         h = build_xxz(6, 0.7, 0.3)
-        a = ground_state(h).amplitudes
-        b = ground_state(h).amplitudes
+        a = ground_state(h)
+        b = ground_state(h)
         assert np.array_equal(a, b)
 
     def test_lanczos_path_matches_dense(self):
@@ -185,7 +198,7 @@ class TestGroundState:
         # the Heisenberg chain's singlet ground state is orthogonal to the
         # uniform |+x...+x>, so the Lanczos start vector must be generic
         h = build_xxz(10, 1.0, 0.0)
-        runs = [ground_state(h).amplitudes for _ in range(3)]
+        runs = [ground_state(h) for _ in range(3)]
         assert all(np.array_equal(runs[0], other) for other in runs[1:])
         exact = np.linalg.eigvalsh(to_dense(h))[0]
         assert abs(expectation(h, runs[0]) - exact) < 1e-12
@@ -226,7 +239,7 @@ class TestLanczosGroundState:
         dense = to_dense(h)
         values, vectors = np.linalg.eigh(dense if dense.imag.any() else dense.real)
         assume(values[1] - values[0] >= 1e-2)
-        psi = ground_state(h).amplitudes
+        psi = ground_state(h)
         assert expectation(h, psi) == pytest.approx(values[0], abs=1e-12)
         # states agree up to a global phase: _canonical_phase pins the
         # largest amplitude, which may tie between sites on symmetric chains

@@ -7,7 +7,6 @@ from nlspec.pauli import (
     HermiticityError,
     OperatorSum,
     PauliTerm,
-    StateVector,
     apply_operator,
     commutator_norm,
     dense_block,
@@ -23,6 +22,12 @@ from nlspec.pauli import (
 
 def op(n, *terms):
     return OperatorSum(tuple(PauliTerm(c, f) for c, f in terms), n)
+
+
+def basis_state(n, index):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def random_state(n, seed):
@@ -80,12 +85,12 @@ class TestOperatorSum:
 
 class TestApply:
     def test_z_on_zero_is_eigenstate(self):
-        psi = StateVector.computational_basis(1, 0)
+        psi = basis_state(1, 0)
         out = apply_operator(op(1, (1.0, {0: "Z"})), psi)
-        assert np.allclose(out, psi.amplitudes)
+        assert np.allclose(out, psi)
 
     def test_x_flips(self):
-        psi = StateVector.computational_basis(1, 0)
+        psi = basis_state(1, 0)
         out = apply_operator(op(1, (1.0, {0: "X"})), psi)
         assert np.allclose(out, [0, 1])
 
@@ -93,7 +98,7 @@ class TestApply:
         # (X0 X1 + Y0 Y1)|01> = 2|10>; with site 0 the LSB, |01> means
         # site 0 up=1? encode: index 1 = site0 excited
         o = op(2, (1.0, {0: "X", 1: "X"}), (1.0, {0: "Y", 1: "Y"}))
-        psi = StateVector.computational_basis(2, 1)
+        psi = basis_state(2, 1)
         out = apply_operator(o, psi)
         expected = np.zeros(4, dtype=complex)
         expected[2] = 2.0
@@ -101,7 +106,7 @@ class TestApply:
 
     def test_site_count_mismatch(self):
         with pytest.raises(ValueError):
-            apply_operator(op(2, (1.0, {0: "X"})), StateVector.computational_basis(3, 0))
+            apply_operator(op(2, (1.0, {0: "X"})), basis_state(3, 0))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -140,14 +145,14 @@ class TestApply:
 
 class TestExpectation:
     def test_z_basis(self):
-        assert expectation(op(1, (1.0, {0: "Z"})), StateVector.computational_basis(1, 0)) == 1.0
+        assert expectation(op(1, (1.0, {0: "Z"})), basis_state(1, 0)) == 1.0
 
     def test_plus_state_symmetry(self):
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2))
+        plus = np.array([1, 1]) / np.sqrt(2)
         assert abs(expectation(op(1, (1.0, {0: "Z"})), plus)) < 1e-12
 
     def test_singlet_heisenberg(self):
-        singlet = StateVector(np.array([0, 1, -1, 0]) / np.sqrt(2))
+        singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         heis = op(
             2,
             (0.25, {0: "X", 1: "X"}),
@@ -165,55 +170,55 @@ class TestExpectation:
 
 class TestEigendecompose:
     def test_pauli_spectrum(self):
-        eig = eigendecompose(op(1, (1.0, {0: "X"})))
-        assert np.allclose(eig.values, [-1, 1])
+        values, _ = eigendecompose(op(1, (1.0, {0: "X"})))
+        assert np.allclose(values, [-1, 1])
 
     def test_half_z_spectrum(self):
-        eig = eigendecompose(op(1, (0.5, {0: "Z"})))
-        assert np.allclose(eig.values, [-0.5, 0.5])
+        values, _ = eigendecompose(op(1, (0.5, {0: "Z"})))
+        assert np.allclose(values, [-0.5, 0.5])
 
     def test_two_x_spectrum(self):
-        eig = eigendecompose(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
-        assert np.allclose(eig.values, [-2, 0, 0, 2])
+        values, _ = eigendecompose(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
+        assert np.allclose(values, [-2, 0, 0, 2])
 
     def test_support_only(self):
         o = op(6, (1.0, {3: "X"}))
-        eig = eigendecompose(o, on_support=True)
-        assert eig.values.shape == (2,)
-        assert np.allclose(eig.values, [-1, 1])
+        values, vectors = eigendecompose(o, on_support=True)
+        assert values.shape == (2,) and vectors.shape == (2, 2)
+        assert np.allclose(values, [-1, 1])
 
     def test_reconstruction(self):
         o = random_operator(4, 6, 5)
-        eig = eigendecompose(o)
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
+        values, vectors = eigendecompose(o)
+        rebuilt = (vectors * values) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - to_dense(o))) < 1e-10
 
     def test_unitary_vectors(self):
-        eig = eigendecompose(random_operator(3, 5, 11))
-        gram = eig.vectors.conj().T @ eig.vectors
+        _, vectors = eigendecompose(random_operator(3, 5, 11))
+        gram = vectors.conj().T @ vectors
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10
 
 
 class TestPartialTrace:
     def test_product_state(self):
-        rho = partial_trace(StateVector.computational_basis(2, 0), [0])
+        rho = partial_trace(basis_state(2, 0), [0])
         assert np.allclose(rho, np.diag([1.0, 0.0]))
 
     def test_bell_state(self):
-        bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         rho = partial_trace(bell, [0])
         assert np.allclose(rho, np.eye(2) / 2)
 
     def test_ghz_two_site_block(self):
         amps = np.zeros(16)
         amps[0] = amps[15] = 1 / np.sqrt(2)
-        rho = partial_trace(StateVector(amps), [0, 1])
+        rho = partial_trace(amps, [0, 1])
         evals = np.sort(np.linalg.eigvalsh(rho))[::-1]
         assert np.allclose(evals, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_noncontiguous_rejected(self):
         with pytest.raises(ValueError):
-            partial_trace(StateVector.computational_basis(3, 0), [0, 2])
+            partial_trace(basis_state(3, 0), [0, 2])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3))
@@ -222,17 +227,6 @@ class TestPartialTrace:
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         evals = np.linalg.eigvalsh(rho)
         assert evals.min() > -1e-12 and evals.max() < 1 + 1e-12
-
-
-class TestStateVector:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]))
-
-    def test_immutable(self):
-        psi = StateVector.computational_basis(2, 0)
-        with pytest.raises(ValueError):
-            psi.amplitudes[0] = 0.0
 
 
 class TestCommutatorAlgebra:

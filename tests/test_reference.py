@@ -10,7 +10,6 @@ from nlspec.models import build_xxz, ground_state
 from nlspec.pauli import (
     OperatorSum,
     PauliTerm,
-    StateVector,
     apply_operator,
     expectation,
     to_dense,
@@ -47,7 +46,7 @@ def dense_oracle(h, observable, pulses, t, psi):
     norm = 1.0
     counts = {}
     for generator, tau in pulses:
-        key = (generator.cache_key(), tau)
+        key = (generator, tau)
         counts[key] = counts.get(key, 0) + 1
         norm *= counts[key]
     val = (1j**m / norm) * np.vdot(psi, acc @ psi)
@@ -60,12 +59,12 @@ class TestNestedCommutator:
         psi = ground_state(h)
         a = op(3, (1.0, {1: "Z"}))
         val = nested_commutator_series(h, a, [], [2.0], psi)[0]
-        assert val == pytest.approx(expectation(a, psi.amplitudes), abs=1e-12)
+        assert val == pytest.approx(expectation(a, psi), abs=1e-12)
 
     def test_single_qubit_linear(self):
         h = op(1, (0.5, {0: "Z"}))
         x = op(1, (1.0, {0: "X"}))
-        psi = StateVector.computational_basis(1, 1)
+        psi = np.array([0.0, 1.0], dtype=complex)
         grid = np.linspace(0, 6, 13)
         vals = nested_commutator_series(h, x, [(x, 0.0)], grid, psi)
         assert np.max(np.abs(vals + 2 * np.sin(grid))) < 1e-12
@@ -91,7 +90,7 @@ class TestNestedCommutator:
         t = float(rng.uniform(0.5, 3.0))
         pulses = [(b, 0.0)] * m
         fast = nested_commutator_series(h, a, pulses, [t], psi)[0]
-        slow = dense_oracle(h, a, pulses, t, psi.amplitudes)
+        slow = dense_oracle(h, a, pulses, t, psi)
         assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_matches_dense_reference_distinct_times(self):
@@ -101,7 +100,7 @@ class TestNestedCommutator:
         a = op(3, (1.0, {2: "X"}))
         pulses = [(b, 1.2), (b, 0.4)]
         fast = nested_commutator_series(h, a, pulses, [2.5], psi)[0]
-        slow = dense_oracle(h, a, pulses, 2.5, psi.amplitudes)
+        slow = dense_oracle(h, a, pulses, 2.5, psi)
         assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_engine_equivalence_random_instances(self):
@@ -157,7 +156,7 @@ def per_subset_oracle(h, observable, pulses, t_grid, psi, evolver):
 
     norm, counts = 1.0, {}
     for generator, t_k in pulses:
-        key = (generator.cache_key(), float(t_k))
+        key = (generator, float(t_k))
         counts[key] = counts.get(key, 0) + 1
         norm *= counts[key]
     everything = frozenset(range(m))

@@ -3,7 +3,7 @@ import pytest
 
 from nlspec.evolution import EXACT, Evolver, PulseSchedule
 from nlspec.models import build_pump, build_xxz, ground_state, PumpSpec
-from nlspec.pauli import OperatorSum, PauliTerm, StateVector
+from nlspec.pauli import OperatorSum, PauliTerm
 from nlspec.response import (
     MultiIndex,
     ResponseSeries,
@@ -13,6 +13,7 @@ from nlspec.response import (
     rules_for_schedule,
     shift_configurations,
 )
+from nlspec.sampling import allocate_shots, noisy_response
 from nlspec.shift_rules import taylor_rule
 
 
@@ -20,11 +21,17 @@ def op(n, *terms):
     return OperatorSum(tuple(PauliTerm(c, f) for c, f in terms), n)
 
 
+def basis_state(n, index):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return amps
+
+
 @pytest.fixture(scope="module")
 def single_qubit():
     h = op(1, (0.5, {0: "Z"}))
     x = op(1, (1.0, {0: "X"}))
-    psi = StateVector.computational_basis(1, 1)
+    psi = basis_state(1, 1)
     return h, x, psi
 
 
@@ -41,7 +48,7 @@ class TestReconstructResponse:
         h = OperatorSum((), 2)
         b = op(2, (1.0, {0: "Z"}))
         a = op(2, (1.0, {0: "Z"}), (1.0, {1: "Z"}))
-        psi = StateVector.computational_basis(2, 2)
+        psi = basis_state(2, 2)
         grid = np.linspace(0, 3, 5)
         for m in (1, 2, 3):
             series = reconstruct_response(
@@ -73,11 +80,19 @@ class TestReconstructResponse:
         assert weights.shape == (9,)
 
     def test_requires_initial_state(self, single_qubit):
+        # the shared kernel rejects a missing, wrong-length or unnormalized
+        # psi0 on every route into it, exact and Trotter alike
         h, x, _ = single_qubit
-        with pytest.raises(ValueError):
-            reconstruct_response(
-                h, PulseSchedule([(x, [0.0])]), x, [0.0], MultiIndex([1]), EXACT, None
-            )
+        sched, beta = PulseSchedule([(x, [0.0])]), MultiIndex([1])
+        plan = allocate_shots(shift_configurations(rules_for_schedule(sched, beta), beta)[1], 64)
+        for psi0 in (None, basis_state(2, 1), np.array([1.0, 1.0])):
+            for evolver in (EXACT, Evolver("trotter1", 4)):
+                with pytest.raises(ValueError, match="psi0"):
+                    reconstruct_response(h, sched, x, [0.0], beta, evolver, psi0)
+                with pytest.raises(ValueError, match="psi0"):
+                    response_decomposition(h, sched, x, [0.0, 1.0], [0.1], 2, evolver, psi0)
+                with pytest.raises(ValueError, match="psi0"):
+                    noisy_response(h, sched, x, [0.0], beta, plan, evolver, psi0)
 
 
 class TestResponseSeries:
@@ -106,7 +121,7 @@ class TestDecomposition:
         h = OperatorSum((), 1)
         b = op(1, (1.0, {0: "X"}))
         a = op(1, (1.0, {0: "Z"}))
-        psi = StateVector.computational_basis(1, 0)
+        psi = basis_state(1, 0)
         grid = np.array([0.0, 1.0])
         eta = 0.1
         terms, diff = response_decomposition(
@@ -125,7 +140,7 @@ class TestDecomposition:
         h = OperatorSum((), 1)
         b = op(1, (0.5, {0: "Z"}))
         a = op(1, (1.0, {0: "Z"}))
-        psi = StateVector.computational_basis(1, 0)
+        psi = basis_state(1, 0)
         # build a synthetic sampler by overriding the driven signal through
         # the rule interface directly
         poly = np.polynomial.Polynomial([0.3, -0.4, 0.2, 0.05])

@@ -101,13 +101,10 @@ class TestSweepProtocol:
         assert np.all(np.isfinite(table))
         assert np.array_equal(table[:, 0], [-0.5, 0.0, 0.5])
 
-    def test_threads_agree_with_serial(self, tmp_path):
+    def test_threads_other_than_one_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path, self._payload()))
-        run_experiment(config, output_dir=tmp_path / "serial", threads=1)
-        run_experiment(config, output_dir=tmp_path / "parallel", threads=2)
-        a = (tmp_path / "serial" / "s35_vs_g.csv").read_bytes()
-        b = (tmp_path / "parallel" / "s35_vs_g.csv").read_bytes()
-        assert a == b
+        with pytest.raises(ValueError, match="serial"):
+            run_experiment(config, output_dir=tmp_path / "out", threads=2)
 
 
 class Test2DOSProtocol:
@@ -189,6 +186,5 @@ class TestEnvironmentOverrides:
         path = write_config(tmp_path, payload)
         target = tmp_path / "env_out"
         monkeypatch.setenv("NLSPEC_OUT_DIR", str(target))
-        monkeypatch.setenv("NLSPEC_THREADS", "1")
         assert main(["run", "--config", str(path)]) == 0
-        assert (target / "run_metadata.json").exists()
+        assert "threads" not in json.loads((target / "run_metadata.json").read_text())

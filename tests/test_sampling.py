@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlspec.evolution import EXACT, PulseSchedule
 from nlspec.models import build_xxz, ground_state
-from nlspec.pauli import OperatorSum, PauliTerm, StateVector, expectation
+from nlspec.pauli import OperatorSum, PauliTerm, expectation
 from nlspec.response import MultiIndex, reconstruct_response, rules_for_schedule
 from nlspec.sampling import (
     SamplingPlan,
@@ -22,23 +22,23 @@ def op(n, *terms):
 
 class TestSampleExpectation:
     def test_eigenstate_is_noiseless(self):
-        psi = StateVector.computational_basis(1, 0)
+        psi = np.array([1.0, 0.0], dtype=complex)
         est, se = sample_expectation(op(1, (1.0, {0: "Z"})), psi, 100, seed=1)
         assert est == 1.0 and se == 0.0
 
     def test_symmetric_observable_converges(self):
-        psi = StateVector.computational_basis(1, 0)
+        psi = np.array([1.0, 0.0], dtype=complex)
         est, se = sample_expectation(op(1, (1.0, {0: "X"})), psi, 8192, seed=2)
         assert abs(est) < 3.0 / np.sqrt(8192) + 1e-12
         assert 0 < se < 2.0 / np.sqrt(8192)
 
     def test_plus_state_z_measurement(self):
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2))
+        plus = np.array([1, 1]) / np.sqrt(2)
         est, _ = sample_expectation(op(1, (1.0, {0: "Z"})), plus, 8192, seed=3)
         assert abs(est) <= 3.0 / np.sqrt(8192)
 
     def test_deterministic_given_seed(self):
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2))
+        plus = np.array([1, 1]) / np.sqrt(2)
         a = sample_expectation(op(1, (1.0, {0: "Z"})), plus, 500, seed=11)
         b = sample_expectation(op(1, (1.0, {0: "Z"})), plus, 500, seed=11)
         assert a == b
@@ -48,9 +48,9 @@ class TestSampleExpectation:
     def test_unbiased(self, seed):
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = StateVector(amps / np.linalg.norm(amps))
+        psi = amps / np.linalg.norm(amps)
         observable = op(2, (0.7, {0: "Z"}), (0.4, {1: "X"}))
-        exact = expectation(observable, psi.amplitudes)
+        exact = expectation(observable, psi)
         reps = 400
         estimates = np.array(
             [sample_expectation(observable, psi, 64, seed=1000 * seed + r)[0] for r in range(reps)]
