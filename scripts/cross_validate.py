@@ -14,7 +14,7 @@ import numpy as np
 from nlspec.evolution import EXACT, PulseSchedule, driven_signal
 from nlspec.models import build_xxz, ground_state
 from nlspec.pauli import OperatorSum, PauliTerm
-from nlspec.reference import finite_difference_derivative, nested_commutator_series
+from nlspec.reference import finite_difference_derivative, nested_commutator_prefixes
 from nlspec.response import MultiIndex, reconstruct_response
 
 
@@ -40,13 +40,15 @@ def main(argv=None) -> int:
         )
         schedule = PulseSchedule([(pump, [0.0])])
         print(f"instance {k}: delta={delta:.3f} h={h_field:.3f}")
+        # row m: the order-m commutator response, every order in one call
+        oracles = nested_commutator_prefixes(
+            h, observable, [(pump, 0.0)] * args.max_order, grid, psi, EXACT
+        )
         for m in range(1, args.max_order + 1):
             series = reconstruct_response(
                 h, schedule, observable, grid, MultiIndex([m]), EXACT, psi
             )
-            oracle = nested_commutator_series(
-                h, observable, [(pump, 0.0)] * m, grid, psi, EXACT
-            )
+            oracle = oracles[m]
             dev = float(np.max(np.abs(series.values - oracle)))
             worst = max(worst, dev)
             line = f"  m={m}: |engine - commutator| = {dev:.3e}"

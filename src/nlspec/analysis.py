@@ -20,7 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import EXACT, Evolver, PulseSchedule, apply_kick, evolve, propagator
+from .evolution import (
+    EXACT,
+    Evolver,
+    PulseSchedule,
+    apply_kick,
+    check_initial_state,
+    evolve,
+    propagator,
+)
 from .pauli import OperatorSum, apply_operator, partial_trace
 from .reference import nested_commutator_series
 from .response import MultiIndex, reconstruct_response
@@ -112,8 +120,10 @@ def entropy_expansion(
 
     Entropy is a nonlinear functional of the state, so this is a polynomial
     fit on a symmetric amplitude grid rather than a shift-rule evaluation;
-    the Vandermonde conditioning is reported and guarded.
+    the Vandermonde conditioning is reported and guarded.  ``psi0`` must be
+    one normalized state (``evolution.check_initial_state``).
     """
+    psi = check_initial_state(h, psi0)
     etas = np.asarray(eta_grid, dtype=float)
     if etas.size < max_order + 1:
         raise AnalysisError("eta grid must have at least max_order + 1 points")
@@ -121,7 +131,7 @@ def entropy_expansion(
         raise AnalysisError("eta grid must be symmetric about 0")
     entropies = np.empty(etas.size)
     for k, eta in enumerate(etas):
-        state = apply_kick(pump, float(eta), psi0)
+        state = apply_kick(pump, float(eta), psi)
         if t != 0.0:
             state = evolve(h, state, t, evolver)
         entropies[k] = entanglement_entropy(state, block_size)
@@ -156,11 +166,12 @@ def pump_probe_correlator(
     all three give (T1, T2, K) values.  The pump is kicked once, for all K
     amplitudes as one (dim, K) block; one propagator from the kicked state
     serves ket(t1) and bra(t1 + t2), and one per t1 the probed ket.
+    ``psi0`` must be one normalized state (``evolution.check_initial_state``).
     """
     t1s = np.asarray(t_1, dtype=float)
     t2s = np.asarray(t_2, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    psi = np.asarray(psi0, dtype=np.complex128)
+    psi = check_initial_state(h, psi0)
     if eta.ndim == 1:
         psi = np.repeat(psi[:, None], eta.size, axis=1)
     from_phi = propagator(h, apply_kick(pump, eta, psi), evolver)

@@ -454,8 +454,14 @@ class PulseSchedule:
         out.sort()
         return out
 
-    def checkpoint_times(self) -> tuple[float, ...]:
-        return tuple(sorted({t for _, times in self.channels for t in times}))
+
+def check_initial_state(h: OperatorSum, psi0: np.ndarray) -> np.ndarray:
+    """``psi0`` as a complex array, checked to be one normalized state of
+    2**N amplitudes for N = ``h.n_sites`` (``ValueError`` otherwise)."""
+    psi = np.asarray(psi0, dtype=np.complex128)
+    if psi.shape != (2**h.n_sites,) or abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+        raise ValueError(f"psi0 must be one normalized state of {2**h.n_sites} amplitudes")
+    return psi
 
 
 def driven_states(
@@ -477,13 +483,11 @@ def driven_states(
     is a well-defined function of the amplitudes.  Yielded arrays may be
     shared with the propagation and must not be modified.
 
-    ``psi0`` must be one normalized state of 2**N amplitudes (``ValueError``
-    otherwise); the response, decomposition, sampling and 2D paths all get
-    their initial state checked here.
+    ``psi0`` must be one normalized state of 2**N amplitudes (see
+    ``check_initial_state``); the response, decomposition, sampling and 2D
+    paths all get their initial state checked here.
     """
-    psi = np.asarray(psi0, dtype=np.complex128)
-    if psi.shape != (2**h.n_sites,) or abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-        raise ValueError(f"psi0 must be one normalized state of {2**h.n_sites} amplitudes")
+    psi = check_initial_state(h, psi0)
     grid = np.asarray(t_grid, dtype=float)
     if grid.size == 0:
         raise ScheduleError("empty time grid")

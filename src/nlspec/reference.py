@@ -1,15 +1,18 @@
 """Independent reference routes for cross-validating the shift-rule engine.
 
-* ``nested_commutator_series`` evaluates the causal Kubo form of the
-  order-m response, i^m <psi_0| ad_{B(t_m)} ... ad_{B(t_1)} A(t) |psi_0>
-  with Heisenberg operators X(tau) built from the same segmented propagator
-  the driven protocol uses.  The nested commutator is expanded into its
-  2^m left/right operator orderings and evaluated matrix-free on state
-  vectors, so it shares no code path with the shift-rule reconstruction.
-  Chain states are shared by pulse sequence (m coincident copies of one
-  pulse need m + 1 kets, not 2^m); they are carried to the latest pulse
-  once and from there propagate afresh to each grid time as one (dim, D)
-  block, one ``evolve`` per grid time.
+* ``nested_commutator_prefixes`` evaluates the causal Kubo form of the
+  order-k response, i^k <psi_0| ad_{B(t_k)} ... ad_{B(t_1)} A(t) |psi_0>,
+  for every prefix of a pulse list, with Heisenberg operators X(tau) built
+  from the same segmented propagator the driven protocol uses.  The nested
+  commutator is expanded into its 2^k left/right operator orderings and
+  evaluated matrix-free on state vectors, so it shares no code path with
+  the shift-rule reconstruction.  Chain states are shared by pulse
+  sequence (m coincident copies of one pulse need m + 1 kets, not 2^m, and
+  the kets of every prefix are among them); they are carried to the latest
+  pulse once and stacked into one (dim, D) block, and one ``propagator`` of
+  that block, projected into the eigenbasis once, serves every grid time
+  and every prefix.  ``nested_commutator_series`` is its last row: the
+  response to the whole list.
 
 * ``finite_difference_derivative`` is the deliberately imperfect baseline:
   minimal central stencils whose truncation error is the caller's problem.
@@ -27,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .evolution import EXACT, Evolver, evolve
+from .evolution import EXACT, Evolver, check_initial_state, evolve, propagator
 from .pauli import HermiticityError, OperatorSum, apply_operator
 
 
@@ -55,7 +58,7 @@ def _propagate(
     return state
 
 
-def nested_commutator_series(
+def nested_commutator_prefixes(
     h: OperatorSum,
     observable: OperatorSum,
     pulses: Sequence[tuple[OperatorSum, float]],
@@ -63,31 +66,43 @@ def nested_commutator_series(
     psi0: np.ndarray,
     evolver: Evolver = EXACT,
 ) -> np.ndarray:
-    """Kubo nested-commutator response at every grid time.
+    """Kubo nested-commutator response to every prefix of ``pulses``.
 
-    ``pulses`` lists (generator, time) pairs with times descending: the first
-    entry is the innermost commutator (the latest pulse).  Any violation of
-    the time ordering, or a measurement time before the latest pulse, gives
-    an exact 0 through the step-function prefactors.
+    Returns an (m + 1, G) array for m pulses: row k holds the order-k response
+    to ``pulses[:k]`` at each grid time (row 0: <A(t)>).  ``pulses`` lists
+    (generator, time) pairs with times descending: the first entry is the
+    innermost commutator (the latest pulse), so every prefix shares it.  Any
+    violation of the time ordering gives all rows an exact 0, and every row
+    is an exact 0 at a measurement time before the latest pulse (with no
+    pulses, row 0 is <A(t)> at every t, before 0 too).
 
     Coincident repetitions of one pulse carry the simplex weight of the
     equal-time corner: each group of k identical (generator, time) entries
     divides the bare commutator value by k!, which is what makes this kernel
     equal the per-amplitude-monomial coefficient of the driven signal (and
     hence the shift-rule reconstruction) for delta drives.
+
+    Every row follows the time line of the whole list: ``psi0`` (checked by
+    ``evolution.check_initial_state``) is anchored at min(0, every pulse
+    time) and Trotter segments break at every pulse time.  Row k therefore
+    equals ``nested_commutator_series`` on ``pulses[:k]`` whenever the prefix
+    spans the same anchor and pulse times, as m coincident pulses do; under
+    exact evolution extra segment breaks move it at rounding level only.
     """
     grid = np.asarray(t_grid, dtype=float)
     m = len(pulses)
-    psi = np.asarray(psi0, dtype=np.complex128)
+    psi = check_initial_state(h, psi0)
+    values = np.zeros((m + 1, grid.size))
     times = [float(t) for _, t in pulses]
     if any(t2 > t1 for t1, t2 in zip(times, times[1:])):
-        return np.zeros(grid.size)
+        return values
     keys = [(generator, t_k) for (generator, _), t_k in zip(pulses, times)]
-    group_norm = 1.0
+    # norms[k]: the product of k_g! over the groups g of pulses[:k]
+    norms = [1.0]
     group_counts: dict[tuple, int] = {}
     for key in keys:
         group_counts[key] = group_counts.get(key, 0) + 1
-        group_norm *= group_counts[key]
+        norms.append(norms[-1] * group_counts[key])
 
     anchor = min([0.0] + times) if times else 0.0
     latest = times[0] if times else anchor
@@ -106,44 +121,62 @@ def nested_commutator_series(
             kets[key] = (apply_operator(generator, state), t_k)
         return key
 
-    all_indices = frozenset(range(m))
     subsets = [frozenset(s) for s in _powerset(range(m))]
     key_of = {s: ket(tuple(sorted(s, reverse=True))) for s in subsets}
     column = {key: j for j, key in enumerate(kets)}
-    # one signed term per subset: its complement's ket on the left
-    terms = [
-        (-1.0 if len(s) % 2 else 1.0, column[key_of[all_indices - s]], column[key_of[s]])
-        for s in subsets
-    ]
+    # per prefix, one signed term per subset of it: its complement's ket on
+    # the left; the subsets of pulses[:k] are among those of the whole list
+    terms = []
+    for k in range(m + 1):
+        prefix = frozenset(range(k))
+        terms.append(
+            [
+                (-1.0 if len(s) % 2 else 1.0, column[key_of[prefix - s]], column[key_of[s]])
+                for s in subsets
+                if s <= prefix
+            ]
+        )
     # a measurement at or after the latest pulse passes every checkpoint on
-    # the way, so each ket is carried to that pulse once; from there the
-    # distinct kets propagate afresh to each grid time as one (dim, D) block
+    # the way, so each ket is carried to that pulse once; from there one
+    # propagator of the (dim, D) block of distinct kets serves every grid time
     block = np.stack(
         [_propagate(h, state, tau, latest, checkpoints, evolver) for state, tau in kets.values()],
         axis=1,
     )
+    from_latest = propagator(h, block, evolver)
 
-    values = np.zeros(grid.size)
-    prefactor = 1j**m / group_norm
     for idx, t in enumerate(grid):
         if times and t < latest:
-            values[idx] = 0.0
             continue
-        moved = _propagate(h, block, latest, float(t), checkpoints, evolver)
+        moved = from_latest(float(t) - latest)
         # contiguous rows, so each ket's vdot rounds as a single state's
         w = np.ascontiguousarray(moved.T)
         aw = np.ascontiguousarray(apply_operator(observable, moved).T)
-        total = 0.0 + 0.0j
-        for sign, left, right in terms:
-            total += sign * np.vdot(w[left], aw[right])
-        total *= prefactor
-        scale = max(1.0, abs(total.real))
-        if abs(total.imag) > 1e-8 * scale:
-            raise HermiticityError(
-                f"nested-commutator value has imaginary part {total.imag:.3e}"
-            )
-        values[idx] = total.real
+        for k, prefix_terms in enumerate(terms):
+            total = 0.0 + 0.0j
+            for sign, left, right in prefix_terms:
+                total += sign * np.vdot(w[left], aw[right])
+            total *= 1j**k / norms[k]
+            scale = max(1.0, abs(total.real))
+            if abs(total.imag) > 1e-8 * scale:
+                raise HermiticityError(
+                    f"nested-commutator value has imaginary part {total.imag:.3e}"
+                )
+            values[k, idx] = total.real
     return values
+
+
+def nested_commutator_series(
+    h: OperatorSum,
+    observable: OperatorSum,
+    pulses: Sequence[tuple[OperatorSum, float]],
+    t_grid: Sequence[float],
+    psi0: np.ndarray,
+    evolver: Evolver = EXACT,
+) -> np.ndarray:
+    """Kubo nested-commutator response to all of ``pulses`` at every grid
+    time: the last row of ``nested_commutator_prefixes``."""
+    return nested_commutator_prefixes(h, observable, pulses, t_grid, psi0, evolver)[-1]
 
 
 def _powerset(items: Sequence[int]):

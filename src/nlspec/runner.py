@@ -37,7 +37,7 @@ from .models import ModelSpec, build_model, build_pump, ground_state
 from .pauli import DimensionCapError, OperatorSum, PauliTerm
 from .reference import (
     finite_difference_derivative,
-    nested_commutator_series,
+    nested_commutator_prefixes,
     stencil_amplitudes,
 )
 from .response import (
@@ -528,11 +528,16 @@ def verify_experiment(
     )
     # every finite-difference stencil amplitude over the sampled times at once
     stride = max(1, len(grid) // 4)
-    fd_etas = np.unique(np.concatenate([stencil_amplitudes(m, _FD_STEP) for m in (1, 2)]))
+    # sorted distinct amplitudes; np.unique would import numpy.ma on first use
+    fd_etas = sorted({x for m in (1, 2) for x in stencil_amplitudes(m, _FD_STEP).tolist()})
     fd_signals = driven_signal(
-        h, schedule, fd_etas[:, None], observable, grid[::stride], config.evolver, psi0
+        h, schedule, np.array(fd_etas)[:, None], observable, grid[::stride], config.evolver, psi0
     )
-    fd_sample = dict(zip(fd_etas.tolist(), fd_signals))
+    fd_sample = dict(zip(fd_etas, fd_signals))
+    # row m: the order-m commutator response, every order from one ket block
+    oracles = nested_commutator_prefixes(
+        h, observable, [(generator, t_pulse)] * max_order, grid, psi0, config.evolver
+    )
     rows = []
     worst = 0.0
     for m in range(1, max_order + 1):
@@ -541,9 +546,7 @@ def verify_experiment(
             coefficients = coefficients.copy()
             coefficients[0] += coefficient_perturbation
         series = coefficients @ signals / math.factorial(m)
-        oracle = nested_commutator_series(
-            h, observable, [(generator, t_pulse)] * m, grid, psi0, config.evolver
-        )
+        oracle = oracles[m]
         dev = float(np.max(np.abs(series - oracle)))
         worst = max(worst, dev)
         fd_dev = None

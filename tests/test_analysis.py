@@ -122,6 +122,13 @@ class TestEntropyExpansion:
             assert entropy == entanglement_entropy(state, 2)
         assert not exp.entropies.flags.writeable
 
+    def test_initial_state_checked(self):
+        h = build_xxz(3, 1.0, 0.4)
+        pump = op(3, (1.0, {0: "X"}))
+        for psi0 in (np.ones(8), basis_state(2, 0)):
+            with pytest.raises(ValueError, match="psi0"):
+                entropy_expansion(h, pump, psi0, [-0.1, 0.0, 0.1], 1.0, 1, 2)
+
     def test_local_kick_leaves_entropy_unchanged(self):
         # a sum of single-site rotations is a product unitary: at t = 0 the
         # expansion beyond order zero must vanish identically
@@ -168,6 +175,17 @@ class TestPumpProbe:
         c0 = pump_probe_correlator(h, pump, p1, p2, 0.7, 1.3, 0.0, psi)
         ck = pump_probe_correlator(h, pump, p1, p2, 0.7, 1.3, np.pi / 2, psi)
         assert ck == pytest.approx(-c0, abs=1e-12)
+
+
+    def test_initial_state_checked(self):
+        # an unnormalized or wrong-length psi0 is rejected, not turned into
+        # a plausible complex number
+        h = build_xxz(3, 1.0, 0.4)
+        pump = op(3, (1.0, {0: "X"}))
+        probe = op(3, (1.0, {1: "X"}))
+        for psi0 in (np.ones(8), basis_state(2, 0)):
+            with pytest.raises(ValueError, match="psi0"):
+                pump_probe_correlator(h, pump, probe, probe, 0.5, 0.5, 0.1, psi0)
 
 
 class TestPumpProbeBlock:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlspec import reference
-from nlspec.evolution import EXACT, Evolver, PulseSchedule
+from nlspec.evolution import EXACT, Evolver, PulseSchedule, _SpectralPlan, evolve
 from nlspec.models import build_xxz, ground_state
 from nlspec.pauli import (
     OperatorSum,
@@ -17,6 +16,7 @@ from nlspec.pauli import (
 from nlspec.reference import (
     _propagate,
     finite_difference_derivative,
+    nested_commutator_prefixes,
     nested_commutator_series,
     stepwise_subtraction,
 )
@@ -60,6 +60,12 @@ class TestNestedCommutator:
         a = op(3, (1.0, {1: "Z"}))
         val = nested_commutator_series(h, a, [], [2.0], psi)[0]
         assert val == pytest.approx(expectation(a, psi), abs=1e-12)
+        # with no pulse, a time before the anchor at 0 evolves backwards
+        rng = np.random.default_rng(5)
+        phi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        phi /= np.linalg.norm(phi)
+        val = nested_commutator_series(h, a, [], [-1.0], phi)[0]
+        assert val == pytest.approx(expectation(a, evolve(h, phi, -1.0)), abs=1e-12)
 
     def test_single_qubit_linear(self):
         h = op(1, (0.5, {0: "Z"}))
@@ -238,23 +244,53 @@ class TestOracleDifferential:
         slow = per_subset_oracle(h, observable, pulses, grid, psi, trotter)
         assert np.array_equal(fast, slow)
 
-    def test_coincident_pulses_take_one_evolve_per_grid_time(self, monkeypatch):
+    def test_one_eigenbasis_projection_per_call(self, monkeypatch):
         h = build_xxz(4, 0.7, 0.3)
         psi = ground_state(h)
         b = op(4, (1.0, {1: "X"}))
         a = op(4, (1.0, {2: "X"}))
-        calls = []
+        shapes = []
 
-        def counting_evolve(*args, **kwargs):
-            calls.append(args[1].shape)
-            return evolve(*args, **kwargs)
+        def counting_to_eigenbasis(plan, amps):
+            shapes.append(amps.shape)
+            return to_eigenbasis(plan, amps)
 
-        evolve = reference.evolve
-        monkeypatch.setattr(reference, "evolve", counting_evolve)
+        to_eigenbasis = _SpectralPlan.to_eigenbasis
+        monkeypatch.setattr(_SpectralPlan, "to_eigenbasis", counting_to_eigenbasis)
         grid = np.linspace(0.0, 2.0, 6)
         nested_commutator_series(h, a, [(b, 0.0)] * 4, grid, psi)
-        # five distinct kets (B^0 .. B^4 psi) in one block, one call per time after t = 0
-        assert calls == [(16, 5)] * 5
+        nested_commutator_prefixes(h, a, [(b, 0.0)] * 4, grid, psi)
+        # five distinct kets (B^0 .. B^4 psi) in one block, projected once
+        # per call for all five grid times after t = 0
+        assert shapes == [(16, 5)] * 2
+
+
+class TestOraclePrefixes:
+    @pytest.mark.parametrize("evolver", [EXACT, Evolver("trotter1", 4)], ids=["exact", "trotter1"])
+    def test_rows_equal_separate_calls(self, evolver):
+        # the 10-site sector-route chain with the X5 probe next to the X4
+        # kick, whose orders 1 and 3 are of order one, so no row is vacuous
+        h = build_xxz(10, 0.5, 0.12, "open")
+        psi = ground_state(h)
+        b = op(10, (1.0, {4: "X"}))
+        a = op(10, (1.0, {5: "X"}))
+        grid = np.linspace(0.0, 1.5, 11)
+        pulses = [(b, 0.0)] * 5
+        rows = nested_commutator_prefixes(h, a, pulses, grid, psi, evolver)
+        assert rows.shape == (6, grid.size)
+        assert np.max(np.abs(rows[1])) > 0.5 and np.max(np.abs(rows[3])) > 0.3
+        for k in range(1, 5):
+            single = nested_commutator_series(h, a, pulses[:k], grid, psi, evolver)
+            assert np.max(np.abs(rows[k] - single)) <= 1e-14
+        assert np.array_equal(rows[5], nested_commutator_series(h, a, pulses, grid, psi, evolver))
+
+    def test_initial_state_checked(self):
+        h = build_xxz(3, 1.0, 0.4)
+        b = op(3, (1.0, {0: "X"}))
+        a = op(3, (1.0, {1: "X"}))
+        for psi0 in (np.ones(8), np.array([1.0, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="psi0"):
+                nested_commutator_series(h, a, [(b, 0.0)], [1.0], psi0)
 
 
 class TestFiniteDifference:
