@@ -22,19 +22,18 @@ column.
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
 and cached: groups of invariant blocks of H, each group a (C, m) array of
 basis indices (one block per row), its blocks read from H's per-flip-mask
-diagonals and diagonalized by one batched ``eigh``.  Up to 9 sites the plan
-is one group of cosets: a Pauli string maps |x> to |x ^ f> for its flip mask
-f, so H has no entries between the cosets x ^ S of the GF(2) span S of its
-flip masks (rank r), and the basis splits into 2**(n - r) blocks of 2**r
-(the 2x2 toric code: 32 blocks of 8; a full span: one dense block).  Above 9
-sites, when H commutes with sum_i Z_i (XXZ chains in a Z field), each
-popcount sector is a group of one block; otherwise the state goes through
-one Krylov ``expm_multiply`` call, the only place a run imports scipy.  A
-group whose blocks have exactly zero imaginary part keeps real
-eigenvectors, applied to the gathered complex (C, m, K) states as one
-batched real GEMM on their float64 (C, m, 2K) view.
-``propagator(h, state)`` is the one place that picks the route: on the
-spectral routes it projects a state into the eigenbasis once, and every later
+diagonals and diagonalized by one batched ``eigh``.  The plan is one group of
+cosets: a Pauli string maps |x> to |x ^ f> for its flip mask f, so H has no
+entries between the cosets x ^ S of the GF(2) span S of its flip masks
+(rank r), and the basis splits into 2**(n - r) blocks of 2**r (the 2x2 toric
+code: 32 blocks of 8; the 2x3 toric code: 128 blocks of 32; a full span: one
+dense block).  Only above 9 sites, when H commutes with sum_i Z_i (XXZ chains
+in a Z field), is each popcount sector a group of one block instead.  A group
+whose blocks have exactly zero imaginary part keeps real eigenvectors,
+applied to the gathered complex (C, m, K) states as one batched real GEMM on
+their float64 (C, m, 2K) view.
+``propagator(h, state)`` is the one place that picks the route: for exact
+evolution it projects a state into the eigenbasis once, and every later
 time then costs phases and one back-transform.  ``evolve`` is a propagator
 used for a single time, so both give bitwise the same values.
 ``driven_states`` builds one propagator per segment (after each checkpoint or
@@ -71,14 +70,14 @@ from .pauli import (
     expectation,
     flip_diagonals,
     terms_commute_pairwise,
-    to_sparse,
 )
 
 EVOLVER_KINDS = ("exact", "trotter1")
 
-#: exact evolution diagonalizes the flip-mask cosets up to this many sites and
-#: switches to magnetization sectors or a sparse Krylov propagator above (same
-#: unitary, machine-precision accurate)
+#: exact evolution of an H that conserves sum_i Z_i diagonalizes its popcount
+#: sectors above this many sites and its flip-mask cosets up to it (an XXZ
+#: chain's cosets are its two parity classes; on small registers the many
+#: sector blocks propagate slower than the cosets)
 _EIGH_SITE_CAP = 9
 
 
@@ -142,11 +141,9 @@ class _SpectralPlan:
     invariant blocks of H: ``rows`` is a (C, m) array of basis indices, one
     block per row, ``values`` (C, m) the blocks' eigenvalues and ``vectors``
     (C, m, m) their eigenbases.  The rows of all groups partition the basis.
-    ``sparse`` is set instead on the Krylov route.
     """
 
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
-    sparse: object = None
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def to_eigenbasis(self, amps: np.ndarray) -> list[np.ndarray]:
         """Per group, the (C, m, K) eigenbasis coefficients of a state
@@ -185,25 +182,21 @@ def _coset_rows(n_sites: int, flips: Iterable[int]) -> np.ndarray:
 
 @lru_cache(maxsize=6)
 def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
-    """Up to ``_EIGH_SITE_CAP`` sites one group of flip-mask cosets; above
-    it one group per popcount sector when H conserves sum_i Z_i, otherwise
-    the sparse matrix for Krylov propagation, the only route that imports
-    scipy.  Every block is read from ``flip_diagonals`` and diagonalized by
-    one batched ``eigh`` per group."""
+    """One group per popcount sector when H conserves sum_i Z_i and has more
+    than ``_EIGH_SITE_CAP`` sites, otherwise one group of flip-mask cosets
+    (an H whose flip masks span the whole space is one dense block).  Every
+    block is read from ``flip_diagonals`` and diagonalized by one batched
+    ``eigh`` per group."""
     if h.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError("exact evolution exceeds the dense cap")
-    if h.n_sites <= _EIGH_SITE_CAP:
-        groups = [_coset_rows(h.n_sites, [term.masks()[0] for term in h.terms])]
-    else:
-        magnetization = OperatorSum(
-            [PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites
-        )
-        if commutator_norm(h, magnetization) != 0.0:
-            return _SpectralPlan(sparse=to_sparse(h))
+    magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites)
+    if h.n_sites > _EIGH_SITE_CAP and commutator_norm(h, magnetization) == 0.0:
         popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
         order = np.argsort(popcount, kind="stable")
         edges = np.append(0, np.cumsum(np.bincount(popcount)))
         groups = [order[None, a:b] for a, b in zip(edges, edges[1:])]
+    else:
+        groups = [_coset_rows(h.n_sites, [term.masks()[0] for term in h.terms])]
     diagonals = flip_diagonals(h)
     return _SpectralPlan(
         tuple((rows, *_block_eigh(dense_block(diagonals, rows))) for rows in groups)
@@ -308,9 +301,9 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
     """dt -> the state (or block) propagated by exp(-i H dt) (exact) or its
     Trotter approximation; dt == 0 returns the state's amplitude array itself.
 
-    On the spectral route the state is projected into the eigenbasis once,
-    on the first nonzero dt, and every dt then costs phases and one
-    back-transform; Trotter and Krylov restart from ``state`` at every dt.
+    For exact evolution the state is projected into the eigenbasis once, on
+    the first nonzero dt, and every dt then costs phases and one
+    back-transform; Trotter restarts from ``state`` at every dt.
     Returned arrays may be shared with the propagator and must not be
     modified.
     """
@@ -326,10 +319,6 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
             return amps
         if plan is None:
             return _trotter_evolve(h, amps, dt, evolver)
-        if plan.sparse is not None:
-            from scipy.sparse.linalg import expm_multiply
-
-            return expm_multiply((-1j * dt) * plan.sparse, amps)
         if coeffs is None:
             coeffs = plan.to_eigenbasis(amps)
         return plan.propagate(coeffs, dt).reshape(amps.shape)

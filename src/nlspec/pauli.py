@@ -206,8 +206,9 @@ def flip_diagonals(op: OperatorSum) -> dict[int, np.ndarray]:
     (flip, phase, y_count) adds c i^y_count (-1)^popcount((x ^ flip) & phase)
     to D_flip[x], the terms summed in term order.
 
-    ``to_dense``, ``to_sparse`` and ``dense_block`` are all read from this
-    form, so their entries agree bitwise.
+    ``to_dense``, the ``dense_block`` stacks of exact evolution and the
+    Lanczos matvec of ``models.ground_state`` are all read from this form, so
+    their entries agree bitwise.
     """
     dim = 2**op.n_sites
     diagonals: dict[int, np.ndarray] = {}
@@ -248,24 +249,6 @@ def to_dense(op: OperatorSum) -> np.ndarray:
     if op.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError(f"dense matrix for {op.n_sites} sites exceeds cap {DENSE_SITE_CAP}")
     return dense_block(flip_diagonals(op), np.arange(2**op.n_sites))
-
-
-def to_sparse(op: OperatorSum):
-    """CSR matrix of the operator (any N); one dim-length diagonal per flip mask."""
-    from scipy.sparse import csr_matrix
-
-    dim = 2**op.n_sites
-    diagonals = flip_diagonals(op)
-    if not diagonals:
-        return csr_matrix((dim, dim), dtype=np.complex128)
-    rows = np.arange(dim, dtype=np.int64)
-    return csr_matrix(
-        (
-            np.concatenate(list(diagonals.values())),
-            (np.tile(rows, len(diagonals)), np.concatenate([rows ^ f for f in diagonals])),
-        ),
-        shape=(dim, dim),
-    )
 
 
 def _project_to_support(op: OperatorSum) -> OperatorSum:

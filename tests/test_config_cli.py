@@ -376,7 +376,7 @@ from pathlib import Path
 import nlspec.cli, nlspec.config, nlspec.runner
 
 root = Path(sys.argv[1])
-for name in ("dimer", "sweep", "chain10"):
+for name in ("dimer", "sweep", "toric12", "chain10"):
     config = nlspec.config.load_config(root / f"{name}.json")
     nlspec.runner.run_experiment(config, output_dir=root / name)
 nlspec.runner.verify_experiment(config, tolerance=1e-8)
@@ -386,9 +386,10 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in banned))
 
 
 class TestImportFootprint:
-    """scipy costs about half a second of start-up; only Krylov propagation
-    (non-U(1) models above 9 sites) may import it.  Runs are serial, so no
-    protocol loads a process pool either."""
+    """scipy costs about half a second of start-up, and nlspec never imports
+    it: not on a U(1) chain above 9 sites, nor on the 12-qubit toric code,
+    which no sector split reaches.  Runs are serial, so no protocol loads a
+    process pool either."""
 
     def test_runs_load_no_scipy(self, tmp_path):
         import nlspec
@@ -402,6 +403,11 @@ class TestImportFootprint:
         for grid in ("time_grid", "t1_grid", "t3_grid"):
             sweep[grid] = dict(sweep[grid], points=3)
         write_config(tmp_path, sweep, "sweep.json")
+        toric12 = json.loads((FIGURES / "fig4_xxx.json").read_text())
+        toric12["model"]["parameters"]["l_y"] = 3
+        for grid in ("time_grid", "t1_grid", "t3_grid"):
+            toric12[grid] = dict(toric12[grid], points=3)
+        write_config(tmp_path, toric12, "toric12.json")
         write_config(tmp_path, CHAIN10, "chain10.json")
         src = str(Path(nlspec.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

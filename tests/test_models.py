@@ -20,6 +20,7 @@ from nlspec.models import (
 from nlspec.pauli import (
     OperatorSum,
     PauliTerm,
+    apply_operator,
     commutator_norm,
     expectation,
     to_dense,
@@ -188,10 +189,11 @@ class TestGroundState:
         h = build_xxz(11, 0.9, 0.2)  # above the dense-ground-state cutoff
         psi = ground_state(h)
         e = expectation(h, psi)
-        from scipy.sparse.linalg import eigsh
-        from nlspec.pauli import to_sparse
+        from scipy.sparse.linalg import LinearOperator, eigsh
 
-        ref = eigsh(to_sparse(h), k=1, which="SA", return_eigenvectors=False)[0]
+        # terms applied one by one, independent of the flip_diagonals matvec
+        h_op = LinearOperator((2**11, 2**11), matvec=lambda v: apply_operator(h, v), dtype=complex)
+        ref = eigsh(h_op, k=1, which="SA", return_eigenvectors=False)[0]
         assert e == pytest.approx(float(ref), abs=1e-8)
 
     def test_lanczos_reproducible_on_su2_chain(self):

@@ -16,7 +16,6 @@ from nlspec.pauli import (
     partial_trace,
     terms_commute_pairwise,
     to_dense,
-    to_sparse,
 )
 
 
@@ -124,10 +123,6 @@ class TestApply:
         o = random_operator(4, 5, seed)
         psi = random_state(4, seed)
         assert np.max(np.abs(apply_operator(o, psi) - to_dense(o) @ psi)) < 1e-12
-
-    def test_sparse_matches_dense(self):
-        o = random_operator(4, 5, 77)
-        assert np.max(np.abs(to_sparse(o).toarray() - to_dense(o))) < 1e-14
 
     @pytest.mark.parametrize("seed", [3, 19])
     def test_block_stack_is_principal_submatrices(self, seed):

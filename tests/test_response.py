@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlspec.evolution import EXACT, Evolver, PulseSchedule
-from nlspec.models import build_pump, build_xxz, ground_state, PumpSpec
+from nlspec.models import (
+    build_pump,
+    build_spin_boson,
+    build_tls_dimer,
+    build_xxz,
+    ground_state,
+    PumpSpec,
+)
 from nlspec.pauli import OperatorSum, PauliTerm
+from nlspec.reference import nested_commutator_series
 from nlspec.response import (
     MultiIndex,
     ResponseSeries,
@@ -93,6 +102,62 @@ class TestReconstructResponse:
                     response_decomposition(h, sched, x, [0.0, 1.0], [0.1], 2, evolver, psi0)
                 with pytest.raises(ValueError, match="psi0"):
                     noisy_response(h, sched, x, [0.0], beta, plan, evolver, psi0)
+
+
+#: candidate pulse times; every one of them is also a grid time
+PULSE_TIMES = (0.0, 0.45, 1.1)
+
+
+@st.composite
+def driven_instances(draw):
+    """A random TLS dimer (conserves sum_i Z_i) or spin-boson model (does
+    not), a random initial state, an observable with a random Pauli on every
+    site, and a schedule of one or two channels, each a single-site Pauli
+    kicked once.  Two channels kick on different sites, so their generators
+    commute and may pulse at the same time."""
+    omega = st.floats(0.3, 2.0)
+    coupling = st.one_of(st.floats(-0.8, -0.2), st.floats(0.2, 0.8))  # never uncoupled
+    if draw(st.booleans()):
+        h = build_tls_dimer(draw(omega), draw(omega), draw(coupling))
+    else:
+        h = build_spin_boson(draw(omega), draw(omega), draw(omega), draw(coupling))
+    n = h.n_sites
+    axis = st.sampled_from("XYZ")
+    sites = [0] if draw(st.booleans()) else [0, n - 1]
+    channels = [
+        (op(n, (draw(st.floats(0.5, 1.5)), {site: draw(axis)})), draw(st.sampled_from(PULSE_TIMES)))
+        for site in sites
+    ]
+    beta = [draw(st.integers(1, 3 if len(sites) == 1 else 2)) for _ in sites]
+    observable = op(n, *((draw(st.floats(0.5, 1.5)), {i: draw(axis)}) for i in range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return h, channels, beta, observable, psi / np.linalg.norm(psi)
+
+
+class TestReconstructionAgainstOracle:
+    """The shift-rule reconstruction (kicks, batched shift configurations,
+    segment propagators) against the nested-commutator oracle, which
+    applies the generators as operators instead of kicks."""
+
+    @pytest.mark.parametrize(
+        "evolver", [EXACT, Evolver("trotter1", 3)], ids=["exact", "trotter1"]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(driven_instances())
+    def test_matches_nested_commutators(self, evolver, instance):
+        h, channels, beta, observable, psi = instance
+        schedule = PulseSchedule([(generator, [t]) for generator, t in channels])
+        # every pulse time is a grid time, and some grid times precede a pulse
+        grid = np.array(sorted(set(PULSE_TIMES) | {0.2, 0.8, 1.6, 2.3}))
+        series = reconstruct_response(h, schedule, observable, grid, MultiIndex(beta), evolver, psi)
+        # beta_a coincident copies of channel a's pulse, latest first
+        pulses = sorted(
+            ((generator, t) for (generator, t), b in zip(channels, beta) for _ in range(b)),
+            key=lambda pulse: -pulse[1],
+        )
+        oracle = nested_commutator_series(h, observable, pulses, grid, psi, evolver)
+        assert np.max(np.abs(series.values - oracle)) < 1e-8
 
 
 class TestResponseSeries:
