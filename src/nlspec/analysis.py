@@ -26,7 +26,7 @@ from .evolution import (
     PulseSchedule,
     apply_kick,
     check_initial_state,
-    evolve,
+    driven_states,
     propagator,
 )
 from .pauli import OperatorSum, apply_operator, partial_trace
@@ -120,21 +120,18 @@ def entropy_expansion(
 
     Entropy is a nonlinear functional of the state, so this is a polynomial
     fit on a symmetric amplitude grid rather than a shift-rule evaluation;
-    the Vandermonde conditioning is reported and guarded.  ``psi0`` must be
-    one normalized state (``evolution.check_initial_state``).
+    the Vandermonde conditioning is reported and guarded.  ``driven_states``
+    kicks at 0 and gives the states at t >= 0, the grid as one block.
+    ``psi0`` must be one normalized state (``evolution.check_initial_state``).
     """
-    psi = check_initial_state(h, psi0)
     etas = np.asarray(eta_grid, dtype=float)
     if etas.size < max_order + 1:
         raise AnalysisError("eta grid must have at least max_order + 1 points")
     if np.max(np.abs(etas + etas[::-1])) > 1e-12 * max(1.0, np.max(np.abs(etas))):
         raise AnalysisError("eta grid must be symmetric about 0")
-    entropies = np.empty(etas.size)
-    for k, eta in enumerate(etas):
-        state = apply_kick(pump, float(eta), psi)
-        if t != 0.0:
-            state = evolve(h, state, t, evolver)
-        entropies[k] = entanglement_entropy(state, block_size)
+    (states,) = driven_states(h, PulseSchedule([(pump, [0.0])]), etas[:, None], [t], evolver, psi0)
+    # contiguous rows, so each entropy rounds as a single state's
+    entropies = [entanglement_entropy(row, block_size) for row in np.ascontiguousarray(states.T)]
     scale = float(np.max(np.abs(etas)))
     design = np.vander(etas / scale, max_order + 1, increasing=True)
     cond = float(np.linalg.cond(design))

@@ -3,7 +3,8 @@
 Subcommands:
   run      execute an experiment config and write its artifacts
   verify   cross-check the shift-rule engine against the commutator oracle
-  gaps     print gap sets, shifts, weights and norms for the config's pumps
+  gaps     print each pump channel's gap set (the sumset over its pulses),
+           shifts, weights and norms
   spectra  post-process an existing time-series CSV into a spectrum
 
 Exit codes: 0 success, 2 invalid input (config, pulse schedule, shift rule
@@ -29,7 +30,7 @@ from .evolution import ScheduleError
 from .models import GroundStateError, build_model, build_pump
 from .pauli import DimensionCapError, HermiticityError
 from .runner import run_experiment, verify_experiment, write_csv
-from .shift_rules import ShiftRuleError, gap_set, rule_for_generator
+from .shift_rules import ShiftRuleError, channel_gap_set, rule_for_gap_set
 from .spectra import SpectrumError, envelope_fit, response_spectrum
 
 EXIT_OK = 0
@@ -106,11 +107,11 @@ def _cmd_gaps(args) -> int:
     max_order = args.max_order or max(list(config.orders) + [1])
     for i, channel in enumerate(config.pumps):
         generator = build_pump(channel.pump, h.n_sites)
-        gaps = gap_set(generator)
+        gaps = channel_gap_set(generator, len(channel.times))
         print(f"pump[{i}] kind={channel.pump.kind} support={generator.support}")
         print(f"  gaps ({len(gaps)}): {np.array2string(gaps.gaps, precision=10)}")
         print(f"  unit: {gaps.unit}")
-        rule = rule_for_generator(generator, range(max_order + 1))
+        rule = rule_for_gap_set(gaps, range(max_order + 1))
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")
         print(f"  condition number: {rule.condition_number:.3e}")
         for r in sorted(rule.coefficients):

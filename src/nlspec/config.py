@@ -345,6 +345,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
             int(_require(s, "total_shots", "sampling")), s.get("mode", "uniform")
         )
 
+    if protocol == "entropy" and (len(pumps) != 1 or pumps[0].times != (0.0,)):
+        raise ConfigError("pumps: the entropy protocol kicks one pump channel once, at times [0.0]")
+
     n_qubits = model.n_qubits()
     probe_1 = tuple((int(k), str(v)) for k, v in dict(raw.get("probe_1", {})).items())
     probe_2 = tuple((int(k), str(v)) for k, v in dict(raw.get("probe_2", {})).items())
@@ -380,6 +383,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         delta_values=tuple(_finite(v, "delta_values") for v in raw.get("delta_values", ())),
         method=str(raw.get("method", "shift_rule")),
     )
+    if protocol == "entropy" and config.entropy_time < 0:
+        raise ConfigError("entropy_time: must be >= 0")
     _validate_against_model(config, n_qubits)
     return config
 

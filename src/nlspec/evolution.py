@@ -17,7 +17,8 @@ the K shift configurations that share one pulse schedule; the configuration
 axis is always the trailing one.  Exact evolution propagates the whole block
 at once; first-order Trotter evolution loops over the columns, each column
 seeing exactly the single-state propagator.  Kicks take one amplitude per
-column.
+block or one per column; a kick whose generator B has non-commuting terms
+is exact evolution under B for the time eta, on B's own spectral plan.
 
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
 and cached: groups of invariant blocks of H, each group a (C, m) array of
@@ -66,9 +67,9 @@ from .pauli import (
     along_rows,
     commutator_norm,
     dense_block,
-    eigendecompose,
     expectation,
     flip_diagonals,
+    strings_commute,
     terms_commute_pairwise,
 )
 
@@ -135,7 +136,7 @@ def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _SpectralPlan:
-    """exp(-i H t) for exact evolution, built once per Hamiltonian.
+    """exp(-i H t) for exact evolution and non-commuting kicks, built once per operator.
 
     ``groups`` holds (rows, values, vectors) triples, one per stack of
     invariant blocks of H: ``rows`` is a (C, m) array of basis indices, one
@@ -151,14 +152,14 @@ class _SpectralPlan:
         flat = amps.reshape(amps.shape[0], -1)
         return [_to_block_basis(vectors, flat[rows]) for rows, _, vectors in self.groups]
 
-    def propagate(self, coeffs: list[np.ndarray], t: float) -> np.ndarray:
-        """exp(-i H t) applied to the state whose eigenbasis coefficients
-        ``to_eigenbasis`` returned, as a (dim, K) array: batched phases,
-        then one batched back-transform and one scatter per group."""
+    def propagate(self, coeffs: list[np.ndarray], t) -> np.ndarray:
+        """exp(-i H t), t shared or (K,) with one per column, applied to the
+        state whose eigenbasis coefficients ``to_eigenbasis`` returned, as a
+        (dim, K) array: batched phases, one batched back-transform per group."""
         dim = sum(rows.size for rows, _, _ in self.groups)
         out = np.empty((dim, coeffs[0].shape[-1]), dtype=complex)
         for (rows, values, vectors), c in zip(self.groups, coeffs):
-            out[rows] = _from_block_basis(vectors, np.exp(-1j * values * t)[..., None] * c)
+            out[rows] = _from_block_basis(vectors, np.exp(-1j * values[..., None] * t) * c)
         return out
 
 
@@ -188,7 +189,7 @@ def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
     block is read from ``flip_diagonals`` and diagonalized by one batched
     ``eigh`` per group."""
     if h.n_sites > DENSE_SITE_CAP:
-        raise DimensionCapError("exact evolution exceeds the dense cap")
+        raise DimensionCapError(f"spectral plan of {h.n_sites} sites exceeds cap {DENSE_SITE_CAP}")
     magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites)
     if h.n_sites > _EIGH_SITE_CAP and commutator_norm(h, magnetization) == 0.0:
         popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
@@ -220,13 +221,6 @@ def _apply_string_rotation(
 _FUSED_MASK_CAP = 4
 
 
-def _strings_commute(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    """Two Pauli strings, given by their masks, commute iff they differ in
-    axis on an even number of shared sites (an OperatorSum-free
-    ``terms_commute_pairwise``, cheap enough to run on every ``evolve``)."""
-    return bin((a[0] & b[1]) ^ (a[1] & b[0])).count("1") % 2 == 0
-
-
 def _commuting_runs(h: OperatorSum) -> list[list[PauliTerm]]:
     """Maximal runs of consecutive, mutually commuting terms, in term order,
     each with at most ``_FUSED_MASK_CAP`` flip masks in its product.
@@ -237,18 +231,18 @@ def _commuting_runs(h: OperatorSum) -> list[list[PauliTerm]]:
     runs: list[list[PauliTerm]] = []
     flips: set[int] = set()
     for term in h.terms:
-        masks = term.masks()
-        grown = flips | {f ^ masks[0] for f in flips}
+        flip = term.masks()[0]
+        grown = flips | {f ^ flip for f in flips}
         if (
             runs
             and len(grown) <= _FUSED_MASK_CAP
-            and all(_strings_commute(masks, other.masks()) for other in runs[-1])
+            and all(strings_commute(term, other) for other in runs[-1])
         ):
             runs[-1].append(term)
             flips = grown
         else:
             runs.append([term])
-            flips = {0, masks[0]}
+            flips = {0, flip}
     return runs
 
 
@@ -328,32 +322,10 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
 
 @lru_cache(maxsize=32)
 def _kick_plan(b: OperatorSum):
-    """Either the commuting-term factorization or the support eigenbasis."""
+    """The per-string rotations of a pairwise-commuting generator, else None."""
     if terms_commute_pairwise(b):
-        return ("product", tuple((term.masks(), term.coefficient) for term in b.terms))
-    support = b.support
-    if len(support) > DENSE_SITE_CAP:
-        raise DimensionCapError(
-            f"kick generator support {len(support)} exceeds cap {DENSE_SITE_CAP}"
-        )
-    return ("support", (support, *eigendecompose(b, on_support=True)))
-
-
-def _apply_on_support(
-    vectors: np.ndarray, phases: np.ndarray, support: Sequence[int], amps: np.ndarray, n_sites: int
-) -> np.ndarray:
-    """Apply V diag(phases) V^dagger, acting on the given sites, to a state or
-    block; for a block ``phases`` has one column per block column."""
-    batch = amps.shape[1:]
-    tensor = amps.reshape([2] * n_sites + list(batch))
-    axes = [n_sites - 1 - s for s in support]  # axis k of the tensor is site n-1-k
-    moved = np.moveaxis(tensor, axes, range(len(axes)))
-    shape = moved.shape
-    dim = 2 ** len(axes)
-    coeffs = _to_block_basis(vectors, moved.reshape(dim, -1)).reshape(dim, -1, *batch)
-    coeffs *= phases[:, None]
-    flat = vectors @ coeffs.reshape(dim, -1)
-    return np.moveaxis(flat.reshape(shape), range(len(axes)), axes).reshape(amps.shape)
+        return tuple((term.masks(), term.coefficient) for term in b.terms)
+    return None
 
 
 def apply_kick(b: OperatorSum, eta, state: np.ndarray) -> np.ndarray:
@@ -361,8 +333,9 @@ def apply_kick(b: OperatorSum, eta, state: np.ndarray) -> np.ndarray:
     all columns or one per column.
 
     Mutually commuting term sums (single strings, site-local drives, cosine
-    profiles) factorize into per-string rotations; otherwise the generator is
-    diagonalized once on its support and the kick applied in that eigenbasis.
+    profiles) factorize into per-string rotations; any other generator is
+    exact evolution under B for the time eta (``DimensionCapError`` above
+    ``DENSE_SITE_CAP`` register sites).
     """
     amps = np.asarray(state, dtype=np.complex128)
     eta = np.asarray(eta, dtype=float)
@@ -371,18 +344,14 @@ def apply_kick(b: OperatorSum, eta, state: np.ndarray) -> np.ndarray:
     eta = float(eta) if amps.ndim == 1 else np.broadcast_to(eta, amps.shape[1:])
     if not np.any(eta):
         return amps.copy()
-    kind, payload = _kick_plan(b)
-    if kind == "product":
-        out = amps
-        for masks, coefficient in payload:
-            out = _apply_string_rotation(masks, eta * coefficient, out, b.n_sites)
-        return out
-    support, values, vectors = payload
-    # support order must match the reindexed operator used for eigendecompose:
-    # site k of the support factor is support[k]
-    phases = np.exp(-1j * np.multiply.outer(values, eta))
-    # reversed: axis 0 of the 2^r block is the most significant support site
-    return _apply_on_support(vectors, phases, list(reversed(support)), amps, b.n_sites)
+    rotations = _kick_plan(b)
+    if rotations is None:
+        plan = _spectral_plan(b)
+        return plan.propagate(plan.to_eigenbasis(amps), eta).reshape(amps.shape)
+    out = amps
+    for masks, coefficient in rotations:
+        out = _apply_string_rotation(masks, eta * coefficient, out, b.n_sites)
+    return out
 
 
 @dataclass(frozen=True)

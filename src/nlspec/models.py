@@ -20,6 +20,7 @@ from .pauli import (
     _xor_index,
     apply_operator,
     flip_diagonals,
+    terms_commute_pairwise,
     to_dense,
 )
 
@@ -242,8 +243,6 @@ def _stabilizer_projection(h: OperatorSum) -> np.ndarray | None:
     for term in h.terms:
         if term.coefficient >= 0:
             return None
-    from .pauli import terms_commute_pairwise
-
     if not terms_commute_pairwise(h):
         return None
     dim = 2**h.n_sites

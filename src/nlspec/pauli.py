@@ -261,20 +261,10 @@ def _project_to_support(op: OperatorSum) -> OperatorSum:
     return OperatorSum(terms, max(1, len(support)))
 
 
-def eigendecompose(op: OperatorSum, on_support: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose(op: OperatorSum) -> tuple[np.ndarray, np.ndarray]:
     """Dense spectral decomposition (eigenvalues ascending, eigenvectors as
-    columns), optionally on the support factor only.
-
-    ``on_support=True`` diagonalizes the operator restricted to the tensor
-    factor where it acts nontrivially; the distinct eigenvalues (and hence
-    all spectral gaps) agree with those of the full operator.
-    """
-    target = _project_to_support(op) if on_support else op
-    if target.n_sites > DENSE_SITE_CAP:
-        raise DimensionCapError(
-            f"eigendecomposition of {target.n_sites} sites exceeds cap {DENSE_SITE_CAP}"
-        )
-    return np.linalg.eigh(to_dense(target))
+    columns); refused above the cap, as ``to_dense`` is."""
+    return np.linalg.eigh(to_dense(op))
 
 
 def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -337,15 +327,14 @@ def commutator_norm(op_a: OperatorSum, op_b: OperatorSum) -> float:
     return float(max(abs(v) for v in acc.values()))
 
 
+def strings_commute(a: PauliTerm, b: PauliTerm) -> bool:
+    """Two Pauli strings commute iff they differ in axis on an even number of
+    shared sites: popcount((flip_a & phase_b) ^ (phase_a & flip_b)) is even."""
+    (flip_a, phase_a, _), (flip_b, phase_b, _) = a.masks(), b.masks()
+    return ((flip_a & phase_b) ^ (phase_a & flip_b)).bit_count() % 2 == 0
+
+
 def terms_commute_pairwise(op: OperatorSum) -> bool:
     """True when every pair of Pauli strings in the sum commutes."""
     terms = op.terms
-    for i in range(len(terms)):
-        fa = dict(terms[i].factors)
-        for j in range(i + 1, len(terms)):
-            conflicts = sum(
-                1 for site, axis in terms[j].factors if site in fa and fa[site] != axis
-            )
-            if conflicts % 2:
-                return False
-    return True
+    return all(strings_commute(a, b) for i, a in enumerate(terms) for b in terms[i + 1 :])

@@ -21,8 +21,8 @@ from .shift_rules import (
     MultiIndex,
     ShiftRule,
     ShiftRuleError,
-    gap_set,
-    rule_for_generator,
+    channel_gap_set,
+    rule_for_gap_set,
     taylor_rule,
 )
 
@@ -60,13 +60,16 @@ def rules_for_schedule(
     n_shifts: int | None = None,
     mode: str = "full",
 ) -> dict[int, ShiftRule]:
-    """One shift rule per active channel, keyed by channel index."""
+    """One shift rule per active channel, keyed by channel index, on the
+    channel's gap set (``channel_gap_set``: a channel pulsed P times needs
+    the P-fold sumset of its generator's gaps)."""
     if len(beta.beta) != schedule.n_channels:
         raise ValueError("multi-index length must equal the channel count")
     rules: dict[int, ShiftRule] = {}
     for a in beta.support:
-        generator, _ = schedule.channels[a]
-        rules[a] = rule_for_generator(generator, [beta.beta[a]], n_shifts=n_shifts, mode=mode)
+        generator, times = schedule.channels[a]
+        gaps = channel_gap_set(generator, len(times))
+        rules[a] = rule_for_gap_set(gaps, [beta.beta[a]], n_shifts=n_shifts, mode=mode)
     return rules
 
 
@@ -124,25 +127,28 @@ def reconstruct_response(
 
 
 def decomposition_rule(
-    generator: OperatorSum,
+    channel: tuple[OperatorSum, Sequence[float]],
     max_order: int,
     n_shifts: int | None = None,
     shift_budget: int = DEFAULT_SHIFT_BUDGET,
 ) -> ShiftRule:
     """Rule used to expand a single-channel signal order by order.
 
-    Uses the exact gap-set rule when the spectrum is commensurate and small
-    enough; otherwise (or when ``n_shifts`` forces fewer points than gaps) a
+    ``channel`` is a (generator, pulse times) pair, as in
+    ``PulseSchedule.channels``; its gap set is ``channel_gap_set``.  Uses the
+    exact gap-set rule when the spectrum is commensurate and small enough;
+    otherwise (or when ``n_shifts`` forces fewer points than gaps) a
     truncated polynomial rule on max_order + 1 points scaled to a quarter
     period of the fastest spectral component.
     """
     orders = list(range(max_order + 1))
-    gaps = gap_set(generator)
+    generator, times = channel
+    gaps = channel_gap_set(generator, len(times))
     exact_feasible = gaps.unit is not None and len(gaps) <= shift_budget
     if n_shifts is None and exact_feasible:
-        return rule_for_generator(generator, orders)
+        return rule_for_gap_set(gaps, orders)
     if n_shifts is not None and exact_feasible and n_shifts >= len(gaps):
-        return rule_for_generator(generator, orders, n_shifts=n_shifts)
+        return rule_for_gap_set(gaps, orders, n_shifts=n_shifts)
     m = n_shifts if n_shifts is not None else max_order + 1
     if m < max_order + 1:
         raise ShiftRuleError(f"{m} shifts cannot resolve orders up to {max_order}")
@@ -174,8 +180,7 @@ def response_decomposition(
     eta_evals = np.asarray(eta_evals, dtype=float)
     if eta_evals.ndim != 1 or eta_evals.size == 0:
         raise ValueError("eta_evals must be a nonempty sequence of amplitudes")
-    generator, _ = schedule.channels[0]
-    rule = decomposition_rule(generator, max_order, n_shifts=n_shifts)
+    rule = decomposition_rule(schedule.channels[0], max_order, n_shifts=n_shifts)
     grid = np.asarray(t_grid, dtype=float)
     # the shifted samples and the reference signal at every eta as one block
     etas = np.concatenate([rule.shifts, eta_evals])[:, None]

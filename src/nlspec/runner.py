@@ -32,7 +32,7 @@ from .analysis import (
     third_order_2dos,
 )
 from .config import ConfigError, ExperimentConfig, build_observable, to_json_dict
-from .evolution import PulseSchedule, apply_kick, driven_signal, evolve
+from .evolution import PulseSchedule, driven_signal, driven_states
 from .models import ModelSpec, build_model, build_pump, ground_state
 from .pauli import DimensionCapError, OperatorSum, PauliTerm
 from .reference import (
@@ -395,13 +395,10 @@ def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     )
     files.append("entropy_coefficients.csv")
 
-    eta_ref = config.eta_eval[0]
-    profile = []
-    state = apply_kick(pump, eta_ref, psi0)
-    if config.entropy_time:
-        state = evolve(h, state, config.entropy_time, config.evolver)
-    for d in range(1, n):
-        profile.append([d, entanglement_entropy(state, d)])
+    # the state kicked by the first eta_eval, as entropy_expansion makes its states
+    kick, grid = PulseSchedule([(pump, [0.0])]), [config.entropy_time]
+    (state,) = driven_states(h, kick, config.eta_eval[:1], grid, config.evolver, psi0)
+    profile = [[d, entanglement_entropy(state, d)] for d in range(1, n)]
     write_csv(out / "entropy_profile.csv", ["block_size", "S_d"], profile)
     files.append("entropy_profile.csv")
 
@@ -423,9 +420,7 @@ def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
                 config.max_order, config.evolver,
             )
             rows.append([delta] + list(exp_d.coefficients))
-            state = apply_kick(pump, eta_ref, psi_d)
-            if config.entropy_time:
-                state = evolve(h_d, state, config.entropy_time, config.evolver)
+            (state,) = driven_states(h_d, kick, config.eta_eval[:1], grid, config.evolver, psi_d)
             half_rows.append([delta, entanglement_entropy(state, block)])
         write_csv(
             out / "entropy_coeffs_vs_delta.csv",

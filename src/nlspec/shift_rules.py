@@ -26,7 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import OperatorSum, eigendecompose
+from .evolution import _spectral_plan
+from .pauli import OperatorSum, _project_to_support
 
 DEFAULT_GAP_TOL = 1e-9
 DEFAULT_CONDITION_LIMIT = 1e8
@@ -140,10 +141,11 @@ def _spectrum(generator: OperatorSum, tol: float) -> np.ndarray:
 
     Terms on disjoint sites act on separate tensor factors, so the spectrum
     is every signed sum of their coefficients (an identity term shifts it);
-    any other generator is diagonalized on its support factor.
+    any other generator is read from the spectral plan of its support factor.
     """
     if not _site_disjoint(generator):
-        return _dedup_sorted(eigendecompose(generator, on_support=True)[0], tol)
+        plan = _spectral_plan(_project_to_support(generator))
+        return _dedup_sorted(np.concatenate([values.ravel() for _, values, _ in plan.groups]), tol)
     values = np.zeros(1)
     for term in generator.terms:
         c = term.coefficient
@@ -154,20 +156,40 @@ def _spectrum(generator: OperatorSum, tol: float) -> np.ndarray:
     return values
 
 
+def _symmetric(gaps: np.ndarray, tol: float) -> np.ndarray:
+    """A deduplicated gap set made exactly symmetric, with an exact zero."""
+    positive = gaps[gaps > tol]
+    return np.concatenate([-positive[::-1], [0.0], positive])
+
+
 def gap_set(generator: OperatorSum, tol: float = DEFAULT_GAP_TOL) -> GapSet:
     """All pairwise eigenvalue differences of the generator, deduplicated.
 
     Site-disjoint generators (local drives, cosine profiles, single strings)
     take their spectrum in closed form at any register size; any other is
-    diagonalized on its support factor, at cost 2**r for support size r.
+    read from the spectral plan of its projection onto its r support sites,
+    at cost 2**r (``DimensionCapError`` for r > ``DENSE_SITE_CAP``).
     """
     values = _spectrum(generator, tol)
     diffs = (values[:, None] - values[None, :]).ravel()
-    gaps = _dedup_sorted(diffs, tol)
-    # enforce exact symmetry and an exact zero entry
-    positive = gaps[gaps > tol]
-    sym = np.concatenate([-positive[::-1], [0.0], positive])
-    return GapSet(sym, _common_unit(positive, tol), tol)
+    gaps = _symmetric(_dedup_sorted(diffs, tol), tol)
+    return GapSet(gaps, _common_unit(gaps[gaps > tol], tol), tol)
+
+
+def channel_gap_set(generator: OperatorSum, n_pulses: int) -> GapSet:
+    """Gap set of a drive channel whose ``n_pulses`` pulses share one
+    amplitude.
+
+    Each pulse contributes one gap of the generator, so the signal is a
+    Fourier series over the n_pulses-fold sumset of ``gap_set(generator)``:
+    two Pauli pulses give {-4, -2, 0, 2, 4}, not {-2, 0, 2}.  The sumset
+    keeps the generator's unit (or its lack of one).
+    """
+    single = gap_set(generator)
+    gaps = single.gaps
+    for _ in range(n_pulses - 1):
+        gaps = _dedup_sorted(np.add.outer(gaps, single.gaps).ravel(), single.tol)
+    return GapSet(_symmetric(gaps, single.tol), single.unit, single.tol)
 
 
 def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full") -> np.ndarray:

@@ -349,6 +349,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "gaps" in out and "shifts" in out and "order 2" in out
 
+    def test_gaps_of_a_two_pulse_channel_are_the_sumset(self, tmp_path, capsys):
+        pumps = [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0, 1.0]}]
+        path = write_config(tmp_path, dict(MINIMAL, pumps=pumps))
+        assert main(["gaps", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "gaps (5): [-4. -2.  0.  2.  4.]" in out and "shifts (5)" in out
+
     def test_spectra_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

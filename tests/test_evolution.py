@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +13,7 @@ from nlspec.evolution import (
     driven_signal,
     evolve,
     propagator,
+    _SpectralPlan,
     _commuting_runs,
     _spectral_plan,
 )
@@ -24,6 +27,7 @@ from nlspec.models import (
     PumpSpec,
 )
 from nlspec.pauli import (
+    DimensionCapError,
     OperatorSum,
     PauliTerm,
     apply_operator,
@@ -445,7 +449,7 @@ class TestKick:
         assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_noncommuting_generator_support_path(self):
-        # X0 + Z0 does not factorize; exercised through the eigenbasis route
+        # X1 + Z1 does not factorize; it takes the generator's spectral plan
         b = op(3, (1.0, {1: "X"}), (1.0, {1: "Z"}))
         psi = random_state(3, 4)
         out = apply_kick(b, 0.9, psi)
@@ -463,6 +467,43 @@ class TestKick:
 
         ref = expm(-1.1j * to_dense(b)) @ psi
         assert np.max(np.abs(out - ref)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            op(4, (1.0, {1: "X"}), (0.7, {1: "Z"}), (0.4, {0: "Y", 2: "Y"})),
+            # conserves sum_i Z_i on 10 sites: the plan's popcount sectors
+            op(10, (1.0, {0: "X", 1: "X"}), (1.0, {0: "Y", 1: "Y"}), (0.6, {1: "Z"})),
+        ],
+        ids=["cosets", "sectors"],
+    )
+    def test_noncommuting_block_kick_matches_expm(self, b):
+        from scipy.linalg import expm
+
+        dense = to_dense(b)
+        block = np.stack([random_state(b.n_sites, s) for s in range(3)], axis=1)
+        etas = np.array([0.3, 0.0, -1.2])
+        spy = mock.patch.object(
+            _SpectralPlan, "to_eigenbasis", autospec=True, side_effect=_SpectralPlan.to_eigenbasis
+        )
+        with spy as projections:
+            out = apply_kick(b, etas, block)
+        assert projections.call_count == 1  # one projection, one phase per column
+        kicks = {eta: expm(-1j * eta * dense) for eta in etas.tolist()}
+        for k, eta in enumerate(etas.tolist()):
+            assert np.max(np.abs(out[:, k] - kicks[eta] @ block[:, k])) < 1e-12
+        shared = apply_kick(b, -1.2, block)
+        assert np.max(np.abs(shared - kicks[-1.2] @ block)) < 1e-12
+
+    def test_noncommuting_kick_beyond_dense_cap(self):
+        # exact evolution under B: refused on more than DENSE_SITE_CAP
+        # register sites, however small the support, as exact evolution is
+        psi = basis_state(13, 0)
+        with pytest.raises(DimensionCapError):
+            apply_kick(op(13, (1.0, {0: "X"}), (1.0, {0: "Z"})), 0.1, psi)
+        # a commuting sum still factorizes at any register size
+        out = apply_kick(op(13, (1.0, {0: "X"}), (1.0, {12: "Z"})), np.pi / 2, psi)
+        assert abs(out[1]) == pytest.approx(1.0)
 
 
 class TestSchedule:

@@ -14,6 +14,7 @@ from nlspec.pauli import (
     expectation,
     flip_diagonals,
     partial_trace,
+    strings_commute,
     terms_commute_pairwise,
     to_dense,
 )
@@ -176,12 +177,6 @@ class TestEigendecompose:
         values, _ = eigendecompose(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
         assert np.allclose(values, [-2, 0, 0, 2])
 
-    def test_support_only(self):
-        o = op(6, (1.0, {3: "X"}))
-        values, vectors = eigendecompose(o, on_support=True)
-        assert values.shape == (2,) and vectors.shape == (2, 2)
-        assert np.allclose(values, [-1, 1])
-
     def test_reconstruction(self):
         o = random_operator(4, 6, 5)
         values, vectors = eigendecompose(o)
@@ -249,6 +244,17 @@ class TestCommutatorAlgebra:
     def test_terms_commute_pairwise(self):
         assert terms_commute_pairwise(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
         assert not terms_commute_pairwise(op(1, (1.0, {0: "X"}), (1.0, {0: "Z"})))
+
+    def test_strings_commute_matches_dense_commutator(self):
+        # every pair of strings on two sites, identity factors included
+        strings = [
+            PauliTerm(1.0, {s: a for s, a in enumerate(axes) if a != "I"})
+            for axes in ((a, b) for a in "IXYZ" for b in "IXYZ")
+        ]
+        for a in strings:
+            for b in strings:
+                da, db = to_dense(OperatorSum((a,), 2)), to_dense(OperatorSum((b,), 2))
+                assert strings_commute(a, b) == np.allclose(da @ db, db @ da)
 
 
 def test_dense_cap_enforced():

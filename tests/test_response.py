@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nlspec.evolution import EXACT, Evolver, PulseSchedule
 from nlspec.models import (
@@ -160,6 +162,79 @@ class TestReconstructionAgainstOracle:
         assert np.max(np.abs(series.values - oracle)) < 1e-8
 
 
+def pulse_summed_oracle(h, observable, channels, beta, grid, psi):
+    """The order-beta response when a channel may pulse several times: the
+    commutator oracle summed over every way to spread channel a's beta_a
+    derivatives over its pulse times, each pulse sequence latest first."""
+    spreads = [
+        itertools.combinations_with_replacement(times, b) for (_, times), b in zip(channels, beta)
+    ]
+    total = np.zeros(len(grid))
+    for choice in itertools.product(*spreads):
+        pulses = sorted(
+            ((generator, t) for (generator, _), ts in zip(channels, choice) for t in ts),
+            key=lambda pulse: -pulse[1],
+        )
+        total += nested_commutator_series(h, observable, pulses, grid, psi, EXACT)
+    return total
+
+
+@st.composite
+def multi_pulse_instances(draw):
+    """A random spin-boson model (three sites), one to three channels, each a
+    single-site Pauli on its own site kicked at one to three of the
+    ``PULSE_TIMES``, and a multi-index of total order 1 to 3."""
+    omega = st.floats(0.3, 2.0)
+    coupling = st.one_of(st.floats(-0.8, -0.2), st.floats(0.2, 0.8))
+    h = build_spin_boson(draw(omega), draw(omega), draw(omega), draw(coupling))
+    axis = st.sampled_from("XYZ")
+    sites = draw(st.lists(st.sampled_from(range(3)), min_size=1, max_size=3, unique=True))
+    channels = [
+        (
+            op(3, (draw(st.floats(0.5, 1.5)), {site: draw(axis)})),
+            sorted(draw(st.sets(st.sampled_from(PULSE_TIMES), min_size=1))),
+        )
+        for site in sites
+    ]
+    beta = draw(st.lists(st.integers(0, 2), min_size=len(sites), max_size=len(sites)))
+    assume(1 <= sum(beta) <= 3)
+    observable = op(3, *((draw(st.floats(0.5, 1.5)), {i: draw(axis)}) for i in range(3)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return h, channels, beta, observable, psi / np.linalg.norm(psi)
+
+
+class TestPulseSummedResponse:
+    """Channels pulsed several times at one shared amplitude, against the
+    commutator oracle.  Exact evolution only: under Trotter the oracle breaks
+    its segments at its own pulse times, not at every pulse of the schedule."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_two_pulse_channel(self, order):
+        h = build_xxz(3, 0.7, 0.2)
+        psi = ground_state(h)
+        channels = [(op(3, (1.0, {0: "X"})), [0.0, 0.7])]
+        observable = op(3, (1.0, {1: "Z"}), (0.5, {2: "X"}))
+        grid = np.linspace(0.0, 2.1, 7)
+        series = reconstruct_response(
+            h, PulseSchedule(channels), observable, grid, MultiIndex([order]), EXACT, psi
+        )
+        assert series.metadata["shifts"][0] == pytest.approx(np.pi / 6 * np.arange(-2, 3))
+        oracle = pulse_summed_oracle(h, observable, channels, [order], grid, psi)
+        assert np.max(np.abs(series.values - oracle)) < 1e-8
+
+    @settings(max_examples=10, deadline=None)
+    @given(multi_pulse_instances())
+    def test_matches_summed_nested_commutators(self, instance):
+        h, channels, beta, observable, psi = instance
+        grid = np.array(sorted(set(PULSE_TIMES) | {0.2, 0.8, 1.6, 2.3}))
+        series = reconstruct_response(
+            h, PulseSchedule(channels), observable, grid, MultiIndex(beta), EXACT, psi
+        )
+        oracle = pulse_summed_oracle(h, observable, channels, beta, grid, psi)
+        assert np.max(np.abs(series.values - oracle)) < 1e-8
+
+
 class TestResponseSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -267,18 +342,18 @@ class TestDecomposition:
 class TestDecompositionRule:
     def test_commensurate_uses_exact_rule(self):
         gen = op(4, (1.0, {1: "X"}))
-        rule = decomposition_rule(gen, 7)
+        rule = decomposition_rule((gen, [0.0]), 7)
         assert rule.basis == "fourier"
         assert rule.n_shifts == 3
 
     def test_incommensurate_uses_taylor(self):
         gen = op(2, (1.0, {0: "X"}), (np.sqrt(2), {1: "X"}))
-        rule = decomposition_rule(gen, 7)
+        rule = decomposition_rule((gen, [0.0]), 7)
         assert rule.basis == "taylor"
         assert rule.n_shifts == 8
 
     def test_forced_shift_count(self):
         gen = build_pump(PumpSpec("cosine_profile", momentum=1), 12)
-        rule = decomposition_rule(gen, 7, n_shifts=8)
+        rule = decomposition_rule((gen, [0.0]), 7, n_shifts=8)
         assert rule.basis == "taylor"
         assert rule.n_shifts == 8

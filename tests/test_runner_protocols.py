@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nlspec.analysis import entanglement_entropy
 from nlspec.cli import main
 from nlspec.config import load_config
+from nlspec.evolution import apply_kick
+from nlspec.models import build_model, build_pump, ground_state
 from nlspec.runner import run_experiment
 
 TORIC = {
@@ -13,6 +17,9 @@ TORIC = {
     "boundary": "periodic",
 }
 SMALL_GRID = {"start": 0.3, "stop": 1.5, "points": 3}
+
+
+FIGURES = Path(__file__).resolve().parents[1] / "figures"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -68,6 +75,17 @@ class TestPumpProbeProtocol:
         assert meta["mean_contrast"][0] == pytest.approx(-2.0, abs=1e-10)
         contrast = np.loadtxt(tmp_path / "out" / "contrast.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(contrast[:, 2] + 2.0)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["fig4_contrast_xxx", "fig4_contrast_xzz"])
+    def test_bundled_contrast_orders_vanish_by_symmetry(self, tmp_path, name):
+        # the probes are stars, which commute with H and fix the ground state;
+        # the pump commutes with their product (xxx: C does not depend on
+        # eta) or anticommutes with it (xzz: C = cos(2 eta)), so the odd
+        # orders in these configs vanish
+        run_experiment(load_config(FIGURES / f"{name}.json"), output_dir=tmp_path / "out")
+        orders = np.loadtxt(tmp_path / "out" / "correlator_orders.csv", delimiter=",", skiprows=1)
+        assert orders.shape[1] > 2
+        assert np.max(np.abs(orders[:, 2:])) < 1e-12
 
 
 class TestSweepProtocol:
@@ -170,6 +188,42 @@ class TestEntropyProtocol:
         profile = np.loadtxt(tmp_path / "out" / "entropy_profile.csv", delimiter=",", skiprows=1)
         assert profile.shape == (5, 2)  # blocks 1..5
         assert np.all(profile[:, 1] > 0)  # the driven chain is entangled
+
+
+    ENTROPY = {
+        "protocol": "entropy",
+        "model": {"kind": "xxz", "parameters": {"n_sites": 4, "delta": 1.0, "h_field": 0.0}},
+        "pumps": [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0]}],
+        "eta_grid": [-0.02, 0.0, 0.02],
+        "max_order": 2,
+    }
+    X2 = {"kind": "local_pauli", "site": 2, "axis": "X", "times": [0.0]}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"pumps": [ENTROPY["pumps"][0], X2]}, "pumps: the entropy protocol"),
+            ({"pumps": [dict(X2, times=[0.5])]}, "pumps: the entropy protocol"),
+            ({"pumps": [dict(X2, times=[0.0, 1.0])]}, "pumps: the entropy protocol"),
+            ({"entropy_time": -0.5}, "entropy_time: must be >= 0"),
+        ],
+        ids=["two_channels", "late_pulse", "two_pulses", "negative_time"],
+    )
+    def test_invalid_entropy_config_exit_two(self, tmp_path, capsys, change, message):
+        path = write_config(tmp_path, {**self.ENTROPY, **change})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_entropy_time_is_the_kicked_ground_state(self, tmp_path):
+        config = load_config(write_config(tmp_path, {**self.ENTROPY, "entropy_time": 0.0}))
+        run_experiment(config, output_dir=tmp_path / "out")
+        entropies = np.loadtxt(tmp_path / "out" / "entropy_vs_eta.csv", delimiter=",", skiprows=1)
+        h = build_model(config.model)
+        pump = build_pump(config.pumps[0].pump, h.n_sites)
+        for eta, entropy in entropies:
+            kicked = apply_kick(pump, eta, ground_state(h))
+            assert entropy == pytest.approx(entanglement_entropy(kicked, 2), abs=1e-12)
 
 
 class TestEnvironmentOverrides:

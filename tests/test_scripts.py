@@ -1,7 +1,10 @@
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def load_script(name):
@@ -15,3 +18,16 @@ def test_cross_validate_one_instance_passes(capsys):
     assert load_script("cross_validate").main(["--instances", "1"]) == 0
     out = capsys.readouterr().out
     assert "instance 0" in out and "worst deviation" in out
+
+
+def test_traced_benchmark_targets_resolve(monkeypatch):
+    # the traced benchmark run wraps these nlspec functions by name, so a
+    # deleted or renamed one would break it; load the module without
+    # writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, name in tracing.TARGETS + (("evolution", "PulseSchedule"),):
+        assert callable(getattr(importlib.import_module(f"nlspec.{module}"), name, None)), name

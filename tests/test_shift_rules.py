@@ -10,6 +10,7 @@ from nlspec.pauli import OperatorSum, PauliTerm
 from nlspec.shift_rules import (
     MultiIndex,
     ShiftRuleError,
+    channel_gap_set,
     gap_set,
     rule_for_generator,
     shift_grid,
@@ -83,7 +84,9 @@ def assert_same_gap_set(closed, dense):
 
 
 def spy_on_eigh():
-    return mock.patch.object(shift_rules, "eigendecompose", wraps=shift_rules.eigendecompose)
+    """Spy on the spectral plan, the one diagonalizer behind gap sets that are
+    not in closed form."""
+    return mock.patch.object(shift_rules, "_spectral_plan", wraps=shift_rules._spectral_plan)
 
 
 @st.composite
@@ -144,6 +147,32 @@ class TestClosedFormGapSet:
         gaps = gap_set(op(14, *((0.5, {j: "X"}) for j in range(14))))
         assert np.allclose(gaps.gaps, np.arange(-14, 15))
         assert gaps.unit == pytest.approx(1.0)
+
+
+class TestChannelGapSet:
+    """P pulses sharing one amplitude: the P-fold sumset of the gap set."""
+
+    def test_one_pulse_is_the_gap_set(self):
+        generator = op(3, (0.5, {0: "X"}), (1.5, {1: "Z"}))
+        single, channel = gap_set(generator), channel_gap_set(generator, 1)
+        assert np.array_equal(channel.gaps, single.gaps) and channel.unit == single.unit
+
+    @pytest.mark.parametrize("n_pulses", [2, 3])
+    def test_pauli_pulses(self, n_pulses):
+        gaps = channel_gap_set(op(2, (1.0, {0: "X"})), n_pulses)
+        assert np.array_equal(gaps.gaps, 2.0 * np.arange(-n_pulses, n_pulses + 1))
+        assert gaps.unit == pytest.approx(2.0)
+
+    def test_sumset_of_two_frequencies(self):
+        # eigenvalues {-2, -1, 1, 2}, gaps -4..4: the 2-fold sumset is -8..8
+        gaps = channel_gap_set(op(2, (0.5, {0: "X"}), (1.5, {1: "Z"})), 2)
+        assert np.allclose(gaps.gaps, np.arange(-8, 9))
+        assert gaps.unit == pytest.approx(1.0)
+
+    def test_incommensurate_stays_incommensurate(self):
+        gaps = channel_gap_set(op(2, (1.0, {0: "X"}), (np.sqrt(2), {1: "X"})), 2)
+        assert gaps.unit is None
+        assert np.array_equal(gaps.gaps, -gaps.gaps[::-1]) and 0.0 in gaps.gaps
 
 
 class TestShiftGrid:
