@@ -26,12 +26,13 @@ from .evolution import (
     PulseSchedule,
     apply_kick,
     check_initial_state,
+    driven_signal,
     driven_states,
     propagator,
 )
 from .pauli import OperatorSum, apply_operator, partial_trace
 from .reference import nested_commutator_series
-from .response import MultiIndex, reconstruct_response
+from .response import MultiIndex, shift_configurations
 from .shift_rules import ShiftRule, rule_for_generator
 
 
@@ -129,7 +130,8 @@ def entropy_expansion(
         raise AnalysisError("eta grid must have at least max_order + 1 points")
     if np.max(np.abs(etas + etas[::-1])) > 1e-12 * max(1.0, np.max(np.abs(etas))):
         raise AnalysisError("eta grid must be symmetric about 0")
-    (states,) = driven_states(h, PulseSchedule([(pump, [0.0])]), etas[:, None], [t], evolver, psi0)
+    psi = check_initial_state(h, psi0)
+    (states,) = driven_states(h, PulseSchedule([(pump, [0.0])]), etas[:, None], [t], evolver, psi)
     # contiguous rows, so each entropy rounds as a single state's
     entropies = [entanglement_entropy(row, block_size) for row in np.ascontiguousarray(states.T)]
     scale = float(np.max(np.abs(etas)))
@@ -252,7 +254,16 @@ def third_order_2dos(
 
     ``method`` selects the reconstruction route: "shift_rule" differentiates the
     three-amplitude driven signal with one shift rule per pulse, "oracle"
-    evaluates the nested commutator directly; both agree to rounding.
+    evaluates the nested commutator directly, row by row; both agree to
+    rounding.  The shift rule takes every row with t1 > 0 and t2 > 0 in two
+    ``driven_states`` passes: the first kicks at 0 and gives the state at
+    each distinct t1 for each distinct first shift; the second starts from
+    the (dim, T1 K) block of those states, one column per (t1, shift
+    configuration), kicks at 0 and t2 and reads out at t2 + t3.  Under
+    Trotter evolution the segments are t1, t2 and t3 as in one pass.  Rows
+    with coincident pulses (t1 = 0, or every row when t2 = 0) take the
+    commutator route, which handles the equal-time step functions
+    unambiguously.
     """
     if t_2 < 0:
         raise AnalysisError("waiting time t_2 must be nonnegative")
@@ -260,25 +271,37 @@ def third_order_2dos(
     t3s = np.asarray(t3_grid, dtype=float)
     if np.any(t1s < 0) or np.any(t3s < 0):
         raise AnalysisError("t1 and t3 grids must be nonnegative")
-    if method == "shift_rule":
-        rule = rule_for_generator(pump, [1])
-        rules = {0: rule, 1: rule, 2: rule}
-    elif method != "oracle":
+    if method not in ("shift_rule", "oracle"):
         raise AnalysisError(f"unknown method {method!r}")
     out = np.empty((t1s.size, t3s.size))
-    for i, t1 in enumerate(t1s):
-        # one row of measurement times; the kernel needs them strictly ascending
-        grid, cells = np.unique(t1 + t_2 + t3s, return_inverse=True)
-        times = [0.0, t1, t1 + t_2]
-        if method == "oracle" or times[1] <= times[0] or times[2] <= times[1]:
-            # coincident pulses take the commutator route too, which handles
-            # the equal-time step functions unambiguously
-            pulses = [(pump, t1 + t_2), (pump, t1), (pump, 0.0)]
-            row = nested_commutator_series(h, observable, pulses, grid, psi0, evolver)
-        else:
-            schedule = PulseSchedule([(pump, [times[0]]), (pump, [times[1]]), (pump, [times[2]])])
-            row = reconstruct_response(
-                h, schedule, observable, grid, MultiIndex([1, 1, 1]), evolver, psi0, rules=rules
-            ).values
-        out[i] = row[cells]
+    by_commutator = t1s == 0 if method == "shift_rule" and t_2 > 0 else np.full(t1s.size, True)
+    for i in np.flatnonzero(by_commutator):
+        pulses = [(pump, t1s[i] + t_2), (pump, t1s[i]), (pump, 0.0)]
+        out[i] = nested_commutator_series(h, observable, pulses, t1s[i] + t_2 + t3s, psi0, evolver)
+    if not by_commutator.all():
+        out[~by_commutator] = _shift_rule_rows(
+            h, observable, pump, t_2, t1s[~by_commutator], t3s, psi0, evolver
+        )
     return out
+
+
+def _shift_rule_rows(h, observable, pump, t_2, t1s, t3s, psi0, evolver) -> np.ndarray:
+    """The (T1, T3) shift-rule rows of ``third_order_2dos`` for t1 > 0 and
+    t2 > 0, in two ``driven_states`` passes."""
+    rule = rule_for_generator(pump, [1])
+    configs, weights = shift_configurations({0: rule, 1: rule, 2: rule}, MultiIndex([1, 1, 1]))
+    active = weights != 0.0
+    configs, weights = configs[active], weights[active]
+    # np.unique without return_inverse would import numpy.ma on first use
+    firsts, first_of = np.unique(configs[:, 0], return_inverse=True)
+    t1u, row_of = np.unique(t1s, return_inverse=True)
+    t23, cell_of = np.unique(t_2 + t3s, return_inverse=True)
+    kicked = driven_states(h, PulseSchedule([(pump, [0.0])]), firsts[:, None], t1u, evolver, psi0)
+    # column (i, k): configuration k's first kick, propagated to the i-th t1
+    block = np.concatenate([states[:, first_of] for states in kicked], axis=1)
+    etas = np.tile(configs[:, 1:], (t1u.size, 1))
+    schedule = PulseSchedule([(pump, [0.0]), (pump, [t_2])])
+    signal = driven_signal(h, schedule, etas, observable, t23, evolver, block)
+    # each derivative is of first order, so no factorial divides the sum
+    rows = weights @ signal.reshape(t1u.size, weights.size, t23.size)
+    return rows[np.ix_(row_of, cell_of)]

@@ -345,8 +345,13 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
             int(_require(s, "total_shots", "sampling")), s.get("mode", "uniform")
         )
 
-    if protocol == "entropy" and (len(pumps) != 1 or pumps[0].times != (0.0,)):
-        raise ConfigError("pumps: the entropy protocol kicks one pump channel once, at times [0.0]")
+    # these protocols place their own kicks: one pump channel, kicked at 0
+    if protocol in ("pump_probe", "sweep", "2dos", "entropy") and (
+        len(pumps) != 1 or pumps[0].times != (0.0,)
+    ):
+        raise ConfigError(
+            f"pumps: the {protocol} protocol needs exactly one pump channel, with times [0.0]"
+        )
 
     n_qubits = model.n_qubits()
     probe_1 = tuple((int(k), str(v)) for k, v in dict(raw.get("probe_1", {})).items())

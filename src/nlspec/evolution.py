@@ -19,6 +19,10 @@ at once; first-order Trotter evolution loops over the columns, each column
 seeing exactly the single-state propagator.  Kicks take one amplitude per
 block or one per column; a kick whose generator B has non-commuting terms
 is exact evolution under B for the time eta, on B's own spectral plan.
+``driven_states`` and ``driven_signal`` start either from one initial state
+shared by every configuration or from a (dim, K) block of initial states,
+column k for configuration k: the 2D spectrum carries the states of its
+first pass, one per (t1, configuration), into the second pass that way.
 
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
 and cached: groups of invariant blocks of H, each group a (C, m) array of
@@ -28,8 +32,9 @@ cosets: a Pauli string maps |x> to |x ^ f> for its flip mask f, so H has no
 entries between the cosets x ^ S of the GF(2) span S of its flip masks
 (rank r), and the basis splits into 2**(n - r) blocks of 2**r (the 2x2 toric
 code: 32 blocks of 8; the 2x3 toric code: 128 blocks of 32; a full span: one
-dense block).  Only above 9 sites, when H commutes with sum_i Z_i (XXZ chains
-in a Z field), is each popcount sector a group of one block instead.  A group
+dense block).  Only above 9 sites, when H commutes with sum_i Z_i and its
+cosets are larger than its largest popcount sector (XXZ chains in a Z field),
+is each popcount sector a group of one block instead.  A group
 whose blocks have exactly zero imaginary part keeps real eigenvectors,
 applied to the gathered complex (C, m, K) states as one batched real GEMM on
 their float64 (C, m, 2K) view.
@@ -51,6 +56,7 @@ differs from applying the rotations one by one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -183,21 +189,26 @@ def _coset_rows(n_sites: int, flips: Iterable[int]) -> np.ndarray:
 
 @lru_cache(maxsize=6)
 def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
-    """One group per popcount sector when H conserves sum_i Z_i and has more
-    than ``_EIGH_SITE_CAP`` sites, otherwise one group of flip-mask cosets
-    (an H whose flip masks span the whole space is one dense block).  Every
-    block is read from ``flip_diagonals`` and diagonalized by one batched
-    ``eigh`` per group."""
-    if h.n_sites > DENSE_SITE_CAP:
-        raise DimensionCapError(f"spectral plan of {h.n_sites} sites exceeds cap {DENSE_SITE_CAP}")
-    magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(h.n_sites)], h.n_sites)
-    if h.n_sites > _EIGH_SITE_CAP and commutator_norm(h, magnetization) == 0.0:
-        popcount = np.bitwise_count(np.arange(2**h.n_sites, dtype=np.uint64))
+    """One group per popcount sector when H conserves sum_i Z_i, has more
+    than ``_EIGH_SITE_CAP`` sites and coset blocks larger than its largest
+    sector, C(n, n // 2); otherwise one group of flip-mask cosets (an H
+    whose flip masks span the whole space is one dense block).  Every block
+    is read from ``flip_diagonals`` and diagonalized by one batched ``eigh``
+    per group."""
+    n = h.n_sites
+    if n > DENSE_SITE_CAP:
+        raise DimensionCapError(f"spectral plan of {n} sites exceeds cap {DENSE_SITE_CAP}")
+    groups = [_coset_rows(n, [term.masks()[0] for term in h.terms])]
+    magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(n)], n)
+    if (
+        n > _EIGH_SITE_CAP
+        and groups[0].shape[1] > math.comb(n, n // 2)
+        and commutator_norm(h, magnetization) == 0.0
+    ):
+        popcount = np.bitwise_count(np.arange(2**n, dtype=np.uint64))
         order = np.argsort(popcount, kind="stable")
         edges = np.append(0, np.cumsum(np.bincount(popcount)))
         groups = [order[None, a:b] for a, b in zip(edges, edges[1:])]
-    else:
-        groups = [_coset_rows(h.n_sites, [term.masks()[0] for term in h.terms])]
     diagonals = flip_diagonals(h)
     return _SpectralPlan(
         tuple((rows, *_block_eigh(dense_block(diagonals, rows))) for rows in groups)
@@ -422,6 +433,27 @@ def check_initial_state(h: OperatorSum, psi0: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _initial_states(h: OperatorSum, psi0: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """The state ``driven_states`` starts from: ``psi0`` (checked by
+    ``check_initial_state``), repeated once per row of a (K, L) ``etas``, or
+    a (2**N, K) block of normalized columns, column k for row k."""
+    psi = np.asarray(psi0, dtype=np.complex128)
+    if psi.ndim != 2:
+        psi = check_initial_state(h, psi)
+        return psi.copy() if etas.ndim == 1 else np.repeat(psi[:, None], etas.shape[0], axis=1)
+    dim = 2**h.n_sites
+    if (
+        etas.ndim != 2
+        or psi.shape != (dim, etas.shape[0])
+        or np.any(np.abs(np.linalg.norm(psi, axis=0) - 1.0) > 1e-12)
+    ):
+        raise ValueError(
+            f"a psi0 block must hold one normalized state of {dim} amplitudes "
+            "per configuration row of etas"
+        )
+    return psi.copy()
+
+
 def driven_states(
     h: OperatorSum,
     schedule: PulseSchedule,
@@ -441,11 +473,13 @@ def driven_states(
     is a well-defined function of the amplitudes.  Yielded arrays may be
     shared with the propagation and must not be modified.
 
-    ``psi0`` must be one normalized state of 2**N amplitudes (see
-    ``check_initial_state``); the response, decomposition, sampling and 2D
-    paths all get their initial state checked here.
+    ``psi0`` is one normalized state of 2**N amplitudes (see
+    ``check_initial_state``), shared by every configuration, or, with a
+    (K, L) ``etas``, a (2**N, K) block whose column k is the initial state of
+    row k, each column normalized to 1e-12 (``ValueError`` otherwise).  The
+    response, decomposition, sampling and 2D paths all get their initial
+    states checked here.
     """
-    psi = check_initial_state(h, psi0)
     grid = np.asarray(t_grid, dtype=float)
     if grid.size == 0:
         raise ScheduleError("empty time grid")
@@ -458,12 +492,12 @@ def driven_states(
         raise ScheduleError("one amplitude per channel is required")
     if etas.ndim == 2 and etas.shape[0] == 0:
         raise ScheduleError("at least one shift configuration is required")
+    state = _initial_states(h, psi0, etas)
     events = schedule.events()
     if events and events[-1][0] > grid[-1]:
         raise ScheduleError("pulses scheduled after the last measurement time")
 
     anchor = min(0.0, grid[0], events[0][0] if events else 0.0)
-    state = psi.copy() if etas.ndim == 1 else np.repeat(psi[:, None], etas.shape[0], axis=1)
     tau = anchor
     segment = propagator(h, state, evolver)
     pending = list(events)
@@ -490,8 +524,8 @@ def driven_signal(
     """<A(t)> under the kicked protocol, for each t in the grid.
 
     ``etas`` of shape (L,) gives a (G,) signal; (K, L) gives (K, G), one row
-    per shift configuration, all propagated as one block (see
-    ``driven_states``).
+    per shift configuration, all propagated as one block from ``psi0`` or
+    from column k of a (2**N, K) ``psi0`` block (see ``driven_states``).
     """
     states = driven_states(h, schedule, etas, t_grid, evolver, psi0)
     return np.stack([expectation(observable, state) for state in states], axis=-1)

@@ -125,7 +125,10 @@ class TestEntropyExpansion:
     def test_initial_state_checked(self):
         h = build_xxz(3, 1.0, 0.4)
         pump = op(3, (1.0, {0: "X"}))
-        for psi0 in (np.ones(8), basis_state(2, 0)):
+        # a block of normalized states is refused too, even with one column
+        # per grid amplitude: it is no initial state
+        block = np.stack([basis_state(3, k) for k in (0, 5, 6)], axis=1)
+        for psi0 in (np.ones(8), basis_state(2, 0), block):
             with pytest.raises(ValueError, match="psi0"):
                 entropy_expansion(h, pump, psi0, [-0.1, 0.0, 0.1], 1.0, 1, 2)
 
@@ -183,7 +186,8 @@ class TestPumpProbe:
         h = build_xxz(3, 1.0, 0.4)
         pump = op(3, (1.0, {0: "X"}))
         probe = op(3, (1.0, {1: "X"}))
-        for psi0 in (np.ones(8), basis_state(2, 0)):
+        block = np.stack([basis_state(3, 0), basis_state(3, 5)], axis=1)
+        for psi0 in (np.ones(8), basis_state(2, 0), block):
             with pytest.raises(ValueError, match="psi0"):
                 pump_probe_correlator(h, pump, probe, probe, 0.5, 0.5, 0.1, psi0)
 
@@ -379,6 +383,31 @@ class TestPCASlope:
             pca_slope(PointCloud2D(pts))
 
 
+@st.composite
+def two_dos_instances(draw):
+    """A random TLS dimer or spin-boson model with a random initial state, a
+    uniform pump on sites 0 and 1 along a random axis, a random observable,
+    and (t1, t3) grids drawn with repeats, in any order, zeros included."""
+    omega = st.floats(0.3, 2.0)
+    coupling = st.one_of(st.floats(-0.8, -0.2), st.floats(0.2, 0.8))
+    if draw(st.booleans()):
+        h = build_tls_dimer(draw(omega), draw(omega), draw(coupling))
+    else:
+        h = build_spin_boson(draw(omega), draw(omega), draw(omega), draw(coupling))
+    n = h.n_sites
+    axis = st.sampled_from("XYZ")
+    pump_axis, strength = draw(axis), draw(st.floats(0.5, 1.5))
+    pump = op(n, (strength, {0: pump_axis}), (strength, {1: pump_axis}))
+    observable = op(n, *((draw(st.floats(0.5, 1.5)), {i: draw(axis)}) for i in range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    time = st.one_of(st.sampled_from([0.0, 0.45, 1.1]), st.floats(0.0, 2.5))
+    t_2 = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.5)))
+    t1s = draw(st.lists(time, min_size=1, max_size=5))
+    t3s = draw(st.lists(time, min_size=1, max_size=4))
+    return h, pump, observable, psi / np.linalg.norm(psi), t_2, t1s, t3s
+
+
 class TestThirdOrder2DOS:
     def test_commuting_pump_zero(self):
         h = op(2, (0.5, {0: "Z"}), (0.7, {1: "Z"}))
@@ -431,6 +460,41 @@ class TestThirdOrder2DOS:
         o = third_order_2dos(h, a, pump, 0.5, grid, grid, psi, EXACT, "oracle")
         assert np.max(np.abs(o)) > 1e-3
         assert np.max(np.abs(g - o)) < 1e-8
+
+    @pytest.mark.parametrize("evolver", [EXACT, Evolver("trotter1", 3)], ids=["exact", "trotter1"])
+    @settings(max_examples=15, deadline=None)
+    @given(instance=two_dos_instances())
+    def test_two_passes_match_oracle(self, evolver, instance):
+        # unsorted and duplicated t1 grids, t1 = 0 rows, t3 = 0 readouts at
+        # the last kick, and t2 = 0, where every row takes the oracle's route
+        h, pump, observable, psi, t_2, t1s, t3s = instance
+        g = third_order_2dos(h, observable, pump, t_2, t1s, t3s, psi, evolver, "shift_rule")
+        o = third_order_2dos(h, observable, pump, t_2, t1s, t3s, psi, evolver, "oracle")
+        assert g.shape == (len(t1s), len(t3s))
+        assert np.max(np.abs(g - o)) < 1e-8
+
+    def test_two_driven_states_passes(self, monkeypatch):
+        from nlspec import analysis, evolution
+
+        calls = []
+        for module in (analysis, evolution):
+            original = module.driven_states
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(np.shape(args[2]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "driven_states", counting)
+        monkeypatch.setattr(analysis, "nested_commutator_series", None)
+        h = build_tls_dimer(0.5, 1.0, 0.8)
+        pump = build_pump(PumpSpec("cosine_profile", momentum=0), 2)
+        a = op(2, (1.0, {0: "X"}), (1.0, {1: "X"}))
+        grid = np.linspace(0.4, 2.8, 14)
+        third_order_2dos(h, a, pump, 0.5, grid, grid, ground_state(h), EXACT, "shift_rule")
+        # the distinct first shifts, then every (t1, configuration) pair
+        n_shifts = rule_for_generator(pump, [1]).n_shifts
+        assert calls[0] == (n_shifts, 1)
+        assert len(calls) == 2 and calls[1][0] % 14 == 0
 
     def test_trotter_consistency_between_paths(self):
         h = build_tls_dimer(0.5, 1.0, 0.8)

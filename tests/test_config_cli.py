@@ -388,7 +388,10 @@ for name in ("dimer", "sweep", "toric12", "chain10"):
     nlspec.runner.run_experiment(config, output_dir=root / name)
 nlspec.runner.verify_experiment(config, tolerance=1e-8)
 banned = ("scipy", "concurrent", "multiprocessing")
-print(sorted(m for m in sys.modules if m.split(".")[0] in banned))
+print(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in banned or m == "numpy.ma" or m.startswith("numpy.ma.")
+))
 """
 
 
@@ -396,7 +399,9 @@ class TestImportFootprint:
     """scipy costs about half a second of start-up, and nlspec never imports
     it: not on a U(1) chain above 9 sites, nor on the 12-qubit toric code,
     which no sector split reaches.  Runs are serial, so no protocol loads a
-    process pool either."""
+    process pool either.  Nor does any run import ``numpy.ma``, which the
+    first plain ``np.unique`` call does (``return_inverse=True`` does not):
+    on the 2D spectrum that import cost as much as the two-pass route saves."""
 
     def test_runs_load_no_scipy(self, tmp_path):
         import nlspec

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from nlspec.evolution import (
     ScheduleError,
     apply_kick,
     driven_signal,
+    driven_states,
     evolve,
     propagator,
     _SpectralPlan,
@@ -125,12 +127,15 @@ class TestEvolve:
 @st.composite
 def u1_sums(draw):
     """Random 10-site Pauli sums that conserve sum_i Z_i: equal-weight XX + YY
-    pairs, ZZ bonds and Z fields."""
+    pairs, ZZ bonds and Z fields.  Half of them hold an XX + YY bond on every
+    neighbouring pair, whose flip masks span 512 states: more than the
+    largest popcount sector."""
     n = 10
     coefficient = st.floats(-1.5, 1.5, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    chain = [(i, i + 1) for i in range(n - 1)] if draw(st.booleans()) else []
     terms = []
-    for i, j in draw(st.lists(pair, min_size=1, max_size=6)):
+    for i, j in chain + draw(st.lists(pair, min_size=1, max_size=6)):
         c = draw(coefficient)
         terms += [(c, {i: "X", j: "X"}), (c, {i: "Y", j: "Y"})]
     for i, j in draw(st.lists(pair, max_size=4)):
@@ -159,14 +164,29 @@ def commuting_propagator_reference(h, t, state):
     return state
 
 
+def flip_span_size(h):
+    """The number of flip masks in the GF(2) span of H's flip masks: the
+    size of each of its coset blocks."""
+    span = {0}
+    for term in h.terms:
+        span |= {s ^ term.masks()[0] for s in span}
+    return len(span)
+
+
 class TestSpectralRoutes:
     """Above 9 sites exact evolution diagonalizes each popcount sector when H
-    conserves sum_i Z_i and its flip-mask cosets otherwise."""
+    conserves sum_i Z_i and its flip-mask cosets are larger than its largest
+    sector, C(n, n // 2); it diagonalizes the cosets otherwise."""
 
     @settings(max_examples=4, deadline=None)
     @given(u1_sums(), st.floats(-2, 2, allow_nan=False), st.integers(0, 99))
     def test_sector_route_matches_expm(self, h, t, seed):
-        assert len(_spectral_plan(h).groups) == h.n_sites + 1
+        groups = _spectral_plan(h).groups
+        if flip_span_size(h) > math.comb(10, 5):
+            assert len(groups) == h.n_sites + 1
+        else:
+            ((rows, _, _),) = groups
+            assert rows.shape == (1024 // flip_span_size(h), flip_span_size(h))
         u = dense_propagator(h, t)
         psi = random_state(10, seed)
         assert np.max(np.abs(evolve(h, psi, t, EXACT) - u @ psi)) < 1e-10
@@ -204,6 +224,23 @@ class TestSpectralRoutes:
         u = dense_propagator(h, 1.3)
         assert np.max(np.abs(evolve(h, psi, 1.3, EXACT) - u @ psi)) < 1e-10
         assert np.max(np.abs(evolve(h, block, 1.3, EXACT) - u @ block)) < 1e-10
+
+    def test_twelve_site_u1_kick_takes_coset_route(self):
+        # X0 X1 + Y0 Y1 + 0.6 Z1 conserves sum_i Z_i, but its cosets (2048 of
+        # 2) are far smaller than its largest popcount sector (924)
+        from scipy.linalg import expm
+
+        b = op(12, (1.0, {0: "X", 1: "X"}), (1.0, {0: "Y", 1: "Y"}), (0.6, {1: "Z"}))
+        ((rows, _, _),) = _spectral_plan(b).groups
+        assert rows.shape == (2048, 2)
+        factor = to_dense(op(2, *((t.coefficient, t.factors) for t in b.terms)))
+        block = np.stack([random_state(12, s) for s in range(2)], axis=1)
+        for eta in (0.7, -1.9):
+            # sites 0 and 1 are the two lowest bits of a basis index
+            support = expm(-1j * eta * factor)
+            ref = np.einsum("ij,rjk->rik", support, block.reshape(-1, 4, 2)).reshape(-1, 2)
+            assert np.max(np.abs(apply_kick(b, eta, block) - ref)) < 1e-12
+            assert np.max(np.abs(apply_kick(b, eta, block[:, 0]) - ref[:, 0])) < 1e-12
 
     @pytest.mark.parametrize("l_x, l_y", [(2, 3), (3, 2)])
     def test_twelve_qubit_toric_code_takes_coset_route(self, l_x, l_y):
@@ -472,8 +509,10 @@ class TestKick:
         "b",
         [
             op(4, (1.0, {1: "X"}), (0.7, {1: "Z"}), (0.4, {0: "Y", 2: "Y"})),
-            # conserves sum_i Z_i on 10 sites: the plan's popcount sectors
-            op(10, (1.0, {0: "X", 1: "X"}), (1.0, {0: "Y", 1: "Y"}), (0.6, {1: "Z"})),
+            # an XY chain conserves sum_i Z_i on 10 sites, and its cosets
+            # (2 cosets of 512) exceed its largest sector: the plan's popcount sectors
+            op(10, *(term for i in range(9) for term in (
+                (1.0, {i: "X", i + 1: "X"}), (1.0, {i: "Y", i + 1: "Y"}))), (0.6, {1: "Z"})),
         ],
         ids=["cosets", "sectors"],
     )
@@ -489,6 +528,7 @@ class TestKick:
         with spy as projections:
             out = apply_kick(b, etas, block)
         assert projections.call_count == 1  # one projection, one phase per column
+        assert len(_spectral_plan(b).groups) == (11 if b.n_sites == 10 else 1)
         kicks = {eta: expm(-1j * eta * dense) for eta in etas.tolist()}
         for k, eta in enumerate(etas.tolist()):
             assert np.max(np.abs(out[:, k] - kicks[eta] @ block[:, k])) < 1e-12
@@ -709,3 +749,53 @@ class TestBlockSignal:
             driven_signal(h, sched, np.zeros((0, 1)), a, [0.0, 1.0], EXACT, psi)
         with pytest.raises(ValueError):
             apply_kick(b, [0.1, 0.2], np.stack([psi] * 3, axis=1))
+
+
+class TestBlockInitialStates:
+    """A (dim, K) psi0 block starts configuration row k from column k."""
+
+    ETAS = np.array([[0.3, -0.2], [0.0, 0.7], [-1.1, 0.0], [0.4, 0.4]])
+
+    @pytest.mark.parametrize(
+        "n, evolver",
+        [(3, EXACT), (10, EXACT), (3, TROTTER10)],
+        ids=["cosets", "sectors", "trotter1"],
+    )
+    def test_columns_equal_single_state_calls(self, n, evolver):
+        h = build_xxz(n, 0.9, 0.3)
+        b = op(n, (1.0, {0: "X"}))
+        c = op(n, (0.5, {1: "Y"}), (0.5, {2: "Y"}))
+        a = op(n, (1.0, {1: "Z"}))
+        sched = PulseSchedule([(b, [0.0, 1.5]), (c, [1.0])])
+        grid = np.array([0.5, 1.0, 1.5, 2.5])  # the kick at 1.0 is a grid time
+        block = np.stack([random_state(n, s) for s in range(4)], axis=1)
+        states = list(driven_states(h, sched, self.ETAS, grid, evolver, block))
+        signal = driven_signal(h, sched, self.ETAS, a, grid, evolver, block)
+        for k, row in enumerate(self.ETAS):
+            single = driven_states(h, sched, row, grid, evolver, block[:, k])
+            for got, want in zip(states, single, strict=True):
+                assert np.max(np.abs(got[:, k] - want)) < 1e-14
+            want = driven_signal(h, sched, row, a, grid, evolver, block[:, k])
+            assert np.max(np.abs(signal[k] - want)) < 1e-14
+
+    def test_bad_blocks_rejected(self):
+        h = build_xxz(3, 0.9, 0.3)
+        sched = PulseSchedule([(op(3, (1.0, {0: "X"})), [0.0])])
+        a = op(3, (1.0, {1: "Z"}))
+        etas = np.array([[0.3], [-0.5], [0.0]])
+        block = np.stack([random_state(3, s) for s in range(3)], axis=1)
+        drifted = block.copy()
+        drifted[:, 1] *= 1.0 + 1e-10
+        cases = [
+            (drifted, etas),  # one column off by 1e-10 in norm
+            (block[:, :2], etas),  # fewer columns than configuration rows
+            (np.hstack([block, block[:, :1]]), etas),  # more columns
+            (block, etas[0]),  # no configuration rows at all
+            (block[:4], etas),  # columns of the wrong length
+        ]
+        for psi0, amplitudes in cases:
+            with pytest.raises(ValueError, match="psi0 block"):
+                driven_signal(h, sched, amplitudes, a, [0.0, 1.0], EXACT, psi0)
+        # a block within the bound passes
+        block[:, 1] *= 1.0 + 1e-13
+        driven_signal(h, sched, etas, a, [0.0, 1.0], EXACT, block)

@@ -288,7 +288,8 @@ class TestOraclePrefixes:
         h = build_xxz(3, 1.0, 0.4)
         b = op(3, (1.0, {0: "X"}))
         a = op(3, (1.0, {1: "X"}))
-        for psi0 in (np.ones(8), np.array([1.0, 0.0, 0.0, 0.0])):
+        block = np.eye(8)[:, :2]  # two normalized states: no initial state
+        for psi0 in (np.ones(8), np.array([1.0, 0.0, 0.0, 0.0]), block):
             with pytest.raises(ValueError, match="psi0"):
                 nested_commutator_series(h, a, [(b, 0.0)], [1.0], psi0)
 

@@ -156,6 +156,33 @@ class Test2DOSProtocol:
         assert weights[0] == pytest.approx(meta["p_diag"])
 
 
+@pytest.mark.parametrize(
+    "name, protocol",
+    [("fig4_xzz", "pump_probe"), ("fig4_sweep", "sweep"), ("fig5", "2dos")],
+)
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda pumps: [dict(pumps[0], times=[0.7])],
+        lambda pumps: [dict(pumps[0], times=[0.0, 0.7])],
+        lambda pumps: [pumps[0], dict(pumps[0], times=[0.2])],
+    ],
+    ids=["late_pulse", "two_pulses", "two_channels"],
+)
+def test_protocols_that_place_their_kicks_reject_other_pumps(
+    tmp_path, capsys, name, protocol, change
+):
+    # these protocols kick the first channel's generator at times of their
+    # own; any other pulse or channel would be silently ignored
+    payload = json.loads((FIGURES / f"{name}.json").read_text())
+    payload["pumps"] = change(payload["pumps"])
+    path = write_config(tmp_path, payload)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    message = f"config error: pumps: the {protocol} protocol needs exactly one pump channel"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEntropyProtocol:
     def test_artifacts_and_delta_sweep(self, tmp_path):
         payload = {
