@@ -104,7 +104,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gaps(args) -> int:
     config = load_config(args.config)
     h = build_model(config.model)
-    max_order = args.max_order or max(list(config.orders) + [1])
+    max_order = max(list(config.orders) + [1]) if args.max_order is None else args.max_order
     for i, channel in enumerate(config.pumps):
         generator = build_pump(channel.pump, h.n_sites)
         gaps = channel_gap_set(generator, len(channel.times))
@@ -125,9 +125,13 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    if not Path(args.input).is_file():
+        raise ConfigError(f"input CSV {args.input} does not exist")
     data = np.loadtxt(args.input, delimiter=",", skiprows=1)
     if data.ndim == 1:
         raise ConfigError("input CSV must have at least two columns")
+    if not 1 <= args.column < data.shape[1]:
+        raise ConfigError(f"--column must be a value column, 1 to {data.shape[1] - 1}")
     times = data[:, 0]
     values = data[:, args.column]
     meta = {}

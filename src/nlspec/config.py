@@ -390,6 +390,10 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     )
     if protocol == "entropy" and config.entropy_time < 0:
         raise ConfigError("entropy_time: must be >= 0")
+    if protocol == "entropy" and config.delta_values and model.kind != "xxz":
+        raise ConfigError("delta_values: the anisotropy scan needs the xxz model")
+    if protocol == "sweep" and model.kind != "toric_code":
+        raise ConfigError("model: the sweep protocol sweeps the toric-code coupling")
     _validate_against_model(config, n_qubits)
     return config
 

@@ -311,8 +311,6 @@ def _sweep_point(config: ExperimentConfig, g: float):
 
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    if config.model.kind != "toric_code":
-        raise ValueError("the coupling sweep protocol targets the toric-code model")
     g_values = [float(g) for g in config.sweep_values or np.linspace(-1.0, 1.0, 21)]
     orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
     results = [_sweep_point(config, g) for g in sorted(g_values)]
@@ -407,7 +405,7 @@ def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         "fit_condition_number": expansion.condition_number,
         "fit_residual": expansion.residual,
     }
-    if config.delta_values and config.model.kind == "xxz":
+    if config.delta_values:
         rows = []
         half_rows = []
         for delta in config.delta_values:

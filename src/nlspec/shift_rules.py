@@ -16,12 +16,20 @@ Three rule flavors are provided:
                caller-chosen shift count, exact on polynomial signals only.
                This is the fallback when the gap set is incommensurate or
                too large to sample exhaustively.
+
+Every flavor is one linear system per order, solved by ``_solve`` (condition
+limit, exact or least-squares solve, residual and realness checks) in the one
+order loop ``_rule``.  The grids are exactly antisymmetric and the gap sets
+exactly symmetric, so the weights have exact parity, c[::-1] = (-1)^r c
+(Wierichs et al., Quantum 6, 677 (2022)); ``_rule`` imposes it bitwise, and
+an odd order puts exactly 0.0 on the shift at 0, which callers skip.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,8 +37,10 @@ import numpy as np
 from .evolution import _spectral_plan
 from .pauli import OperatorSum, _project_to_support
 
-DEFAULT_GAP_TOL = 1e-9
-DEFAULT_CONDITION_LIMIT = 1e8
+#: eigenvalues and gaps closer than this are one
+GAP_TOL = 1e-9
+#: largest condition number of a shift system that is solved
+CONDITION_LIMIT = 1e8
 #: relative residual allowed on the defining linear system
 RESIDUAL_TOL = 1e-9
 #: gap-unit candidates smaller than max_gap / this are treated as spurious
@@ -162,7 +172,7 @@ def _symmetric(gaps: np.ndarray, tol: float) -> np.ndarray:
     return np.concatenate([-positive[::-1], [0.0], positive])
 
 
-def gap_set(generator: OperatorSum, tol: float = DEFAULT_GAP_TOL) -> GapSet:
+def gap_set(generator: OperatorSum) -> GapSet:
     """All pairwise eigenvalue differences of the generator, deduplicated.
 
     Site-disjoint generators (local drives, cosine profiles, single strings)
@@ -170,10 +180,10 @@ def gap_set(generator: OperatorSum, tol: float = DEFAULT_GAP_TOL) -> GapSet:
     read from the spectral plan of its projection onto its r support sites,
     at cost 2**r (``DimensionCapError`` for r > ``DENSE_SITE_CAP``).
     """
-    values = _spectrum(generator, tol)
+    values = _spectrum(generator, GAP_TOL)
     diffs = (values[:, None] - values[None, :]).ravel()
-    gaps = _symmetric(_dedup_sorted(diffs, tol), tol)
-    return GapSet(gaps, _common_unit(gaps[gaps > tol], tol), tol)
+    gaps = _symmetric(_dedup_sorted(diffs, GAP_TOL), GAP_TOL)
+    return GapSet(gaps, _common_unit(gaps[gaps > GAP_TOL], GAP_TOL), GAP_TOL)
 
 
 def channel_gap_set(generator: OperatorSum, n_pulses: int) -> GapSet:
@@ -234,25 +244,17 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
     return np.sort(half * nodes)
 
 
-def solve_shift_coefficients(
-    gap_set: GapSet,
-    shifts: Sequence[float],
-    order: int,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-) -> tuple[np.ndarray, float, float]:
-    """Solve sum_p c_p e^{i w s_p} = (i w)^order over the signed gap set.
+def _solve(v: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The one checked solve behind every rule: v c = rhs, exactly when v is
+    square and in least squares otherwise.
 
-    Returns (coefficients, relative residual, condition number).  The system
-    is solved exactly when square, in least squares otherwise; a residual
-    above the tolerance or an excessive condition number raises.
+    Returns (real coefficients, relative residual, condition number); an
+    excessive condition number, a residual above the tolerance or non-real
+    weights raise.
     """
-    shifts = np.asarray(shifts, dtype=float)
-    omegas = gap_set.gaps
-    v = np.exp(1j * np.outer(omegas, shifts))
-    rhs = (1j * omegas) ** order
     cond = float(np.linalg.cond(v))
-    if cond > condition_limit:
-        raise ShiftRuleError(f"shift system condition number {cond:.3e} exceeds {condition_limit:.1e}")
+    if cond > CONDITION_LIMIT:
+        raise ShiftRuleError(f"shift system condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
     if v.shape[0] == v.shape[1]:
         coeffs = np.linalg.solve(v, rhs)
     else:
@@ -269,44 +271,33 @@ def solve_shift_coefficients(
     return coeffs.real.copy(), residual, cond
 
 
-def _solve_odd_coefficients(
-    gap_set: GapSet, shifts: np.ndarray, order: int
-) -> tuple[np.ndarray, float, float]:
-    """Antisymmetric ansatz on a symmetric grid, valid for odd orders only."""
-    if order % 2 == 0:
-        raise ShiftRuleError("the odd-order reduction applies to odd orders only")
-    k = shifts.size // 2
-    pos_shifts = shifts[k:]
-    omegas = gap_set.positive
-    # 2 sum_p c_p sin(w s_p) = Im[(i w)^r] for odd r
-    v = 2.0 * np.sin(np.outer(omegas, pos_shifts))
-    rhs = ((1j * omegas) ** order).imag
-    cond = float(np.linalg.cond(v))
-    if v.shape[0] == v.shape[1]:
-        c_pos = np.linalg.solve(v, rhs)
-    else:
-        c_pos, *_ = np.linalg.lstsq(v, rhs, rcond=None)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    residual = float(np.max(np.abs(v @ c_pos - rhs))) / scale
-    if residual > RESIDUAL_TOL:
-        raise ShiftRuleError(f"odd-rule residual {residual:.3e} too large")
-    return np.concatenate([-c_pos[::-1], c_pos]), residual, cond
+def _fourier_system(gaps: GapSet, shifts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_p c_p e^{i w s_p} = (i w)^order for every w in the signed gap set."""
+    omegas = gaps.gaps
+    return np.exp(1j * np.outer(omegas, shifts)), (1j * omegas) ** order
 
 
-def _taylor_coefficients(shifts: np.ndarray, order: int) -> tuple[np.ndarray, float, float]:
-    """Finite-difference style weights: sum_p c_p s_p^k = k! delta_{k,order}."""
+def _taylor_system(shifts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference style: sum_p c_p s_p^k = k! delta_{k,order}, scaled
+    to the unit interval and kept real."""
     m = shifts.size
     if order >= m:
         raise ShiftRuleError(f"order {order} needs more than {m} shift points")
     scale = float(np.max(np.abs(shifts)))
-    u = shifts / scale
-    v = np.vander(u, m, increasing=True).T
     rhs = np.zeros(m)
     rhs[order] = math.factorial(order) / scale**order
-    cond = float(np.linalg.cond(v))
-    coeffs = np.linalg.solve(v, rhs)
-    residual = float(np.max(np.abs(v @ coeffs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
-    return coeffs, residual, cond
+    return np.vander(shifts / scale, m, increasing=True).T, rhs
+
+
+def solve_shift_coefficients(
+    gap_set: GapSet, shifts: Sequence[float], order: int
+) -> tuple[np.ndarray, float, float]:
+    """Solve sum_p c_p e^{i w s_p} = (i w)^order over the signed gap set.
+
+    Returns (coefficients, relative residual, condition number) from
+    ``_solve``, on the shifts as given.
+    """
+    return _solve(*_fourier_system(gap_set, np.asarray(shifts, dtype=float), order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,44 +340,41 @@ class ShiftRule:
         return float(np.sum(self.coefficients[order] ** 2))
 
 
-def rule_for_gap_set(
-    gaps: GapSet,
-    orders: Sequence[int],
-    n_shifts: int | None = None,
-    mode: str = "full",
-    shifts: Sequence[float] | None = None,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-) -> ShiftRule:
-    """Build a ShiftRule carrying weights for every requested order."""
-    orders = sorted(set(int(r) for r in orders))
-    if shifts is None:
-        grid = shift_grid(gaps, n_shifts=n_shifts, mode=mode)
-    else:
-        grid = np.asarray(shifts, dtype=float)
+def _rule(grid: np.ndarray, orders: Sequence[int], system, gaps: GapSet | None, basis: str) -> ShiftRule:
+    """The one order loop: weights for every order from ``_solve`` on
+    ``system(grid, order)``.
+
+    The grid is made exactly antisymmetric (bitwise unchanged when it already
+    is), so each order's weights have exact parity: c[::-1] = (-1)^r c, and
+    an odd order puts exactly 0.0 on a shift at 0.
+    """
+    grid = 0.5 * (grid - grid[::-1])
     coefficients: dict[int, np.ndarray] = {}
     residuals: dict[int, float] = {}
     cond = 0.0
-    for r in orders:
-        if mode == "odd":
-            c, res, k = _solve_odd_coefficients(gaps, grid, r)
-        else:
-            c, res, k = solve_shift_coefficients(gaps, grid, r, condition_limit)
-        coefficients[r] = c
-        residuals[r] = res
+    for r in sorted(set(int(r) for r in orders)):
+        c, residuals[r], k = _solve(*system(grid, r))
+        coefficients[r] = 0.5 * (c + (-1) ** r * c[::-1])
         cond = max(cond, k)
-    basis = "fourier-odd" if mode == "odd" else "fourier"
     return ShiftRule(grid, coefficients, gaps, residuals, cond, basis)
 
 
-def rule_for_generator(
-    generator: OperatorSum,
-    orders: Sequence[int],
-    n_shifts: int | None = None,
-    mode: str = "full",
-    shifts: Sequence[float] | None = None,
-    tol: float = DEFAULT_GAP_TOL,
+def rule_for_gap_set(
+    gaps: GapSet, orders: Sequence[int], n_shifts: int | None = None, mode: str = "full"
 ) -> ShiftRule:
-    return rule_for_gap_set(gap_set(generator, tol), orders, n_shifts, mode, shifts)
+    """Build a ShiftRule carrying weights for every requested order; the odd
+    mode solves the same Fourier system on its +-s grid."""
+    if mode == "odd" and any(int(r) % 2 == 0 for r in orders):
+        raise ShiftRuleError("the odd-order reduction applies to odd orders only")
+    grid = shift_grid(gaps, n_shifts=n_shifts, mode=mode)
+    basis = "fourier-odd" if mode == "odd" else "fourier"
+    return _rule(grid, orders, partial(_fourier_system, gaps), gaps, basis)
+
+
+def rule_for_generator(
+    generator: OperatorSum, orders: Sequence[int], n_shifts: int | None = None, mode: str = "full"
+) -> ShiftRule:
+    return rule_for_gap_set(gap_set(generator), orders, n_shifts, mode)
 
 
 def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule:
@@ -399,16 +387,7 @@ def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule
         raise ShiftRuleError("taylor rule needs at least 2 shifts")
     if scale <= 0:
         raise ShiftRuleError("taylor rule scale must be positive")
-    grid = np.linspace(-scale, scale, n_shifts)
-    coefficients = {}
-    residuals = {}
-    cond = 0.0
-    for r in sorted(set(int(r) for r in orders)):
-        c, res, k = _taylor_coefficients(grid, r)
-        coefficients[r] = c
-        residuals[r] = res
-        cond = max(cond, k)
-    return ShiftRule(grid, coefficients, None, residuals, cond, "taylor")
+    return _rule(np.linspace(-scale, scale, n_shifts), orders, _taylor_system, None, "taylor")
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "gaps (5): [-4. -2.  0.  2.  4.]" in out and "shifts (5)" in out
 
+    def test_gaps_max_order_zero(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, orders=[3]))
+        assert main(["gaps", "--config", str(path), "--max-order", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "order 0" in out and "order 1" not in out
+
+    def test_spectra_missing_input_exit_two(self, tmp_path, capsys):
+        assert main(["spectra", "--input", str(tmp_path / "absent.csv")]) == 2
+        assert "absent.csv does not exist" in capsys.readouterr().err
+
+    def test_spectra_column_out_of_range_exit_two(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("t,value\n0.0,1.0\n0.5,0.5\n1.0,0.0\n")
+        assert main(["spectra", "--input", str(series), "--column", "2"]) == 2
+        assert "--column must be a value column, 1 to 1" in capsys.readouterr().err
+        assert not series.with_suffix(".spectrum.csv").exists()
+
     def test_spectra_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

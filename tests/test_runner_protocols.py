@@ -183,6 +183,17 @@ def test_protocols_that_place_their_kicks_reject_other_pumps(
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_on_another_model_exit_two(tmp_path, capsys):
+    # the sweep rebuilds the toric code at each coupling; a chain cannot be swept
+    payload = json.loads((FIGURES / "fig4_sweep.json").read_text())
+    payload["model"] = {"kind": "xxz", "parameters": {"n_sites": 4, "delta": 1.0, "h_field": 0.0}}
+    payload["pumps"][0]["sites"] = [0, 1, 2, 3]
+    path = write_config(tmp_path, payload)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: model: the sweep protocol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEntropyProtocol:
     def test_artifacts_and_delta_sweep(self, tmp_path):
         payload = {
@@ -225,6 +236,7 @@ class TestEntropyProtocol:
         "max_order": 2,
     }
     X2 = {"kind": "local_pauli", "site": 2, "axis": "X", "times": [0.0]}
+    DIMER = {"kind": "tls_dimer", "parameters": {"omega_0": 0.5, "omega_1": 1.0, "j_exchange": 0.8}}
 
     @pytest.mark.parametrize(
         "change, message",
@@ -233,8 +245,9 @@ class TestEntropyProtocol:
             ({"pumps": [dict(X2, times=[0.5])]}, "pumps: the entropy protocol"),
             ({"pumps": [dict(X2, times=[0.0, 1.0])]}, "pumps: the entropy protocol"),
             ({"entropy_time": -0.5}, "entropy_time: must be >= 0"),
+            ({"model": DIMER, "delta_values": [0.5, 1.0]}, "delta_values: the anisotropy scan"),
         ],
-        ids=["two_channels", "late_pulse", "two_pulses", "negative_time"],
+        ids=["two_channels", "late_pulse", "two_pulses", "negative_time", "delta_on_dimer"],
     )
     def test_invalid_entropy_config_exit_two(self, tmp_path, capsys, change, message):
         path = write_config(tmp_path, {**self.ENTROPY, **change})
@@ -269,3 +282,34 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("NLSPEC_OUT_DIR", str(target))
         assert main(["run", "--config", str(path)]) == 0
         assert "threads" not in json.loads((target / "run_metadata.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name, module, propagated",
+    # fig5 stacks one block column per (t1, configuration), over 6 t1 points
+    [("fig5", "analysis", 6 * 64), ("fig3c", "response", 6)],
+    ids=["fig5_2d", "fig3c_two_channels"],
+)
+def test_zero_weight_configurations_are_not_propagated(
+    tmp_path, monkeypatch, name, module, propagated
+):
+    # an odd order weighs the shift at 0 by exactly 0.0: fig5's three X0 + X1
+    # kicks keep 4**3 of 5**3 configurations, fig3c's (3, 2) orders on two
+    # Pauli kicks 2 * 3 of 3 * 3
+    from nlspec import analysis, response
+
+    target = {"analysis": analysis, "response": response}[module]
+    rows = []
+    original = target.driven_signal
+
+    def counting(h, schedule, etas, *args, **kwargs):
+        rows.append(np.shape(etas)[0])
+        return original(h, schedule, etas, *args, **kwargs)
+
+    monkeypatch.setattr(target, "driven_signal", counting)
+    payload = json.loads((FIGURES / f"{name}.json").read_text())
+    for grid in ("time_grid", "t1_grid", "t3_grid"):
+        if grid in payload:
+            payload[grid] = dict(payload[grid], points=6)
+    run_experiment(load_config(write_config(tmp_path, payload)), output_dir=tmp_path / "out")
+    assert rows == [propagated]

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nlspec import shift_rules
 from nlspec.models import build_pump, PumpSpec
@@ -12,6 +12,7 @@ from nlspec.shift_rules import (
     ShiftRuleError,
     channel_gap_set,
     gap_set,
+    rule_for_gap_set,
     rule_for_generator,
     shift_grid,
     solve_shift_coefficients,
@@ -308,6 +309,61 @@ class TestTaylorRule:
     def test_order_needs_enough_points(self):
         with pytest.raises(ShiftRuleError):
             taylor_rule([5], 4, 0.2)
+
+    def test_past_condition_limit_rejected(self):
+        # 20 equispaced points make a Vandermonde system of condition ~3e8
+        with pytest.raises(ShiftRuleError, match="condition number"):
+            taylor_rule([1], 20, 0.2)
+
+
+@st.composite
+def kick_generators(draw):
+    """Up to three strings on up to three sites, disjoint or overlapping."""
+    n = draw(st.integers(1, 3))
+    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1)
+    weights = st.sampled_from([0.5, -0.5, 1.0, 1.5, -2.0, 0.3])
+    return op(n, *draw(st.lists(st.tuples(weights, strings), min_size=1, max_size=3)))
+
+
+class TestExactParity:
+    """Antisymmetric shifts and a symmetric gap set give weights of exact
+    parity, c[::-1] = (-1)^r c, in every mode."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kick_generators(),
+        st.sampled_from(["full", "odd", "taylor"]),
+        st.sets(st.integers(0, 4), min_size=1),
+        st.integers(5, 8),
+        st.floats(0.05, 1.0),
+    )
+    def test_parity_is_exact(self, generator, mode, orders, n_taylor, scale):
+        gaps = gap_set(generator)
+        try:
+            if mode == "taylor":
+                rule = taylor_rule(orders, n_taylor, scale)
+            elif mode == "odd":
+                rule = rule_for_gap_set(gaps, {2 * r + 1 for r in orders}, mode="odd")
+            else:
+                rule = rule_for_gap_set(gaps, orders)
+        except ShiftRuleError:
+            # an incommensurate spectrum has no odd grid, and a grid that
+            # aliases two gaps fails the condition limit
+            assume(False)
+        shifts = rule.shifts
+        assert np.all(shifts[::-1] == -shifts)
+        for r, c in rule.coefficients.items():
+            assert np.all(c[::-1] == (-1) ** r * c)
+            if r % 2:
+                assert np.all(c[shifts == 0.0] == 0.0)
+
+    def test_grids_made_antisymmetric(self):
+        # linspace and Chebyshev grids round asymmetrically until _rule fixes them
+        incommensurate = gap_set(op(2, (1.0, {0: "X"}), (np.sqrt(2), {1: "X"})))
+        for rule in (taylor_rule([1], 7, 0.3), rule_for_gap_set(incommensurate, [1])):
+            assert np.all(rule.shifts[::-1] == -rule.shifts)
+        commensurate = gap_set(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
+        assert np.array_equal(rule_for_gap_set(commensurate, [1]).shifts, shift_grid(commensurate))
 
 
 class TestIncommensurate:
