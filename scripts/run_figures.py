@@ -6,6 +6,8 @@ Usage:
 
 Each config writes CSV data plus resolved_config.json / run_metadata.json
 into <out>/<config-name>/.  See figures/*.json for the experiment settings.
+Each line reports the run's wall time and the CPU time of all its threads;
+CPU well above wall means BLAS worker threads were busy (or spinning idle).
 """
 
 import argparse
@@ -34,9 +36,10 @@ def main() -> int:
         names = args.only
     for name in names:
         config = load_config(FIGURE_DIR / f"{name}.json")
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), time.process_time()
         result = run_experiment(config, output_dir=Path(args.out) / name)
-        print(f"{name}: {len(result.files)} files in {time.perf_counter() - started:.1f}s")
+        wall, cpu = time.perf_counter() - started, time.process_time() - cpu_started
+        print(f"{name}: {len(result.files)} files in {wall:.1f}s wall, {cpu:.1f}s CPU")
     return 0
 
 

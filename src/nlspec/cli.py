@@ -127,7 +127,10 @@ def _cmd_gaps(args) -> int:
 def _cmd_spectra(args) -> int:
     if not Path(args.input).is_file():
         raise ConfigError(f"input CSV {args.input} does not exist")
-    data = np.loadtxt(args.input, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(args.input, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise ConfigError(f"input CSV {args.input} is not numeric: {exc}") from exc
     if data.ndim == 1:
         raise ConfigError("input CSV must have at least two columns")
     if not 1 <= args.column < data.shape[1]:

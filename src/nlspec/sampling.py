@@ -68,32 +68,29 @@ def allocate_shots(
 ) -> SamplingPlan:
     """Split a shot budget over shift configurations.
 
-    ``uniform`` gives every configuration the same count (remainder to the
-    lowest indices).  ``optimal`` allocates proportionally to
-    |C_p| sqrt(Var_p) with unit variances by default; zero-weight
-    configurations get nothing.
+    ``uniform`` gives every configuration of nonzero weight the same count
+    (remainder to the lowest indices).  ``optimal`` allocates proportionally
+    to |C_p| sqrt(Var_p) with unit variances by default.  In both modes
+    zero-weight configurations, which ``noisy_response`` never measures, get
+    nothing.
     """
     w = np.abs(np.asarray(weights, dtype=float))
-    m = w.size
-    if m == 0:
+    if w.size == 0:
         raise ValueError("no configurations to allocate over")
     if mode == "uniform":
-        base = total_shots // m
-        counts = np.full(m, base, dtype=int)
-        counts[: total_shots - base * m] += 1
-        return SamplingPlan(total_shots, tuple(counts), "uniform", seed)
-    if mode != "optimal":
+        score = (w > 0).astype(float)
+    elif mode == "optimal":
+        var = np.ones(w.size) if variances is None else np.asarray(variances, dtype=float)
+        score = w * np.sqrt(var)
+    else:
         raise ValueError(f"unknown allocation mode {mode!r}")
-    var = np.ones(m) if variances is None else np.asarray(variances, dtype=float)
-    score = w * np.sqrt(var)
     if not np.any(score > 0):
         raise ValueError("all configuration weights vanish")
     n_active = int(np.count_nonzero(score))
     if total_shots < n_active:
         raise ValueError(f"budget {total_shots} below the {n_active} active configurations")
-    ideal = total_shots * score / score.sum()
-    counts = _largest_remainder(ideal, total_shots)
-    return SamplingPlan(total_shots, tuple(counts), "optimal", seed)
+    counts = _largest_remainder(total_shots * score / score.sum(), total_shots)
+    return SamplingPlan(total_shots, tuple(counts), mode, seed)
 
 
 def sample_expectation(

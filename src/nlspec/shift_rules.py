@@ -289,17 +289,6 @@ def _taylor_system(shifts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarr
     return np.vander(shifts / scale, m, increasing=True).T, rhs
 
 
-def solve_shift_coefficients(
-    gap_set: GapSet, shifts: Sequence[float], order: int
-) -> tuple[np.ndarray, float, float]:
-    """Solve sum_p c_p e^{i w s_p} = (i w)^order over the signed gap set.
-
-    Returns (coefficients, relative residual, condition number) from
-    ``_solve``, on the shifts as given.
-    """
-    return _solve(*_fourier_system(gap_set, np.asarray(shifts, dtype=float), order))
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftRule:
     """Shift points with derivative weights for one kick generator.

@@ -373,6 +373,13 @@ class TestCLI:
         assert "--column must be a value column, 1 to 1" in capsys.readouterr().err
         assert not series.with_suffix(".spectrum.csv").exists()
 
+    def test_spectra_non_numeric_exit_two(self, tmp_path, capsys):
+        series = tmp_path / "letters.csv"
+        series.write_text("t,value\na,b\nc,d\n")
+        assert main(["spectra", "--input", str(series)]) == 2
+        assert f"input CSV {series} is not numeric" in capsys.readouterr().err
+        assert not series.with_suffix(".spectrum.csv").exists()
+
     def test_spectra_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -410,6 +417,38 @@ print(sorted(
     if m.split(".")[0] in banned or m == "numpy.ma" or m.startswith("numpy.ma.")
 ))
 """
+
+
+class TestBlasThreadCount:
+    """Above 9 sites the ground state is a Lanczos solve that makes no BLAS
+    call, so a Trotter run writes the same bytes under any OpenBLAS thread
+    count.  (Exact evolution is not covered: the batched ``eigh`` of the
+    sector plan still depends on it.)"""
+
+    def test_lanczos_runs_byte_identical_across_thread_counts(self, tmp_path):
+        import nlspec
+
+        fig3a = json.loads((FIGURES / "fig3a.json").read_text())
+        fig3a["time_grid"] = dict(fig3a["time_grid"], points=6)
+        src = str(Path(nlspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        chain10 = dict(CHAIN10, evolver={"kind": "trotter1", "n_steps": 10})
+        for name, payload in (("fig3a_cut", fig3a), ("chain10_trotter", chain10)):
+            config = write_config(tmp_path, payload, f"{name}.json")
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}_{threads}"
+                done = subprocess.run(
+                    [sys.executable, "-m", "nlspec", "run", "--config", str(config), "--out", str(out)],
+                    capture_output=True,
+                    text=True,
+                    env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                )
+                assert done.returncode == 0, done.stderr
+                files = sorted(out.glob("*.csv")) + [out / "resolved_config.json"]
+                outputs.append({f.name: f.read_bytes() for f in files})
+            assert len(outputs[0]) > 1
+            assert outputs[0] == outputs[1], name
 
 
 class TestImportFootprint:

@@ -68,6 +68,18 @@ class TestAllocation:
         plan = allocate_shots([1, 1, 1], 11, "uniform")
         assert plan.per_configuration == (4, 4, 3)
 
+    def test_uniform_zero_weight_gets_nothing(self):
+        # noisy_response skips zero-weight configurations, so shots given to
+        # them would never be measured
+        plan = allocate_shots([-1.0, 0.0, 1.0], 300, "uniform")
+        assert plan.per_configuration == (150, 0, 150)
+
+    def test_uniform_rejects_like_optimal(self):
+        with pytest.raises(ValueError, match="vanish"):
+            allocate_shots([0.0, 0.0], 10, "uniform")
+        with pytest.raises(ValueError, match="below the 2 active"):
+            allocate_shots([1.0, 0.0, 1.0], 1, "uniform")
+
     def test_optimal_zero_weight_gets_nothing(self):
         plan = allocate_shots([1.0, 0.0, 1.0], 100, "optimal")
         assert plan.per_configuration == (50, 0, 50)
