@@ -232,9 +232,11 @@ def _apply_string_rotation(
 _FUSED_MASK_CAP = 4
 
 
-def _commuting_runs(h: OperatorSum) -> list[list[PauliTerm]]:
+@lru_cache(maxsize=6)
+def _commuting_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
     """Maximal runs of consecutive, mutually commuting terms, in term order,
-    each with at most ``_FUSED_MASK_CAP`` flip masks in its product.
+    each with at most ``_FUSED_MASK_CAP`` flip masks in its product; grouped
+    once per Hamiltonian, not once per propagation.
 
     ``_fused_rotation`` expands any run exactly in term order; commuting runs
     are the grouping that keeps the masks few (a bond's XX, YY and ZZ share
@@ -254,7 +256,7 @@ def _commuting_runs(h: OperatorSum) -> list[list[PauliTerm]]:
         else:
             runs.append([term])
             flips = {0, flip}
-    return runs
+    return tuple(tuple(run) for run in runs)
 
 
 def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int):

@@ -358,16 +358,31 @@ def _ritz_extremes(alphas: list[float], betas: list[float]) -> tuple[float, floa
     return lowest, highest, np.array(y)
 
 
+def _lanczos_start(dim: int) -> np.ndarray:
+    """The Lanczos start vector: the golden-ratio Weyl sequence
+    frac((k + 1) * phi), read as the top 53 bits of (k + 1) * 0x9E3779B97F4A7C15
+    mod 2**64, shifted to [-1/2, 1/2).
+
+    Like a random draw it is generic: it overlaps every popcount sector and
+    both parities of the global spin flip, where a uniform vector has no
+    flip-odd part.  Unlike one it needs no generator, so ``numpy.random``
+    stays unloaded unless a run samples.
+    """
+    bits = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(11)
+    return bits * 2.0**-53 - 0.5
+
+
 def _lanczos_ground_state(h: OperatorSum) -> np.ndarray:
     """Lowest Ritz vector of H by Lanczos with full reorthogonalization.
 
     H is applied as sum_f D_f * psi[x ^ f] (``flip_diagonals``), in real
-    arithmetic when every D_f is real.  The start vector is generic: a
-    uniform one is the fully polarized S = N/2 state, orthogonal to the
-    singlet ground state of SU(2)-symmetric chains.  Every reduction is an
-    ``einsum`` and the Ritz values and vector come from ``_ritz_extremes``,
-    so no call reaches BLAS or LAPACK: the result does not depend on the
-    BLAS thread count, and no BLAS worker is left spinning after the solve.
+    arithmetic when every D_f is real.  The start vector is generic
+    (``_lanczos_start``): a uniform one is the fully polarized S = N/2 state,
+    orthogonal to the singlet ground state of SU(2)-symmetric chains.  Every
+    reduction is an ``einsum`` and the Ritz values and vector come from
+    ``_ritz_extremes``, so no call reaches BLAS or LAPACK: the result does
+    not depend on the BLAS thread count, and no BLAS worker is left spinning
+    after the solve.
     """
     dim = 2**h.n_sites
     diagonals = flip_diagonals(h)
@@ -379,7 +394,7 @@ def _lanczos_ground_state(h: OperatorSum) -> np.ndarray:
 
     cap = min(_LANCZOS_CAP, dim)
     basis = np.empty((cap + 1, dim), dtype=np.float64 if real else np.complex128)
-    start = np.random.default_rng(0).standard_normal(dim)
+    start = _lanczos_start(dim)
     basis[0] = start / math.sqrt(np.einsum("i,i->", start, start))
     alphas: list[float] = []
     betas: list[float] = []

@@ -181,23 +181,30 @@ def _run_decomposition(config: ExperimentConfig, out: Path) -> tuple[list[str], 
     return files, meta
 
 
-def _pump_probe_orders(config: ExperimentConfig):
+def _pump_probe_drive(config: ExperimentConfig):
+    """The pump, the two probes, the orders and their shift rule of a
+    pump-probe config: the pieces that do not depend on the model's couplings."""
+    n = config.model.n_qubits()
+    pump = build_pump(config.pumps[0].pump, n)
+    probes = tuple(
+        OperatorSum((PauliTerm(1.0, dict(p)),), n) for p in (config.probe_1, config.probe_2)
+    )
+    orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
+    return pump, probes, orders, rule_for_generator(pump, orders)
+
+
+def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive):
     """The (t1, t2) grids, C^(n) per order and the contrast ratio of a
-    pump-probe config, with the count of cells whose contrast was excluded.
+    pump-probe config on the model H, with the count of cells whose contrast
+    was excluded; ``drive`` is the config's ``_pump_probe_drive``.
 
     One correlator call samples every cell of the grid at every shift of the
     order rule plus the contrast references C(0) and C(kappa).
     """
-    h = build_model(config.model)
-    n = h.n_sites
-    pump = build_pump(config.pumps[0].pump, n)
-    probe_1 = OperatorSum((PauliTerm(1.0, dict(config.probe_1)),), n)
-    probe_2 = OperatorSum((PauliTerm(1.0, dict(config.probe_2)),), n)
+    pump, (probe_1, probe_2), orders, rule = drive
     psi0 = ground_state(h)
     t1s = (config.t1_grid or config.time_grid).values()
     t2s = (config.t3_grid or config.time_grid).values()
-    orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
-    rule = rule_for_generator(pump, orders)
     etas = np.append(rule.shifts, [0.0, config.kappa])
     order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
     contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
@@ -217,7 +224,9 @@ def _pump_probe_orders(config: ExperimentConfig):
 
 
 def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    t1s, t2s, order_values, contrast, excluded = _pump_probe_orders(config)
+    t1s, t2s, order_values, contrast, excluded = _pump_probe_orders(
+        config, build_model(config.model), _pump_probe_drive(config)
+    )
     orders = list(order_values)
     files: list[str] = []
     rows = []
@@ -299,10 +308,10 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
     return float("nan"), "none"
 
 
-def _sweep_point(config: ExperimentConfig, g: float):
+def _sweep_point(config: ExperimentConfig, drive, g: float):
     """The order-pair slopes of the pump-probe run at plaquette coupling g."""
     model = replace(config.model, parameters={**config.model.parameters, "j_plaquette": g})
-    _, _, order_values, _, _ = _pump_probe_orders(replace(config, model=model))
+    _, _, order_values, _, _ = _pump_probe_orders(config, build_model(model), drive)
     orders = list(order_values)
     return g, [
         _order_pair_slope(order_values[a], order_values[b], a, b)[0]
@@ -312,8 +321,9 @@ def _sweep_point(config: ExperimentConfig, g: float):
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     g_values = [float(g) for g in config.sweep_values or np.linspace(-1.0, 1.0, 21)]
-    orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
-    results = [_sweep_point(config, g) for g in sorted(g_values)]
+    drive = _pump_probe_drive(config)
+    _, _, orders, _ = drive
+    results = [_sweep_point(config, drive, g) for g in sorted(g_values)]
     pair_names = [f"s{a}{b}" for a, b in zip(orders, orders[1:])]
     write_csv(
         out / "s35_vs_g.csv",

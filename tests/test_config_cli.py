@@ -407,14 +407,15 @@ from pathlib import Path
 import nlspec.cli, nlspec.config, nlspec.runner
 
 root = Path(sys.argv[1])
-for name in ("dimer", "sweep", "toric12", "chain10"):
+for name in ("dimer", "sweep", "toric12", "fig2", "chain10"):
     config = nlspec.config.load_config(root / f"{name}.json")
     nlspec.runner.run_experiment(config, output_dir=root / name)
 nlspec.runner.verify_experiment(config, tolerance=1e-8)
 banned = ("scipy", "concurrent", "multiprocessing")
 print(sorted(
     m for m in sys.modules
-    if m.split(".")[0] in banned or m == "numpy.ma" or m.startswith("numpy.ma.")
+    if m.split(".")[0] in banned
+    or any(m == sub or m.startswith(sub + ".") for sub in ("numpy.ma", "numpy.random"))
 ))
 """
 
@@ -457,7 +458,9 @@ class TestImportFootprint:
     which no sector split reaches.  Runs are serial, so no protocol loads a
     process pool either.  Nor does any run import ``numpy.ma``, which the
     first plain ``np.unique`` call does (``return_inverse=True`` does not):
-    on the 2D spectrum that import cost as much as the two-pass route saves."""
+    on the 2D spectrum that import cost as much as the two-pass route saves.
+    Only sampled runs import ``numpy.random`` (about 6 MB resident): the
+    Lanczos ground states of the 10- and 12-site chains draw no random start."""
 
     def test_runs_load_no_scipy(self, tmp_path):
         import nlspec
@@ -476,6 +479,9 @@ class TestImportFootprint:
         for grid in ("time_grid", "t1_grid", "t3_grid"):
             toric12[grid] = dict(toric12[grid], points=3)
         write_config(tmp_path, toric12, "toric12.json")
+        fig2 = json.loads((FIGURES / "fig2.json").read_text())
+        fig2["time_grid"] = dict(fig2["time_grid"], points=3)
+        write_config(tmp_path, fig2, "fig2.json")
         write_config(tmp_path, CHAIN10, "chain10.json")
         src = str(Path(nlspec.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -459,6 +459,15 @@ class TestFusedTrotter:
         assert sum(len(run) for run in runs) == 36
         assert len(runs) == 13
 
+    def test_terms_grouped_once_per_hamiltonian(self):
+        h = build_xxz(5, 0.7, 0.3, "periodic")
+        psi = ground_state(h)
+        schedule = PulseSchedule([(op(5, (1.0, {2: "X"})), [0.0])])
+        _commuting_runs.cache_clear()
+        driven_signal(h, schedule, [0.3], op(5, (1.0, {2: "Z"})), [0.5, 1.0, 1.5], TROTTER10, psi)
+        info = _commuting_runs.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 class TestKick:
     def test_zero_amplitude(self):

@@ -254,6 +254,21 @@ class TestLanczosGroundState:
         )
         assert models._lanczos_ground_state(build_xxz(10, 0.5, 0.12) + dm).dtype == np.complex128
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_start_vector_is_generic(self, n):
+        # a uniform vector has no flip-odd part: the ground state of a
+        # flip-symmetric chain may lie there
+        dim = 2**n
+        start = models._lanczos_start(dim)
+        assert np.array_equal(start, models._lanczos_start(dim))
+        flipped = start[np.arange(dim) ^ (dim - 1)]
+        popcount = np.bitwise_count(np.arange(dim))
+        for parity in (start + flipped, start - flipped):
+            for p in range(n + 1):
+                sector = parity[popcount == p]
+                # a vector uniform on [-1/2, 1/2) gives sector.size / 6 on average
+                assert np.sum(sector**2) >= 1e-2 * sector.size / 6
+
     def test_not_converged_raises_named_error(self, monkeypatch):
         monkeypatch.setattr(models, "_LANCZOS_CAP", 4)
         with pytest.raises(GroundStateError, match="4 steps"):

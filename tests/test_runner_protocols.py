@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlspec import runner
 from nlspec.analysis import entanglement_entropy
 from nlspec.cli import main
 from nlspec.config import load_config
 from nlspec.evolution import apply_kick
 from nlspec.models import build_model, build_pump, ground_state
 from nlspec.runner import run_experiment
+from nlspec.shift_rules import rule_for_generator
 
 TORIC = {
     "kind": "toric_code",
@@ -118,6 +120,19 @@ class TestSweepProtocol:
         assert table.shape == (3, 3)  # g, s13, s35
         assert np.all(np.isfinite(table))
         assert np.array_equal(table[:, 0], [-0.5, 0.0, 0.5])
+
+    def test_pump_rule_built_once(self, tmp_path, monkeypatch):
+        # only the plaquette coupling changes along the sweep
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rule_for_generator(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "rule_for_generator", counted)
+        config = load_config(write_config(tmp_path, self._payload()))
+        run_experiment(config, output_dir=tmp_path / "out")
+        assert len(calls) == 1
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path, self._payload()))
