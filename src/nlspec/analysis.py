@@ -233,6 +233,10 @@ def pca_slope(cloud: PointCloud2D) -> float:
     return float(v[1] / v[0])
 
 
+#: the reconstruction routes of ``third_order_2dos``
+S3_METHODS = ("shift_rule", "oracle")
+
+
 def third_order_2dos(
     h: OperatorSum,
     observable: OperatorSum,
@@ -271,7 +275,7 @@ def third_order_2dos(
     t3s = np.asarray(t3_grid, dtype=float)
     if np.any(t1s < 0) or np.any(t3s < 0):
         raise AnalysisError("t1 and t3 grids must be nonnegative")
-    if method not in ("shift_rule", "oracle"):
+    if method not in S3_METHODS:
         raise AnalysisError(f"unknown method {method!r}")
     out = np.empty((t1s.size, t3s.size))
     by_commutator = t1s == 0 if method == "shift_rule" and t_2 > 0 else np.full(t1s.size, True)

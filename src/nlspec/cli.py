@@ -3,8 +3,8 @@
 Subcommands:
   run      execute an experiment config and write its artifacts
   verify   cross-check the shift-rule engine against the commutator oracle
-  gaps     print each pump channel's gap set (the sumset over its pulses),
-           shifts, weights and norms
+  gaps     print each pump channel's gap set (the sumset over its pulses) and
+           the shift rule the run builds on it: shifts, weights and norms
   spectra  post-process an existing time-series CSV into a spectrum
 
 Exit codes: 0 success, 2 invalid input (config, pulse schedule, shift rule
@@ -29,6 +29,7 @@ from .config import ConfigError, load_config
 from .evolution import ScheduleError
 from .models import GroundStateError, build_model, build_pump
 from .pauli import DimensionCapError, HermiticityError
+from .response import decomposition_rule
 from .runner import run_experiment, verify_experiment, write_csv
 from .shift_rules import ShiftRuleError, channel_gap_set, rule_for_gap_set
 from .spectra import SpectrumError, envelope_fit, response_spectrum
@@ -104,14 +105,22 @@ def _cmd_verify(args) -> int:
 def _cmd_gaps(args) -> int:
     config = load_config(args.config)
     h = build_model(config.model)
-    max_order = max(list(config.orders) + [1]) if args.max_order is None else args.max_order
+    decomposition = config.protocol == "decomposition"
+    max_order = config.max_order if decomposition else max(list(config.orders) + [1])
+    if args.max_order is not None:
+        max_order = args.max_order
+    mode, n_shifts = config.shifts.mode, config.shifts.n_shifts
+    orders = [r for r in range(max_order + 1) if mode == "full" or r % 2]
     for i, channel in enumerate(config.pumps):
         generator = build_pump(channel.pump, h.n_sites)
         gaps = channel_gap_set(generator, len(channel.times))
         print(f"pump[{i}] kind={channel.pump.kind} support={generator.support}")
         print(f"  gaps ({len(gaps)}): {np.array2string(gaps.gaps, precision=10)}")
         print(f"  unit: {gaps.unit}")
-        rule = rule_for_gap_set(gaps, range(max_order + 1))
+        if decomposition:
+            rule = decomposition_rule((generator, channel.times), max_order, n_shifts=n_shifts)
+        else:
+            rule = rule_for_gap_set(gaps, orders, n_shifts=n_shifts, mode=mode)
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")
         print(f"  condition number: {rule.condition_number:.3e}")
         for r in sorted(rule.coefficients):

@@ -1,21 +1,35 @@
 """Experiment configuration: JSON schema, validation, and observables menu.
 
-A config file is one JSON object per experiment.  Unknown keys are rejected
-so typos fail loudly; missing required fields are reported by name.  The
-fully resolved configuration (defaults filled in) round-trips exactly
-through ``to_json_dict`` / ``config_from_dict``.
+A config file is one JSON object per experiment.  The dataclasses are the
+schema: ``ExperimentConfig`` and ``GridSpec``, ``ShiftSettings``,
+``SamplingSettings``, ``ObservableSpec`` and ``PumpChannel`` here,
+``ModelSpec`` and ``PumpSpec`` from ``models`` and ``Evolver`` from
+``evolution``.  An object's accepted keys are its dataclass's field names,
+each value is converted by its field's annotation, and a missing key takes
+the field's default; the one default set here is ``orders``, one first-order
+derivative per pump channel.  A pump channel is written as one flat object,
+its ``PumpSpec`` fields plus ``times``, and (site, axis) lists (``factors``,
+``probe_1``, ``probe_2``) as ``{"site": axis}`` maps.
+
+Unknown keys are rejected so typos fail loudly, missing required fields are
+reported by name, and so is a setting the protocol would ignore (``shifts``
+off the response and decomposition protocols, ``sampling`` off the response
+protocol).  ``to_json_dict`` writes every field, defaults included, and
+round-trips exactly through ``config_from_dict``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .evolution import Evolver
+from .analysis import S3_METHODS
+from .evolution import EXACT, Evolver
 from .models import ModelSpec, PumpSpec, build_pump
 from .pauli import OperatorSum, PauliTerm
 
@@ -31,30 +45,12 @@ OBSERVABLE_KINDS = (
     "pauli_string",
 )
 
-_AXES = ("X", "Y", "Z")
+#: protocols that place their own kicks and build their own shift rules
+_SINGLE_KICK = ("pump_probe", "sweep", "2dos", "entropy")
 
 
 class ConfigError(ValueError):
     """Configuration file is malformed; the message names the offending field."""
-
-
-def _require(mapping: Mapping, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _reject_unknown(mapping: Mapping, allowed: Sequence[str], context: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{context}: unknown field(s) {unknown}")
-
-
-def _finite(value, context: str) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(f"{context}: value must be finite")
-    return value
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class ObservableSpec:
 
     def __post_init__(self):
         if self.kind not in OBSERVABLE_KINDS:
-            raise ConfigError(f"unknown observable kind {self.kind!r}")
+            raise ValueError(f"unknown observable kind {self.kind!r}")
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "factors", tuple(sorted(dict(self.factors).items())))
 
@@ -135,6 +131,12 @@ class GridSpec:
     stop: float
     points: int
 
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
+        if self.points > 1 and self.stop <= self.start:
+            raise ValueError("stop must exceed start")
+
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
@@ -174,9 +176,9 @@ class ExperimentConfig:
     protocol: str
     model: ModelSpec
     pumps: tuple[PumpChannel, ...]
-    observables: tuple[ObservableSpec, ...]
-    evolver: Evolver
-    time_grid: GridSpec
+    observables: tuple[ObservableSpec, ...] = ()
+    evolver: Evolver = EXACT
+    time_grid: GridSpec = GridSpec(0.0, 5.0, 51)
     orders: tuple[int, ...] = (1,)
     shifts: ShiftSettings = ShiftSettings()
     eta_eval: tuple[float, ...] = (0.2,)
@@ -200,206 +202,126 @@ class ExperimentConfig:
     method: str = "shift_rule"
 
 
-_TOP_LEVEL_KEYS = (
-    "protocol",
-    "model",
-    "pumps",
-    "observables",
-    "evolver",
-    "time_grid",
-    "orders",
-    "shifts",
-    "eta_eval",
-    "max_order",
-    "sampling",
-    "seed",
-    "output_dir",
-    "probe_1",
-    "probe_2",
-    "kappa",
-    "eta_ref",
-    "t2",
-    "t1_grid",
-    "t3_grid",
-    "sweep_values",
-    "eta_grid",
-    "block_size",
-    "entropy_time",
-    "delta_values",
-    "method",
-)
+#: the annotation of (site, axis) lists, written as {"site": axis} maps
+_FACTORS = "tuple[tuple[int, str], ...]"
 
 
-def _parse_model(raw: Mapping) -> ModelSpec:
-    _reject_unknown(raw, ("kind", "parameters", "boundary"), "model")
-    kind = _require(raw, "kind", "model")
-    params = dict(_require(raw, "parameters", "model"))
-    boundary = raw.get("boundary", "open")
+def _parse(cls, raw: Mapping, context: str, **built):
+    """``cls`` from a JSON object keyed by its field names; a missing key
+    takes the field's default.  ``built`` holds fields given as objects, and
+    ``context`` names the object in messages ("" for the config itself)."""
+    where = context or "config"
+    schema = {f.name: f for f in fields(cls) if f.name not in built}
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {unknown}")
+    for name, f in schema.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required field {name!r}")
+    for name, value in raw.items():
+        field_context = f"{context}.{name}" if context else name
+        try:
+            built[name] = _convert(schema[name].type, value, field_context)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{field_context}: {exc}") from exc
     try:
-        return ModelSpec(kind, {k: _finite(v, f"model.parameters.{k}") for k, v in params.items()}, boundary)
+        return cls(**built)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_pump(raw: Mapping, index: int) -> PumpChannel:
-    context = f"pumps[{index}]"
-    _reject_unknown(raw, ("kind", "site", "axis", "momentum", "sites", "factors", "times"), context)
-    kind = _require(raw, "kind", context)
-    times = _require(raw, "times", context)
-    factors = tuple((int(k), str(v)) for k, v in dict(raw.get("factors", {})).items())
-    try:
-        pump = PumpSpec(
-            kind,
-            site=raw.get("site"),
-            axis=raw.get("axis", "X"),
-            momentum=raw.get("momentum"),
-            sites=tuple(raw.get("sites", ())),
-            factors=factors,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    return PumpChannel(pump, tuple(float(t) for t in times))
+def _parse_pump(raw: Mapping, context: str) -> PumpChannel:
+    """A pump channel is one flat object: its PumpSpec fields plus times."""
+    spec = {f.name for f in fields(PumpSpec)}
+    pump = _parse(PumpSpec, {k: v for k, v in raw.items() if k in spec}, context)
+    return _parse(PumpChannel, {k: v for k, v in raw.items() if k not in spec}, context, pump=pump)
 
 
-def _parse_observable(raw: Mapping, index: int) -> ObservableSpec:
-    context = f"observables[{index}]"
-    _reject_unknown(raw, ("kind", "sites", "axis", "axes", "coefficient", "factors"), context)
-    kind = _require(raw, "kind", context)
-    factors = tuple((int(k), str(v)) for k, v in dict(raw.get("factors", {})).items())
-    try:
-        return ObservableSpec(
-            kind,
-            sites=tuple(raw.get("sites", ())),
-            axis=raw.get("axis", "X"),
-            axes=raw.get("axes", ""),
-            coefficient=float(raw.get("coefficient", 1.0)),
-            factors=factors,
-        )
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+_PARSERS = {
+    "PumpChannel": _parse_pump,
+    **{
+        cls.__name__: partial(_parse, cls)
+        for cls in (ModelSpec, ObservableSpec, Evolver, GridSpec, ShiftSettings, SamplingSettings)
+    },
+}
 
 
-def _parse_grid(raw: Mapping, context: str) -> GridSpec:
-    _reject_unknown(raw, ("start", "stop", "points"), context)
-    grid = GridSpec(
-        _finite(_require(raw, "start", context), context),
-        _finite(_require(raw, "stop", context), context),
-        int(_require(raw, "points", context)),
-    )
-    if grid.points < 1:
-        raise ConfigError(f"{context}: points must be >= 1")
-    if grid.points > 1 and grid.stop <= grid.start:
-        raise ConfigError(f"{context}: stop must exceed start")
-    return grid
-
-
-def _parse_evolver(raw: Mapping) -> Evolver:
-    _reject_unknown(raw, ("kind", "n_steps"), "evolver")
-    kind = _require(raw, "kind", "evolver")
-    try:
-        return Evolver(kind, int(raw.get("n_steps", 0)))
-    except ValueError as exc:
-        raise ConfigError(f"evolver: {exc}") from exc
+def _convert(annotation: str, value, context: str):
+    """A JSON value as the field annotated ``annotation`` holds it."""
+    if annotation.endswith(" | None"):
+        return None if value is None else _convert(annotation[: -len(" | None")], value, context)
+    if annotation == _FACTORS:
+        return tuple((int(k), str(v)) for k, v in dict(value).items())
+    if annotation.startswith("tuple["):  # tuple[item, ...]
+        item = annotation[len("tuple[") : -len(", ...]")]
+        return tuple(_convert(item, v, f"{context}[{i}]") for i, v in enumerate(value))
+    if annotation == "Mapping[str, float]":
+        return {str(k): _convert("float", v, f"{context}.{k}") for k, v in dict(value).items()}
+    if annotation in _PARSERS:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{context}: must be a JSON object")
+        return _PARSERS[annotation](value, context)
+    value = {"int": int, "float": float, "str": str}[annotation](value)
+    if annotation == "float" and not np.isfinite(value):
+        raise ConfigError(f"{context}: value must be finite")
+    return value
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "config")
-    protocol = _require(raw, "protocol", "config")
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol: unknown protocol {protocol!r}")
-    model = _parse_model(_require(raw, "model", "config"))
-    pumps = tuple(
-        _parse_pump(p, i) for i, p in enumerate(_require(raw, "pumps", "config"))
-    )
-    if not pumps:
-        raise ConfigError("pumps: at least one drive channel is required")
-    observables = tuple(
-        _parse_observable(o, i) for i, o in enumerate(raw.get("observables", ()))
-    )
-    if protocol in ("response", "decomposition") and not observables:
-        raise ConfigError("observables: required for response and decomposition protocols")
-    evolver = _parse_evolver(raw.get("evolver", {"kind": "exact"}))
-    time_grid = _parse_grid(raw.get("time_grid", {"start": 0.0, "stop": 5.0, "points": 51}), "time_grid")
-
-    orders = tuple(int(o) for o in raw.get("orders", (1,) * len(pumps)))
-    if protocol == "response" and len(orders) != len(pumps):
-        raise ConfigError("orders: one derivative order per pump channel is required")
-
-    shifts_raw = raw.get("shifts", {})
-    _reject_unknown(shifts_raw, ("mode", "n_shifts"), "shifts")
-    shifts = ShiftSettings(
-        shifts_raw.get("mode", "full"),
-        None if shifts_raw.get("n_shifts") is None else int(shifts_raw["n_shifts"]),
-    )
-
-    eta_eval = raw.get("eta_eval", (0.2,))
-    if isinstance(eta_eval, (int, float)):
-        eta_eval = (float(eta_eval),)
-    eta_eval = tuple(_finite(e, "eta_eval") for e in eta_eval)
-
-    sampling = None
-    if raw.get("sampling") is not None:
-        s = raw["sampling"]
-        _reject_unknown(s, ("total_shots", "mode"), "sampling")
-        sampling = SamplingSettings(
-            int(_require(s, "total_shots", "sampling")), s.get("mode", "uniform")
-        )
-
-    # these protocols place their own kicks: one pump channel, kicked at 0
-    if protocol in ("pump_probe", "sweep", "2dos", "entropy") and (
-        len(pumps) != 1 or pumps[0].times != (0.0,)
-    ):
-        raise ConfigError(
-            f"pumps: the {protocol} protocol needs exactly one pump channel, with times [0.0]"
-        )
-
-    n_qubits = model.n_qubits()
-    probe_1 = tuple((int(k), str(v)) for k, v in dict(raw.get("probe_1", {})).items())
-    probe_2 = tuple((int(k), str(v)) for k, v in dict(raw.get("probe_2", {})).items())
-    if protocol in ("pump_probe", "sweep"):
-        if not probe_1 or not probe_2:
-            raise ConfigError("probe_1/probe_2: pump-probe protocols need both probe strings")
-
-    config = ExperimentConfig(
-        protocol=protocol,
-        model=model,
-        pumps=pumps,
-        observables=observables,
-        evolver=evolver,
-        time_grid=time_grid,
-        orders=orders,
-        shifts=shifts,
-        eta_eval=eta_eval,
-        max_order=int(raw.get("max_order", 7)),
-        sampling=sampling,
-        seed=int(raw.get("seed", 7)),
-        output_dir=str(raw.get("output_dir", "out")),
-        probe_1=probe_1,
-        probe_2=probe_2,
-        kappa=_finite(raw.get("kappa", np.pi / 2), "kappa"),
-        eta_ref=_finite(raw.get("eta_ref", 0.3), "eta_ref"),
-        t2=_finite(raw.get("t2", 0.5), "t2"),
-        t1_grid=_parse_grid(raw["t1_grid"], "t1_grid") if raw.get("t1_grid") else None,
-        t3_grid=_parse_grid(raw["t3_grid"], "t3_grid") if raw.get("t3_grid") else None,
-        sweep_values=tuple(_finite(v, "sweep_values") for v in raw.get("sweep_values", ())),
-        eta_grid=tuple(_finite(v, "eta_grid") for v in raw.get("eta_grid", ())),
-        block_size=None if raw.get("block_size") is None else int(raw["block_size"]),
-        entropy_time=_finite(raw.get("entropy_time", 1.0), "entropy_time"),
-        delta_values=tuple(_finite(v, "delta_values") for v in raw.get("delta_values", ())),
-        method=str(raw.get("method", "shift_rule")),
-    )
-    if protocol == "entropy" and config.entropy_time < 0:
-        raise ConfigError("entropy_time: must be >= 0")
-    if protocol == "entropy" and config.delta_values and model.kind != "xxz":
-        raise ConfigError("delta_values: the anisotropy scan needs the xxz model")
-    if protocol == "sweep" and model.kind != "toric_code":
-        raise ConfigError("model: the sweep protocol sweeps the toric-code coupling")
-    _validate_against_model(config, n_qubits)
+    if isinstance(raw.get("eta_eval"), (int, float)):  # one amplitude, written bare
+        raw = {**raw, "eta_eval": [raw["eta_eval"]]}
+    config = _parse(ExperimentConfig, raw, "")
+    if "orders" not in raw:
+        config = replace(config, orders=(1,) * len(config.pumps))
+    _validate(config)
     return config
 
 
-def _validate_against_model(config: ExperimentConfig, n_qubits: int) -> None:
-    for i, channel in enumerate(config.pumps):
+def _validate(config: ExperimentConfig) -> None:
+    """The checks that join fields, and each field against the protocol."""
+    protocol, pumps = config.protocol, config.pumps
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"protocol: unknown protocol {protocol!r}")
+    if not pumps:
+        raise ConfigError("pumps: at least one drive channel is required")
+    if protocol in ("response", "decomposition") and not config.observables:
+        raise ConfigError("observables: required for response and decomposition protocols")
+    if protocol == "response" and len(config.orders) != len(pumps):
+        raise ConfigError("orders: one derivative order per pump channel is required")
+    if protocol == "decomposition" and len(pumps) != 1:
+        raise ConfigError(
+            "pumps: the decomposition protocol expands one drive channel; "
+            f"the config has {len(pumps)}"
+        )
+    # these protocols place their own kicks: one pump channel, kicked at 0
+    if protocol in _SINGLE_KICK and (len(pumps) != 1 or pumps[0].times != (0.0,)):
+        raise ConfigError(
+            f"pumps: the {protocol} protocol needs exactly one pump channel, with times [0.0]"
+        )
+    if protocol in _SINGLE_KICK and config.shifts != ShiftSettings():
+        raise ConfigError(f"shifts: the {protocol} protocol builds its own shift rule")
+    if protocol == "decomposition" and config.shifts.mode != "full":
+        raise ConfigError(
+            "shifts.mode: the decomposition protocol expands every order; only 'full' applies"
+        )
+    if config.sampling is not None and protocol != "response":
+        raise ConfigError(f"sampling: only the response protocol samples, not {protocol}")
+    if protocol in ("pump_probe", "sweep") and not (config.probe_1 and config.probe_2):
+        raise ConfigError("probe_1/probe_2: pump-probe protocols need both probe strings")
+    if protocol == "entropy" and config.entropy_time < 0:
+        raise ConfigError("entropy_time: must be >= 0")
+    if protocol == "entropy" and config.delta_values and config.model.kind != "xxz":
+        raise ConfigError("delta_values: the anisotropy scan needs the xxz model")
+    if protocol == "sweep" and config.model.kind != "toric_code":
+        raise ConfigError("model: the sweep protocol sweeps the toric-code coupling")
+    if config.method not in S3_METHODS:
+        raise ConfigError(f"method: unknown method {config.method!r}, expected one of {S3_METHODS}")
+    n_qubits = config.model.n_qubits()
+    for i, channel in enumerate(pumps):
         try:
             build_pump(channel.pump, n_qubits)
         except ValueError as exc:
@@ -425,76 +347,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _json(value, annotation: str = ""):
+    """A field value as JSON; a dataclass becomes an object of all its fields."""
+    if annotation == _FACTORS:
+        return {str(site): axis for site, axis in value}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, PumpChannel):
+        return {**_json(value.pump), "times": _json(value.times)}
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name), f.type) for f in fields(value)}
+    return dict(value) if isinstance(value, dict) else value
+
+
 def to_json_dict(config: ExperimentConfig) -> dict:
-    """Serialize the resolved config; load(dump(c)) == c."""
-    out: dict = {
-        "protocol": config.protocol,
-        "model": {
-            "kind": config.model.kind,
-            "parameters": dict(config.model.parameters),
-            "boundary": config.model.boundary,
-        },
-        "pumps": [
-            {
-                "kind": c.pump.kind,
-                **({"site": c.pump.site} if c.pump.site is not None else {}),
-                "axis": c.pump.axis,
-                **({"momentum": c.pump.momentum} if c.pump.momentum is not None else {}),
-                **({"sites": list(c.pump.sites)} if c.pump.sites else {}),
-                **({"factors": {str(s): a for s, a in c.pump.factors}} if c.pump.factors else {}),
-                "times": list(c.times),
-            }
-            for c in config.pumps
-        ],
-        "observables": [
-            {
-                "kind": o.kind,
-                **({"sites": list(o.sites)} if o.sites else {}),
-                "axis": o.axis,
-                **({"axes": o.axes} if o.axes else {}),
-                "coefficient": o.coefficient,
-                **({"factors": {str(s): a for s, a in o.factors}} if o.factors else {}),
-            }
-            for o in config.observables
-        ],
-        "evolver": {"kind": config.evolver.kind, "n_steps": config.evolver.n_steps},
-        "time_grid": {
-            "start": config.time_grid.start,
-            "stop": config.time_grid.stop,
-            "points": config.time_grid.points,
-        },
-        "orders": list(config.orders),
-        "shifts": {"mode": config.shifts.mode, "n_shifts": config.shifts.n_shifts},
-        "eta_eval": list(config.eta_eval),
-        "max_order": config.max_order,
-        "sampling": None
-        if config.sampling is None
-        else {
-            "total_shots": config.sampling.total_shots,
-            "mode": config.sampling.mode,
-        },
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-        "kappa": config.kappa,
-        "eta_ref": config.eta_ref,
-        "t2": config.t2,
-        "entropy_time": config.entropy_time,
-        "method": config.method,
-    }
-    if config.probe_1:
-        out["probe_1"] = {str(s): a for s, a in config.probe_1}
-    if config.probe_2:
-        out["probe_2"] = {str(s): a for s, a in config.probe_2}
-    for name in ("t1_grid", "t3_grid"):
-        grid = getattr(config, name)
-        if grid is not None:
-            out[name] = {"start": grid.start, "stop": grid.stop, "points": grid.points}
-    if config.sweep_values:
-        out["sweep_values"] = list(config.sweep_values)
-    if config.eta_grid:
-        out["eta_grid"] = list(config.eta_grid)
-    if config.block_size is not None:
-        out["block_size"] = config.block_size
-    if config.delta_values:
-        out["delta_values"] = list(config.delta_values)
-    return out
+    """Serialize every field of the resolved config; load(dump(c)) == c."""
+    return _json(config)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolution import EXACT, Evolver, PulseSchedule, driven_signal
+from .evolution import Evolver, PulseSchedule, driven_signal
 from .pauli import OperatorSum
 from .shift_rules import (
     MultiIndex,
@@ -26,8 +26,8 @@ from .shift_rules import (
     taylor_rule,
 )
 
-#: largest exact-rule shift count response_decomposition will use by default
-DEFAULT_SHIFT_BUDGET = 33
+#: largest gap set whose exact rule ``decomposition_rule`` uses unasked
+_SHIFT_BUDGET = 33
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +100,14 @@ def reconstruct_response(
     observable: OperatorSum,
     t_grid: Sequence[float],
     beta: MultiIndex,
-    evolver: Evolver = EXACT,
-    psi0: np.ndarray | None = None,
+    evolver: Evolver,
+    psi0: np.ndarray,
     rules: Mapping[int, ShiftRule] | None = None,
-    n_shifts: int | None = None,
-    mode: str = "full",
 ) -> ResponseSeries:
-    """Pulse-summed order-m response chi^(m)(t) over the time grid."""
+    """Pulse-summed order-m response chi^(m)(t) over the time grid; ``rules``
+    defaults to the exact ``rules_for_schedule``."""
     if rules is None:
-        rules = rules_for_schedule(schedule, beta, n_shifts=n_shifts, mode=mode)
+        rules = rules_for_schedule(schedule, beta)
     configs, weights = shift_configurations(rules, beta)
     grid = np.asarray(t_grid, dtype=float)
     active = weights != 0.0
@@ -130,21 +129,20 @@ def decomposition_rule(
     channel: tuple[OperatorSum, Sequence[float]],
     max_order: int,
     n_shifts: int | None = None,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
 ) -> ShiftRule:
     """Rule used to expand a single-channel signal order by order.
 
     ``channel`` is a (generator, pulse times) pair, as in
     ``PulseSchedule.channels``; its gap set is ``channel_gap_set``.  Uses the
-    exact gap-set rule when the spectrum is commensurate and small enough;
-    otherwise (or when ``n_shifts`` forces fewer points than gaps) a
-    truncated polynomial rule on max_order + 1 points scaled to a quarter
-    period of the fastest spectral component.
+    exact gap-set rule when the spectrum is commensurate with at most
+    ``_SHIFT_BUDGET`` gaps; otherwise (or when ``n_shifts`` forces fewer
+    points than gaps) a truncated polynomial rule on max_order + 1 points
+    scaled to a quarter period of the fastest spectral component.
     """
     orders = list(range(max_order + 1))
     generator, times = channel
     gaps = channel_gap_set(generator, len(times))
-    exact_feasible = gaps.unit is not None and len(gaps) <= shift_budget
+    exact_feasible = gaps.unit is not None and len(gaps) <= _SHIFT_BUDGET
     if n_shifts is None and exact_feasible:
         return rule_for_gap_set(gaps, orders)
     if n_shifts is not None and exact_feasible and n_shifts >= len(gaps):
@@ -163,8 +161,8 @@ def response_decomposition(
     t_grid: Sequence[float],
     eta_evals: Sequence[float],
     max_order: int,
-    evolver: Evolver = EXACT,
-    psi0: np.ndarray | None = None,
+    evolver: Evolver,
+    psi0: np.ndarray,
     n_shifts: int | None = None,
 ) -> list[tuple[dict[int, ResponseSeries], ResponseSeries]]:
     """Order-by-order expansion A^n(t) = (eta^n / n!) F^(n)(0; t) plus the

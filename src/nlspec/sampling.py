@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolution import EXACT, Evolver, PulseSchedule, driven_states
+from .evolution import Evolver, PulseSchedule, driven_states
 from .pauli import OperatorSum, PauliTerm, expectation
 from .response import MultiIndex, ResponseSeries, rules_for_schedule, shift_configurations
 from .shift_rules import ShiftRule
@@ -174,8 +174,8 @@ def noisy_response(
     t_grid: Sequence[float],
     beta: MultiIndex,
     plan: SamplingPlan,
-    evolver: Evolver = EXACT,
-    psi0: np.ndarray | None = None,
+    evolver: Evolver,
+    psi0: np.ndarray,
     rules: Mapping[int, ShiftRule] | None = None,
 ) -> tuple[ResponseSeries, np.ndarray]:
     """Shift-rule reconstruction from finite-shot estimates.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from nlspec.cli import main
 from nlspec.config import (
     ConfigError,
+    ExperimentConfig,
     ObservableSpec,
     build_observable,
     config_from_dict,
@@ -117,9 +119,62 @@ class TestConfigParsing:
     def test_all_bundled_configs_parse(self):
         figdir = Path(__file__).parent.parent / "figures"
         names = sorted(p.name for p in figdir.glob("*.json"))
-        assert len(names) >= 8
+        assert len(names) == 12
         for name in names:
-            load_config(figdir / name)
+            config = load_config(figdir / name)
+            assert config_from_dict(to_json_dict(config)) == config, name
+            dumped = json.dumps(to_json_dict(config), sort_keys=True)
+            again = json.dumps(to_json_dict(config_from_dict(json.loads(dumped))), sort_keys=True)
+            assert again == dumped, name
+
+    @pytest.mark.parametrize(
+        "figure, changes, message",
+        [
+            ("fig4_xxx", {"shifts": {"mode": "odd", "n_shifts": 40}}, "shifts: the pump_probe"),
+            ("fig4_sweep", {"shifts": {"n_shifts": 12}}, "shifts: the sweep"),
+            ("fig5", {"shifts": {"mode": "odd"}}, "shifts: the 2dos"),
+            ("fig2_entropy", {"shifts": {"n_shifts": 9}}, "shifts: the entropy"),
+            ("fig2", {"shifts": {"mode": "odd", "n_shifts": 8}}, "shifts.mode: the decomposition"),
+            ("fig5", {"sampling": {"total_shots": 100}}, "sampling: only the response"),
+            ("fig2", {"sampling": {"total_shots": 100}}, "sampling: only the response"),
+        ],
+        ids=["pump_probe_shifts", "sweep_shifts", "2dos_shifts", "entropy_shifts",
+             "decomposition_odd", "2dos_sampling", "decomposition_sampling"],
+    )
+    def test_ignored_setting_rejected(self, figure, changes, message):
+        # each of these runs exactly as if the setting were absent
+        path = FIGURES / f"{figure}.json"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(dict(json.loads(path.read_text()), **changes))
+        # the figure's resolved echo writes these fields too, and loads
+        resolved = to_json_dict(load_config(path))
+        config_from_dict(resolved)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"time_grid": {"start": 0.0, "stop": 3.0, "points": "many"}},
+                "time_grid.points: invalid literal",
+            ),
+            ({"kappa": None}, "kappa: .*NoneType"),
+            ({"eta_eval": [0.1, float("nan")]}, r"eta_eval\[1\]: value must be finite"),
+            ({"model": 3}, "model: must be a JSON object"),
+            ({"orders": None}, "orders: .*not iterable"),
+            (
+                {"time_grid": {"start": 0.0, "stop": 3.0, "points": 0}},
+                "time_grid: points must be >= 1",
+            ),
+            ({"observables": [{"kind": "nonsense"}]}, r"observables\[0\]: unknown observable kind"),
+        ],
+        ids=[
+            "non_integer", "null_float", "nan_in_list", "non_object", "null_list", "empty_grid",
+            "unknown_kind",
+        ],
+    )
+    def test_bad_value_names_its_field(self, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(dict(MINIMAL, **changes))
 
 
 class TestObservableMenu:
@@ -203,6 +258,10 @@ class TestRunExperiment:
     def test_resolved_config_echo_roundtrips(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
         run_experiment(config, output_dir=tmp_path / "out")
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        # every field, those MINIMAL leaves at their defaults included
+        assert sorted(resolved) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert resolved["t1_grid"] is None and resolved["probe_1"] == {}
         echoed = load_config(tmp_path / "out" / "resolved_config.json")
         assert echoed == config
 
@@ -316,6 +375,32 @@ class TestCLI:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "after the last measurement time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {
+                    "protocol": "decomposition",
+                    "pumps": [
+                        {"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0]},
+                        {"kind": "local_pauli", "site": 2, "axis": "Z", "times": [0.5]},
+                    ],
+                },
+                "the decomposition protocol expands one drive channel; the config has 2",
+            ),
+            ({"protocol": "2dos", "method": "orcale"}, "method: unknown method 'orcale'"),
+        ],
+        ids=["decomposition_two_channels", "2dos_unknown_method"],
+    )
+    def test_fails_at_load_exit_two(self, tmp_path, capsys, changes, message):
+        payload = dict(MINIMAL, **changes)
+        del payload["orders"]
+        out = tmp_path / "out"
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analysis_error_exit_five(self, tmp_path, capsys):
         payload = dict(MINIMAL, protocol="entropy", eta_grid=[-0.03, 0.0, 0.01], max_order=2)
         del payload["orders"], payload["observables"]
@@ -355,6 +440,19 @@ class TestCLI:
         assert main(["gaps", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "gaps (5): [-4. -2.  0.  2.  4.]" in out and "shifts (5)" in out
+
+    def test_gaps_uses_the_decomposition_rule(self, capsys):
+        # fig2's 153 gaps take the 8-shift truncated rule that its run uses
+        assert main(["gaps", "--config", str(FIGURES / "fig2.json")]) == 0
+        out = capsys.readouterr().out
+        assert "gaps (153)" in out and "shifts (8)" in out and "order 7" in out
+
+    def test_gaps_uses_the_odd_rule(self, tmp_path, capsys):
+        payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd"})
+        assert main(["gaps", "--config", str(write_config(tmp_path, payload))]) == 0
+        out = capsys.readouterr().out
+        assert "order 1" in out and "order 3" in out
+        assert "order 0" not in out and "order 2" not in out
 
     def test_gaps_max_order_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL, orders=[3]))
