@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Desk-scale cross-validation sweep: shift-rule engine vs the commutator
-route vs finite differences on random small chains.
+"""Desk-scale cross-validation sweep: ``verify_experiment`` (shift-rule
+engine vs the commutator route vs finite differences) on random 4-site
+XXZ chains kicked by X1, read out by X2 and by Z2 in turn.
 
-Prints a deviation table per instance; exits nonzero if any engine-vs-
-commutator deviation exceeds the tolerance.
+Prints a deviation table per instance; exits 3 if any engine-vs-commutator
+deviation reaches the tolerance.
 """
 
 import argparse
@@ -11,11 +12,15 @@ import sys
 
 import numpy as np
 
-from nlspec.evolution import EXACT, PulseSchedule, driven_signal
-from nlspec.models import build_xxz, ground_state
-from nlspec.pauli import OperatorSum, PauliTerm
-from nlspec.reference import finite_difference_derivative, nested_commutator_prefixes
-from nlspec.response import MultiIndex, reconstruct_response
+from nlspec.config import config_from_dict
+from nlspec.runner import verify_experiment
+
+#: every instance but its couplings and readout: X1 kicks at 0, 11 times to 5
+INSTANCE = {
+    "protocol": "response",
+    "pumps": [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0]}],
+    "time_grid": {"start": 0.0, "stop": 5.0, "points": 11},
+}
 
 
 def main(argv=None) -> int:
@@ -27,38 +32,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    grid = np.linspace(0.0, 5.0, 11)
     worst = 0.0
     for k in range(args.instances):
         delta = float(rng.uniform(0.0, 2.0))
         h_field = float(rng.uniform(0.0, 1.0))
-        h = build_xxz(4, delta, h_field)
-        psi = ground_state(h)
-        pump = OperatorSum((PauliTerm(1.0, {1: "X"}),), 4)
-        observable = OperatorSum(
-            (PauliTerm(1.0, {2: "X"}), PauliTerm(1.0, {2: "Z"})), 4
-        )
-        schedule = PulseSchedule([(pump, [0.0])])
         print(f"instance {k}: delta={delta:.3f} h={h_field:.3f}")
-        # row m: the order-m commutator response, every order in one call
-        oracles = nested_commutator_prefixes(
-            h, observable, [(pump, 0.0)] * args.max_order, grid, psi, EXACT
-        )
-        for m in range(1, args.max_order + 1):
-            series = reconstruct_response(
-                h, schedule, observable, grid, MultiIndex([m]), EXACT, psi
-            )
-            oracle = oracles[m]
-            dev = float(np.max(np.abs(series.values - oracle)))
-            worst = max(worst, dev)
-            line = f"  m={m}: |engine - commutator| = {dev:.3e}"
-            if m == 1:
-                sampler = lambda eta: driven_signal(
-                    h, schedule, [eta], observable, [grid[5]], EXACT, psi
-                )[0]
-                fd = finite_difference_derivative(sampler, 1, 1e-4)
-                line += f"   fd baseline dev = {abs(fd.refined - oracle[5]):.3e}"
-            print(line)
+        model = {"kind": "xxz", "parameters": {"n_sites": 4, "delta": delta, "h_field": h_field}}
+        for axis in ("X", "Z"):
+            readout = {"kind": "single_site_pauli", "sites": [2], "axis": axis}
+            config = config_from_dict(dict(INSTANCE, model=model, observables=[readout]))
+            report = verify_experiment(config, args.tolerance, args.max_order)
+            worst = max(worst, report["max_deviation"])
+            for row in report["orders"]:
+                fd = row["max_abs_fd_minus_commutator"]
+                fd = "" if fd is None else f"   fd baseline dev = {fd:.3e}"
+                print(
+                    f"  {axis}2 m={row['order']}: |engine - commutator| = "
+                    f"{row['max_abs_shift_rule_minus_commutator']:.3e}"
+                    f"   oracle scale = {row['oracle_scale']:.3e}{fd}"
+                )
     print(f"worst deviation: {worst:.3e} (tolerance {args.tolerance:.1e})")
     return 0 if worst < args.tolerance else 3
 

@@ -27,10 +27,10 @@ from . import __version__
 from .analysis import AnalysisError
 from .config import ConfigError, load_config
 from .evolution import ScheduleError
-from .models import GroundStateError, build_model, build_pump
+from .models import GroundStateError, build_pump
 from .pauli import DimensionCapError, HermiticityError
 from .response import decomposition_rule
-from .runner import run_experiment, verify_experiment, write_csv
+from .runner import _pump_probe_drive, run_experiment, verify_experiment, write_csv
 from .shift_rules import ShiftRuleError, channel_gap_set, rule_for_gap_set
 from .spectra import SpectrumError, envelope_fit, response_spectrum
 
@@ -83,7 +83,8 @@ def _cmd_verify(args) -> int:
     config = load_config(args.config)
     report = verify_experiment(config, tolerance=args.tolerance)
     print(f"observable: {report['observable']}  tolerance: {report['tolerance']:.2e}")
-    print(f"shift rule: {report['n_shifts']} shifts, condition number {report['condition_number']:.3e}")
+    rule = f"{report['n_shifts']} shifts ({report['mode']})"
+    print(f"shift rule: {rule}, condition number {report['condition_number']:.3e}")
     print("order  max|shift rule - commutator|  max|fd - commutator|  oracle scale  rule residual")
     for row in report["orders"]:
         fd = "-" if row["max_abs_fd_minus_commutator"] is None else f"{row['max_abs_fd_minus_commutator']:.3e}"
@@ -104,21 +105,29 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gaps(args) -> int:
     config = load_config(args.config)
-    h = build_model(config.model)
-    decomposition = config.protocol == "decomposition"
-    max_order = config.max_order if decomposition else max(list(config.orders) + [1])
+    protocol, n_shifts, mode = config.protocol, config.shifts.n_shifts, config.shifts.mode
+    # the orders whose weights the run solves for
     if args.max_order is not None:
-        max_order = args.max_order
-    mode, n_shifts = config.shifts.mode, config.shifts.n_shifts
-    orders = [r for r in range(max_order + 1) if mode == "full" or r % 2]
+        orders = range(args.max_order + 1)
+    elif protocol in ("pump_probe", "sweep"):
+        _, _, orders, _ = _pump_probe_drive(config)
+    elif protocol == "2dos":
+        orders = [1]
+    else:
+        top = config.max_order if protocol == "decomposition" else max(config.orders)
+        orders = range(top + 1)
+    orders = [r for r in orders if mode == "full" or r % 2]
     for i, channel in enumerate(config.pumps):
-        generator = build_pump(channel.pump, h.n_sites)
+        generator = build_pump(channel.pump, config.model.n_qubits())
         gaps = channel_gap_set(generator, len(channel.times))
         print(f"pump[{i}] kind={channel.pump.kind} support={generator.support}")
         print(f"  gaps ({len(gaps)}): {np.array2string(gaps.gaps, precision=10)}")
         print(f"  unit: {gaps.unit}")
-        if decomposition:
-            rule = decomposition_rule((generator, channel.times), max_order, n_shifts=n_shifts)
+        if protocol == "entropy":
+            print("  no shift rule: the entropy protocol fits its eta grid")
+            continue
+        if protocol == "decomposition":
+            rule = decomposition_rule((generator, channel.times), orders[-1], n_shifts=n_shifts)
         else:
             rule = rule_for_gap_set(gaps, orders, n_shifts=n_shifts, mode=mode)
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")

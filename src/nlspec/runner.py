@@ -34,7 +34,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, build_observable, to_json_dict
 from .evolution import PulseSchedule, driven_signal, driven_states
 from .models import ModelSpec, build_model, build_pump, ground_state
-from .pauli import DimensionCapError, OperatorSum, PauliTerm
+from .pauli import OperatorSum, PauliTerm
 from .reference import (
     finite_difference_derivative,
     nested_commutator_prefixes,
@@ -334,16 +334,13 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    h = build_model(config.model)
+    h, schedule, observables, psi0 = _materialize(config)
     n = h.n_sites
-    pump = build_pump(config.pumps[0].pump, n)
-    if config.observables:
-        observable = build_observable(config.observables[0], n)
-    else:
-        observable = OperatorSum(
-            tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n
-        )
-    psi0 = ground_state(h)
+    pump, _ = schedule.channels[0]
+    if observables:
+        _, observable = observables[0]
+    else:  # X_0 + X_1
+        observable = OperatorSum(tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n)
     t1_grid = config.t1_grid or config.time_grid
     t3_grid = config.t3_grid or config.time_grid
     t1s = t1_grid.values()
@@ -495,11 +492,12 @@ def verify_experiment(
 ) -> dict:
     """Cross-check the shift-rule reconstruction against the commutator route.
 
-    The config needs an observable (the first is checked), one pump channel
-    with one pulse (``ConfigError`` otherwise) and at most 10 sites
-    (``DimensionCapError``).  Returns a report with per-order maximum
-    deviations (plus the finite-difference baseline at low orders), the
-    shared shift rule's health (``n_shifts``, ``condition_number``, each
+    The config needs an observable (the first is checked) and one pump
+    channel with one pulse (``ConfigError`` otherwise).  The rule is the
+    run's: the config's ``shifts``, weighted for orders 1..``max_order``
+    (odd ones only in the odd mode).  Returns a report with per-order
+    maximum deviations (plus the finite-difference baseline at low orders),
+    the rule's health (``n_shifts``, ``mode``, ``condition_number``, each
     order's ``residual``) and a pass flag; used by the CLI `verify`
     subcommand.  ``coefficient_perturbation`` deliberately corrupts the
     reconstruction weights (test hook for the failure path).
@@ -516,16 +514,14 @@ def verify_experiment(
             f"{len(config.pumps[0].times)} times"
         )
     h, schedule, observables, psi0 = _materialize(config)
-    if h.n_sites > 10:
-        raise DimensionCapError(
-            f"oracle unavailable: verification needs <= 10 sites, model has {h.n_sites}"
-        )
     label, observable = observables[0]
     generator, (t_pulse,) = schedule.channels[0]
     grid = np.linspace(config.time_grid.start, config.time_grid.stop, n_times)
     grid = grid[grid >= t_pulse]
     # one rule and one propagation of its shifts serve every order
-    rule = rule_for_generator(generator, range(1, max_order + 1))
+    mode = config.shifts.mode
+    orders = [m for m in range(1, max_order + 1) if mode == "full" or m % 2]
+    rule = rule_for_generator(generator, orders, config.shifts.n_shifts, mode)
     signals = driven_signal(
         h, schedule, rule.shifts[:, None], observable, grid, config.evolver, psi0
     )
@@ -543,7 +539,7 @@ def verify_experiment(
     )
     rows = []
     worst = 0.0
-    for m in range(1, max_order + 1):
+    for m in orders:
         coefficients = rule.coefficients[m]
         if coefficient_perturbation:
             coefficients = coefficients.copy()
@@ -570,6 +566,7 @@ def verify_experiment(
         "observable": label,
         "tolerance": tolerance,
         "n_shifts": rule.n_shifts,
+        "mode": mode,
         "condition_number": float(rule.condition_number),
         "orders": rows,
         "max_deviation": worst,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,14 +310,21 @@ class TestVerify:
         assert len(calls) == 2
         assert calls[1] == (5, 1)
 
-    def test_oracle_unavailable_above_cap(self, tmp_path):
-        payload = json.loads(json.dumps(MINIMAL))
-        payload["model"]["parameters"]["n_sites"] = 12
-        config = load_config(write_config(tmp_path, payload))
-        from nlspec.pauli import DimensionCapError
+    def test_twelve_site_figure_passes(self):
+        # fig3a's 12-site Trotter chain, at the engine's site cap
+        report = verify_experiment(load_config(FIGURES / "fig3a.json"), tolerance=1e-8)
+        assert report["passed"] and report["max_deviation"] < 1e-12
+        assert (report["n_shifts"], report["mode"]) == (3, "full")
+        assert max(row["oracle_scale"] for row in report["orders"]) > 0.1
 
-        with pytest.raises(DimensionCapError, match="oracle unavailable"):
-            verify_experiment(config)
+    def test_checks_the_config_shift_rule(self, tmp_path):
+        # the odd rule of an X kick is the +-pi/4 pair; the default full
+        # rule would take 3 shifts
+        payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd"})
+        report = verify_experiment(load_config(write_config(tmp_path, payload)), tolerance=1e-8)
+        assert (report["n_shifts"], report["mode"]) == (2, "odd")
+        assert [row["order"] for row in report["orders"]] == [1, 3, 5]
+        assert report["passed"]
 
 
 class TestCLI:
@@ -337,14 +345,21 @@ class TestCLI:
 
     def test_verify_exit_codes(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
-        assert main(["verify", "--config", str(path)]) == 0
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "report")]) == 0
         out = capsys.readouterr().out
-        assert "shifts, condition number" in out and "rule residual" in out
+        assert "3 shifts (full), condition number" in out and "rule residual" in out
+        report = json.loads((tmp_path / "report" / "verify_report.json").read_text())
+        assert (report["n_shifts"], report["mode"]) == (3, "full")
         # an absurd tolerance cannot fail a clean engine; break it instead
         payload = json.loads(json.dumps(MINIMAL))
-        payload["model"]["parameters"]["n_sites"] = 12
+        payload["model"]["parameters"]["n_sites"] = 13
         big = write_config(tmp_path, payload, "big.json")
         assert main(["verify", "--config", str(big)]) == 4
+
+    def test_verify_names_the_rule_that_cannot_solve(self, capsys):
+        # fig2's 8 shifts are too few for an exact rule on its 153 gaps
+        assert main(["verify", "--config", str(FIGURES / "fig2.json")]) == 2
+        assert "8 shifts cannot satisfy 153 gap constraints" in capsys.readouterr().err
 
     def test_verify_without_observable_exit_two(self, capsys):
         assert main(["verify", "--config", str(FIGURES / "fig5.json")]) == 2
@@ -453,6 +468,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "order 1" in out and "order 3" in out
         assert "order 0" not in out and "order 2" not in out
+
+    def test_gaps_of_the_entropy_protocol_builds_no_rule(self, capsys):
+        assert main(["gaps", "--config", str(FIGURES / "fig2_entropy.json")]) == 0
+        out = capsys.readouterr().out
+        assert "gaps (153)" in out and "no shift rule" in out and "shifts" not in out
+
+    @pytest.mark.parametrize(
+        "figure, orders", [("fig4_xxx", [1, 3, 5]), ("fig4_sweep", [1, 3, 5]), ("fig5", [1])]
+    )
+    def test_gaps_lists_the_orders_the_run_solves(self, capsys, figure, orders):
+        # pump-probe and sweep: the correlator expansion's orders; 2dos: order 1
+        assert main(["gaps", "--config", str(FIGURES / f"{figure}.json")]) == 0
+        assert re.findall(r"order (\d+):", capsys.readouterr().out) == [str(r) for r in orders]
 
     def test_gaps_max_order_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL, orders=[3]))
