@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .analysis import AnalysisError
 from .config import ConfigError, load_config
-from .evolution import ScheduleError
+from .evolution import PulseSchedule, ScheduleError
 from .models import GroundStateError, build_pump
 from .pauli import DimensionCapError, HermiticityError
-from .response import decomposition_rule
+from .response import MultiIndex, decomposition_rule, rules_for_schedule
 from .runner import _pump_probe_drive, run_experiment, verify_experiment, write_csv
 from .shift_rules import ShiftRuleError, channel_gap_set, rule_for_gap_set
 from .spectra import SpectrumError, envelope_fit, response_spectrum
@@ -106,30 +106,33 @@ def _cmd_verify(args) -> int:
 def _cmd_gaps(args) -> int:
     config = load_config(args.config)
     protocol, n_shifts, mode = config.protocol, config.shifts.n_shifts, config.shifts.mode
-    # the orders whose weights the run solves for
+    channels = [(build_pump(c.pump, config.model.n_qubits()), c.times) for c in config.pumps]
+    # the orders whose weights the run solves for (response: each channel's own)
+    orders, rules = [], {}
     if args.max_order is not None:
         orders = range(args.max_order + 1)
     elif protocol in ("pump_probe", "sweep"):
         _, _, orders, _ = _pump_probe_drive(config)
     elif protocol == "2dos":
         orders = [1]
-    else:
-        top = config.max_order if protocol == "decomposition" else max(config.orders)
-        orders = range(top + 1)
+    elif protocol == "decomposition":
+        orders = range(config.max_order + 1)
+    elif protocol == "response":
+        rules = rules_for_schedule(PulseSchedule(channels), MultiIndex(config.orders), n_shifts, mode)
     orders = [r for r in orders if mode == "full" or r % 2]
-    for i, channel in enumerate(config.pumps):
-        generator = build_pump(channel.pump, config.model.n_qubits())
-        gaps = channel_gap_set(generator, len(channel.times))
+    for i, (channel, (generator, times)) in enumerate(zip(config.pumps, channels)):
+        gaps = channel_gap_set(generator, len(times))
         print(f"pump[{i}] kind={channel.pump.kind} support={generator.support}")
         print(f"  gaps ({len(gaps)}): {np.array2string(gaps.gaps, precision=10)}")
         print(f"  unit: {gaps.unit}")
-        if protocol == "entropy":
-            print("  no shift rule: the entropy protocol fits its eta grid")
-            continue
         if protocol == "decomposition":
-            rule = decomposition_rule((generator, channel.times), orders[-1], n_shifts=n_shifts)
-        else:
-            rule = rule_for_gap_set(gaps, orders, n_shifts=n_shifts, mode=mode)
+            rules[i] = decomposition_rule((generator, times), orders[-1], n_shifts=n_shifts)
+        elif orders and protocol != "entropy":
+            rules[i] = rule_for_gap_set(gaps, orders, n_shifts=n_shifts, mode=mode)
+        if (rule := rules.get(i)) is None:
+            why = "the entropy protocol fits its eta grid" if protocol == "entropy" else "order 0"
+            print(f"  no shift rule: {why}")
+            continue
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")
         print(f"  condition number: {rule.condition_number:.3e}")
         for r in sorted(rule.coefficients):

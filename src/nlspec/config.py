@@ -6,16 +6,16 @@ schema: ``ExperimentConfig`` and ``GridSpec``, ``ShiftSettings``,
 ``ModelSpec`` and ``PumpSpec`` from ``models`` and ``Evolver`` from
 ``evolution``.  An object's accepted keys are its dataclass's field names,
 each value is converted by its field's annotation, and a missing key takes
-the field's default; the one default set here is ``orders``, one first-order
-derivative per pump channel.  A pump channel is written as one flat object,
-its ``PumpSpec`` fields plus ``times``, and (site, axis) lists (``factors``,
-``probe_1``, ``probe_2``) as ``{"site": axis}`` maps.
+the field's default (set here: ``orders``, one first-order derivative per
+pump channel, and ``block_size``, half the register).  A pump channel is one
+flat object, its ``PumpSpec`` fields plus ``times``, and (site, axis) lists
+(``factors``, ``probe_1``, ``probe_2``) are ``{"site": axis}`` maps.
 
-Unknown keys are rejected so typos fail loudly, missing required fields are
-reported by name, and so is a setting the protocol would ignore (``shifts``
-off the response and decomposition protocols, ``sampling`` off the response
-protocol).  ``to_json_dict`` writes every field, defaults included, and
-round-trips exactly through ``config_from_dict``.
+The config itself accepts only ``COMMON_FIELDS`` plus its protocol's row of
+``PROTOCOL_FIELDS``, the fields its run reads.  Any other key is rejected, so
+a typo or an ignored setting fails loudly, and missing required fields are
+reported by name.  ``to_json_dict`` writes the same fields, defaults
+included, and round-trips exactly through ``config_from_dict``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,16 @@ from .evolution import EXACT, Evolver
 from .models import ModelSpec, PumpSpec, build_pump
 from .pauli import OperatorSum, PauliTerm
 
-PROTOCOLS = ("response", "decomposition", "pump_probe", "2dos", "entropy", "sweep")
+#: the fields every run reads, and those each protocol's run reads besides them
+COMMON_FIELDS = ("protocol", "model", "pumps", "evolver", "seed", "output_dir")
+PROTOCOL_FIELDS = {
+    "response": ("observables", "time_grid", "orders", "shifts", "sampling"),
+    "decomposition": ("observables", "time_grid", "shifts", "eta_eval", "max_order"),
+    "pump_probe": ("probe_1", "probe_2", "t1_grid", "t3_grid", "orders", "eta_ref", "kappa"),
+    "sweep": ("probe_1", "probe_2", "t1_grid", "t3_grid", "orders", "eta_ref", "sweep_values"),
+    "2dos": ("observables", "t1_grid", "t3_grid", "t2", "method"),
+    "entropy": ("eta_grid", "block_size", "entropy_time", "eta_eval", "max_order", "delta_values"),
+}
 
 OBSERVABLE_KINDS = (
     "two_site_magnetization",
@@ -44,10 +53,6 @@ OBSERVABLE_KINDS = (
     "four_point",
     "pauli_string",
 )
-
-#: protocols that place their own kicks and build their own shift rules
-_SINGLE_KICK = ("pump_probe", "sweep", "2dos", "entropy")
-
 
 class ConfigError(ValueError):
     """Configuration file is malformed; the message names the offending field."""
@@ -194,8 +199,8 @@ class ExperimentConfig:
     t2: float = 0.5
     t1_grid: GridSpec | None = None
     t3_grid: GridSpec | None = None
-    sweep_values: tuple[float, ...] = ()
-    eta_grid: tuple[float, ...] = ()
+    sweep_values: tuple[float, ...] = tuple(np.linspace(-1.0, 1.0, 21).tolist())
+    eta_grid: tuple[float, ...] = tuple(np.linspace(-0.03, 0.03, 7).tolist())
     block_size: int | None = None
     entropy_time: float = 1.0
     delta_values: tuple[float, ...] = ()
@@ -272,11 +277,17 @@ def _convert(annotation: str, value, context: str):
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    if isinstance(raw.get("eta_eval"), (int, float)):  # one amplitude, written bare
-        raw = {**raw, "eta_eval": [raw["eta_eval"]]}
+    protocol = raw.get("protocol")
+    if protocol not in PROTOCOL_FIELDS:
+        raise ConfigError(f"protocol: unknown protocol {protocol!r}")
+    unread = sorted(set(raw) - set(COMMON_FIELDS + PROTOCOL_FIELDS[protocol]))
+    if unread:
+        raise ConfigError(f"config: unknown field(s) {unread} for the {protocol} protocol")
     config = _parse(ExperimentConfig, raw, "")
     if "orders" not in raw:
         config = replace(config, orders=(1,) * len(config.pumps))
+    if config.block_size is None:
+        config = replace(config, block_size=config.model.n_qubits() // 2)
     _validate(config)
     return config
 
@@ -284,8 +295,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 def _validate(config: ExperimentConfig) -> None:
     """The checks that join fields, and each field against the protocol."""
     protocol, pumps = config.protocol, config.pumps
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol: unknown protocol {protocol!r}")
     if not pumps:
         raise ConfigError("pumps: at least one drive channel is required")
     if protocol in ("response", "decomposition") and not config.observables:
@@ -297,21 +306,24 @@ def _validate(config: ExperimentConfig) -> None:
             "pumps: the decomposition protocol expands one drive channel; "
             f"the config has {len(pumps)}"
         )
-    # these protocols place their own kicks: one pump channel, kicked at 0
-    if protocol in _SINGLE_KICK and (len(pumps) != 1 or pumps[0].times != (0.0,)):
+    # the other protocols place their own kicks: one pump channel, kicked at 0
+    if protocol not in ("response", "decomposition") and (len(pumps) != 1 or pumps[0].times != (0.0,)):
         raise ConfigError(
             f"pumps: the {protocol} protocol needs exactly one pump channel, with times [0.0]"
         )
-    if protocol in _SINGLE_KICK and config.shifts != ShiftSettings():
-        raise ConfigError(f"shifts: the {protocol} protocol builds its own shift rule")
+    if "t1_grid" in PROTOCOL_FIELDS[protocol] and None in (config.t1_grid, config.t3_grid):
+        raise ConfigError(f"t1_grid/t3_grid: the {protocol} protocol needs both grids")
+    first_only = {"decomposition": "observables", "2dos": "observables", "entropy": "eta_eval"}
+    if protocol in first_only and len(getattr(config, first_only[protocol])) > 1:
+        raise ConfigError(f"{first_only[protocol]}: the {protocol} protocol reads one entry")
     if protocol == "decomposition" and config.shifts.mode != "full":
         raise ConfigError(
             "shifts.mode: the decomposition protocol expands every order; only 'full' applies"
         )
-    if config.sampling is not None and protocol != "response":
-        raise ConfigError(f"sampling: only the response protocol samples, not {protocol}")
     if protocol in ("pump_probe", "sweep") and not (config.probe_1 and config.probe_2):
         raise ConfigError("probe_1/probe_2: pump-probe protocols need both probe strings")
+    if protocol in ("pump_probe", "sweep") and not config.orders:
+        raise ConfigError("orders: pump-probe protocols need at least one order")
     if protocol == "entropy" and config.entropy_time < 0:
         raise ConfigError("entropy_time: must be >= 0")
     if protocol == "entropy" and config.delta_values and config.model.kind != "xxz":
@@ -361,5 +373,6 @@ def _json(value, annotation: str = ""):
 
 
 def to_json_dict(config: ExperimentConfig) -> dict:
-    """Serialize every field of the resolved config; load(dump(c)) == c."""
-    return _json(config)
+    """Serialize the fields its protocol reads, defaults included; load(dump(c)) == c."""
+    names = COMMON_FIELDS + PROTOCOL_FIELDS[config.protocol]
+    return {f.name: _json(getattr(config, f.name), f.type) for f in fields(config) if f.name in names}

@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -189,44 +189,44 @@ def _pump_probe_drive(config: ExperimentConfig):
     probes = tuple(
         OperatorSum((PauliTerm(1.0, dict(p)),), n) for p in (config.probe_1, config.probe_2)
     )
-    orders = sorted(set(int(o) for o in config.orders)) or [1, 3, 5]
+    orders = sorted(set(int(o) for o in config.orders))
     return pump, probes, orders, rule_for_generator(pump, orders)
 
 
-def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive):
-    """The (t1, t2) grids, C^(n) per order and the contrast ratio of a
-    pump-probe config on the model H, with the count of cells whose contrast
-    was excluded; ``drive`` is the config's ``_pump_probe_drive``.
+def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive, references=()):
+    """The (t1, t2) grids and C^(n) per order of a pump-probe config on the
+    model H, and the correlator at each of the ``references`` amplitudes;
+    ``drive`` is the config's ``_pump_probe_drive``.
 
     One correlator call samples every cell of the grid at every shift of the
-    order rule plus the contrast references C(0) and C(kappa).
+    order rule followed by the references.
     """
     pump, (probe_1, probe_2), orders, rule = drive
-    psi0 = ground_state(h)
-    t1s = (config.t1_grid or config.time_grid).values()
-    t2s = (config.t3_grid or config.time_grid).values()
-    etas = np.append(rule.shifts, [0.0, config.kappa])
+    t1s, t2s = config.t1_grid.values(), config.t3_grid.values()
+    etas = np.append(rule.shifts, references)
+    samples = pump_probe_correlator(
+        h, pump, probe_1, probe_2, t1s, t2s, etas, ground_state(h), config.evolver
+    )
     order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
-    contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
-    excluded = 0
-    samples = pump_probe_correlator(h, pump, probe_1, probe_2, t1s, t2s, etas, psi0, config.evolver)
-    for i in range(t1s.size):
-        for j in range(t2s.size):
-            cell = samples[i, j]
-            expansion = correlator_order_expansion(cell[:-2], rule, orders, config.eta_ref)
-            for m, v in expansion.items():
-                order_values[m][i, j] = v
-            try:
-                contrast[i, j] = contrast_ratio(cell[-1], cell[-2])
-            except AnalysisError:
-                excluded += 1
-    return t1s, t2s, order_values, contrast, excluded
+    for i, j in np.ndindex(t1s.size, t2s.size):
+        cell = samples[i, j, : rule.n_shifts]
+        for m, v in correlator_order_expansion(cell, rule, orders, config.eta_ref).items():
+            order_values[m][i, j] = v
+    return t1s, t2s, order_values, samples[:, :, rule.n_shifts :]
 
 
 def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    t1s, t2s, order_values, contrast, excluded = _pump_probe_orders(
-        config, build_model(config.model), _pump_probe_drive(config)
+    # the contrast ratio C(kappa) / C(0) of each cell
+    t1s, t2s, order_values, references = _pump_probe_orders(
+        config, build_model(config.model), _pump_probe_drive(config), [0.0, config.kappa]
     )
+    contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
+    excluded = 0
+    for i, j in np.ndindex(contrast.shape):
+        try:
+            contrast[i, j] = contrast_ratio(references[i, j, 1], references[i, j, 0])
+        except AnalysisError:
+            excluded += 1
     orders = list(order_values)
     files: list[str] = []
     rows = []
@@ -311,7 +311,7 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
 def _sweep_point(config: ExperimentConfig, drive, g: float):
     """The order-pair slopes of the pump-probe run at plaquette coupling g."""
     model = replace(config.model, parameters={**config.model.parameters, "j_plaquette": g})
-    _, _, order_values, _, _ = _pump_probe_orders(config, build_model(model), drive)
+    _, _, order_values, _ = _pump_probe_orders(config, build_model(model), drive)
     orders = list(order_values)
     return g, [
         _order_pair_slope(order_values[a], order_values[b], a, b)[0]
@@ -320,7 +320,7 @@ def _sweep_point(config: ExperimentConfig, drive, g: float):
 
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    g_values = [float(g) for g in config.sweep_values or np.linspace(-1.0, 1.0, 21)]
+    g_values = [float(g) for g in config.sweep_values]
     drive = _pump_probe_drive(config)
     _, _, orders, _ = drive
     results = [_sweep_point(config, drive, g) for g in sorted(g_values)]
@@ -341,10 +341,7 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         _, observable = observables[0]
     else:  # X_0 + X_1
         observable = OperatorSum(tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n)
-    t1_grid = config.t1_grid or config.time_grid
-    t3_grid = config.t3_grid or config.time_grid
-    t1s = t1_grid.values()
-    t3s = t3_grid.values()
+    t1s, t3s = config.t1_grid.values(), config.t3_grid.values()
     s3 = third_order_2dos(
         h, observable, pump, config.t2, t1s, t3s, psi0, config.evolver, config.method
     )
@@ -355,7 +352,7 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         ([t1, t3, s3[i, j]] for i, t1 in enumerate(t1s) for j, t3 in enumerate(t3s)),
     )
     files.append("s3_time.csv")
-    spec = spectrum_2d(s3, t1_grid.dt, t3_grid.dt)
+    spec = spectrum_2d(s3, config.t1_grid.dt, config.t3_grid.dt)
     write_csv(
         out / "s3_spectrum.csv",
         ["omega1[J]", "omega3[J]", "magnitude"],
@@ -379,11 +376,9 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    h, schedule, _, psi0 = _materialize(config)
-    n = h.n_sites
-    pump, _ = schedule.channels[0]
-    block = config.block_size or n // 2
-    eta_grid = np.asarray(config.eta_grid or np.linspace(-0.03, 0.03, 7))
+    h = build_model(config.model)
+    pump, psi0 = build_pump(config.pumps[0].pump, h.n_sites), ground_state(h)
+    block, eta_grid = config.block_size, np.asarray(config.eta_grid)
     files: list[str] = []
 
     expansion = entropy_expansion(
@@ -400,10 +395,10 @@ def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     )
     files.append("entropy_coefficients.csv")
 
-    # the state kicked by the first eta_eval, as entropy_expansion makes its states
+    # the state kicked by eta_eval, as entropy_expansion makes its states
     kick, grid = PulseSchedule([(pump, [0.0])]), [config.entropy_time]
-    (state,) = driven_states(h, kick, config.eta_eval[:1], grid, config.evolver, psi0)
-    profile = [[d, entanglement_entropy(state, d)] for d in range(1, n)]
+    (state,) = driven_states(h, kick, config.eta_eval, grid, config.evolver, psi0)
+    profile = [[d, entanglement_entropy(state, d)] for d in range(1, h.n_sites)]
     write_csv(out / "entropy_profile.csv", ["block_size", "S_d"], profile)
     files.append("entropy_profile.csv")
 
@@ -425,7 +420,7 @@ def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
                 config.max_order, config.evolver,
             )
             rows.append([delta] + list(exp_d.coefficients))
-            (state,) = driven_states(h_d, kick, config.eta_eval[:1], grid, config.evolver, psi_d)
+            (state,) = driven_states(h_d, kick, config.eta_eval, grid, config.evolver, psi_d)
             half_rows.append([delta, entanglement_entropy(state, block)])
         write_csv(
             out / "entropy_coeffs_vs_delta.csv",
@@ -458,15 +453,11 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     _write_json(out / "resolved_config.json", to_json_dict(config))
-    runners: dict[str, Callable] = {
-        "response": lambda: _run_response(config, out),
-        "decomposition": lambda: _run_decomposition(config, out),
-        "pump_probe": lambda: _run_pump_probe(config, out),
-        "sweep": lambda: _run_sweep(config, out),
-        "2dos": lambda: _run_2dos(config, out),
-        "entropy": lambda: _run_entropy(config, out),
-    }
-    files, meta = runners[config.protocol]()
+    run = {
+        "response": _run_response, "decomposition": _run_decomposition, "sweep": _run_sweep,
+        "pump_probe": _run_pump_probe, "2dos": _run_2dos, "entropy": _run_entropy,
+    }[config.protocol]
+    files, meta = run(config, out)
     metadata = {
         "engine_version": __version__,
         "protocol": config.protocol,
@@ -481,29 +472,30 @@ def run_experiment(
 
 #: amplitude step of the finite-difference baseline in ``verify_experiment``
 _FD_STEP = 1e-3
+#: points of the time grid span that ``verify_experiment`` checks
+_VERIFY_TIMES = 11
 
 
 def verify_experiment(
     config: ExperimentConfig,
     tolerance: float = 1e-8,
     max_order: int = 5,
-    n_times: int = 11,
     coefficient_perturbation: float = 0.0,
 ) -> dict:
     """Cross-check the shift-rule reconstruction against the commutator route.
 
-    The config needs an observable (the first is checked) and one pump
-    channel with one pulse (``ConfigError`` otherwise).  The rule is the
-    run's: the config's ``shifts``, weighted for orders 1..``max_order``
-    (odd ones only in the odd mode).  Returns a report with per-order
+    The config is a response or decomposition config (its first observable
+    is checked) with one pump channel of one pulse (``ConfigError``
+    otherwise).  The rule is the run's: the config's ``shifts``, weighted
+    for orders 1..``max_order`` (odd ones only in the odd mode).  Returns a report with per-order
     maximum deviations (plus the finite-difference baseline at low orders),
     the rule's health (``n_shifts``, ``mode``, ``condition_number``, each
     order's ``residual``) and a pass flag; used by the CLI `verify`
     subcommand.  ``coefficient_perturbation`` deliberately corrupts the
     reconstruction weights (test hook for the failure path).
     """
-    if not config.observables:
-        raise ConfigError("verification needs an observable; the config lists none")
+    if config.protocol not in ("response", "decomposition"):
+        raise ConfigError(f"verify checks response and decomposition configs, not {config.protocol}")
     if len(config.pumps) != 1:
         raise ConfigError(
             f"verification needs a single pump channel; the config has {len(config.pumps)}"
@@ -516,7 +508,7 @@ def verify_experiment(
     h, schedule, observables, psi0 = _materialize(config)
     label, observable = observables[0]
     generator, (t_pulse,) = schedule.channels[0]
-    grid = np.linspace(config.time_grid.start, config.time_grid.stop, n_times)
+    grid = np.linspace(config.time_grid.start, config.time_grid.stop, _VERIFY_TIMES)
     grid = grid[grid >= t_pulse]
     # one rule and one propagation of its shifts serve every order
     mode = config.shifts.mode

@@ -11,6 +11,8 @@ import pytest
 
 from nlspec.cli import main
 from nlspec.config import (
+    COMMON_FIELDS,
+    PROTOCOL_FIELDS,
     ConfigError,
     ExperimentConfig,
     ObservableSpec,
@@ -51,6 +53,48 @@ CHAIN10 = {
 }
 
 FIGURES = Path(__file__).resolve().parents[1] / "figures"
+
+#: a bundled figure of each protocol
+FIGURE_OF = {
+    "response": "fig3a",
+    "decomposition": "fig2",
+    "pump_probe": "fig4_xxx",
+    "sweep": "fig4_sweep",
+    "2dos": "fig5",
+    "entropy": "fig2_entropy",
+}
+
+#: a valid value of every field outside COMMON_FIELDS
+SAMPLE_VALUES = {
+    "observables": [{"kind": "single_site_pauli", "sites": [0], "axis": "X"}],
+    "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
+    "orders": [1],
+    "shifts": {"n_shifts": 9},
+    "sampling": {"total_shots": 100},
+    "eta_eval": [0.1],
+    "max_order": 3,
+    "probe_1": {"0": "X"},
+    "probe_2": {"0": "Z"},
+    "kappa": 1.0,
+    "eta_ref": 0.2,
+    "t2": 1.0,
+    "t1_grid": {"start": 0.5, "stop": 1.0, "points": 3},
+    "t3_grid": {"start": 0.5, "stop": 1.0, "points": 3},
+    "sweep_values": [0.5],
+    "eta_grid": [-0.01, 0.0, 0.01],
+    "block_size": 1,
+    "entropy_time": 0.5,
+    "delta_values": [1.0],
+    "method": "oracle",
+}
+
+#: every (protocol, field) pair that the protocol's run never reads
+UNREAD = [
+    (protocol, name)
+    for protocol, names in PROTOCOL_FIELDS.items()
+    for name in SAMPLE_VALUES
+    if name not in names
+]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -128,28 +172,72 @@ class TestConfigParsing:
             again = json.dumps(to_json_dict(config_from_dict(json.loads(dumped))), sort_keys=True)
             assert again == dumped, name
 
+    def test_sample_values_cover_every_protocol_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)} - set(COMMON_FIELDS)
+        assert set(SAMPLE_VALUES) == names
+        assert all(set(fields) <= names for fields in PROTOCOL_FIELDS.values())
+        # 5 settable common fields on each protocol, plus its own row
+        assert 5 * len(PROTOCOL_FIELDS) + sum(map(len, PROTOCOL_FIELDS.values())) == 65
+        assert len(UNREAD) == 85
+
     @pytest.mark.parametrize(
         "figure, changes, message",
         [
-            ("fig4_xxx", {"shifts": {"mode": "odd", "n_shifts": 40}}, "shifts: the pump_probe"),
-            ("fig4_sweep", {"shifts": {"n_shifts": 12}}, "shifts: the sweep"),
-            ("fig5", {"shifts": {"mode": "odd"}}, "shifts: the 2dos"),
-            ("fig2_entropy", {"shifts": {"n_shifts": 9}}, "shifts: the entropy"),
-            ("fig2", {"shifts": {"mode": "odd", "n_shifts": 8}}, "shifts.mode: the decomposition"),
-            ("fig5", {"sampling": {"total_shots": 100}}, "sampling: only the response"),
-            ("fig2", {"sampling": {"total_shots": 100}}, "sampling: only the response"),
+            pytest.param(
+                FIGURE_OF[protocol],
+                {name: SAMPLE_VALUES[name]},
+                rf"config: unknown field\(s\) \['{name}'\] for the {protocol} protocol",
+                id=f"{protocol}_{name}",
+            )
+            for protocol, name in UNREAD
+        ]
+        + [
+            pytest.param(
+                "fig2",
+                {"shifts": {"mode": "odd", "n_shifts": 8}},
+                "shifts.mode: the decomposition",
+                id="decomposition_odd",
+            )
         ],
-        ids=["pump_probe_shifts", "sweep_shifts", "2dos_shifts", "entropy_shifts",
-             "decomposition_odd", "2dos_sampling", "decomposition_sampling"],
     )
     def test_ignored_setting_rejected(self, figure, changes, message):
-        # each of these runs exactly as if the setting were absent
+        # each field is one that the protocol's run never reads; the odd
+        # mode is a shifts setting that the decomposition run ignores
         path = FIGURES / f"{figure}.json"
         with pytest.raises(ConfigError, match=message):
             config_from_dict(dict(json.loads(path.read_text()), **changes))
-        # the figure's resolved echo writes these fields too, and loads
-        resolved = to_json_dict(load_config(path))
-        config_from_dict(resolved)
+
+    @pytest.mark.parametrize(
+        "figure, changes, message",
+        [
+            ("fig2", {"observables": SAMPLE_VALUES["observables"] * 2}, "observables: the decomposition"),
+            ("fig5", {"observables": SAMPLE_VALUES["observables"] * 2}, "observables: the 2dos"),
+            ("fig2_entropy", {"eta_eval": [0.02, 0.04]}, "eta_eval: the entropy"),
+        ],
+        ids=["decomposition_observables", "2dos_observables", "entropy_eta_eval"],
+    )
+    def test_second_entry_of_a_first_entry_list_rejected(self, figure, changes, message):
+        # these runs read the list up to its first entry only
+        path = FIGURES / f"{figure}.json"
+        with pytest.raises(ConfigError, match=f"{message} protocol reads one entry"):
+            config_from_dict(dict(json.loads(path.read_text()), **changes))
+
+    @pytest.mark.parametrize(
+        "figure, protocol", [("fig4_xxx", "pump_probe"), ("fig4_sweep", "sweep"), ("fig5", "2dos")]
+    )
+    def test_time_grids_required(self, figure, protocol):
+        # these runs read t1_grid and t3_grid, and no time_grid to fall back on
+        for name in ("t1_grid", "t3_grid"):
+            raw = json.loads((FIGURES / f"{figure}.json").read_text())
+            del raw[name]
+            with pytest.raises(ConfigError, match=f"the {protocol} protocol needs both grids"):
+                config_from_dict(raw)
+
+    @pytest.mark.parametrize("figure", ["fig4_xxx", "fig4_sweep"])
+    def test_empty_pump_probe_orders_rejected(self, figure):
+        raw = dict(json.loads((FIGURES / f"{figure}.json").read_text()), orders=[])
+        with pytest.raises(ConfigError, match="orders: pump-probe protocols need at least one"):
+            config_from_dict(raw)
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -158,8 +246,14 @@ class TestConfigParsing:
                 {"time_grid": {"start": 0.0, "stop": 3.0, "points": "many"}},
                 "time_grid.points: invalid literal",
             ),
-            ({"kappa": None}, "kappa: .*NoneType"),
-            ({"eta_eval": [0.1, float("nan")]}, r"eta_eval\[1\]: value must be finite"),
+            (
+                {"time_grid": {"start": None, "stop": 3.0, "points": 7}},
+                "time_grid.start: .*NoneType",
+            ),
+            (
+                {"pumps": [dict(MINIMAL["pumps"][0], times=[0.0, float("nan")])]},
+                r"pumps\[0\]\.times\[1\]: value must be finite",
+            ),
             ({"model": 3}, "model: must be a JSON object"),
             ({"orders": None}, "orders: .*not iterable"),
             (
@@ -260,11 +354,83 @@ class TestRunExperiment:
         config = load_config(write_config(tmp_path, MINIMAL))
         run_experiment(config, output_dir=tmp_path / "out")
         resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
-        # every field, those MINIMAL leaves at their defaults included
-        assert sorted(resolved) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
-        assert resolved["t1_grid"] is None and resolved["probe_1"] == {}
+        # every field the response run reads, those MINIMAL leaves at their
+        # defaults included, and no other
+        assert sorted(resolved) == sorted(COMMON_FIELDS + PROTOCOL_FIELDS["response"])
+        assert resolved["shifts"] == {"mode": "full", "n_shifts": None}
+        assert resolved["sampling"] is None and "t1_grid" not in resolved
         echoed = load_config(tmp_path / "out" / "resolved_config.json")
         assert echoed == config
+
+
+FIGURE_NAMES = sorted(p.stem for p in FIGURES.glob("*.json"))
+
+
+def cut_figure(name):
+    """A bundled figure on coarser grids and shorter scans."""
+    raw = json.loads((FIGURES / f"{name}.json").read_text())
+    for grid, points in (("time_grid", 6), ("t1_grid", 3), ("t3_grid", 3)):
+        if grid in raw:
+            raw[grid] = dict(raw[grid], points=points)
+    for scan in ("sweep_values", "delta_values"):
+        if scan in raw:
+            raw[scan] = raw[scan][:2]
+    return config_from_dict(raw)
+
+
+class TestProtocolFields:
+    """Each protocol accepts, echoes and reads the same fields: COMMON_FIELDS
+    plus its row of PROTOCOL_FIELDS."""
+
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_figure_echo_names_exactly_its_protocol_fields(self, name):
+        config = load_config(FIGURES / f"{name}.json")
+        names = COMMON_FIELDS + PROTOCOL_FIELDS[config.protocol]
+        assert sorted(to_json_dict(config)) == sorted(names)
+
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_run_reads_no_field_outside_its_protocol(self, tmp_path, name):
+        # every other field poisoned with a bare object, which no number, list
+        # or truth test accepts (None would pass as NaN or as false): a run
+        # that read one would fail or write different bytes
+        config = cut_figure(name)
+        names = COMMON_FIELDS + PROTOCOL_FIELDS[config.protocol]
+        unread = {f.name: object() for f in dataclasses.fields(config) if f.name not in names}
+        run_experiment(config, output_dir=tmp_path / "clean")
+        run_experiment(dataclasses.replace(config, **unread), output_dir=tmp_path / "poisoned")
+        files = sorted(f.name for f in (tmp_path / "clean").iterdir())
+        assert sorted(f.name for f in (tmp_path / "poisoned").iterdir()) == files
+        files.remove("run_metadata.json")  # holds the wall time
+        assert len(files) > 1
+        for file in files:
+            clean = (tmp_path / "clean" / file).read_bytes()
+            assert (tmp_path / "poisoned" / file).read_bytes() == clean, file
+
+    def test_omitted_sweep_values_echo_the_couplings_swept(self, tmp_path):
+        raw = json.loads((FIGURES / "fig4_sweep.json").read_text())
+        del raw["sweep_values"]
+        for grid in ("t1_grid", "t3_grid"):
+            raw[grid] = dict(raw[grid], points=2)
+        run_experiment(config_from_dict(raw), output_dir=tmp_path)
+        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+        table = np.loadtxt(tmp_path / "s35_vs_g.csv", delimiter=",", skiprows=1)
+        assert len(resolved["sweep_values"]) == 21
+        assert table[:, 0].tolist() == resolved["sweep_values"]
+
+    def test_omitted_eta_grid_and_block_size_echo_the_values_used(self, tmp_path):
+        payload = {
+            "protocol": "entropy",
+            "model": {"kind": "xxz", "parameters": {"n_sites": 4, "delta": 1.0, "h_field": 0.0}},
+            "pumps": [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0]}],
+            "max_order": 2,
+        }
+        run_experiment(load_config(write_config(tmp_path, payload)), output_dir=tmp_path / "out")
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert resolved["block_size"] == 2
+        path = tmp_path / "out" / "entropy_vs_eta.csv"
+        assert path.read_text().splitlines()[0] == "eta,S_2"
+        etas = np.loadtxt(path, delimiter=",", skiprows=1)[:, 0]
+        assert len(resolved["eta_grid"]) == 7 and etas.tolist() == resolved["eta_grid"]
 
 
 class TestVerify:
@@ -362,8 +528,11 @@ class TestCLI:
         assert "8 shifts cannot satisfy 153 gap constraints" in capsys.readouterr().err
 
     def test_verify_without_observable_exit_two(self, capsys):
+        # fig5 is a 2dos config, which has no time_grid to check the response on
         assert main(["verify", "--config", str(FIGURES / "fig5.json")]) == 2
-        assert "needs an observable" in capsys.readouterr().err
+        assert "verify checks response and decomposition configs, not 2dos" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "pumps, message",
@@ -403,12 +572,22 @@ class TestCLI:
                 },
                 "the decomposition protocol expands one drive channel; the config has 2",
             ),
-            ({"protocol": "2dos", "method": "orcale"}, "method: unknown method 'orcale'"),
+            (
+                {
+                    "protocol": "2dos",
+                    "method": "orcale",
+                    "time_grid": None,
+                    "t1_grid": MINIMAL["time_grid"],
+                    "t3_grid": MINIMAL["time_grid"],
+                },
+                "method: unknown method 'orcale'",
+            ),
         ],
         ids=["decomposition_two_channels", "2dos_unknown_method"],
     )
     def test_fails_at_load_exit_two(self, tmp_path, capsys, changes, message):
-        payload = dict(MINIMAL, **changes)
+        # a change to None drops the field, as does every change to orders
+        payload = {k: v for k, v in dict(MINIMAL, **changes).items() if v is not None}
         del payload["orders"]
         out = tmp_path / "out"
         path = write_config(tmp_path, payload)
@@ -418,7 +597,7 @@ class TestCLI:
 
     def test_analysis_error_exit_five(self, tmp_path, capsys):
         payload = dict(MINIMAL, protocol="entropy", eta_grid=[-0.03, 0.0, 0.01], max_order=2)
-        del payload["orders"], payload["observables"]
+        del payload["orders"], payload["observables"], payload["time_grid"]
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
         assert "AnalysisError: eta grid must be symmetric" in capsys.readouterr().err
@@ -463,11 +642,22 @@ class TestCLI:
         assert "gaps (153)" in out and "shifts (8)" in out and "order 7" in out
 
     def test_gaps_uses_the_odd_rule(self, tmp_path, capsys):
+        # the run solves the odd rule at the channel's order 3 only
         payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd"})
         assert main(["gaps", "--config", str(write_config(tmp_path, payload))]) == 0
         out = capsys.readouterr().out
-        assert "order 1" in out and "order 3" in out
-        assert "order 0" not in out and "order 2" not in out
+        assert "shifts (2)" in out and re.findall(r"order (\d+):", out) == ["3"]
+
+    def test_gaps_lists_each_channels_own_order(self, tmp_path, capsys):
+        # fig3c's run solves pump 0 at order 3 and pump 1 at order 2; an
+        # order-0 channel gets no rule
+        assert main(["gaps", "--config", str(FIGURES / "fig3c.json")]) == 0
+        assert re.findall(r"order (\d+):", capsys.readouterr().out) == ["3", "2"]
+        fig3c = json.loads((FIGURES / "fig3c.json").read_text())
+        path = write_config(tmp_path, dict(fig3c, orders=[3, 0]))
+        assert main(["gaps", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"order (\d+):", out) == ["3"] and "no shift rule: order 0" in out
 
     def test_gaps_of_the_entropy_protocol_builds_no_rule(self, capsys):
         assert main(["gaps", "--config", str(FIGURES / "fig2_entropy.json")]) == 0
@@ -592,17 +782,17 @@ class TestImportFootprint:
         import nlspec
 
         dimer = json.loads((FIGURES / "fig5.json").read_text())
-        for grid in ("time_grid", "t1_grid", "t3_grid"):
+        for grid in ("t1_grid", "t3_grid"):
             dimer[grid] = dict(dimer[grid], points=3)
         write_config(tmp_path, dimer, "dimer.json")
         sweep = json.loads((FIGURES / "fig4_sweep.json").read_text())
         sweep["sweep_values"] = [-0.5, 0.5]
-        for grid in ("time_grid", "t1_grid", "t3_grid"):
+        for grid in ("t1_grid", "t3_grid"):
             sweep[grid] = dict(sweep[grid], points=3)
         write_config(tmp_path, sweep, "sweep.json")
         toric12 = json.loads((FIGURES / "fig4_xxx.json").read_text())
         toric12["model"]["parameters"]["l_y"] = 3
-        for grid in ("time_grid", "t1_grid", "t3_grid"):
+        for grid in ("t1_grid", "t3_grid"):
             toric12[grid] = dict(toric12[grid], points=3)
         write_config(tmp_path, toric12, "toric12.json")
         fig2 = json.loads((FIGURES / "fig2.json").read_text())

@@ -45,7 +45,8 @@ class TestPumpProbeProtocol:
             "orders": [1, 3, 5],
             "eta_ref": 0.3,
             "evolver": {"kind": "exact"},
-            "time_grid": SMALL_GRID,
+            "t1_grid": SMALL_GRID,
+            "t3_grid": SMALL_GRID,
         }
         return load_config(write_config(tmp_path, payload))
 
@@ -109,7 +110,8 @@ class TestSweepProtocol:
             "orders": [1, 3, 5],
             "eta_ref": 0.3,
             "evolver": {"kind": "exact"},
-            "time_grid": SMALL_GRID,
+            "t1_grid": SMALL_GRID,
+            "t3_grid": SMALL_GRID,
             "sweep_values": [-0.5, 0.0, 0.5],
         }
 
@@ -153,7 +155,6 @@ class Test2DOSProtocol:
             },
             "pumps": [{"kind": "cosine_profile", "momentum": 0, "axis": "X", "times": [0.0]}],
             "evolver": {"kind": "exact"},
-            "time_grid": grid,
             "t1_grid": grid,
             "t3_grid": grid,
             "t2": 0.5,
@@ -220,7 +221,6 @@ class TestEntropyProtocol:
             },
             "pumps": [{"kind": "cosine_profile", "momentum": 1, "axis": "X", "times": [0.0]}],
             "evolver": {"kind": "trotter1", "n_steps": 5},
-            "time_grid": {"start": 0.0, "stop": 2.0, "points": 5},
             "eta_grid": [-0.04, -0.02, 0.0, 0.02, 0.04],
             "eta_eval": [0.02],
             "entropy_time": 1.0,
