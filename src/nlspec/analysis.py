@@ -24,6 +24,7 @@ from .evolution import (
     EXACT,
     Evolver,
     PulseSchedule,
+    _one_blas_thread,
     apply_kick,
     check_initial_state,
     driven_signal,
@@ -65,7 +66,9 @@ def entanglement_entropy(state: np.ndarray, block_size: int, start: int = 0) -> 
     A pure state's block and complement share their nonzero spectrum, so it
     is taken from the smaller side: the block's reduced density matrix, or,
     for a block larger than half the register, the Gram matrix of the
-    complement's rows of the (rest, block) reshaped amplitudes.
+    complement's rows of the (rest, block) reshaped amplitudes.  The Gram
+    product and the eigensolve run on one BLAS thread, so the entropy does
+    not depend on the machine's thread count.
     """
     amps = np.asarray(state, dtype=np.complex128)
     n = amps.size.bit_length() - 1
@@ -73,16 +76,17 @@ def entanglement_entropy(state: np.ndarray, block_size: int, start: int = 0) -> 
         raise AnalysisError("a state holds 2**N amplitudes")
     if not 1 <= block_size < n:
         raise AnalysisError(f"block size must be in [1, {n - 1}]")
-    if 2 * block_size <= n:
-        rho = partial_trace(amps, range(start, start + block_size))
-    else:
-        if not 0 <= start <= n - block_size:
-            raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
-        # axes (high bits, block, low bits), site 0 being the LSB
-        tensor = amps.reshape(-1, 2**block_size, 2**start)
-        rest = np.moveaxis(tensor, 1, -1).reshape(-1, 2**block_size)
-        rho = rest @ rest.conj().T
-    evals = np.linalg.eigvalsh(rho)
+    with _one_blas_thread():
+        if 2 * block_size <= n:
+            rho = partial_trace(amps, range(start, start + block_size))
+        else:
+            if not 0 <= start <= n - block_size:
+                raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
+            # axes (high bits, block, low bits), site 0 being the LSB
+            tensor = amps.reshape(-1, 2**block_size, 2**start)
+            rest = np.moveaxis(tensor, 1, -1).reshape(-1, 2**block_size)
+            rho = rest @ rest.conj().T
+        evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-14]
     return float(-np.sum(evals * np.log(evals)))
 

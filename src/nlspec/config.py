@@ -12,10 +12,12 @@ flat object, its ``PumpSpec`` fields plus ``times``, and (site, axis) lists
 (``factors``, ``probe_1``, ``probe_2``) are ``{"site": axis}`` maps.
 
 The config itself accepts only ``COMMON_FIELDS`` plus its protocol's row of
-``PROTOCOL_FIELDS``, the fields its run reads.  Any other key is rejected, so
-a typo or an ignored setting fails loudly, and missing required fields are
-reported by name.  ``to_json_dict`` writes the same fields, defaults
-included, and round-trips exactly through ``config_from_dict``.
+``PROTOCOL_FIELDS``, the fields its run reads, and an evolver, pump or
+observable only ``kind`` plus its kind's row of ``KIND_FIELDS``.  Any other
+key is rejected, so a typo or an ignored setting fails loudly, and missing
+required fields are reported by name.  ``to_json_dict`` writes the same
+fields, defaults included, and round-trips exactly through
+``config_from_dict``.
 """
 
 from __future__ import annotations
@@ -44,15 +46,26 @@ PROTOCOL_FIELDS = {
     "entropy": ("eta_grid", "block_size", "entropy_time", "eta_eval", "max_order", "delta_values"),
 }
 
-OBSERVABLE_KINDS = (
-    "two_site_magnetization",
-    "spin_current",
-    "single_site_pauli",
-    "magnetization",
-    "correlation",
-    "four_point",
-    "pauli_string",
-)
+#: the fields each kind of nested spec reads besides ``kind``, by spec class
+KIND_FIELDS = {
+    "Evolver": {"exact": (), "trotter1": ("n_steps",)},
+    "PumpSpec": {
+        "local_pauli": ("site", "axis"),
+        "cosine_profile": ("axis", "momentum", "sites"),
+        "pauli_string": ("factors",),
+    },
+    "ObservableSpec": {
+        "two_site_magnetization": ("sites",),
+        "spin_current": ("sites", "axis"),
+        "single_site_pauli": ("sites", "axis", "coefficient"),
+        "magnetization": ("axis",),
+        "correlation": ("sites", "axes"),
+        "four_point": ("sites", "axes"),
+        "pauli_string": ("factors", "coefficient"),
+    },
+}
+
+OBSERVABLE_KINDS = tuple(KIND_FIELDS["ObservableSpec"])
 
 class ConfigError(ValueError):
     """Configuration file is malformed; the message names the offending field."""
@@ -79,12 +92,13 @@ class ObservableSpec:
         if self.kind == "pauli_string":
             body = "".join(f"{a}{s}" for s, a in self.factors)
             return f"string_{body}"
+        read = KIND_FIELDS["ObservableSpec"][self.kind]
         bits = [self.kind]
-        if self.sites:
+        if "sites" in read:
             bits.append("-".join(str(s) for s in self.sites))
-        if self.kind in ("single_site_pauli", "magnetization", "spin_current"):
+        if "axis" in read:
             bits.append(self.axis.lower())
-        if self.axes:
+        if "axes" in read:
             bits.append(self.axes.lower())
         return "_".join(bits)
 
@@ -232,11 +246,25 @@ def _parse(cls, raw: Mapping, context: str, **built):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{field_context}: {exc}") from exc
     try:
-        return cls(**built)
+        spec = cls(**built)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    unread = sorted(set(raw) - set(_read_fields(spec)))
+    if unread:
+        raise ConfigError(f"{where}: unknown field(s) {unread} for kind {spec.kind!r}")
+    return spec
+
+
+def _read_fields(spec) -> list[str]:
+    """The field names of a dataclass that it reads: every field, except that
+    a spec class in ``KIND_FIELDS`` reads ``kind`` and its kind's row."""
+    names = [f.name for f in fields(spec)]
+    kinds = KIND_FIELDS.get(type(spec).__name__)
+    if kinds is None:
+        return names
+    return [name for name in names if name == "kind" or name in kinds[spec.kind]]
 
 
 def _parse_pump(raw: Mapping, context: str) -> PumpChannel:
@@ -360,7 +388,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _json(value, annotation: str = ""):
-    """A field value as JSON; a dataclass becomes an object of all its fields."""
+    """A field value as JSON; a dataclass becomes an object of the fields it
+    reads (``_read_fields``)."""
     if annotation == _FACTORS:
         return {str(site): axis for site, axis in value}
     if isinstance(value, tuple):
@@ -368,7 +397,10 @@ def _json(value, annotation: str = ""):
     if isinstance(value, PumpChannel):
         return {**_json(value.pump), "times": _json(value.times)}
     if is_dataclass(value):
-        return {f.name: _json(getattr(value, f.name), f.type) for f in fields(value)}
+        read = _read_fields(value)
+        return {
+            f.name: _json(getattr(value, f.name), f.type) for f in fields(value) if f.name in read
+        }
     return dict(value) if isinstance(value, dict) else value
 
 

@@ -38,6 +38,10 @@ is each popcount sector a group of one block instead.  A group
 whose blocks have exactly zero imaginary part keeps real eigenvectors,
 applied to the gathered complex (C, m, K) states as one batched real GEMM on
 their float64 (C, m, 2K) view.
+The plan's batched ``eigh`` and its block GEMMs (``to_eigenbasis``,
+``propagate``) run on one OpenBLAS thread (``_one_blas_thread``), so exact
+evolution gives the same bits under any thread count, and no woken thread
+pool spins idle after them.
 ``propagator(h, state)`` is the one place that picks the route: for exact
 evolution it projects a state into the eigenbasis once, and every later
 time then costs phases and one back-transform.  ``evolve`` is a propagator
@@ -57,8 +61,9 @@ differs from applying the rotations one by one.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -134,10 +139,69 @@ def _to_block_basis(vectors: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (vectors.mT @ amps.conj()).conj()
 
 
+#: the OpenBLAS thread-count calls, one (get, set) pair per symbol family
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS behind numpy's linear
+    algebra, or None where no known symbol is found; looked up once, on the
+    first pin."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    # a handle on the extension module resolves the symbols of the libraries
+    # it links, numpy's bundled OpenBLAS among them
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for family in _OPENBLAS_SYMBOLS:
+        get, put = (getattr(lib, family.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+def blas_pin_unavailable() -> bool:
+    """Whether a one-thread pin was wanted in this process and no OpenBLAS
+    thread-count symbols were found (the calls then ran at the default count)."""
+    return _openblas_thread_calls.cache_info().currsize > 0 and _openblas_thread_calls() is None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block's BLAS and LAPACK calls on one OpenBLAS thread and restore
+    the previous count afterwards.
+
+    A threaded ``eigh`` rounds differently from a serial one, so the spectral
+    plan's blocks would depend on the machine's thread count; and on blocks
+    this small a woken pool gains no wall time while its idle worker spins
+    for the rest of the run.  Where no symbol is found this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a Hermitian block or stack of blocks; an exactly real stack
-    keeps real vectors."""
-    return np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
+    """eigh of a Hermitian block or stack of blocks, on one BLAS thread; an
+    exactly real stack keeps real vectors."""
+    with _one_blas_thread():
+        return np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +220,8 @@ class _SpectralPlan:
         """Per group, the (C, m, K) eigenbasis coefficients of a state
         (K = 1) or a (dim, K) block: one gather and one batched GEMM."""
         flat = amps.reshape(amps.shape[0], -1)
-        return [_to_block_basis(vectors, flat[rows]) for rows, _, vectors in self.groups]
+        with _one_blas_thread():
+            return [_to_block_basis(vectors, flat[rows]) for rows, _, vectors in self.groups]
 
     def propagate(self, coeffs: list[np.ndarray], t) -> np.ndarray:
         """exp(-i H t), t shared or (K,) with one per column, applied to the
@@ -164,8 +229,9 @@ class _SpectralPlan:
         (dim, K) array: batched phases, one batched back-transform per group."""
         dim = sum(rows.size for rows, _, _ in self.groups)
         out = np.empty((dim, coeffs[0].shape[-1]), dtype=complex)
-        for (rows, values, vectors), c in zip(self.groups, coeffs):
-            out[rows] = _from_block_basis(vectors, np.exp(-1j * values[..., None] * t) * c)
+        with _one_blas_thread():
+            for (rows, values, vectors), c in zip(self.groups, coeffs):
+                out[rows] = _from_block_basis(vectors, np.exp(-1j * values[..., None] * t) * c)
         return out
 
 

@@ -3,9 +3,10 @@
 Every run writes CSV data files plus two JSON sidecars: the fully resolved
 configuration (byte-stable, reruns produce identical data files for the
 same config and seed) and a metadata record with engine version, wall time,
-and seeds.  CSV numbers are full-precision scientific notation with LF line
-endings; headers name the columns and units (times in inverse coupling
-units, frequencies angular).
+and seeds, noting when BLAS calls could not be pinned to one thread.  CSV
+numbers are full-precision scientific notation with LF line endings;
+headers name the columns and units (times in inverse coupling units,
+frequencies angular).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .analysis import (
     third_order_2dos,
 )
 from .config import ConfigError, ExperimentConfig, build_observable, to_json_dict
-from .evolution import PulseSchedule, driven_signal, driven_states
+from .evolution import PulseSchedule, blas_pin_unavailable, driven_signal, driven_states
 from .models import ModelSpec, build_model, build_pump, ground_state
 from .pauli import OperatorSum, PauliTerm
 from .reference import (
@@ -466,6 +467,8 @@ def run_experiment(
         "files": files,
         **meta,
     }
+    if blas_pin_unavailable():
+        metadata["blas_pinning"] = "unavailable: no OpenBLAS thread-count symbols found"
     _write_json(out / "run_metadata.json", metadata)
     return RunResult(out, files + ["resolved_config.json", "run_metadata.json"], metadata)
 

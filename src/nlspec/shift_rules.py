@@ -205,10 +205,14 @@ def channel_gap_set(generator: OperatorSum, n_pulses: int) -> GapSet:
 def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full") -> np.ndarray:
     """Default shift points for a gap set.
 
-    ``full``: M equispaced points centered at 0 with spacing T/(M+1), where
-    T = 2*pi/g is the signal period (for the Pauli gap set {-2, 0, 2} this is
-    {-pi/4, 0, pi/4}).  Incommensurate spectra get Chebyshev nodes on
-    [-pi/w_max, pi/w_max] and must pass the least-squares residual check.
+    ``full``: M equispaced points centered at 0 with spacing T/N, where
+    T = 2*pi/g is the signal period and N the smallest integer >= M+1 at
+    which the gaps' harmonic indices omega/g are distinct mod N (for the Pauli
+    gap set {-2, 0, 2}, N = M+1 and the grid is {-pi/4, 0, pi/4}).  The
+    system's rows are then powers of N-th roots of unity, two of which would
+    coincide for harmonics equal mod N.  Incommensurate spectra get Chebyshev
+    nodes on [-pi/w_max, pi/w_max] and must pass the least-squares residual
+    check.
 
     ``odd``: positive-gap count of +- pairs s_p = pi (2p - 1) / (2 K g),
     recovering the two-point rule {-pi/2, pi/2} for gaps {-1, 0, 1}.
@@ -233,9 +237,13 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
             f"need at least {len(gap_set)}"
         )
     if gap_set.unit is not None:
+        harmonics = [round(w / gap_set.unit) for w in gap_set.gaps.tolist()]
+        n = m + 1
+        while len({h % n for h in harmonics}) < len(harmonics):
+            n += 1
         period = 2.0 * np.pi / gap_set.unit
         offsets = np.arange(1, m + 1) - (m + 1) / 2.0
-        return offsets * (period / (m + 1))
+        return offsets * (period / n)
     w_max = gap_set.max_gap
     if w_max == 0.0:
         raise ShiftRuleError("gap set is trivial; nothing to reconstruct")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from nlspec.cli import main
 from nlspec.config import (
     COMMON_FIELDS,
+    KIND_FIELDS,
     PROTOCOL_FIELDS,
     ConfigError,
     ExperimentConfig,
@@ -21,7 +23,7 @@ from nlspec.config import (
     load_config,
     to_json_dict,
 )
-from nlspec import runner
+from nlspec import evolution, models, runner
 from nlspec.runner import run_experiment, verify_experiment
 
 MINIMAL = {
@@ -95,6 +97,73 @@ UNREAD = [
     for name in SAMPLE_VALUES
     if name not in names
 ]
+
+
+#: a valid spec of every evolver, pump and observable kind on MINIMAL's
+#: 4-site chain, keyed by the config field that holds it
+KIND_SAMPLES = {
+    "evolver": [{"kind": "exact"}, {"kind": "trotter1", "n_steps": 3}],
+    "pumps": [
+        {"kind": "local_pauli", "site": 1, "axis": "X"},
+        {"kind": "cosine_profile", "momentum": 1},
+        {"kind": "pauli_string", "factors": {"0": "X"}},
+    ],
+    "observables": [
+        {"kind": "two_site_magnetization", "sites": [0, 1]},
+        {"kind": "spin_current", "sites": [0, 1], "axis": "Z"},
+        {"kind": "single_site_pauli", "sites": [0]},
+        {"kind": "magnetization"},
+        {"kind": "correlation", "sites": [0, 1], "axes": "xx"},
+        {"kind": "four_point", "sites": [0, 1, 2, 3], "axes": "xxxx"},
+        {"kind": "pauli_string", "factors": {"0": "X"}},
+    ],
+}
+#: the spec class behind each field of KIND_SAMPLES, and a valid value of
+#: each of the class's fields other than ``kind``
+NESTED_VALUES = {
+    "evolver": ("Evolver", {"n_steps": 5}),
+    "pumps": (
+        "PumpSpec",
+        {"site": 0, "axis": "Y", "momentum": 1, "sites": [0, 1], "factors": {"0": "X"}},
+    ),
+    "observables": (
+        "ObservableSpec",
+        {"sites": [0, 1], "axis": "Y", "axes": "xy", "coefficient": 2.0, "factors": {"0": "X"}},
+    ),
+}
+#: every (config field, spec, field) triple that the spec's kind never reads
+NESTED_UNREAD = [
+    (where, spec, name)
+    for where, specs in KIND_SAMPLES.items()
+    for spec in specs
+    for name in NESTED_VALUES[where][1]
+    if name not in KIND_FIELDS[NESTED_VALUES[where][0]][spec["kind"]]
+]
+
+
+def echoed_keys(where, kind):
+    """The keys that an evolver, pump or observable of this kind echoes."""
+    keys = ["kind", *KIND_FIELDS[NESTED_VALUES[where][0]][kind]]
+    return sorted(keys + (["times"] if where == "pumps" else []))
+
+
+def with_spec(where, spec):
+    """MINIMAL with its evolver, pump or observable replaced by ``spec``."""
+    if where == "evolver":
+        return dict(MINIMAL, evolver=spec)
+    if where == "pumps":
+        return dict(MINIMAL, pumps=[dict(spec, times=[0.0])])
+    return dict(MINIMAL, observables=[spec])
+
+
+def poison_unread_kind_fields(spec):
+    """A copy of an evolver, pump or observable spec whose fields outside its
+    kind's row of KIND_FIELDS hold a bare object."""
+    poisoned = dataclasses.replace(spec)
+    for f in dataclasses.fields(spec):
+        if f.name != "kind" and f.name not in KIND_FIELDS[type(spec).__name__][spec.kind]:
+            object.__setattr__(poisoned, f.name, object())
+    return poisoned
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -299,6 +368,38 @@ class TestObservableMenu:
         assert o.terms[0].factors == ((0, "X"), (1, "Y"), (2, "X"), (3, "Z"))
 
 
+class TestKindFields:
+    """An evolver, pump or observable accepts and echoes ``kind`` plus its
+    kind's row of KIND_FIELDS, the fields that building it reads."""
+
+    def test_kinds_cover_every_spec_kind(self):
+        assert set(KIND_FIELDS["Evolver"]) == set(evolution.EVOLVER_KINDS)
+        assert set(KIND_FIELDS["PumpSpec"]) == set(models.PUMP_KINDS)
+        for where, (cls, _) in NESTED_VALUES.items():
+            assert [spec["kind"] for spec in KIND_SAMPLES[where]] == list(KIND_FIELDS[cls])
+        assert len(NESTED_UNREAD) == 32
+
+    @pytest.mark.parametrize(
+        "where, spec", [(w, s) for w, specs in KIND_SAMPLES.items() for s in specs],
+        ids=lambda v: v["kind"] if isinstance(v, dict) else v,
+    )
+    def test_sample_spec_loads_and_echoes_what_it_gave(self, where, spec):
+        resolved = to_json_dict(config_from_dict(with_spec(where, spec)))
+        echoed = resolved[where] if where == "evolver" else resolved[where][0]
+        assert sorted(echoed) == echoed_keys(where, spec["kind"])
+
+    @pytest.mark.parametrize(
+        "where, spec, name", NESTED_UNREAD, ids=[f"{s['kind']}_{n}" for _, s, n in NESTED_UNREAD]
+    )
+    def test_unread_kind_field_rejected(self, tmp_path, where, spec, name):
+        payload = with_spec(where, dict(spec, **{name: NESTED_VALUES[where][1][name]}))
+        message = rf"unknown field\(s\) \['{name}'\] for kind '{spec['kind']}'"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(payload)
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 class TestRunExperiment:
     def test_response_m0_is_unperturbed(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -386,16 +487,29 @@ class TestProtocolFields:
     def test_figure_echo_names_exactly_its_protocol_fields(self, name):
         config = load_config(FIGURES / f"{name}.json")
         names = COMMON_FIELDS + PROTOCOL_FIELDS[config.protocol]
-        assert sorted(to_json_dict(config)) == sorted(names)
+        resolved = to_json_dict(config)
+        assert sorted(resolved) == sorted(names)
+        specs = [("evolver", resolved["evolver"])] + [
+            (where, spec) for where in ("pumps", "observables") for spec in resolved.get(where, [])
+        ]
+        for where, spec in specs:
+            assert sorted(spec) == echoed_keys(where, spec["kind"]), where
 
     @pytest.mark.parametrize("name", FIGURE_NAMES)
     def test_run_reads_no_field_outside_its_protocol(self, tmp_path, name):
         # every other field poisoned with a bare object, which no number, list
         # or truth test accepts (None would pass as NaN or as false): a run
-        # that read one would fail or write different bytes
+        # that read one would fail or write different bytes; so are the
+        # fields of each evolver, pump and observable outside its kind's row
         config = cut_figure(name)
         names = COMMON_FIELDS + PROTOCOL_FIELDS[config.protocol]
         unread = {f.name: object() for f in dataclasses.fields(config) if f.name not in names}
+        unread["evolver"] = poison_unread_kind_fields(config.evolver)
+        unread["pumps"] = tuple(
+            dataclasses.replace(c, pump=poison_unread_kind_fields(c.pump)) for c in config.pumps
+        )
+        if "observables" in names:
+            unread["observables"] = tuple(map(poison_unread_kind_fields, config.observables))
         run_experiment(config, output_dir=tmp_path / "clean")
         run_experiment(dataclasses.replace(config, **unread), output_dir=tmp_path / "poisoned")
         files = sorted(f.name for f in (tmp_path / "clean").iterdir())
@@ -736,21 +850,34 @@ print(sorted(
 """
 
 
+def _nlspec_env(**extra):
+    """The environment of a subprocess that imports this nlspec."""
+    import nlspec
+
+    src = str(Path(nlspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 class TestBlasThreadCount:
     """Above 9 sites the ground state is a Lanczos solve that makes no BLAS
-    call, so a Trotter run writes the same bytes under any OpenBLAS thread
-    count.  (Exact evolution is not covered: the batched ``eigh`` of the
-    sector plan still depends on it.)"""
+    call, and the spectral plan's ``eigh`` and GEMMs and the entropy's Gram
+    product and ``eigvalsh`` run on one OpenBLAS thread, so Trotter runs,
+    exact evolution and the entropy write the same bytes under any OpenBLAS
+    thread count.  (The dense ground state up to 9 sites still runs at the
+    default count.)"""
 
-    def test_lanczos_runs_byte_identical_across_thread_counts(self, tmp_path):
-        import nlspec
-
+    def test_runs_byte_identical_across_thread_counts(self, tmp_path):
         fig3a = json.loads((FIGURES / "fig3a.json").read_text())
         fig3a["time_grid"] = dict(fig3a["time_grid"], points=6)
-        src = str(Path(nlspec.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         chain10 = dict(CHAIN10, evolver={"kind": "trotter1", "n_steps": 10})
-        for name, payload in (("fig3a_cut", fig3a), ("chain10_trotter", chain10)):
+        entropy = json.loads((FIGURES / "fig2_entropy.json").read_text())
+        entropy.update(delta_values=[0.5, 1.5], eta_grid=[-0.02, -0.01, 0.0, 0.01, 0.02])
+        cases = (
+            ("fig3a_cut", fig3a), ("chain10_trotter", chain10), ("chain10_exact", CHAIN10),
+            ("fig2_entropy_cut", entropy),
+        )
+        for name, payload in cases:
             config = write_config(tmp_path, payload, f"{name}.json")
             outputs = []
             for threads in ("1", "2"):
@@ -759,13 +886,60 @@ class TestBlasThreadCount:
                     [sys.executable, "-m", "nlspec", "run", "--config", str(config), "--out", str(out)],
                     capture_output=True,
                     text=True,
-                    env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                    env=_nlspec_env(OPENBLAS_NUM_THREADS=threads),
                 )
                 assert done.returncode == 0, done.stderr
                 files = sorted(out.glob("*.csv")) + [out / "resolved_config.json"]
                 outputs.append({f.name: f.read_bytes() for f in files})
             assert len(outputs[0]) > 1
             assert outputs[0] == outputs[1], name
+
+    def test_run_restores_the_thread_count(self, tmp_path):
+        calls = evolution._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread-count symbols in this numpy")
+        get, put = calls
+        before = get()
+        put(2)
+        try:
+            run_experiment(config_from_dict(CHAIN10), output_dir=tmp_path)
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_run_without_openblas_symbols_notes_it(self, tmp_path, monkeypatch):
+        config = config_from_dict(MINIMAL)
+        run_experiment(config, output_dir=tmp_path / "pinned")
+        monkeypatch.setattr(evolution, "_openblas_thread_calls", functools.cache(lambda: None))
+        run_experiment(config, output_dir=tmp_path / "unpinned")
+        pinned = tmp_path / "pinned"
+        files = sorted(pinned.glob("*.csv")) + [pinned / "resolved_config.json"]
+        assert len(files) > 1
+        for file in files:
+            assert (tmp_path / "unpinned" / file.name).read_bytes() == file.read_bytes(), file.name
+        metadata = json.loads((tmp_path / "unpinned" / "run_metadata.json").read_text())
+        assert metadata["blas_pinning"].startswith("unavailable")
+
+    def test_trotter_run_looks_up_no_symbols(self, tmp_path):
+        fig2 = json.loads((FIGURES / "fig2.json").read_text())
+        fig2["time_grid"] = dict(fig2["time_grid"], points=3)
+        script = (
+            "import sys\n"
+            "from nlspec import evolution\n"
+            "from nlspec.config import load_config\n"
+            "from nlspec.runner import run_experiment\n"
+            "run_experiment(load_config(sys.argv[1]), output_dir=sys.argv[2])\n"
+            "print(evolution._openblas_thread_calls.cache_info().misses)\n"
+        )
+        config = write_config(tmp_path, fig2, "fig2_cut.json")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=_nlspec_env(),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
 
 
 class TestImportFootprint:
@@ -779,8 +953,6 @@ class TestImportFootprint:
     Lanczos ground states of the 10- and 12-site chains draw no random start."""
 
     def test_runs_load_no_scipy(self, tmp_path):
-        import nlspec
-
         dimer = json.loads((FIGURES / "fig5.json").read_text())
         for grid in ("t1_grid", "t3_grid"):
             dimer[grid] = dict(dimer[grid], points=3)
@@ -799,13 +971,11 @@ class TestImportFootprint:
         fig2["time_grid"] = dict(fig2["time_grid"], points=3)
         write_config(tmp_path, fig2, "fig2.json")
         write_config(tmp_path, CHAIN10, "chain10.json")
-        src = str(Path(nlspec.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_nlspec_env(),
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nlspec import evolution
 from nlspec.evolution import (
     EXACT,
     Evolver,
@@ -319,6 +320,50 @@ def coset_sums(draw):
     if kind == "full_span":
         terms += [(draw(coefficient), {i: "X"}) for i in range(n)]
     return op(n, *terms)
+
+
+class TestOneBlasThread:
+    """The spectral plan's ``eigh`` and GEMMs run on one OpenBLAS thread,
+    and the previous count comes back afterwards."""
+
+    @pytest.fixture
+    def threads(self):
+        """The OpenBLAS thread-count getter, with the count set to 2."""
+        calls = evolution._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread-count symbols in this numpy")
+        get, put = calls
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_plan_calls_run_on_one_thread(self, threads, monkeypatch):
+        seen = []
+
+        def spy(name, call):
+            def wrapped(*args):
+                seen.append((name, threads()))
+                return call(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        for name in ("_to_block_basis", "_from_block_basis"):
+            monkeypatch.setattr(evolution, name, spy(name, getattr(evolution, name)))
+        # a fresh build, past the plan cache: 11 sector blocks of a 10-site chain
+        plan = _spectral_plan.__wrapped__(build_xxz(10, 0.5, 0.12))
+        plan.propagate(plan.to_eigenbasis(random_state(10, 3)), 0.7)
+        assert {name for name, _ in seen} == {"eigh", "_to_block_basis", "_from_block_basis"}
+        assert all(count == 1 for _, count in seen)
+        assert threads() == 2
+
+    def test_count_restored_after_an_exception(self, threads):
+        with pytest.raises(RuntimeError, match="inside"):
+            with evolution._one_blas_thread():
+                assert threads() == 1
+                raise RuntimeError("inside")
+        assert threads() == 2
 
 
 class TestCosetRoute:

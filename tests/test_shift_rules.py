@@ -184,6 +184,15 @@ class TestShiftGrid:
         gaps = gap_set(op(1, (0.5, {0: "Z"})))
         assert np.allclose(shift_grid(gaps, mode="odd"), [-np.pi / 2, np.pi / 2])
 
+    def test_aliased_harmonics_widen_the_grid(self):
+        # 0.3 X0 + X1: 9 gaps at harmonics 0, +-3, +-7, +-10, +-13 of 0.2;
+        # 3 and 13 agree mod 10, and N = 11 is the first count without a clash
+        gaps = gap_set(op(2, (0.3, {0: "X"}), (1.0, {1: "X"})))
+        assert gaps.unit == pytest.approx(0.2)
+        grid = shift_grid(gaps)
+        assert np.allclose(np.diff(grid), 2 * np.pi / gaps.unit / 11)
+        assert rule_for_gap_set(gaps, [1, 2, 3]).condition_number < 20
+
     def test_five_gap_grid(self):
         gaps = gap_set(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
         grid = shift_grid(gaps, 5)
@@ -264,6 +273,23 @@ class TestReconstruction:
         value = float(np.dot(rule.coefficients[order], samples))
         scale = max(1.0, abs(derivative(order)))
         assert abs(value - derivative(order)) < 1e-9 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10), min_size=1, max_size=3),
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+    )
+    def test_commensurate_site_disjoint_pumps_solve(self, tenths, seed, order):
+        # coefficients in tenths skip harmonics of the gap unit: 0.3 X0 + X1
+        # has harmonics 0, 3, 7, 10 and 13 of 0.2, two of them equal mod M + 1
+        gen = op(len(tenths), *((k / 10, {i: "X"}) for i, k in enumerate(tenths)))
+        gaps = gap_set(gen)
+        assert gaps.unit is not None
+        rule = rule_for_generator(gen, [order])
+        f, derivative = band_limited_signal(gaps.gaps, seed)
+        value = float(np.dot(rule.coefficients[order], [f(s) for s in rule.shifts]))
+        assert abs(value - derivative(order)) < 1e-9 * max(1.0, abs(derivative(order)))
 
     def test_cos_examples(self):
         rule = rule_for_generator(op(1, (1.0, {0: "X"})), [1, 2])
@@ -346,8 +372,8 @@ class TestExactParity:
             else:
                 rule = rule_for_gap_set(gaps, orders)
         except ShiftRuleError:
-            # an incommensurate spectrum has no odd grid, and a grid that
-            # aliases two gaps fails the condition limit
+            # an incommensurate spectrum has no odd grid, and an odd grid
+            # that aliases two gaps fails the condition limit
             assume(False)
         shifts = rule.shifts
         assert np.all(shifts[::-1] == -shifts)
