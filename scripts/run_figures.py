@@ -8,10 +8,11 @@ Each config writes CSV data plus resolved_config.json / run_metadata.json
 into <out>/<config-name>/.  See figures/*.json for the experiment settings.
 Each line reports the run's wall time and the CPU time of all its threads;
 CPU well above wall means BLAS worker threads were busy (or spinning idle).
-Exact evolution and the entropy run their BLAS calls on one thread; the
-calls that can still wake the pool are the dense ground-state ``eigh`` up to
-9 sites (fig4_sweep's 256-dimensional toric code reads about twice its wall
-time in CPU) and the unpinned small solves, such as the shift rules'.
+Exact evolution, the entropy and the Lanczos ground state above 9 sites
+run their BLAS and LAPACK calls on one thread; the calls that can still wake
+the pool are the dense ground-state ``eigh`` up to 9 sites (fig4_sweep's
+256-dimensional toric code reads more CPU than wall time) and the unpinned
+small solves, such as the shift rules'.
 """
 
 import argparse

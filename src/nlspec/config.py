@@ -12,9 +12,10 @@ flat object, its ``PumpSpec`` fields plus ``times``, and (site, axis) lists
 (``factors``, ``probe_1``, ``probe_2``) are ``{"site": axis}`` maps.
 
 The config itself accepts only ``COMMON_FIELDS`` plus its protocol's row of
-``PROTOCOL_FIELDS``, the fields its run reads, and an evolver, pump or
-observable only ``kind`` plus its kind's row of ``KIND_FIELDS``.  Any other
-key is rejected, so a typo or an ignored setting fails loudly, and missing
+``PROTOCOL_FIELDS``, the fields its run reads, and the model, an evolver,
+a pump or an observable only ``kind`` plus its kind's row of ``KIND_FIELDS``
+(a model's ``parameters`` must be exactly its kind's).  Any other key is
+rejected, so a typo or an ignored setting fails loudly, and missing
 required fields are reported by name.  ``to_json_dict`` writes the same
 fields, defaults included, and round-trips exactly through
 ``config_from_dict``.
@@ -48,6 +49,12 @@ PROTOCOL_FIELDS = {
 
 #: the fields each kind of nested spec reads besides ``kind``, by spec class
 KIND_FIELDS = {
+    "ModelSpec": {
+        "xxz": ("parameters", "boundary"),
+        "toric_code": ("parameters",),
+        "tls_dimer": ("parameters",),
+        "spin_boson": ("parameters",),
+    },
     "Evolver": {"exact": (), "trotter1": ("n_steps",)},
     "PumpSpec": {
         "local_pauli": ("site", "axis"),

@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .evolution import _one_blas_thread
 from .pauli import (
     DENSE_SITE_CAP,
     DimensionCapError,
@@ -38,7 +39,12 @@ _REQUIRED_PARAMS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative model description; the schema of CLI config files."""
+    """Declarative model description; the schema of CLI config files.
+
+    ``parameters`` holds exactly its kind's parameters (``_REQUIRED_PARAMS``);
+    only the ``xxz`` chain reads ``boundary``, the toric code being always
+    periodic.
+    """
 
     kind: str
     parameters: Mapping[str, float]
@@ -47,9 +53,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.boundary not in ("open", "periodic"):
+        if self.kind == "xxz" and self.boundary not in ("open", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         params = dict(self.parameters)
+        unknown = sorted(set(params) - set(_REQUIRED_PARAMS[self.kind]))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {unknown} for kind {self.kind!r}")
         for name in _REQUIRED_PARAMS[self.kind]:
             if name not in params:
                 raise ValueError(f"model kind {self.kind!r} requires parameter {name!r}")
@@ -272,90 +281,6 @@ _LANCZOS_CAP = 500
 _RITZ_CHECK_EVERY = 8
 #: converged once the Ritz residual is below this times the largest |Ritz value|
 _RITZ_TOL = 1e-13
-#: inverse iteration shifts this times the largest |Ritz value| below the
-#: lowest one: far above the rounding of the Laguerre root, so T - sigma I
-#: stays positive definite, and far below fig3a's relative gap of 3e-4, so
-#: two steps converge
-_INVERSE_SHIFT = 1e-12
-
-
-def _laguerre_step(alphas: list[float], betas: list[float], x: float) -> float:
-    """Laguerre's step from x towards the nearest eigenvalue of the symmetric
-    tridiagonal T with diagonal ``alphas`` and off-diagonal ``betas``; 0.0 if
-    x is an eigenvalue of T or of a leading block of it.
-
-    The pivots d_i of T - xI and their x-derivatives give
-    G = p'/p = sum_k 1/(x - lambda_k) and H = sum_k 1/(x - lambda_k)**2 of
-    p(x) = det(T - xI).  Since p has only real roots, from outside the
-    spectrum the step never passes the extreme eigenvalue, and the iteration
-    converges cubically (Li & Zeng, SIAM J. Matrix Anal. Appl. 15, 1145,
-    1994).
-    """
-    n = len(alphas)
-    d = alphas[0] - x
-    try:
-        u, v = -1.0 / d, 0.0  # d_i'/d_i and d_i''/d_i
-        g, h = u, u * u
-        for alpha, beta in zip(alphas[1:], betas):
-            q = beta * beta / d
-            d = alpha - x - q
-            u, v = (q * u - 1.0) / d, q * (v - 2.0 * u * u) / d
-            g += u
-            h += u * u - v
-    except ZeroDivisionError:
-        return 0.0
-    root = math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
-    return -n / (g + math.copysign(root, g))
-
-
-def _extreme_eigenvalue(alphas: list[float], betas: list[float], x: float, direction: float) -> float:
-    """The eigenvalue of the symmetric tridiagonal T nearest to x, by
-    Laguerre steps from x, which lies outside the spectrum on the side
-    opposite to ``direction`` (or on its edge)."""
-    step = _laguerre_step(alphas, betas, x)
-    while step * direction > 0.0 and x + step != x:
-        x += step
-        step = _laguerre_step(alphas, betas, x)
-    # far from a close pair the cancellation in n H - G**2 can carry x past
-    # the eigenvalue: take the steps back while they shrink (a NaN stops too)
-    limit = math.inf
-    while abs(step) < limit and x + step != x:
-        x, limit = x + step, abs(step)
-        step = _laguerre_step(alphas, betas, x)
-    return x
-
-
-def _ritz_extremes(alphas: list[float], betas: list[float]) -> tuple[float, float, np.ndarray]:
-    """Lowest and highest eigenvalue of the symmetric tridiagonal T with
-    diagonal ``alphas`` and positive off-diagonal ``betas``, and the unit
-    eigenvector of the lowest, in pure Python floats: no BLAS or LAPACK call.
-
-    The vector comes from two steps of inverse iteration on T - sigma I,
-    solved by its LDL^T (Thomas) factorization, which needs no pivoting since
-    sigma lies below the spectrum.  The start vector alternates in sign: with
-    positive betas so does the lowest eigenvector, so their overlap is at
-    least 1 (a ones vector can be orthogonal to it).
-    """
-    # Laguerre from the Gershgorin bounds
-    radii = [b0 + b1 for b0, b1 in zip([0.0] + betas, betas + [0.0])]
-    lowest = _extreme_eigenvalue(alphas, betas, min(a - r for a, r in zip(alphas, radii)), 1.0)
-    highest = _extreme_eigenvalue(alphas, betas, max(a + r for a, r in zip(alphas, radii)), -1.0)
-    sigma = lowest - _INVERSE_SHIFT * max(abs(lowest), abs(highest))
-    pivots = [alphas[0] - sigma]
-    multipliers = []
-    for alpha, beta in zip(alphas[1:], betas):
-        multipliers.append(beta / pivots[-1])
-        pivots.append(alpha - sigma - multipliers[-1] * beta)
-    y = [(-1.0) ** i for i in range(len(alphas))]
-    for _ in range(2):
-        for i, m in enumerate(multipliers):
-            y[i + 1] -= m * y[i]
-        y = [v / d for v, d in zip(y, pivots)]
-        for i in range(len(multipliers) - 1, -1, -1):
-            y[i] -= multipliers[i] * y[i + 1]
-        norm = math.hypot(*y)
-        y = [v / norm for v in y]
-    return lowest, highest, np.array(y)
 
 
 def _lanczos_start(dim: int) -> np.ndarray:
@@ -379,10 +304,10 @@ def _lanczos_ground_state(h: OperatorSum) -> np.ndarray:
     arithmetic when every D_f is real.  The start vector is generic
     (``_lanczos_start``): a uniform one is the fully polarized S = N/2 state,
     orthogonal to the singlet ground state of SU(2)-symmetric chains.  Every
-    reduction is an ``einsum`` and the Ritz values and vector come from
-    ``_ritz_extremes``, so no call reaches BLAS or LAPACK: the result does
-    not depend on the BLAS thread count, and no BLAS worker is left spinning
-    after the solve.
+    reduction is an ``einsum``, which never reaches BLAS, and the Ritz values
+    and lowest Ritz vector come from one ``eigh`` of the tridiagonal on one
+    OpenBLAS thread (``_one_blas_thread``): the result does not depend on the
+    BLAS thread count, and no BLAS worker is left spinning after the solve.
     """
     dim = 2**h.n_sites
     diagonals = flip_diagonals(h)
@@ -410,9 +335,11 @@ def _lanczos_ground_state(h: OperatorSum) -> np.ndarray:
         w -= np.einsum("ki,k->i", krylov, np.einsum("ki,i->k", krylov, w.conj()).conj())
         beta = math.sqrt(np.einsum("i,i->", w.conj(), w).real)
         if beta == 0.0 or (j + 1) % _RITZ_CHECK_EVERY == 0 or j + 1 == cap:
-            lowest, highest, vector = _ritz_extremes(alphas, betas)
-            if beta * abs(vector[-1]) <= _RITZ_TOL * max(abs(lowest), abs(highest)):
-                return np.einsum("ki,k->i", krylov, vector)
+            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            with _one_blas_thread():
+                values, vectors = np.linalg.eigh(tridiagonal)
+            if beta * abs(vectors[-1, 0]) <= _RITZ_TOL * max(abs(values[0]), abs(values[-1])):
+                return np.einsum("ki,k->i", krylov, vectors[:, 0])
         betas.append(beta)
         basis[j + 1] = w / beta
     raise GroundStateError(f"Lanczos ground state not converged after {cap} steps")
@@ -427,8 +354,9 @@ def ground_state(h: OperatorSum) -> np.ndarray:
     densely up to 2**9 amplitudes and by Lanczos above
     (``_lanczos_ground_state``, fixed start vector, ``GroundStateError`` if
     it does not converge), with the global phase pinned by the largest
-    amplitude.  The Lanczos state does not depend on the BLAS thread count;
-    the dense ``eigh``'s pick in a degenerate ground space does.
+    amplitude.  The Lanczos state does not depend on the BLAS thread count,
+    since its tridiagonal ``eigh`` runs on one OpenBLAS thread; the dense
+    ``eigh``'s pick in a degenerate ground space does.
     """
     if h.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError(f"ground state for {h.n_sites} sites exceeds cap {DENSE_SITE_CAP}")

@@ -63,14 +63,13 @@ def allocate_shots(
     weights: Sequence[float],
     total_shots: int,
     mode: str = "uniform",
-    variances: Sequence[float] | None = None,
     seed: int = 0,
 ) -> SamplingPlan:
     """Split a shot budget over shift configurations.
 
     ``uniform`` gives every configuration of nonzero weight the same count
     (remainder to the lowest indices).  ``optimal`` allocates proportionally
-    to |C_p| sqrt(Var_p) with unit variances by default.  In both modes
+    to |C_p| sqrt(Var_p) with unit variances, that is to |C_p|.  In both modes
     zero-weight configurations, which ``noisy_response`` never measures, get
     nothing.
     """
@@ -80,8 +79,7 @@ def allocate_shots(
     if mode == "uniform":
         score = (w > 0).astype(float)
     elif mode == "optimal":
-        var = np.ones(w.size) if variances is None else np.asarray(variances, dtype=float)
-        score = w * np.sqrt(var)
+        score = w
     else:
         raise ValueError(f"unknown allocation mode {mode!r}")
     if not np.any(score > 0):

@@ -202,6 +202,14 @@ def channel_gap_set(generator: OperatorSum, n_pulses: int) -> GapSet:
     return GapSet(_symmetric(gaps, single.tol), single.unit, single.tol)
 
 
+def _alias_free_count(harmonics: Sequence[int], n: int, residue) -> int:
+    """Smallest count >= n at which ``residue(h, count)`` is distinct over
+    the harmonics."""
+    while len({residue(h, n) for h in harmonics}) < len(harmonics):
+        n += 1
+    return n
+
+
 def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full") -> np.ndarray:
     """Default shift points for a gap set.
 
@@ -214,8 +222,12 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
     nodes on [-pi/w_max, pi/w_max] and must pass the least-squares residual
     check.
 
-    ``odd``: positive-gap count of +- pairs s_p = pi (2p - 1) / (2 K g),
-    recovering the two-point rule {-pi/2, pi/2} for gaps {-1, 0, 1}.
+    ``odd``: K +- pairs s_p = pi (2p - 1) / (2 N g), K the positive-gap
+    count (or half of ``n_shifts``) and N the smallest integer >= K at which
+    the positive harmonics h have distinct, nonzero folded residues
+    min(h mod 2N, -h mod 2N); this recovers the two-point rule
+    {-pi/2, pi/2} for gaps {-1, 0, 1}.  Up to sign, sin(h g s_p) depends
+    only on that residue, and vanishes for residue 0.
     """
     if mode == "odd":
         k = int(gap_set.positive.size)
@@ -226,7 +238,10 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
         n_pos = n_shifts // 2 if n_shifts is not None else k
         if n_pos < k:
             raise ShiftRuleError(f"odd-order rule needs at least {2 * k} shifts")
-        s = np.array([np.pi * (2 * p - 1) / (2 * n_pos * gap_set.unit) for p in range(1, n_pos + 1)])
+        # harmonic 0 folds to 0, so distinct residues keep the others nonzero
+        harmonics = [0] + [round(w / gap_set.unit) for w in gap_set.positive.tolist()]
+        n = _alias_free_count(harmonics, n_pos, lambda h, n: min(h % (2 * n), -h % (2 * n)))
+        s = np.array([np.pi * (2 * p - 1) / (2 * n * gap_set.unit) for p in range(1, n_pos + 1)])
         return np.concatenate([-s[::-1], s])
     if mode != "full":
         raise ShiftRuleError(f"unknown shift mode {mode!r}")
@@ -238,9 +253,7 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
         )
     if gap_set.unit is not None:
         harmonics = [round(w / gap_set.unit) for w in gap_set.gaps.tolist()]
-        n = m + 1
-        while len({h % n for h in harmonics}) < len(harmonics):
-            n += 1
+        n = _alias_free_count(harmonics, m + 1, lambda h, n: h % n)
         period = 2.0 * np.pi / gap_set.unit
         offsets = np.arange(1, m + 1) - (m + 1) / 2.0
         return offsets * (period / n)

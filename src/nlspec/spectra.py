@@ -2,8 +2,7 @@
 
 Angular-frequency convention: a length-n series with spacing dt maps to
 bins omega_k = 2 pi k / (n dt).  Transforms subtract the series mean first
-and return the one-sided (k = 0 .. n//2) amplitudes; no windowing unless
-requested.
+and return the one-sided (k = 0 .. n//2) amplitudes, without windowing.
 """
 
 from __future__ import annotations
@@ -93,13 +92,10 @@ def response_spectrum(
     values: Sequence[float],
     dt: float | None = None,
     times: Sequence[float] | None = None,
-    window: str | None = None,
 ) -> SpectrumGrid:
     """One-sided DFT of a real series after mean subtraction.
 
     Provide either ``dt`` or the time grid itself (checked for uniformity).
-    ``window='hann'`` applies a Hann window after mean subtraction; default
-    is no windowing.
     """
     series = np.asarray(values, dtype=float)
     if times is not None:
@@ -107,12 +103,7 @@ def response_spectrum(
     if dt is None or dt <= 0:
         raise SpectrumError("a positive sample spacing is required")
     n = series.size
-    centered = series - series.mean()
-    if window == "hann":
-        centered = centered * np.hanning(n)
-    elif window is not None:
-        raise SpectrumError(f"unknown window {window!r}")
-    amps = np.fft.rfft(centered)
+    amps = np.fft.rfft(series - series.mean())
     freqs = 2.0 * np.pi * np.arange(amps.size) / (n * dt)
     return SpectrumGrid(freqs, amps, dt)
 
@@ -169,22 +160,16 @@ def spectrum_2d(
     return Spectrum2D(f1, f2, amps, dt_1, dt_2)
 
 
-def diagonal_offdiagonal_weight(
-    spec: Spectrum2D, band_halfwidth: float | None = None
-) -> tuple[float, float]:
+def diagonal_offdiagonal_weight(spec: Spectrum2D) -> tuple[float, float]:
     """Split total spectral power into |w1 - w2| <= band and the remainder.
 
-    The default band half-width is one frequency bin.  Requires a square
-    frequency mesh; a band wider than the covered range is rejected.
+    The band half-width is one frequency bin.  Requires a square frequency
+    mesh.
     """
     f1, f2 = spec.frequencies_1, spec.frequencies_2
     if f1.size != f2.size or np.max(np.abs(f1 - f2)) > 1e-9 * max(1.0, f1[-1]):
         raise SpectrumError("diagonal weights need a square frequency mesh")
-    if band_halfwidth is None:
-        band_halfwidth = float(f1[1] - f1[0]) if f1.size > 1 else 0.0
-    span = float(f1[-1] - f1[0])
-    if band_halfwidth > span:
-        raise SpectrumError("diagonal band is wider than the frequency grid")
+    band_halfwidth = float(f1[1] - f1[0]) if f1.size > 1 else 0.0
     power = spec.magnitudes**2
     dist = np.abs(f1[:, None] - f2[None, :])
     diag_mask = dist <= band_halfwidth + 1e-12

@@ -157,8 +157,8 @@ def with_spec(where, spec):
 
 
 def poison_unread_kind_fields(spec):
-    """A copy of an evolver, pump or observable spec whose fields outside its
-    kind's row of KIND_FIELDS hold a bare object."""
+    """A copy of a model, evolver, pump or observable spec whose fields
+    outside its kind's row of KIND_FIELDS hold a bare object."""
     poisoned = dataclasses.replace(spec)
     for f in dataclasses.fields(spec):
         if f.name != "kind" and f.name not in KIND_FIELDS[type(spec).__name__][spec.kind]:
@@ -369,10 +369,11 @@ class TestObservableMenu:
 
 
 class TestKindFields:
-    """An evolver, pump or observable accepts and echoes ``kind`` plus its
-    kind's row of KIND_FIELDS, the fields that building it reads."""
+    """A model, evolver, pump or observable accepts and echoes ``kind`` plus
+    its kind's row of KIND_FIELDS, the fields that building it reads."""
 
     def test_kinds_cover_every_spec_kind(self):
+        assert set(KIND_FIELDS["ModelSpec"]) == set(models.MODEL_KINDS)
         assert set(KIND_FIELDS["Evolver"]) == set(evolution.EVOLVER_KINDS)
         assert set(KIND_FIELDS["PumpSpec"]) == set(models.PUMP_KINDS)
         for where, (cls, _) in NESTED_VALUES.items():
@@ -394,6 +395,29 @@ class TestKindFields:
     def test_unread_kind_field_rejected(self, tmp_path, where, spec, name):
         payload = with_spec(where, dict(spec, **{name: NESTED_VALUES[where][1][name]}))
         message = rf"unknown field\(s\) \['{name}'\] for kind '{spec['kind']}'"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(payload)
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (
+                dict(MINIMAL["model"], parameters=dict(MINIMAL["model"]["parameters"], j_star=5.0)),
+                r"model: unknown parameter\(s\) \['j_star'\] for kind 'xxz'",
+            ),
+            (
+                {"kind": "toric_code", "boundary": "periodic",
+                 "parameters": {"l_x": 2, "l_y": 2, "j_star": 1.0, "j_plaquette": 1.0}},
+                r"model: unknown field\(s\) \['boundary'\] for kind 'toric_code'",
+            ),
+        ],
+        ids=["xxz_j_star", "toric_code_boundary"],
+    )
+    def test_unread_model_key_rejected(self, tmp_path, model, message):
+        payload = dict(MINIMAL, model=model)
         with pytest.raises(ConfigError, match=message):
             config_from_dict(payload)
         path = write_config(tmp_path, payload)
@@ -494,16 +518,20 @@ class TestProtocolFields:
         ]
         for where, spec in specs:
             assert sorted(spec) == echoed_keys(where, spec["kind"]), where
+        model = resolved["model"]
+        assert sorted(model) == sorted(["kind", *KIND_FIELDS["ModelSpec"][model["kind"]]])
 
     @pytest.mark.parametrize("name", FIGURE_NAMES)
     def test_run_reads_no_field_outside_its_protocol(self, tmp_path, name):
         # every other field poisoned with a bare object, which no number, list
         # or truth test accepts (None would pass as NaN or as false): a run
         # that read one would fail or write different bytes; so are the
-        # fields of each evolver, pump and observable outside its kind's row
+        # fields of the model and of each evolver, pump and observable
+        # outside its kind's row
         config = cut_figure(name)
         names = COMMON_FIELDS + PROTOCOL_FIELDS[config.protocol]
         unread = {f.name: object() for f in dataclasses.fields(config) if f.name not in names}
+        unread["model"] = poison_unread_kind_fields(config.model)
         unread["evolver"] = poison_unread_kind_fields(config.evolver)
         unread["pumps"] = tuple(
             dataclasses.replace(c, pump=poison_unread_kind_fields(c.pump)) for c in config.pumps
@@ -860,12 +888,12 @@ def _nlspec_env(**extra):
 
 
 class TestBlasThreadCount:
-    """Above 9 sites the ground state is a Lanczos solve that makes no BLAS
-    call, and the spectral plan's ``eigh`` and GEMMs and the entropy's Gram
-    product and ``eigvalsh`` run on one OpenBLAS thread, so Trotter runs,
-    exact evolution and the entropy write the same bytes under any OpenBLAS
-    thread count.  (The dense ground state up to 9 sites still runs at the
-    default count.)"""
+    """Above 9 sites the ground state is a Lanczos solve whose tridiagonal
+    ``eigh`` runs on one OpenBLAS thread, as do the spectral plan's ``eigh``
+    and GEMMs and the entropy's Gram product and ``eigvalsh``, so Trotter
+    runs, exact evolution and the entropy write the same bytes under any
+    OpenBLAS thread count.  (The dense ground state up to 9 sites still runs
+    at the default count.)"""
 
     def test_runs_byte_identical_across_thread_counts(self, tmp_path):
         fig3a = json.loads((FIGURES / "fig3a.json").read_text())
@@ -873,9 +901,11 @@ class TestBlasThreadCount:
         chain10 = dict(CHAIN10, evolver={"kind": "trotter1", "n_steps": 10})
         entropy = json.loads((FIGURES / "fig2_entropy.json").read_text())
         entropy.update(delta_values=[0.5, 1.5], eta_grid=[-0.02, -0.01, 0.0, 0.01, 0.02])
+        fig2 = json.loads((FIGURES / "fig2.json").read_text())
+        fig2["time_grid"] = dict(fig2["time_grid"], points=3)
         cases = (
             ("fig3a_cut", fig3a), ("chain10_trotter", chain10), ("chain10_exact", CHAIN10),
-            ("fig2_entropy_cut", entropy),
+            ("fig2_entropy_cut", entropy), ("fig2_cut", fig2),
         )
         for name, payload in cases:
             config = write_config(tmp_path, payload, f"{name}.json")
@@ -920,7 +950,8 @@ class TestBlasThreadCount:
         metadata = json.loads((tmp_path / "unpinned" / "run_metadata.json").read_text())
         assert metadata["blas_pinning"].startswith("unavailable")
 
-    def test_trotter_run_looks_up_no_symbols(self, tmp_path):
+    def test_symbols_looked_up_once_per_run_and_not_at_load(self, tmp_path):
+        # the 12-site Trotter run's only pinned call is its Lanczos Ritz solve
         fig2 = json.loads((FIGURES / "fig2.json").read_text())
         fig2["time_grid"] = dict(fig2["time_grid"], points=3)
         script = (
@@ -928,7 +959,9 @@ class TestBlasThreadCount:
             "from nlspec import evolution\n"
             "from nlspec.config import load_config\n"
             "from nlspec.runner import run_experiment\n"
-            "run_experiment(load_config(sys.argv[1]), output_dir=sys.argv[2])\n"
+            "config = load_config(sys.argv[1])\n"
+            "print(evolution._openblas_thread_calls.cache_info().misses)\n"
+            "run_experiment(config, output_dir=sys.argv[2])\n"
             "print(evolution._openblas_thread_calls.cache_info().misses)\n"
         )
         config = write_config(tmp_path, fig2, "fig2_cut.json")
@@ -939,7 +972,7 @@ class TestBlasThreadCount:
             env=_nlspec_env(),
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"]
+        assert done.stdout.split() == ["0", "1"]
 
 
 class TestImportFootprint:

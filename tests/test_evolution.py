@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nlspec import evolution
+from nlspec import evolution, models
 from nlspec.evolution import (
     EXACT,
     Evolver,
@@ -323,8 +323,9 @@ def coset_sums(draw):
 
 
 class TestOneBlasThread:
-    """The spectral plan's ``eigh`` and GEMMs run on one OpenBLAS thread,
-    and the previous count comes back afterwards."""
+    """The spectral plan's ``eigh`` and GEMMs and the Lanczos ground state's
+    tridiagonal ``eigh`` run on one OpenBLAS thread, and the previous count
+    comes back afterwards."""
 
     @pytest.fixture
     def threads(self):
@@ -356,6 +357,21 @@ class TestOneBlasThread:
         plan.propagate(plan.to_eigenbasis(random_state(10, 3)), 0.7)
         assert {name for name, _ in seen} == {"eigh", "_to_block_basis", "_from_block_basis"}
         assert all(count == 1 for _, count in seen)
+        assert threads() == 2
+
+    def test_lanczos_ritz_solve_runs_on_one_thread(self, threads, monkeypatch):
+        seen = []
+
+        def spy(matrix):
+            seen.append(threads())
+            return eigh(matrix)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        models._lanczos_ground_state(build_xxz(10, 0.5, 0.12))
+        # one Ritz solve every _RITZ_CHECK_EVERY steps until convergence
+        assert len(seen) > 1
+        assert set(seen) == {1}
         assert threads() == 2
 
     def test_count_restored_after_an_exception(self, threads):

@@ -275,68 +275,6 @@ class TestLanczosGroundState:
             ground_state(build_xxz(10, 0.5, 0.12))
 
 
-@st.composite
-def lanczos_tridiagonals(draw):
-    """Symmetric tridiagonals as Lanczos builds them, with positive betas:
-    the Lanczos matrix of diag(spectrum) from a random start, whose
-    eigenvalues are the spectrum.  Its lowest gap runs from 1e-3 (fig3a's
-    chain has 1.5e-3) to 1, against a spread of 1 to 10."""
-    n = draw(st.sampled_from([1, 2, 128]) | st.integers(1, 128))
-    # energies of order one: no entry comes near the float range limits, and
-    # T is never the zero matrix, which no Hamiltonian's Lanczos run yields
-    lowest = draw(st.floats(-10, 10).filter(lambda x: abs(x) >= 1e-3))
-    gap = 10.0 ** draw(st.floats(-3, 0))
-    spread = draw(st.floats(1, 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    spectrum = np.concatenate([[lowest, lowest + gap], lowest + gap + spread * rng.random(max(n - 2, 0))])[:n]
-    basis = [rng.standard_normal(n)]
-    basis[0] /= np.linalg.norm(basis[0])
-    alphas, betas = [], []
-    for j in range(n):
-        w = spectrum * basis[j]
-        alphas.append(float(basis[j] @ w))
-        krylov = np.array(basis)
-        for _ in range(2):
-            w -= krylov.T @ (krylov @ w)
-        if j + 1 < n:
-            betas.append(float(np.linalg.norm(w)))
-            basis.append(w / betas[-1])
-    return alphas, betas
-
-
-class TestRitzExtremes:
-    """The Lanczos Ritz values and lowest Ritz vector, computed without
-    BLAS or LAPACK, against ``np.linalg.eigh`` of the tridiagonal."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(lanczos_tridiagonals())
-    def test_matches_eigh(self, tridiagonal):
-        alphas, betas = tridiagonal
-        values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        lowest, highest, vector = models._ritz_extremes(alphas, betas)
-        scale = np.abs(values).max()
-        assert abs(lowest - values[0]) <= 1e-12 * scale
-        assert abs(highest - values[-1]) <= 1e-12 * scale
-        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
-        overlap = vector @ vectors[:, 0]
-        assert abs(overlap) >= 1 - 1e-10
-        assert abs(np.sign(overlap) * vector[-1] - vectors[-1, 0]) <= 1e-10
-
-    @pytest.mark.parametrize(
-        "alphas, betas",
-        [([1.0, 1.0], [0.5]), ([0.3, -1.0, -1.0, 0.3], [0.7, 0.2, 0.7])],
-    )
-    def test_lowest_vector_orthogonal_to_ones(self, alphas, betas):
-        # with positive betas the lowest eigenvector alternates in sign, and
-        # on mirror-symmetric tridiagonals of even size it is orthogonal to
-        # the ones vector: inverse iteration must not start there
-        values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        assert abs(vectors[:, 0].sum()) < 1e-14
-        lowest, _, vector = models._ritz_extremes(alphas, betas)
-        assert lowest == pytest.approx(values[0], abs=1e-14)
-        assert abs(vector @ vectors[:, 0]) == pytest.approx(1.0, abs=1e-14)
-
-
 class TestModelSpec:
     def test_requires_parameters(self):
         with pytest.raises(ValueError, match="delta"):

@@ -16,7 +16,6 @@ from nlspec.shift_rules import rule_for_generator
 TORIC = {
     "kind": "toric_code",
     "parameters": {"l_x": 2, "l_y": 2, "j_star": 1.0, "j_plaquette": 1.0},
-    "boundary": "periodic",
 }
 SMALL_GRID = {"start": 0.3, "stop": 1.5, "points": 3}
 
