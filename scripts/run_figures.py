@@ -2,10 +2,15 @@
 """Run the bundled reproduction configs and collect their artifacts.
 
 Usage:
-    python scripts/run_figures.py [--only fig3a fig5 ...] [--out DIR]
+    python scripts/run_figures.py [--only fig3a fig5 ...] [--out DIR] [--against DIR]
 
 Each config writes CSV data plus resolved_config.json / run_metadata.json
 into <out>/<config-name>/.  See figures/*.json for the experiment settings.
+With ``--against DIR`` (the output root of an earlier run, say of the parent
+commit), each config also reports how many of its CSVs are byte-identical to
+DIR/<config-name>/, and for each CSV that moved its largest absolute
+deviation, the column it is in and that column's largest absolute value in
+DIR.
 Each line reports the run's wall time and the CPU time of all its threads;
 CPU well above wall means BLAS worker threads were busy (or spinning idle).
 Exact evolution, the entropy and the Lanczos ground state above 9 sites
@@ -20,17 +25,47 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from nlspec.config import load_config
 from nlspec.runner import run_experiment
 
 FIGURE_DIR = Path(__file__).resolve().parent.parent / "figures"
 
 
-def main() -> int:
+def compare(out: Path, reference: Path) -> list[str]:
+    """Lines comparing the CSVs of one config's output directory with
+    those of a reference directory."""
+    names = sorted(p.name for p in out.glob("*.csv"))
+    moved = []
+    for name in names:
+        if not (reference / name).exists():
+            moved.append(f"  {name}: missing from {reference}")
+            continue
+        if (out / name).read_bytes() == (reference / name).read_bytes():
+            continue
+        new, old = (np.loadtxt(d / name, delimiter=",", skiprows=1, ndmin=2) for d in (out, reference))
+        if new.shape != old.shape:
+            moved.append(f"  {name}: shape {old.shape} -> {new.shape}")
+            continue
+        # a NaN in both runs (an undefined contrast, say) has not moved
+        deviation = np.where(np.isnan(new) & np.isnan(old), 0.0, np.abs(new - old))
+        column = np.unravel_index(np.argmax(deviation), deviation.shape)[1]
+        header = (reference / name).read_text().split("\n", 1)[0].split(",")[column]
+        moved.append(
+            f"  {name}: max|dev| {deviation.max():.2e} in {header}, "
+            f"whose max|value| is {np.abs(old[:, column]).max():.2e}"
+        )
+    identical = len(names) - len(moved)
+    return [f"  against {reference}: {identical} of {len(names)} CSVs byte-identical", *moved]
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--only", nargs="*", default=None, help="config names to run")
     parser.add_argument("--out", default="out", help="output root directory")
-    args = parser.parse_args()
+    parser.add_argument("--against", default=None, help="output root to compare the CSVs with")
+    args = parser.parse_args(argv)
 
     names = sorted(p.stem for p in FIGURE_DIR.glob("*.json"))
     if args.only:
@@ -45,6 +80,8 @@ def main() -> int:
         result = run_experiment(config, output_dir=Path(args.out) / name)
         wall, cpu = time.perf_counter() - started, time.process_time() - cpu_started
         print(f"{name}: {len(result.files)} files in {wall:.1f}s wall, {cpu:.1f}s CPU")
+        if args.against is not None:
+            print("\n".join(compare(Path(args.out) / name, Path(args.against) / name)))
     return 0
 
 

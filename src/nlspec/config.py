@@ -5,7 +5,9 @@ schema: ``ExperimentConfig`` and ``GridSpec``, ``ShiftSettings``,
 ``SamplingSettings``, ``ObservableSpec`` and ``PumpChannel`` here,
 ``ModelSpec`` and ``PumpSpec`` from ``models`` and ``Evolver`` from
 ``evolution``.  An object's accepted keys are its dataclass's field names,
-each value is converted by its field's annotation, and a missing key takes
+each value is checked against its field's annotation and never coerced (an
+``int`` field takes only JSON integers, a ``float`` field only numbers,
+neither a bool; a model's site counts must be integral), and a missing key takes
 the field's default (set here: ``orders``, one first-order derivative per
 pump channel, and ``block_size``, half the register).  A pump channel is one
 flat object, its ``PumpSpec`` fields plus ``times``, and (site, axis) lists
@@ -290,6 +292,14 @@ _PARSERS = {
 }
 
 
+#: the JSON values a scalar field accepts (never a bool), by annotation
+_SCALARS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+}
+
+
 def _convert(annotation: str, value, context: str):
     """A JSON value as the field annotated ``annotation`` holds it."""
     if annotation.endswith(" | None"):
@@ -305,9 +315,14 @@ def _convert(annotation: str, value, context: str):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{context}: must be a JSON object")
         return _PARSERS[annotation](value, context)
-    value = {"int": int, "float": float, "str": str}[annotation](value)
-    if annotation == "float" and not np.isfinite(value):
-        raise ConfigError(f"{context}: value must be finite")
+    # no silent coercion: 2.5 steps, "0.5" or true is an error, not 2, 0.5 or 1.0
+    accepted, noun = _SCALARS[annotation]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{context}: must be {noun}, not {type(value).__name__} {value!r}")
+    if annotation == "float":
+        value = float(value)
+        if not np.isfinite(value):
+            raise ConfigError(f"{context}: value must be finite")
     return value
 
 

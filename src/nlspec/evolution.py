@@ -56,6 +56,15 @@ mutually commuting terms as one fused op: the run's product of rotations,
 expanded once per propagation into one diagonal per distinct flip mask.
 The product formula, and so the Trotter error, is unchanged; only rounding
 differs from applying the rotations one by one.
+When every term of H has an even number of Y and Z factors, H commutes with
+the global flip F = prod_i X_i, which maps psi to ``psi[::-1]``.  A column
+with ||psi[half:][::-1] - s psi[:half]|| <= 1e-12 ||psi|| for s = +1 or -1
+stays in that sector, and propagates only its 2**(n-1) amplitudes with the
+top bit 0, through the same fused ops folded onto that half; it is unfolded
+as [low, s * low[::-1]].  On an exactly flip-symmetric column this gives the
+same bits as propagating all amplitudes.  ``propagator`` decides once per
+segment, column by column; readouts are still computed by ``expectation``
+on the unfolded state.
 """
 
 from __future__ import annotations
@@ -327,8 +336,8 @@ def _commuting_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
 
 def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int):
     """prod_k exp(-i c_k dt P_k) over commuting strings, which maps psi to
-    sum_f D_f * psi[x ^ f]: returns D_0 and a (gather index, D_f) pair for
-    every other flip mask f."""
+    sum_f D_f * psi[x ^ f]: returns D_0 and a (f, D_f) pair for every other
+    flip mask f."""
     diagonals = {0: np.ones(2**n_sites, dtype=complex)}
     for term in run:
         flip, phase, y_count = term.masks()
@@ -342,25 +351,82 @@ def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int):
             for g, part in ((f, np.cos(angle) * diagonal), (f ^ flip, scale * applied)):
                 fused[g] = fused[g] + part if g in fused else part
         diagonals = fused
-    return diagonals.pop(0), [(_xor_index(n_sites, f), d) for f, d in diagonals.items()]
+    return diagonals.pop(0), list(diagonals.items())
 
 
-def _trotter_evolve(h: OperatorSum, amps: np.ndarray, t: float, evolver: Evolver) -> np.ndarray:
+@lru_cache(maxsize=6)
+def _flip_even(h: OperatorSum) -> bool:
+    """Whether every term of H has an even number of Y and Z factors, so that
+    H commutes with the global flip F = prod_i X_i; decided once per
+    Hamiltonian, like ``_commuting_runs``."""
+    return all(term.masks()[1].bit_count() % 2 == 0 for term in h.terms)
+
+
+def _flip_signs(h: OperatorSum, amps: np.ndarray) -> tuple[int, ...]:
+    """Per column of a state or block, the sign s = +1 or -1 of its flip
+    sector, F psi = s psi with F psi = ``psi[::-1]``, taken where
+    ||psi[half:][::-1] - s psi[:half]|| <= 1e-12 ||psi||; 0 where neither
+    sign holds or H does not commute with F."""
+    columns = amps.reshape(amps.shape[0], -1).T
+    if not _flip_even(h):
+        return (0,) * len(columns)
+    half = amps.shape[0] // 2
+    signs = []
+    for psi in columns:
+        low, mirrored = psi[:half], psi[half:][::-1]
+        bound = 1e-12 * np.linalg.norm(psi)
+        signs.append(next((s for s in (1, -1) if np.linalg.norm(mirrored - s * low) <= bound), 0))
+    return tuple(signs)
+
+
+def _gather_ops(fused, n_sites: int, sign: int):
+    """The fused ops as (D_0, [(gather index, D_f), ...]) on the full state
+    (sign 0), or folded onto the amplitudes x < 2**(n-1) of a state with
+    F psi = sign * psi: every diagonal keeps its lower half, and a flip mask f
+    with the top bit reads psi[x ^ f] = sign * psi[x ^ f ^ (2**n - 1)], a
+    gather within the lower half with ``sign`` folded into D_f."""
+    if not sign:
+        return [(d0, [(_xor_index(n_sites, f), d) for f, d in flips]) for d0, flips in fused]
+    half = 2 ** (n_sites - 1)
+    ops = []
+    for d0, flips in fused:
+        gathers = [
+            (_xor_index(n_sites - 1, f ^ (2 * half - 1)), sign * d[:half])
+            if f & half
+            else (_xor_index(n_sites - 1, f), d[:half])
+            for f, d in flips
+        ]
+        ops.append((d0[:half], gathers))
+    return ops
+
+
+def _trotter_evolve(
+    h: OperatorSum, amps: np.ndarray, t: float, evolver: Evolver, signs: Sequence[int]
+) -> np.ndarray:
+    """First-order Trotter evolution of a state or of each column of a block,
+    column k in the flip sector of sign ``signs[k]`` (see ``_flip_signs``):
+    such a column propagates its lower half through the folded ops and is
+    unfolded as [low, sign * low[::-1]]; a column of sign 0 propagates all
+    its amplitudes.  On an exactly flip-symmetric column both give the same
+    bits."""
     dt = t / evolver.n_steps
-    ops = [_fused_rotation(run, dt, h.n_sites) for run in _commuting_runs(h)]
+    fused = [_fused_rotation(run, dt, h.n_sites) for run in _commuting_runs(h)]
+    ops = {sign: _gather_ops(fused, h.n_sites, sign) for sign in set(signs)}
 
-    def propagate(state: np.ndarray) -> np.ndarray:
+    def propagate(state: np.ndarray, sign: int) -> np.ndarray:
+        if sign:
+            state = state[: state.size // 2]
         for _ in range(evolver.n_steps):
-            for diagonal, gathers in ops:
+            for diagonal, gathers in ops[sign]:
                 out = diagonal * state
                 for index, flipped in gathers:
                     out += flipped * state[index]
                 state = out
-        return state
+        return np.concatenate([state, sign * state[::-1]]) if sign else state
 
     if amps.ndim == 1:
-        return propagate(amps)
-    return np.stack([propagate(column) for column in amps.T], axis=1)
+        return propagate(amps, signs[0])
+    return np.stack([propagate(column, sign) for column, sign in zip(amps.T, signs)], axis=1)
 
 
 def evolve(h: OperatorSum, state: np.ndarray, t: float, evolver: Evolver = EXACT) -> np.ndarray:
@@ -376,22 +442,28 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
 
     For exact evolution the state is projected into the eigenbasis once, on
     the first nonzero dt, and every dt then costs phases and one
-    back-transform; Trotter restarts from ``state`` at every dt.
+    back-transform; Trotter restarts from ``state`` at every dt, each column
+    in the flip sector (see ``_flip_signs``) that was decided for it on the
+    first nonzero dt, so a flip-symmetric column propagates half its
+    amplitudes.
     Returned arrays may be shared with the propagator and must not be
     modified.
     """
     amps = np.asarray(state, dtype=np.complex128)
     plan = _spectral_plan(h) if evolver.kind == "exact" else None
     coeffs = None  # the eigenbasis projection, made on first use
+    signs = None  # the Trotter columns' flip sectors, decided on first use
 
     def step(dt: float) -> np.ndarray:
-        nonlocal coeffs
+        nonlocal coeffs, signs
         if not np.isfinite(dt):
             raise ValueError("evolution time must be finite")
         if dt == 0.0:
             return amps
         if plan is None:
-            return _trotter_evolve(h, amps, dt, evolver)
+            if signs is None:
+                signs = _flip_signs(h, amps)
+            return _trotter_evolve(h, amps, dt, evolver, signs)
         if coeffs is None:
             coeffs = plan.to_eigenbasis(amps)
         return plan.propagate(coeffs, dt).reshape(amps.shape)

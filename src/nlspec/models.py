@@ -36,6 +36,9 @@ _REQUIRED_PARAMS = {
     "spin_boson": ("omega_0", "omega_1", "omega_mode", "g_coupling"),
 }
 
+#: the parameters that count sites, which must be integral
+_SIZE_PARAMS = ("n_sites", "l_x", "l_y")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -64,6 +67,8 @@ class ModelSpec:
                 raise ValueError(f"model kind {self.kind!r} requires parameter {name!r}")
             if not np.isfinite(params[name]):
                 raise ValueError(f"parameter {name!r} must be finite")
+            if name in _SIZE_PARAMS and not float(params[name]).is_integer():
+                raise ValueError(f"parameter {name!r} must be an integer, not {params[name]!r}")
         object.__setattr__(self, "parameters", dict(params))
 
     def n_qubits(self) -> int:

@@ -56,6 +56,11 @@ CHAIN10 = {
 
 FIGURES = Path(__file__).resolve().parents[1] / "figures"
 
+
+def xxz_model(**parameters):
+    """MINIMAL's model with some parameters replaced."""
+    return dict(MINIMAL["model"], parameters=dict(MINIMAL["model"]["parameters"], **parameters))
+
 #: a bundled figure of each protocol
 FIGURE_OF = {
     "response": "fig3a",
@@ -313,7 +318,7 @@ class TestConfigParsing:
         [
             (
                 {"time_grid": {"start": 0.0, "stop": 3.0, "points": "many"}},
-                "time_grid.points: invalid literal",
+                "time_grid.points: must be an integer, not str 'many'",
             ),
             (
                 {"time_grid": {"start": None, "stop": 3.0, "points": 7}},
@@ -330,10 +335,45 @@ class TestConfigParsing:
                 "time_grid: points must be >= 1",
             ),
             ({"observables": [{"kind": "nonsense"}]}, r"observables\[0\]: unknown observable kind"),
+            # integers and numbers are not coerced: each of these used to load
+            (
+                {"evolver": {"kind": "trotter1", "n_steps": 2.5}},
+                r"evolver\.n_steps: must be an integer, not float 2\.5",
+            ),
+            (
+                {"time_grid": {"start": 0.0, "stop": 3.0, "points": 10.7}},
+                r"time_grid\.points: must be an integer, not float 10\.7",
+            ),
+            ({"orders": [4.9]}, r"orders\[0\]: must be an integer, not float 4\.9"),
+            ({"seed": 3.9}, r"seed: must be an integer, not float 3\.9"),
+            ({"seed": True}, r"seed: must be an integer, not bool True"),
+            (
+                {"model": xxz_model(n_sites=12.5)},
+                r"model: parameter 'n_sites' must be an integer, not 12\.5",
+            ),
+            (
+                {
+                    "model": {
+                        "kind": "toric_code",
+                        "parameters": {"l_x": 2, "l_y": 1.5, "j_star": 1.0, "j_plaquette": 1.0},
+                    }
+                },
+                r"model: parameter 'l_y' must be an integer, not 1\.5",
+            ),
+            (
+                {"model": xxz_model(delta="0.5")},
+                r"model\.parameters\.delta: must be a number, not str '0\.5'",
+            ),
+            (
+                {"model": xxz_model(delta=True)},
+                r"model\.parameters\.delta: must be a number, not bool True",
+            ),
         ],
         ids=[
             "non_integer", "null_float", "nan_in_list", "non_object", "null_list", "empty_grid",
-            "unknown_kind",
+            "unknown_kind", "fractional_steps", "fractional_points", "fractional_order",
+            "fractional_seed", "bool_seed", "fractional_sites", "fractional_torus",
+            "string_number", "bool_number",
         ],
     )
     def test_bad_value_names_its_field(self, changes, message):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nlspec import evolution, models
+from nlspec.config import config_from_dict
 from nlspec.evolution import (
     EXACT,
     Evolver,
@@ -40,6 +43,8 @@ from nlspec.pauli import (
     terms_commute_pairwise,
     to_dense,
 )
+from nlspec.reference import nested_commutator_prefixes
+from nlspec.runner import run_experiment
 
 TROTTER10 = Evolver("trotter1", 10)
 
@@ -528,6 +533,121 @@ class TestFusedTrotter:
         driven_signal(h, schedule, [0.3], op(5, (1.0, {2: "Z"})), [0.5, 1.0, 1.5], TROTTER10, psi)
         info = _commuting_runs.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+@st.composite
+def flip_even_sums(draw):
+    """Random Pauli sums on 2-6 sites whose every term has an even number of
+    Y and Z factors, so commutes with the global flip F = prod_i X_i."""
+    n = draw(st.integers(2, 6))
+    factors = st.dictionaries(
+        st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1, max_size=n
+    ).filter(lambda f: sum(axis != "X" for axis in f.values()) % 2 == 0)
+    coefficient = st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    return op(n, *draw(st.lists(st.tuples(coefficient, factors), min_size=1, max_size=8)))
+
+
+def flip_symmetric(n, sign, seed):
+    """w + sign * F w, normalized: F psi = sign * psi holds exactly."""
+    w = random_state(n, seed)
+    psi = w + sign * w[::-1]
+    return psi / np.linalg.norm(psi)
+
+
+def full_route_only(h, amps):
+    """A stand-in for ``_flip_signs`` that sends every column to the full route."""
+    return (0,) * (1 if amps.ndim == 1 else amps.shape[1])
+
+
+class TestFlipSector:
+    """Trotter columns in a sector of F = prod_i X_i propagate half the
+    amplitudes and unfold to the full route's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flip_even_sums(),
+        st.floats(-2, 2, allow_nan=False),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3),
+        st.integers(0, 99),
+    )
+    def test_folded_equals_full_route_bitwise(self, h, t, n_steps, signs, seed):
+        evolver = Evolver("trotter1", n_steps)
+        states = [flip_symmetric(h.n_sites, s, seed + k) for k, s in enumerate(signs)]
+        u = dense_trotter(h, t, n_steps)
+        for amps in (states[0], np.stack(states, axis=1)):
+            expected_signs = tuple(signs[: 1 if amps.ndim == 1 else len(signs)])
+            assert evolution._flip_signs(h, amps) == expected_signs
+            folded = evolve(h, amps, t, evolver)
+            with mock.patch.object(evolution, "_flip_signs", full_route_only):
+                full = evolve(h, amps, t, evolver)
+            assert np.array_equal(folded, full)
+            assert np.max(np.abs(folded - u @ amps)) < 1e-12
+
+    def test_route_selection(self):
+        chain = build_xxz(6, 0.7, 0.0, "periodic")
+        even, odd = flip_symmetric(6, 1, 3), flip_symmetric(6, -1, 4)
+        asymmetric = random_state(6, 5)
+        assert evolution._flip_signs(chain, even) == (1,)
+        assert evolution._flip_signs(chain, odd) == (-1,)
+        assert evolution._flip_signs(chain, asymmetric) == (0,)
+        # a Z field anticommutes with F: every column takes the full route
+        fielded = build_xxz(6, 0.7, 0.3, "periodic")
+        assert evolution._flip_signs(fielded, np.stack([even, odd], axis=1)) == (0, 0)
+        # a block decides column by column, and each column sees the
+        # single-state propagator
+        block = np.stack([even, asymmetric, odd], axis=1)
+        assert evolution._flip_signs(chain, block) == (1, 0, -1)
+        out = evolve(chain, block, 1.3, TROTTER10)
+        for k in range(3):
+            assert np.array_equal(out[:, k], evolve(chain, block[:, k], 1.3, TROTTER10))
+        u = dense_trotter(chain, 1.3, 10)
+        assert np.max(np.abs(out - u @ block)) < 1e-12
+
+    def test_symmetry_within_tolerance_folds(self):
+        chain = build_xxz(6, 0.7, 0.0, "periodic")
+        psi = flip_symmetric(6, 1, 3)
+        nudge = np.zeros_like(psi)
+        nudge[0] = 1e-14
+        assert evolution._flip_signs(chain, psi + nudge) == (1,)
+        nudge[0] = 1e-11
+        assert evolution._flip_signs(chain, psi + nudge) == (0,)
+
+    def test_commutator_oracle_folds_odd_kets(self, monkeypatch):
+        chain = build_xxz(6, 0.7, 0.0, "periodic")
+        pump, readout = op(6, (0.8, {2: "Z"})), op(6, (1.0, {3: "Z"}))
+        pulses, grid = [(pump, 0.0)] * 2, [0.0, 0.4, 1.1]
+        psi0 = flip_symmetric(6, 1, 8)
+        seen = []
+        original = evolution._trotter_evolve
+
+        def spy(h, amps, t, evolver, signs):
+            seen.extend(signs)
+            return original(h, amps, t, evolver, signs)
+
+        monkeypatch.setattr(evolution, "_trotter_evolve", spy)
+        folded = nested_commutator_prefixes(chain, readout, pulses, grid, psi0, TROTTER10)
+        # the F-odd pump makes the once-kicked ket odd, the twice-kicked even
+        assert set(seen) == {1, -1}
+        monkeypatch.setattr(evolution, "_flip_signs", full_route_only)
+        full = nested_commutator_prefixes(chain, readout, pulses, grid, psi0, TROTTER10)
+        assert np.array_equal(folded, full)
+        assert np.max(np.abs(folded[1])) > 1e-2
+
+    def test_cut_fig2_takes_folded_route(self, tmp_path, monkeypatch):
+        raw = json.loads((Path(__file__).resolve().parents[1] / "figures" / "fig2.json").read_text())
+        raw["time_grid"] = dict(raw["time_grid"], points=3)
+        seen = []
+        original = evolution._trotter_evolve
+
+        def spy(h, amps, t, evolver, signs):
+            seen.append(signs)
+            return original(h, amps, t, evolver, signs)
+
+        monkeypatch.setattr(evolution, "_trotter_evolve", spy)
+        run_experiment(config_from_dict(raw), output_dir=tmp_path)
+        # the kicked ground state is flip-even in every shift configuration
+        assert seen and all(signs == (1,) * 11 for signs in seen)
 
 
 class TestKick:

@@ -44,3 +44,24 @@ def test_traced_benchmark_targets_resolve(monkeypatch):
     assert tracing.TARGETS
     for module, name in tracing.TARGETS + (("evolution", "PulseSchedule"),):
         assert callable(getattr(importlib.import_module(f"nlspec.{module}"), name, None)), name
+
+
+def test_run_figures_against_a_rerun(tmp_path, capsys):
+    run_figures = load_script("run_figures")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_figures.main(["--only", "fig4_xzz", "--out", str(first)]) == 0
+    argv = ["--only", "fig4_xzz", "--out", str(second), "--against", str(first)]
+    assert run_figures.main(argv) == 0
+    assert re.search(r"against \S+fig4_xzz: 4 of 4 CSVs byte-identical", capsys.readouterr().out)
+    # a moved value is reported with its deviation and its column's scale
+    moved = first / "fig4_xzz" / "correlator_orders.csv"
+    header, row, *rest = moved.read_text().split("\n")
+    cells = row.split(",")
+    cells[2] = repr(float(cells[2]) + 1e-9)
+    moved.write_text("\n".join([header, ",".join(cells), *rest]))
+    lines = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+    assert "3 of 4 CSVs byte-identical" in lines[0]
+    assert re.fullmatch(
+        r"  correlator_orders\.csv: max\|dev\| 1\.00e-09 in reC1, whose max\|value\| is \S+",
+        lines[1],
+    )
