@@ -16,9 +16,11 @@ takes a state also takes a (dim, K) block of K independent states, such as
 the K shift configurations that share one pulse schedule; the configuration
 axis is always the trailing one.  Exact evolution propagates the whole block
 at once; first-order Trotter evolution loops over the columns, each column
-seeing exactly the single-state propagator.  Kicks take one amplitude per
-block or one per column; a kick whose generator B has non-commuting terms
-is exact evolution under B for the time eta, on B's own spectral plan.
+seeing exactly the single-state propagator, except that a column mirroring
+an earlier one is read off that one's result (see below).  Kicks take one
+amplitude per block or one per column; a kick whose generator B has
+non-commuting terms is exact evolution under B for the time eta, on B's own
+spectral plan.
 ``driven_states`` and ``driven_signal`` start either from one initial state
 shared by every configuration or from a (dim, K) block of initial states,
 column k for configuration k: the 2D spectrum carries the states of its
@@ -51,20 +53,30 @@ kick), serving every grid time of the segment and the next pulse time; the
 pump-probe correlator builds one from the kicked state and one per probed
 state.
 
-First-order Trotter evolution applies each maximal run of consecutive,
-mutually commuting terms as one fused op: the run's product of rotations,
-expanded once per propagation into one diagonal per distinct flip mask.
-The product formula, and so the Trotter error, is unchanged; only rounding
-differs from applying the rotations one by one.
-When every term of H has an even number of Y and Z factors, H commutes with
-the global flip F = prod_i X_i, which maps psi to ``psi[::-1]``.  A column
-with ||psi[half:][::-1] - s psi[:half]|| <= 1e-12 ||psi|| for s = +1 or -1
-stays in that sector, and propagates only its 2**(n-1) amplitudes with the
-top bit 0, through the same fused ops folded onto that half; it is unfolded
-as [low, s * low[::-1]].  On an exactly flip-symmetric column this gives the
-same bits as propagating all amplitudes.  ``propagator`` decides once per
-segment, column by column; readouts are still computed by ``expectation``
-on the unfolded state.
+First-order Trotter evolution splits the terms into runs of consecutive
+terms, each applied as one fused op: the run's product of rotations in term
+order, expanded once per propagation into one diagonal per mask in the span
+of its flip masks.  The split is the one with the fewest diagonals in total
+(``_fused_runs``); the terms of a run need not commute.  The product
+formula, and so the Trotter error, is unchanged; only rounding differs from
+applying the rotations one by one.
+``propagator`` decides one column layout per segment (``_column_layout``):
+- When every term of H has an even number of Y and Z factors, H commutes
+  with the global flip F = prod_i X_i, which maps psi to ``psi[::-1]``.  A
+  column with ||psi[half:][::-1] - s psi[:half]|| <= 1e-12 ||psi|| for
+  s = +1 or -1 stays in that sector, and propagates only its 2**(n-1)
+  amplitudes with the top bit 0, through the same fused ops folded onto
+  that half; it is unfolded as [low, s * low[::-1]].  When every propagated
+  column is folded, the fused diagonals are built on that half only.
+- When every term of H flips an even number of sites, H commutes with the
+  parity P = prod_i Z_i, which multiplies psi[x] by (-1)**popcount(x).  A
+  column with ||psi_k - s P psi_j|| <= 1e-12 ||psi_k|| for an earlier
+  propagated column j and s = +1 or -1 is not propagated: its result is
+  s P times column j's.  The +eta and -eta shifts of an X or Y pump on a
+  ground state of fixed parity are such pairs.
+On exactly flip-symmetric and exactly mirrored columns both give the same
+bits as propagating every column in full.  Readouts are still computed by
+``expectation`` on the unfolded state.
 """
 
 from __future__ import annotations
@@ -89,7 +101,6 @@ from .pauli import (
     dense_block,
     expectation,
     flip_diagonals,
-    strings_commute,
     terms_commute_pairwise,
 )
 
@@ -302,43 +313,70 @@ def _apply_string_rotation(
     return np.cos(angle) * amps + scale * applied
 
 
-#: a commuting run stops growing before its fused op would need more
-#: diagonals than this (n commuting X fields alone would need 2**n)
+#: a run stops growing before its fused op would need more diagonals than
+#: this (n X fields alone would need 2**n)
 _FUSED_MASK_CAP = 4
 
 
 @lru_cache(maxsize=6)
-def _commuting_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
-    """Maximal runs of consecutive, mutually commuting terms, in term order,
-    each with at most ``_FUSED_MASK_CAP`` flip masks in its product; grouped
-    once per Hamiltonian, not once per propagation.
+def _fused_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
+    """The terms split into runs of consecutive terms, in term order, each
+    applied as one fused op; grouped once per Hamiltonian, not once per
+    propagation.
 
-    ``_fused_rotation`` expands any run exactly in term order; commuting runs
-    are the grouping that keeps the masks few (a bond's XX, YY and ZZ share
-    one flip mask, a run of Z fields has none)."""
-    runs: list[list[PauliTerm]] = []
-    flips: set[int] = set()
-    for term in h.terms:
-        flip = term.masks()[0]
-        grown = flips | {f ^ flip for f in flips}
-        if (
-            runs
-            and len(grown) <= _FUSED_MASK_CAP
-            and all(strings_commute(term, other) for other in runs[-1])
-        ):
-            runs[-1].append(term)
-            flips = grown
-        else:
-            runs.append([term])
-            flips = {0, flip}
-    return tuple(tuple(run) for run in runs)
+    A run's fused op has one diagonal per mask in the GF(2) span of its flip
+    masks, at most ``_FUSED_MASK_CAP``.  Of all such splits this takes the
+    one with the fewest diagonals in total, then the fewest gathers (the
+    diagonals of nonzero masks, each an indexed read on top of a
+    multiply-add), by an O(terms**2) dynamic program.
+    ``_fused_rotation`` expands any run exactly in term order, so the terms
+    of a run need not commute (a bond's XX, YY and ZZ share one flip mask, a
+    run of Z fields has none)."""
+    terms = h.terms
+    # cost[j]: (diagonals, gathers) of the best split of the first j terms,
+    # whose last run starts at start[j]
+    cost = [(0, 0)] + [(math.inf, math.inf)] * len(terms)
+    start = [0] * (len(terms) + 1)
+    for j in range(1, len(terms) + 1):
+        span = {0}
+        for i in range(j - 1, -1, -1):
+            flip = terms[i].masks()[0]
+            span |= {f ^ flip for f in span}
+            if len(span) > _FUSED_MASK_CAP:
+                break
+            total = (cost[i][0] + len(span), cost[i][1] + len(span) - 1)
+            if total < cost[j]:
+                cost[j], start[j] = total, i
+    runs = []
+    j = len(terms)
+    while j:
+        runs.append(terms[start[j] : j])
+        j = start[j]
+    return tuple(reversed(runs))
 
 
-def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int):
-    """prod_k exp(-i c_k dt P_k) over commuting strings, which maps psi to
+def _gather_index(n_sites: int, flip: int, folded: bool) -> np.ndarray:
+    """x -> x ^ flip on all 2**n rows, or ``folded`` onto the rows
+    x < 2**(n-1) of a flip-symmetric array, where a flip with the top bit
+    reads the mirrored row x ^ flip ^ (2**n - 1)."""
+    if not folded:
+        return _xor_index(n_sites, flip)
+    half = 2 ** (n_sites - 1)
+    return _xor_index(n_sites - 1, flip ^ (2 * half - 1) if flip & half else flip)
+
+
+def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int, folded: bool):
+    """prod_k exp(-i c_k dt P_k) in term order, which maps psi to
     sum_f D_f * psi[x ^ f]: returns D_0 and a (f, D_f) pair for every other
-    flip mask f."""
-    diagonals = {0: np.ones(2**n_sites, dtype=complex)}
+    flip mask f.
+
+    ``folded`` builds each D_f on the rows x < 2**(n-1) only.  That needs
+    every term flip-even (see ``_flip_even``): then D_f[~x] = D_f[x] bitwise
+    at every stage of the expansion, so the rows that a flip with the top bit
+    reads are read at their mirrors, and the half is ``[:2**(n-1)]`` of the
+    full build bitwise."""
+    rows = 2 ** (n_sites - folded)
+    diagonals = {0: np.ones(rows, dtype=complex)}
     for term in run:
         flip, phase, y_count = term.masks()
         angle = term.coefficient * dt
@@ -346,8 +384,8 @@ def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int):
         fused: dict[int, np.ndarray] = {}
         for f, diagonal in diagonals.items():
             # P (D_f * psi[x ^ f]) = (P D_f) * psi[x ^ f ^ flip], P acting on D_f as on a state
-            signed = diagonal if phase == 0 else diagonal * _phase_signs(n_sites, phase)
-            applied = signed if flip == 0 else signed[_xor_index(n_sites, flip)]
+            signed = diagonal if phase == 0 else diagonal * _phase_signs(n_sites, phase)[:rows]
+            applied = signed if flip == 0 else signed[_gather_index(n_sites, flip, folded)]
             for g, part in ((f, np.cos(angle) * diagonal), (f ^ flip, scale * applied)):
                 fused[g] = fused[g] + part if g in fused else part
         diagonals = fused
@@ -358,8 +396,17 @@ def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int):
 def _flip_even(h: OperatorSum) -> bool:
     """Whether every term of H has an even number of Y and Z factors, so that
     H commutes with the global flip F = prod_i X_i; decided once per
-    Hamiltonian, like ``_commuting_runs``."""
+    Hamiltonian, like ``_fused_runs``."""
     return all(term.masks()[1].bit_count() % 2 == 0 for term in h.terms)
+
+
+@lru_cache(maxsize=6)
+def _z_even(h: OperatorSum) -> bool:
+    """Whether every term of H flips an even number of sites, so that H and
+    every fused op commute with the parity P = prod_i Z_i (x and x ^ f have
+    equal popcount parity for every flip mask f they read); decided once per
+    Hamiltonian, like ``_flip_even``."""
+    return all(term.masks()[0].bit_count() % 2 == 0 for term in h.terms)
 
 
 def _flip_signs(h: OperatorSum, amps: np.ndarray) -> tuple[int, ...]:
@@ -379,21 +426,51 @@ def _flip_signs(h: OperatorSum, amps: np.ndarray) -> tuple[int, ...]:
     return tuple(signs)
 
 
+def _column_layout(h: OperatorSum, amps: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Per column k of a state or block, the pair (j, s) that says how Trotter
+    evolution obtains it.  j == k: the column is propagated in the flip
+    sector of sign s (``_flip_signs``; 0 is the full route).  j < k: the
+    column mirrors the propagated column j, psi_k = s P psi_j with the parity
+    P = prod_i Z_i, within ||psi_k - s P psi_j|| <= 1e-12 ||psi_k||, and its
+    result is s P times column j's.  Mirrors are taken only when ``_z_even``
+    holds, and only of the first such propagated column."""
+    columns = amps.reshape(amps.shape[0], -1).T
+    parity = _phase_signs(h.n_sites, 2**h.n_sites - 1) if _z_even(h) else None
+    layout: list[tuple[int, int]] = []
+    mirrors: dict[int, np.ndarray] = {}  # P psi_j of each propagated column j
+    for k, (psi, flip_sign) in enumerate(zip(columns, _flip_signs(h, amps))):
+        bound = 1e-12 * np.linalg.norm(psi)
+        match = next(
+            (
+                (j, s)
+                for j, mirror in mirrors.items()
+                for s in (1, -1)
+                if np.linalg.norm(psi - s * mirror) <= bound
+            ),
+            None,
+        )
+        if match is None:
+            match = (k, flip_sign)
+            if parity is not None:
+                mirrors[k] = parity * psi
+        layout.append(match)
+    return tuple(layout)
+
+
 def _gather_ops(fused, n_sites: int, sign: int):
     """The fused ops as (D_0, [(gather index, D_f), ...]) on the full state
     (sign 0), or folded onto the amplitudes x < 2**(n-1) of a state with
-    F psi = sign * psi: every diagonal keeps its lower half, and a flip mask f
-    with the top bit reads psi[x ^ f] = sign * psi[x ^ f ^ (2**n - 1)], a
-    gather within the lower half with ``sign`` folded into D_f."""
+    F psi = sign * psi: every diagonal keeps its lower half (a folded build
+    is all of it), and a flip mask f with the top bit reads
+    psi[x ^ f] = sign * psi[x ^ f ^ (2**n - 1)], a gather within the lower
+    half with ``sign`` folded into D_f."""
     if not sign:
         return [(d0, [(_xor_index(n_sites, f), d) for f, d in flips]) for d0, flips in fused]
     half = 2 ** (n_sites - 1)
     ops = []
     for d0, flips in fused:
         gathers = [
-            (_xor_index(n_sites - 1, f ^ (2 * half - 1)), sign * d[:half])
-            if f & half
-            else (_xor_index(n_sites - 1, f), d[:half])
+            (_gather_index(n_sites, f, True), sign * d[:half] if f & half else d[:half])
             for f, d in flips
         ]
         ops.append((d0[:half], gathers))
@@ -401,17 +478,29 @@ def _gather_ops(fused, n_sites: int, sign: int):
 
 
 def _trotter_evolve(
-    h: OperatorSum, amps: np.ndarray, t: float, evolver: Evolver, signs: Sequence[int]
+    h: OperatorSum,
+    amps: np.ndarray,
+    t: float,
+    evolver: Evolver,
+    layout: Sequence[tuple[int, int]],
 ) -> np.ndarray:
     """First-order Trotter evolution of a state or of each column of a block,
-    column k in the flip sector of sign ``signs[k]`` (see ``_flip_signs``):
-    such a column propagates its lower half through the folded ops and is
-    unfolded as [low, sign * low[::-1]]; a column of sign 0 propagates all
-    its amplitudes.  On an exactly flip-symmetric column both give the same
-    bits."""
+    laid out by ``_column_layout``.  A propagated column in a flip sector
+    propagates its lower half through the folded ops and is unfolded as
+    [low, sign * low[::-1]]; one of sign 0 propagates all its amplitudes; a
+    mirrored column is s P times the result of its source column.
+
+    The fused diagonals are built on the lower half only when every
+    propagated column is folded.  On exactly flip-symmetric and exactly
+    mirrored columns every route gives the same bits as propagating each
+    column in full: the mirror multiplies every term of x's sum by the same
+    sign s (-1)^popcount(x), since x and x ^ f have equal parity for every
+    flip mask f of a fused op (and, at even n, for the top-bit fold)."""
+    n = h.n_sites
     dt = t / evolver.n_steps
-    fused = [_fused_rotation(run, dt, h.n_sites) for run in _commuting_runs(h)]
-    ops = {sign: _gather_ops(fused, h.n_sites, sign) for sign in set(signs)}
+    signs = {sign for k, (j, sign) in enumerate(layout) if j == k}
+    fused = [_fused_rotation(run, dt, n, 0 not in signs) for run in _fused_runs(h)]
+    ops = {sign: _gather_ops(fused, n, sign) for sign in signs}
 
     def propagate(state: np.ndarray, sign: int) -> np.ndarray:
         if sign:
@@ -425,8 +514,12 @@ def _trotter_evolve(
         return np.concatenate([state, sign * state[::-1]]) if sign else state
 
     if amps.ndim == 1:
-        return propagate(amps, signs[0])
-    return np.stack([propagate(column, sign) for column, sign in zip(amps.T, signs)], axis=1)
+        return propagate(amps, layout[0][1])
+    parity = _phase_signs(n, 2**n - 1)
+    results: list[np.ndarray] = []
+    for k, (column, (j, sign)) in enumerate(zip(amps.T, layout)):
+        results.append(propagate(column, sign) if j == k else sign * parity * results[j])
+    return np.stack(results, axis=1)
 
 
 def evolve(h: OperatorSum, state: np.ndarray, t: float, evolver: Evolver = EXACT) -> np.ndarray:
@@ -442,28 +535,29 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
 
     For exact evolution the state is projected into the eigenbasis once, on
     the first nonzero dt, and every dt then costs phases and one
-    back-transform; Trotter restarts from ``state`` at every dt, each column
-    in the flip sector (see ``_flip_signs``) that was decided for it on the
-    first nonzero dt, so a flip-symmetric column propagates half its
-    amplitudes.
+    back-transform.  Trotter restarts from ``state`` at every dt, with the
+    column layout (``_column_layout``) decided on the first nonzero dt: a
+    column that mirrors an earlier one under P = prod_i Z_i within 1e-12 is
+    not propagated but read off that column's result, and a flip-symmetric
+    column propagates half its amplitudes.
     Returned arrays may be shared with the propagator and must not be
     modified.
     """
     amps = np.asarray(state, dtype=np.complex128)
     plan = _spectral_plan(h) if evolver.kind == "exact" else None
     coeffs = None  # the eigenbasis projection, made on first use
-    signs = None  # the Trotter columns' flip sectors, decided on first use
+    layout = None  # the Trotter column layout, decided on first use
 
     def step(dt: float) -> np.ndarray:
-        nonlocal coeffs, signs
+        nonlocal coeffs, layout
         if not np.isfinite(dt):
             raise ValueError("evolution time must be finite")
         if dt == 0.0:
             return amps
         if plan is None:
-            if signs is None:
-                signs = _flip_signs(h, amps)
-            return _trotter_evolve(h, amps, dt, evolver, signs)
+            if layout is None:
+                layout = _column_layout(h, amps)
+            return _trotter_evolve(h, amps, dt, evolver, layout)
         if coeffs is None:
             coeffs = plan.to_eigenbasis(amps)
         return plan.propagate(coeffs, dt).reshape(amps.shape)

@@ -20,7 +20,8 @@ from nlspec.evolution import (
     evolve,
     propagator,
     _SpectralPlan,
-    _commuting_runs,
+    _fused_rotation,
+    _fused_runs,
     _spectral_plan,
 )
 from nlspec.models import (
@@ -476,6 +477,36 @@ def strings_commute(a, b):
     return sum(1 for site, axis in b.factors if site in fa and fa[site] != axis) % 2 == 0
 
 
+def span_size(run):
+    """The number of diagonals of a run's fused op: the size of the GF(2)
+    span of its flip masks."""
+    span = {0}
+    for term in run:
+        span |= {f ^ term.masks()[0] for f in span}
+    return len(span)
+
+
+def total_diagonals(runs):
+    return sum(span_size(run) for run in runs)
+
+
+def commuting_runs(h):
+    """Maximal runs of consecutive, mutually commuting terms, each of at most
+    ``_FUSED_MASK_CAP`` diagonals: a valid split that ``_fused_runs`` must
+    never do worse than."""
+    runs = []
+    for term in h.terms:
+        if (
+            runs
+            and span_size(runs[-1] + [term]) <= evolution._FUSED_MASK_CAP
+            and all(strings_commute(term, other) for other in runs[-1])
+        ):
+            runs[-1].append(term)
+        else:
+            runs.append([term])
+    return runs
+
+
 @st.composite
 def pauli_sums(draw):
     """Random Pauli sums on at most 5 sites with a non-commuting adjacent pair."""
@@ -520,19 +551,37 @@ class TestFusedTrotter:
         assert np.max(np.abs(evolve(h, psi, 1.7, Evolver("trotter1", 6)) - u @ psi)) < 1e-12
         assert np.max(np.abs(evolve(h, block, 1.7, Evolver("trotter1", 6)) - u @ block)) < 1e-12
 
-    def test_periodic_chain_fuses_to_thirteen_ops(self):
-        runs = _commuting_runs(build_xxz(12, 0.5, 0.0, "periodic"))
-        assert sum(len(run) for run in runs) == 36
-        assert len(runs) == 13
+    @pytest.mark.parametrize(
+        "h, terms, gathers",
+        [
+            (build_xxz(12, 0.5, 0.0, "periodic"), 36, 13),
+            (build_xxz(12, 0.0, 0.75, "open"), 34, 11),
+        ],
+        ids=["fig2", "fig3a"],
+    )
+    def test_chain_fuses_to_eleven_ops(self, h, terms, gathers):
+        # grouping by commutation takes 13 ops with 16 gathers (fig2) and 12 with 11 (fig3a)
+        runs = _fused_runs(h)
+        assert sum(len(run) for run in runs) == terms
+        assert len(runs) == 11
+        assert total_diagonals(runs) - len(runs) == gathers
 
     def test_terms_grouped_once_per_hamiltonian(self):
         h = build_xxz(5, 0.7, 0.3, "periodic")
         psi = ground_state(h)
         schedule = PulseSchedule([(op(5, (1.0, {2: "X"})), [0.0])])
-        _commuting_runs.cache_clear()
+        _fused_runs.cache_clear()
         driven_signal(h, schedule, [0.3], op(5, (1.0, {2: "Z"})), [0.5, 1.0, 1.5], TROTTER10, psi)
-        info = _commuting_runs.cache_info()
+        info = _fused_runs.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_sums())
+    def test_span_runs_never_need_more_diagonals_than_commuting_runs(self, h):
+        runs = _fused_runs(h)
+        assert [term for run in runs for term in run] == list(h.terms)
+        assert all(total_diagonals([run]) <= evolution._FUSED_MASK_CAP for run in runs)
+        assert total_diagonals(runs) <= total_diagonals(commuting_runs(h))
 
 
 @st.composite
@@ -559,6 +608,24 @@ def full_route_only(h, amps):
     return (0,) * (1 if amps.ndim == 1 else amps.shape[1])
 
 
+def cut_figure_layouts(name, tmp_path, monkeypatch):
+    """The Trotter column layouts of a bundled figure's run on 3 time points."""
+    path = Path(__file__).resolve().parents[1] / "figures" / f"{name}.json"
+    raw = json.loads(path.read_text())
+    raw["time_grid"] = dict(raw["time_grid"], points=3)
+    seen = []
+    original = evolution._trotter_evolve
+
+    def spy(h, amps, t, evolver, layout):
+        seen.append(layout)
+        return original(h, amps, t, evolver, layout)
+
+    monkeypatch.setattr(evolution, "_trotter_evolve", spy)
+    run_experiment(config_from_dict(raw), output_dir=tmp_path)
+    assert seen
+    return seen
+
+
 class TestFlipSector:
     """Trotter columns in a sector of F = prod_i X_i propagate half the
     amplitudes and unfold to the full route's bits."""
@@ -583,6 +650,16 @@ class TestFlipSector:
                 full = evolve(h, amps, t, evolver)
             assert np.array_equal(folded, full)
             assert np.max(np.abs(folded - u @ amps)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(flip_even_sums(), st.floats(-2, 2, allow_nan=False))
+    def test_half_build_is_lower_half_of_full_build(self, h, dt):
+        half = 2 ** (h.n_sites - 1)
+        d0, flips = _fused_rotation(h.terms, dt, h.n_sites, False)
+        h0, half_flips = _fused_rotation(h.terms, dt, h.n_sites, True)
+        assert np.array_equal(h0, d0[:half])
+        assert [f for f, _ in half_flips] == [f for f, _ in flips]
+        assert all(np.array_equal(a, b[:half]) for (_, a), (_, b) in zip(half_flips, flips))
 
     def test_route_selection(self):
         chain = build_xxz(6, 0.7, 0.0, "periodic")
@@ -621,9 +698,9 @@ class TestFlipSector:
         seen = []
         original = evolution._trotter_evolve
 
-        def spy(h, amps, t, evolver, signs):
-            seen.extend(signs)
-            return original(h, amps, t, evolver, signs)
+        def spy(h, amps, t, evolver, layout):
+            seen.extend(sign for k, (j, sign) in enumerate(layout) if j == k)
+            return original(h, amps, t, evolver, layout)
 
         monkeypatch.setattr(evolution, "_trotter_evolve", spy)
         folded = nested_commutator_prefixes(chain, readout, pulses, grid, psi0, TROTTER10)
@@ -635,19 +712,110 @@ class TestFlipSector:
         assert np.max(np.abs(folded[1])) > 1e-2
 
     def test_cut_fig2_takes_folded_route(self, tmp_path, monkeypatch):
-        raw = json.loads((Path(__file__).resolve().parents[1] / "figures" / "fig2.json").read_text())
-        raw["time_grid"] = dict(raw["time_grid"], points=3)
-        seen = []
-        original = evolution._trotter_evolve
+        layouts = cut_figure_layouts("fig2", tmp_path, monkeypatch)
+        # the kicked ground state is flip-even in every shift configuration;
+        # each -eta shift mirrors its +eta partner, so 7 of 11 columns propagate
+        for layout in layouts:
+            propagated = [sign for k, (j, sign) in enumerate(layout) if j == k]
+            assert len(layout) == 11 and propagated == [1] * 7
 
-        def spy(h, amps, t, evolver, signs):
-            seen.append(signs)
-            return original(h, amps, t, evolver, signs)
 
-        monkeypatch.setattr(evolution, "_trotter_evolve", spy)
-        run_experiment(config_from_dict(raw), output_dir=tmp_path)
-        # the kicked ground state is flip-even in every shift configuration
-        assert seen and all(signs == (1,) * 11 for signs in seen)
+@st.composite
+def z_even_sums(draw):
+    """Random Pauli sums on 2-7 sites whose every term flips an even number
+    of sites, so commutes with the parity P = prod_i Z_i; about half of them
+    also commute with F = prod_i X_i, so that folded columns are mirrored."""
+    n = draw(st.integers(2, 7))
+    also_flip_even = draw(st.booleans())
+
+    def allowed(factors):
+        flips = sum(axis != "Z" for axis in factors.values())
+        phases = sum(axis != "X" for axis in factors.values())
+        return flips % 2 == 0 and (not also_flip_even or phases % 2 == 0)
+
+    factors = st.dictionaries(
+        st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1, max_size=n
+    ).filter(allowed)
+    coefficient = st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    return op(n, *draw(st.lists(st.tuples(coefficient, factors), min_size=1, max_size=8)))
+
+
+def parity(n):
+    """P = prod_i Z_i as its diagonal of signs (-1)^popcount(x)."""
+    return np.where(np.bitwise_count(np.arange(2**n)) % 2, -1.0, 1.0)
+
+
+def no_mirrors(h):
+    """A stand-in for ``_z_even`` under which no column is mirrored."""
+    return False
+
+
+class TestMirrorColumns:
+    """A Trotter column that equals s P times an earlier propagated column is
+    read off that column's result, with the full route's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        z_even_sums(),
+        st.floats(-2, 2, allow_nan=False),
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["random", "flip+", "flip-", "mirror+", "mirror-"]),
+                st.integers(0, 9),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 99),
+    )
+    def test_mirrored_equals_full_route_bitwise(self, h, t, n_steps, kinds, seed):
+        n = h.n_sites
+        columns, expected = [], []
+        for k, (kind, pick) in enumerate(kinds):
+            sources = [j for j, (j_source, _) in enumerate(expected) if j_source == j]
+            if kind.startswith("mirror") and sources:
+                j, s = sources[pick % len(sources)], (1 if kind == "mirror+" else -1)
+                columns.append(s * parity(n) * columns[j])
+                expected.append((j, s))
+                continue
+            if kind.startswith("flip"):
+                columns.append(flip_symmetric(n, 1 if kind == "flip+" else -1, seed + k))
+            else:
+                columns.append(random_state(n, seed + k))
+            expected.append((k, evolution._flip_signs(h, columns[-1])[0]))
+        block = np.stack(columns, axis=1)
+        assert evolution._column_layout(h, block) == tuple(expected)
+        evolver = Evolver("trotter1", n_steps)
+        mirrored = evolve(h, block, t, evolver)
+        with mock.patch.object(evolution, "_z_even", no_mirrors):
+            assert all(j == k for k, (j, _) in enumerate(evolution._column_layout(h, block)))
+            full = evolve(h, block, t, evolver)
+        assert np.array_equal(mirrored, full)
+        assert np.max(np.abs(mirrored - dense_trotter(h, t, n_steps) @ block)) < 1e-12
+
+    def test_mirror_tolerance_and_field(self):
+        chain = build_xxz(6, 0.7, 0.3, "periodic")
+        psi = random_state(6, 3)
+        nudge = np.zeros_like(psi)
+        for size, expected in ((1e-14, ((0, 0), (0, -1))), (1e-9, ((0, 0), (1, 0)))):
+            nudge[5] = size
+            block = np.stack([psi, -parity(6) * psi + nudge], axis=1)
+            assert evolution._column_layout(chain, block) == expected
+        # an X field flips one site: it does not commute with P
+        fielded = chain + op(6, (0.4, {2: "X"}))
+        block = np.stack([psi, parity(6) * psi, -parity(6) * psi], axis=1)
+        assert evolution._column_layout(fielded, block) == ((0, 0), (1, 0), (2, 0))
+        out = evolve(chain, block, 0.9, TROTTER10)
+        assert np.array_equal(out[:, 2], -parity(6) * out[:, 0])
+        assert np.max(np.abs(out - dense_trotter(chain, 0.9, 10) @ block)) < 1e-12
+
+    def test_cut_fig3a_mirrors_one_column(self, tmp_path, monkeypatch):
+        layouts = cut_figure_layouts("fig3a", tmp_path, monkeypatch)
+        # the +eta and -eta kicks of X3 on the sector-2 ground state are mirrors
+        for layout in layouts:
+            assert len(layout) == 3
+            assert sum(j == k for k, (j, _) in enumerate(layout)) == 2
 
 
 class TestKick:
