@@ -8,9 +8,9 @@ Each config writes CSV data plus resolved_config.json / run_metadata.json
 into <out>/<config-name>/.  See figures/*.json for the experiment settings.
 With ``--against DIR`` (the output root of an earlier run, say of the parent
 commit), each config also reports how many of its CSVs are byte-identical to
-DIR/<config-name>/, and for each CSV that moved its largest absolute
-deviation, the column it is in and that column's largest absolute value in
-DIR.
+DIR/<config-name>/ and whether its resolved_config.json is, and for each CSV
+that moved its largest absolute deviation, the column it is in and that
+column's largest absolute value in DIR.
 Each line reports the run's wall time and the CPU time of all its threads;
 CPU well above wall means BLAS worker threads were busy (or spinning idle).
 Exact evolution, the entropy and the Lanczos ground state above 9 sites
@@ -34,8 +34,8 @@ FIGURE_DIR = Path(__file__).resolve().parent.parent / "figures"
 
 
 def compare(out: Path, reference: Path) -> list[str]:
-    """Lines comparing the CSVs of one config's output directory with
-    those of a reference directory."""
+    """Lines comparing the CSVs and resolved_config.json of one config's
+    output directory with those of a reference directory."""
     names = sorted(p.name for p in out.glob("*.csv"))
     moved = []
     for name in names:
@@ -57,7 +57,13 @@ def compare(out: Path, reference: Path) -> list[str]:
             f"whose max|value| is {np.abs(old[:, column]).max():.2e}"
         )
     identical = len(names) - len(moved)
-    return [f"  against {reference}: {identical} of {len(names)} CSVs byte-identical", *moved]
+    ours, theirs = (d / "resolved_config.json" for d in (out, reference))
+    same = theirs.exists() and ours.read_bytes() == theirs.read_bytes()
+    return [
+        f"  against {reference}: {identical} of {len(names)} CSVs byte-identical, "
+        f"resolved_config.json {'byte-identical' if same else 'differs'}",
+        *moved,
+    ]
 
 
 def main(argv=None) -> int:

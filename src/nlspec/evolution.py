@@ -121,9 +121,9 @@ class ScheduleError(ValueError):
 class Evolver:
     """Propagation method: exact eigenbasis phases or first-order Trotter.
 
-    ``trotter1`` applies (prod_k exp(-i H_k t/n))^n with the operator's
-    construction term order; each evolver call uses ``n_steps`` steps for its
-    full duration.
+    ``trotter1`` applies (prod_k exp(-i H_k t/n))^n in ``OperatorSum.terms``
+    order (sorted by factors); each evolver call uses ``n_steps`` steps for
+    its full duration.
     """
 
     kind: str = "exact"

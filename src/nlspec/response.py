@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolution import Evolver, PulseSchedule, driven_signal
-from .pauli import OperatorSum
+from .evolution import Evolver, PulseSchedule, driven_signal, driven_states
+from .pauli import OperatorSum, expectation
 from .shift_rules import (
     MultiIndex,
     ShiftRule,
@@ -103,25 +103,49 @@ def reconstruct_response(
     evolver: Evolver,
     psi0: np.ndarray,
     rules: Mapping[int, ShiftRule] | None = None,
+    plan=None,
 ) -> ResponseSeries:
     """Pulse-summed order-m response chi^(m)(t) over the time grid; ``rules``
-    defaults to the exact ``rules_for_schedule``."""
+    defaults to the exact ``rules_for_schedule``.
+
+    The configurations of nonzero weight are propagated once.  Each grid
+    time's block of their states gives the exact series through
+    ``expectation`` and, given a ``sampling.SamplingPlan``, its finite-shot
+    estimate, each cell drawn by ``SamplingPlan.draw``.  The metadata holds
+    that estimate as ``"sampled"`` and its per-time standard error
+    sqrt(sum_p C_p^2 se_p^2) as ``"std_error"``.
+    """
     if rules is None:
         rules = rules_for_schedule(schedule, beta)
     configs, weights = shift_configurations(rules, beta)
-    grid = np.asarray(t_grid, dtype=float)
-    active = weights != 0.0
-    total = np.zeros(grid.size)
-    if np.any(active):
-        total = weights[active] @ driven_signal(
-            h, schedule, configs[active], observable, grid, evolver, psi0
+    if plan is not None and len(plan.per_configuration) != len(configs):
+        raise ValueError(
+            f"plan covers {len(plan.per_configuration)} configurations, grid has {len(configs)}"
         )
-    total /= beta.factorial_product
+    grid = np.asarray(t_grid, dtype=float)
+    active = np.flatnonzero(weights)
+    exact = np.zeros((active.size, grid.size))
+    sampled, variances = np.zeros(grid.size), np.zeros(grid.size)
+    if active.size:
+        states = driven_states(h, schedule, configs[active], grid, evolver, psi0)
+        for k, block in enumerate(states):
+            exact[:, k] = expectation(observable, block)
+            if plan is None:
+                continue
+            # contiguous columns, so each exact mean rounds as a single state's
+            for p, state in zip(active.tolist(), np.ascontiguousarray(block.T)):
+                estimate, error = plan.draw(observable, state, p, k)
+                scale = weights[p] / beta.factorial_product
+                sampled[k] += scale * estimate
+                variances[k] += scale**2 * error**2
+    total = weights[active] @ exact / beta.factorial_product
     meta = {
         "n_configurations": len(configs),
         "shifts": {a: rules[a].shifts.tolist() for a in beta.support},
         "evolver": evolver.kind,
     }
+    if plan is not None:
+        meta.update(sampled=sampled, std_error=np.sqrt(variances))
     return ResponseSeries(beta.order, beta.beta, grid, total, meta)
 
 

@@ -46,9 +46,8 @@ from .response import (
     reconstruct_response,
     response_decomposition,
     rules_for_schedule,
-    shift_configurations,
 )
-from .sampling import allocate_shots, noisy_response, variance_bound_for_rules
+from .sampling import allocate_shots_for_rules, variance_bound_for_rules
 from .shift_rules import rule_for_generator
 from .spectra import response_spectrum, spectrum_2d, diagonal_offdiagonal_weight
 
@@ -119,31 +118,26 @@ def _run_response(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]
     )
     files: list[str] = []
     meta: dict = {"orders": list(beta.beta), "n_configurations": None}
+    plan = None
+    if config.sampling is not None:
+        total, mode = config.sampling.total_shots, config.sampling.mode
+        plan = allocate_shots_for_rules(rules, beta, total, mode, config.seed)
+        meta["variance_bound"] = variance_bound_for_rules(rules, beta, total, mode)
     tag = "m" + "-".join(str(b) for b in beta.beta)
     for label, observable in observables:
         series = reconstruct_response(
-            h, schedule, observable, grid, beta, config.evolver, psi0, rules=rules
+            h, schedule, observable, grid, beta, config.evolver, psi0, rules, plan
         )
         meta["n_configurations"] = series.metadata["n_configurations"]
         name = f"response_{tag}_{label}"
         _emit_series_and_spectrum(out, name, grid, series.values, files, config.time_grid.dt)
-        if config.sampling is not None:
-            _, weights = shift_configurations(rules, beta)
-            plan = allocate_shots(
-                weights, config.sampling.total_shots, config.sampling.mode, seed=config.seed
-            )
-            noisy, errors = noisy_response(
-                h, schedule, observable, grid, beta, plan, config.evolver, psi0, rules
-            )
+        if plan is not None:
             write_csv(
                 out / f"{name}_sampled.csv",
                 ["t[1/J]", "estimate", "std_error"],
-                zip(grid, noisy.values, errors),
+                zip(grid, series.metadata["sampled"], series.metadata["std_error"]),
             )
             files.append(f"{name}_sampled.csv")
-            meta["variance_bound"] = variance_bound_for_rules(
-                rules, beta, config.sampling.total_shots, config.sampling.mode
-            )
     return files, meta
 
 
@@ -339,8 +333,9 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     n = h.n_sites
     pump, _ = schedule.channels[0]
     if observables:
-        _, observable = observables[0]
-    else:  # X_0 + X_1
+        readout, observable = observables[0]
+    else:  # X_0 + X_1, which no observable kind expresses
+        readout = " + ".join(f"X_{i}" for i in range(min(2, n)))
         observable = OperatorSum(tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n)
     t1s, t3s = config.t1_grid.values(), config.t3_grid.values()
     s3 = third_order_2dos(
@@ -372,6 +367,7 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         "p_off": p_off,
         "off_fraction": p_off / (p_diag + p_off) if p_diag + p_off > 0 else 0.0,
         "method": config.method,
+        "readout": readout,
     }
     return files, meta
 

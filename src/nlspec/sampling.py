@@ -8,7 +8,9 @@ be split uniformly over shift configurations or proportionally to
 
 Seeding is hierarchical: every (configuration, time) cell draws from a
 substream spawned from the master seed, so parallel evaluation order cannot
-change any estimate.
+change any estimate.  A budget that leaves a configuration of nonzero
+weight, or a Pauli string of the observable, without shots is refused with
+``ShotBudgetError`` rather than redistributed.
 """
 
 from __future__ import annotations
@@ -19,10 +21,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolution import Evolver, PulseSchedule, driven_states
+from .config import ConfigError
+from .evolution import Evolver, PulseSchedule
 from .pauli import OperatorSum, PauliTerm, expectation
-from .response import MultiIndex, ResponseSeries, rules_for_schedule, shift_configurations
+from .response import MultiIndex, ResponseSeries, reconstruct_response, shift_configurations
 from .shift_rules import ShiftRule
+
+
+class ShotBudgetError(ConfigError):
+    """``sampling.total_shots`` cannot measure every term of the estimate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +50,12 @@ class SamplingPlan:
         if sum(per) != self.total_shots:
             raise ValueError("per-configuration shots must sum to the total")
         object.__setattr__(self, "per_configuration", per)
+
+    def draw(self, observable: OperatorSum, state: np.ndarray, p: int, k: int):
+        """``sample_expectation`` of cell (p, k): configuration p's shots on its
+        state at grid time k, from the substream keyed (p, k) of ``seed``."""
+        seed = np.random.SeedSequence(entropy=self.seed, spawn_key=(p, k))
+        return sample_expectation(observable, state, self.per_configuration[p], seed)
 
 
 def _largest_remainder(ideal: np.ndarray, total: int) -> np.ndarray:
@@ -70,8 +83,9 @@ def allocate_shots(
     ``uniform`` gives every configuration of nonzero weight the same count
     (remainder to the lowest indices).  ``optimal`` allocates proportionally
     to |C_p| sqrt(Var_p) with unit variances, that is to |C_p|.  In both modes
-    zero-weight configurations, which ``noisy_response`` never measures, get
-    nothing.
+    zero-weight configurations, which ``reconstruct_response`` never
+    measures, get nothing, and a budget that leaves any other configuration
+    without shots is a ``ShotBudgetError``.
     """
     w = np.abs(np.asarray(weights, dtype=float))
     if w.size == 0:
@@ -86,9 +100,29 @@ def allocate_shots(
         raise ValueError("all configuration weights vanish")
     n_active = int(np.count_nonzero(score))
     if total_shots < n_active:
-        raise ValueError(f"budget {total_shots} below the {n_active} active configurations")
+        raise ShotBudgetError(
+            f"sampling.total_shots: budget {total_shots} below the {n_active} active configurations"
+        )
     counts = _largest_remainder(total_shots * score / score.sum(), total_shots)
+    unmeasured = [p for p in np.flatnonzero(score).tolist() if counts[p] == 0]
+    if unmeasured:
+        raise ShotBudgetError(
+            f"sampling.total_shots: budget {total_shots} gives configuration {unmeasured[0]} "
+            f"of weight {w[unmeasured[0]]:.3g} no shots"
+        )
     return SamplingPlan(total_shots, tuple(counts), mode, seed)
+
+
+def allocate_shots_for_rules(
+    rules: Mapping[int, ShiftRule],
+    beta: MultiIndex,
+    total_shots: int,
+    mode: str = "uniform",
+    seed: int = 0,
+) -> SamplingPlan:
+    """``allocate_shots`` over the weights of ``shift_configurations(rules, beta)``."""
+    _, weights = shift_configurations(rules, beta)
+    return allocate_shots(weights, total_shots, mode, seed)
 
 
 def sample_expectation(
@@ -101,12 +135,17 @@ def sample_expectation(
 
     The budget is split evenly over the Pauli strings (remainder to the
     lowest-index terms) and each string is sampled as +-1 outcomes with the
-    exact mean.  Deterministic for a fixed seed.
+    exact mean; a budget below the string count is a ``ShotBudgetError``.
+    Deterministic for a fixed seed.
     """
     if shots < 1:
-        raise ValueError("at least one shot is required")
-    rng = np.random.default_rng(seed)
+        raise ShotBudgetError("sampling.total_shots: at least one shot is required")
     terms = observable.terms
+    if shots < len(terms):
+        raise ShotBudgetError(
+            f"sampling.total_shots: {shots} shots cannot measure {len(terms)} Pauli strings"
+        )
+    rng = np.random.default_rng(seed)
     if not terms:
         return 0.0, 0.0
     base = shots // len(terms)
@@ -114,8 +153,6 @@ def sample_expectation(
     estimate = 0.0
     variance = 0.0
     for term, n in zip(terms, counts):
-        if n == 0:
-            continue
         string = OperatorSum((PauliTerm(1.0, term.factors),), observable.n_sites)
         mean = expectation(string, state)
         mean = min(1.0, max(-1.0, mean))
@@ -176,43 +213,9 @@ def noisy_response(
     psi0: np.ndarray,
     rules: Mapping[int, ShiftRule] | None = None,
 ) -> tuple[ResponseSeries, np.ndarray]:
-    """Shift-rule reconstruction from finite-shot estimates.
-
-    Returns the noisy response series and the per-time propagated standard
-    error sqrt(sum_p C_p^2 se_p^2).  Exact states are propagated noiselessly;
-    only the measurement is sampled.
-    """
-    if rules is None:
-        rules = rules_for_schedule(schedule, beta)
-    configs, weights = shift_configurations(rules, beta)
-    if len(plan.per_configuration) != len(configs):
-        raise ValueError(
-            f"plan covers {len(plan.per_configuration)} configurations, grid has {len(configs)}"
-        )
-    grid = np.asarray(t_grid, dtype=float)
-    totals = np.zeros(grid.size)
-    variances = np.zeros(grid.size)
-    active = [p for p, w in enumerate(weights) if plan.per_configuration[p] and w != 0.0]
-    if active:
-        # exact signal states, sampled measurement; one substream per (p, t)
-        root = np.random.SeedSequence(plan.seed)
-        states = driven_states(h, schedule, configs[active], grid, evolver, psi0)
-        for k, block in enumerate(states):
-            # contiguous columns, so each exact mean rounds as a single state's
-            for p, state in zip(active, np.ascontiguousarray(block.T)):
-                seed = np.random.SeedSequence(entropy=root.entropy, spawn_key=(p, k))
-                estimate, error = sample_expectation(
-                    observable, state, plan.per_configuration[p], seed
-                )
-                scale = weights[p] / beta.factorial_product
-                totals[k] += scale * estimate
-                variances[k] += scale**2 * error**2
-    series = ResponseSeries(
-        beta.order,
-        beta.beta,
-        grid,
-        totals,
-        {"sampling_mode": plan.mode, "total_shots": plan.total_shots, "seed": plan.seed},
-    )
-    return series, np.sqrt(variances)
-
+    """The finite-shot half of ``reconstruct_response(..., plan=plan)``: the
+    noisy response series and its per-time standard error."""
+    exact = reconstruct_response(h, schedule, observable, t_grid, beta, evolver, psi0, rules, plan)
+    meta = {"sampling_mode": plan.mode, "total_shots": plan.total_shots, "seed": plan.seed}
+    series = ResponseSeries(beta.order, beta.beta, exact.times, exact.metadata["sampled"], meta)
+    return series, exact.metadata["std_error"]

@@ -223,9 +223,9 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
     check.
 
     ``odd``: K +- pairs s_p = pi (2p - 1) / (2 N g), K the positive-gap
-    count (or half of ``n_shifts``) and N the smallest integer >= K at which
-    the positive harmonics h have distinct, nonzero folded residues
-    min(h mod 2N, -h mod 2N); this recovers the two-point rule
+    count (or half of ``n_shifts``, which must be even) and N the smallest
+    integer >= K at which the positive harmonics h have distinct, nonzero
+    folded residues min(h mod 2N, -h mod 2N); this recovers the two-point rule
     {-pi/2, pi/2} for gaps {-1, 0, 1}.  Up to sign, sin(h g s_p) depends
     only on that residue, and vanishes for residue 0.
     """
@@ -235,6 +235,8 @@ def shift_grid(gap_set: GapSet, n_shifts: int | None = None, mode: str = "full")
             raise ShiftRuleError("gap set has no positive entries")
         if gap_set.unit is None:
             raise ShiftRuleError("odd-order reduction needs a commensurate spectrum")
+        if n_shifts is not None and n_shifts % 2:
+            raise ShiftRuleError(f"odd-order rule takes an even shift count, not {n_shifts}")
         n_pos = n_shifts // 2 if n_shifts is not None else k
         if n_pos < k:
             raise ShiftRuleError(f"odd-order rule needs at least {2 * k} shifts")

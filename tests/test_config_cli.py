@@ -500,6 +500,38 @@ class TestRunExperiment:
             == (tmp_path / "b" / "resolved_config.json").read_bytes()
         )
 
+    def test_sampled_run_propagates_once_per_observable(self, tmp_path, monkeypatch):
+        # the exact series and its finite-shot estimate read the same states
+        calls = []
+        original = evolution.driven_states
+
+        def counting_driven_states(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nlspec") and getattr(module, "driven_states", None) is original:
+                monkeypatch.setattr(module, "driven_states", counting_driven_states)
+        observables = MINIMAL["observables"] + [
+            {"kind": "two_site_magnetization", "sites": [2, 3]}
+        ]
+        payload = dict(MINIMAL, observables=observables)
+        exact = load_config(write_config(tmp_path, payload, "exact.json"))
+        run_experiment(exact, output_dir=tmp_path / "exact")
+        assert len(calls) == 2
+        payload["sampling"] = {"total_shots": 300, "mode": "optimal"}
+        config = load_config(write_config(tmp_path, payload))
+        calls.clear()
+        run_experiment(config, output_dir=tmp_path / "sampled")
+        assert len(calls) == 2
+        # and the exact outputs are those of the run without sampling
+        written = sorted(p.name for p in (tmp_path / "sampled").glob("*.csv"))
+        assert sum(name.endswith("_sampled.csv") for name in written) == 2
+        for name in sorted(p.name for p in (tmp_path / "exact").glob("*.csv")):
+            assert (tmp_path / "sampled" / name).read_bytes() == (
+                tmp_path / "exact" / name
+            ).read_bytes()
+
     def test_csv_headers_and_line_endings(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
         run_experiment(config, output_dir=tmp_path / "out")
@@ -734,6 +766,35 @@ class TestCLI:
         payload = dict(MINIMAL, pumps=pumps, orders=[1] * len(pumps))
         assert main(["verify", "--config", str(write_config(tmp_path, payload))]) == 2
         assert message in capsys.readouterr().err
+
+    def test_odd_shift_count_in_odd_mode_exit_two(self, tmp_path, capsys):
+        # odd mode takes +- pairs: 5 shifts would run 4, while
+        # resolved_config.json echoed 5
+        payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd", "n_shifts": 5})
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "an even shift count, not 5" in capsys.readouterr().err
+        assert main(["gaps", "--config", str(path)]) == 2
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "observable, total_shots",
+        [
+            # the order-1 rule weighs 2 of its 3 shifts; 1 shot leaves one out
+            ({"kind": "single_site_pauli", "sites": [2], "axis": "X"}, 1),
+            # one shot per weighted shift cannot measure both Z strings
+            ({"kind": "two_site_magnetization", "sites": [2, 3]}, 2),
+        ],
+        ids=["configuration", "pauli_string"],
+    )
+    def test_shot_budget_exit_two(self, tmp_path, capsys, observable, total_shots):
+        payload = dict(
+            MINIMAL, observables=[observable], sampling={"total_shots": total_shots}
+        )
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: sampling.total_shots:" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_schedule_error_exit_two(self, tmp_path, capsys):
         pumps = [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [5.0]}]

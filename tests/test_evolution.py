@@ -566,6 +566,19 @@ class TestFusedTrotter:
         assert len(runs) == 11
         assert total_diagonals(runs) - len(runs) == gathers
 
+    @pytest.mark.parametrize("name", ["fig2", "fig3a"])
+    def test_runs_apply_the_terms_in_sorted_order(self, name):
+        # trotter1 applies OperatorSum.terms, sorted by factors, not bond by
+        # bond: fig2's step runs X0X1, X0X11, Y0Y1, Y0Y11, Z0Z1, Z0Z11, X1X2
+        path = Path(__file__).resolve().parents[1] / "figures" / f"{name}.json"
+        h = models.build_model(config_from_dict(json.loads(path.read_text())).model)
+        assert tuple(term for run in _fused_runs(h) for term in run) == h.terms
+        assert sorted(term.factors for term in h.terms) == [term.factors for term in h.terms]
+        if name == "fig2":
+            n = h.n_sites - 1
+            first = [((0, a), (s, a)) for a in "XYZ" for s in (1, n)] + [((1, "X"), (2, "X"))]
+            assert [term.factors for term in h.terms[:7]] == first
+
     def test_terms_grouped_once_per_hamiltonian(self):
         h = build_xxz(5, 0.7, 0.3, "periodic")
         psi = ground_state(h)

@@ -170,6 +170,20 @@ class Test2DOSProtocol:
         )
         assert weights[0] == pytest.approx(meta["p_diag"])
 
+    def test_readout_on_record(self, tmp_path):
+        # the default readout X_0 + X_1 has no observable kind, so the
+        # resolved config echoes no observables and the metadata names it
+        payload = json.loads((FIGURES / "fig5.json").read_text())
+        payload.update(t1_grid=SMALL_GRID, t3_grid=SMALL_GRID)
+        payload.pop("observables", None)
+        run_experiment(load_config(write_config(tmp_path, payload)), output_dir=tmp_path / "a")
+        resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
+        assert resolved["observables"] == []
+        assert load_meta(tmp_path / "a")["readout"] == "X_0 + X_1"
+        payload["observables"] = [{"kind": "single_site_pauli", "sites": [1], "axis": "Z"}]
+        run_experiment(load_config(write_config(tmp_path, payload)), output_dir=tmp_path / "b")
+        assert load_meta(tmp_path / "b")["readout"] == "single_site_pauli_1_z"
+
 
 @pytest.mark.parametrize(
     "name, protocol",
@@ -299,13 +313,13 @@ class TestEnvironmentOverrides:
 
 
 @pytest.mark.parametrize(
-    "name, module, propagated",
+    "name, module, kernel, propagated",
     # fig5 stacks one block column per (t1, configuration), over 6 t1 points
-    [("fig5", "analysis", 6 * 64), ("fig3c", "response", 6)],
+    [("fig5", "analysis", "driven_signal", 6 * 64), ("fig3c", "response", "driven_states", 6)],
     ids=["fig5_2d", "fig3c_two_channels"],
 )
 def test_zero_weight_configurations_are_not_propagated(
-    tmp_path, monkeypatch, name, module, propagated
+    tmp_path, monkeypatch, name, module, kernel, propagated
 ):
     # an odd order weighs the shift at 0 by exactly 0.0: fig5's three X0 + X1
     # kicks keep 4**3 of 5**3 configurations, fig3c's (3, 2) orders on two
@@ -314,13 +328,13 @@ def test_zero_weight_configurations_are_not_propagated(
 
     target = {"analysis": analysis, "response": response}[module]
     rows = []
-    original = target.driven_signal
+    original = getattr(target, kernel)
 
     def counting(h, schedule, etas, *args, **kwargs):
         rows.append(np.shape(etas)[0])
         return original(h, schedule, etas, *args, **kwargs)
 
-    monkeypatch.setattr(target, "driven_signal", counting)
+    monkeypatch.setattr(target, kernel, counting)
     payload = json.loads((FIGURES / f"{name}.json").read_text())
     for grid in ("time_grid", "t1_grid", "t3_grid"):
         if grid in payload:

@@ -8,6 +8,7 @@ from nlspec.pauli import OperatorSum, PauliTerm, expectation
 from nlspec.response import MultiIndex, reconstruct_response, rules_for_schedule
 from nlspec.sampling import (
     SamplingPlan,
+    ShotBudgetError,
     allocate_shots,
     noisy_response,
     sample_expectation,
@@ -36,6 +37,15 @@ class TestSampleExpectation:
         plus = np.array([1, 1]) / np.sqrt(2)
         est, _ = sample_expectation(op(1, (1.0, {0: "Z"})), plus, 8192, seed=3)
         assert abs(est) <= 3.0 / np.sqrt(8192)
+
+    def test_string_without_shots_refused(self):
+        # one shot on Z0 + Z1 would measure only Z0: (1.0, 0.0) against an
+        # exact 2.0, with the missing string absent from the error too
+        zz = op(2, (1.0, {0: "Z"}), (1.0, {1: "Z"}))
+        psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ShotBudgetError, match="sampling.total_shots"):
+            sample_expectation(zz, psi, 1, seed=0)
+        assert sample_expectation(zz, psi, 2, seed=0) == (2.0, 0.0)
 
     def test_deterministic_given_seed(self):
         plus = np.array([1, 1]) / np.sqrt(2)
@@ -69,8 +79,8 @@ class TestAllocation:
         assert plan.per_configuration == (4, 4, 3)
 
     def test_uniform_zero_weight_gets_nothing(self):
-        # noisy_response skips zero-weight configurations, so shots given to
-        # them would never be measured
+        # the sampled reconstruction skips zero-weight configurations, so
+        # shots given to them would never be measured
         plan = allocate_shots([-1.0, 0.0, 1.0], 300, "uniform")
         assert plan.per_configuration == (150, 0, 150)
 
@@ -95,6 +105,13 @@ class TestAllocation:
     def test_budget_below_active_count_rejected(self):
         with pytest.raises(ValueError):
             allocate_shots([1.0, 1.0, 1.0], 2, "optimal")
+
+    def test_nonzero_weight_without_shots_refused(self):
+        # largest remainder would give (8, 0, 4), dropping the 1e-3 term
+        message = "sampling.total_shots: budget 12 gives configuration 1"
+        with pytest.raises(ShotBudgetError, match=message):
+            allocate_shots([1.0, 1e-3, 0.5], 12, "optimal")
+        assert allocate_shots([1.0, 1e-3, 0.5], 1500, "optimal").per_configuration == (999, 1, 500)
 
     def test_plan_sums_enforced(self):
         with pytest.raises(ValueError):
@@ -129,6 +146,12 @@ def xxz_setup():
     return h, psi, a, sched, beta, rules
 
 
+def sampled(h, psi, sched, a, grid, beta, plan, rules):
+    """The finite-shot estimate and standard error of one reconstruction."""
+    series = reconstruct_response(h, sched, a, grid, beta, EXACT, psi, rules, plan)
+    return series.metadata["sampled"], series.metadata["std_error"]
+
+
 class TestNoisyResponse:
     def test_matches_exact_in_zero_variance_limit(self, xxz_setup):
         h, psi, a, sched, beta, rules = xxz_setup
@@ -140,29 +163,28 @@ class TestNoisyResponse:
         total = np.zeros(grid.size)
         for r in range(reps):
             plan = allocate_shots([1, 1, 1], 3 * 4096, "uniform", seed=r)
-            series, _ = noisy_response(h, sched, a, grid, beta, plan, EXACT, psi, rules)
-            total += series.values
+            total += sampled(h, psi, sched, a, grid, beta, plan, rules)[0]
         assert np.max(np.abs(total / reps - exact.values)) < 5e-3
 
     def test_propagated_error_reported(self, xxz_setup):
         h, psi, a, sched, beta, rules = xxz_setup
         plan = allocate_shots([1, 1, 1], 3 * 1024, "uniform", seed=5)
-        _, errors = noisy_response(h, sched, a, [1.0, 2.0], beta, plan, EXACT, psi, rules)
+        _, errors = sampled(h, psi, sched, a, [1.0, 2.0], beta, plan, rules)
         assert errors.shape == (2,)
         assert np.all(errors >= 0)
 
     def test_deterministic_and_order_independent_seeding(self, xxz_setup):
         h, psi, a, sched, beta, rules = xxz_setup
         plan = allocate_shots([1, 1, 1], 3 * 512, "uniform", seed=9)
-        s1, e1 = noisy_response(h, sched, a, [0.5, 1.5], beta, plan, EXACT, psi, rules)
-        s2, e2 = noisy_response(h, sched, a, [0.5, 1.5], beta, plan, EXACT, psi, rules)
-        assert np.array_equal(s1.values, s2.values)
+        s1, e1 = sampled(h, psi, sched, a, [0.5, 1.5], beta, plan, rules)
+        s2, e2 = sampled(h, psi, sched, a, [0.5, 1.5], beta, plan, rules)
+        assert np.array_equal(s1, s2)
         assert np.array_equal(e1, e2)
         # a single-point run reproduces the same value as the grid run:
         # substreams are keyed by (configuration, time index), so the first
         # time cell is identical across both calls
-        s3, _ = noisy_response(h, sched, a, [0.5], beta, plan, EXACT, psi, rules)
-        assert s3.values[0] == s1.values[0]
+        s3, _ = sampled(h, psi, sched, a, [0.5], beta, plan, rules)
+        assert s3[0] == s1[0]
 
     def test_variance_within_bound(self, xxz_setup):
         h, psi, a, sched, beta, rules = xxz_setup
@@ -173,7 +195,35 @@ class TestNoisyResponse:
         draws = np.empty((reps, grid.size))
         for r in range(reps):
             plan = allocate_shots([1, 1, 1], n_tot, "uniform", seed=300 + r)
-            series, _ = noisy_response(h, sched, a, grid, beta, plan, EXACT, psi, rules)
-            draws[r] = series.values
+            draws[r] = sampled(h, psi, sched, a, grid, beta, plan, rules)[0]
         empirical = draws.var(axis=0, ddof=1)
         assert np.all(empirical <= bound * (1 + 5 / np.sqrt(reps)))
+
+    def test_view_of_the_sampled_reconstruction(self, xxz_setup):
+        h, psi, a, sched, beta, rules = xxz_setup
+        plan = allocate_shots([1, 1, 1], 3 * 512, "uniform", seed=9)
+        series, errors = noisy_response(h, sched, a, [0.5, 1.5], beta, plan, EXACT, psi, rules)
+        exact = reconstruct_response(h, sched, a, [0.5, 1.5], beta, EXACT, psi, rules, plan)
+        assert np.array_equal(series.values, exact.metadata["sampled"])
+        assert np.array_equal(errors, exact.metadata["std_error"])
+        assert series.metadata == {"sampling_mode": "uniform", "total_shots": 1536, "seed": 9}
+        # the values noisy_response gave when it propagated its own
+        # configurations, before it became a view
+        assert [v.hex() for v in series.values] == ["-0x1.4000000000000p-4", "0x1.2000000000000p-5"]
+        assert [v.hex() for v in errors] == ["0x1.ffa2c8ec70563p-5", "0x1.ffb5553b8bcc2p-5"]
+
+    def test_exact_series_unchanged_by_a_plan(self, xxz_setup):
+        h, psi, a, sched, beta, rules = xxz_setup
+        plan = allocate_shots([1, 1, 1], 3 * 512, "uniform", seed=9)
+        grid = [0.5, 1.5, 2.5]
+        with_plan = reconstruct_response(h, sched, a, grid, beta, EXACT, psi, rules, plan)
+        without = reconstruct_response(h, sched, a, grid, beta, EXACT, psi, rules)
+        assert np.array_equal(with_plan.values, without.values)
+        assert "sampled" not in without.metadata
+
+    def test_configuration_without_shots_refused(self, xxz_setup):
+        # a hand-made plan that skips the -pi/4 shift of weight -1
+        h, psi, a, sched, beta, rules = xxz_setup
+        plan = SamplingPlan(100, (0, 0, 100), "uniform", 0)
+        with pytest.raises(ShotBudgetError):
+            reconstruct_response(h, sched, a, [0.5], beta, EXACT, psi, rules, plan)

@@ -52,7 +52,10 @@ def test_run_figures_against_a_rerun(tmp_path, capsys):
     assert run_figures.main(["--only", "fig4_xzz", "--out", str(first)]) == 0
     argv = ["--only", "fig4_xzz", "--out", str(second), "--against", str(first)]
     assert run_figures.main(argv) == 0
-    assert re.search(r"against \S+fig4_xzz: 4 of 4 CSVs byte-identical", capsys.readouterr().out)
+    assert re.search(
+        r"against \S+fig4_xzz: 4 of 4 CSVs byte-identical, resolved_config.json byte-identical",
+        capsys.readouterr().out,
+    )
     # a moved value is reported with its deviation and its column's scale
     moved = first / "fig4_xzz" / "correlator_orders.csv"
     header, row, *rest = moved.read_text().split("\n")
@@ -65,3 +68,8 @@ def test_run_figures_against_a_rerun(tmp_path, capsys):
         r"  correlator_orders\.csv: max\|dev\| 1\.00e-09 in reC1, whose max\|value\| is \S+",
         lines[1],
     )
+    # so is a resolved config that moved
+    resolved = first / "fig4_xzz" / "resolved_config.json"
+    resolved.write_text(resolved.read_text() + "\n")
+    lines = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+    assert lines[0].endswith("3 of 4 CSVs byte-identical, resolved_config.json differs")
