@@ -10,7 +10,9 @@ With ``--against DIR`` (the output root of an earlier run, say of the parent
 commit), each config also reports how many of its CSVs are byte-identical to
 DIR/<config-name>/ and whether its resolved_config.json is, and for each CSV
 that moved its largest absolute deviation, the column it is in and that
-column's largest absolute value in DIR.
+column's largest absolute value in DIR; a CSV that only one of the two runs
+wrote is reported missing from the other.  The script then exits 1 if any
+CSV moved or is missing, or any resolved_config.json differs.
 Each line reports the run's wall time and the CPU time of all its threads;
 CPU well above wall means BLAS worker threads were busy (or spinning idle).
 Exact evolution, the entropy and the Lanczos ground state above 9 sites
@@ -33,14 +35,16 @@ from nlspec.runner import run_experiment
 FIGURE_DIR = Path(__file__).resolve().parent.parent / "figures"
 
 
-def compare(out: Path, reference: Path) -> list[str]:
+def compare(out: Path, reference: Path) -> tuple[list[str], bool]:
     """Lines comparing the CSVs and resolved_config.json of one config's
-    output directory with those of a reference directory."""
-    names = sorted(p.name for p in out.glob("*.csv"))
+    output directory with those of a reference directory, and whether all
+    of them are byte-identical."""
+    names = sorted({p.name for d in (out, reference) for p in d.glob("*.csv")})
     moved = []
     for name in names:
-        if not (reference / name).exists():
-            moved.append(f"  {name}: missing from {reference}")
+        missing = [d for d in (out, reference) if not (d / name).exists()]
+        if missing:
+            moved.append(f"  {name}: missing from {missing[0]}")
             continue
         if (out / name).read_bytes() == (reference / name).read_bytes():
             continue
@@ -59,11 +63,12 @@ def compare(out: Path, reference: Path) -> list[str]:
     identical = len(names) - len(moved)
     ours, theirs = (d / "resolved_config.json" for d in (out, reference))
     same = theirs.exists() and ours.read_bytes() == theirs.read_bytes()
-    return [
+    lines = [
         f"  against {reference}: {identical} of {len(names)} CSVs byte-identical, "
         f"resolved_config.json {'byte-identical' if same else 'differs'}",
         *moved,
     ]
+    return lines, same and not moved
 
 
 def main(argv=None) -> int:
@@ -80,6 +85,7 @@ def main(argv=None) -> int:
             print(f"unknown configs: {sorted(missing)}", file=sys.stderr)
             return 2
         names = args.only
+    identical = True
     for name in names:
         config = load_config(FIGURE_DIR / f"{name}.json")
         started, cpu_started = time.perf_counter(), time.process_time()
@@ -87,8 +93,10 @@ def main(argv=None) -> int:
         wall, cpu = time.perf_counter() - started, time.process_time() - cpu_started
         print(f"{name}: {len(result.files)} files in {wall:.1f}s wall, {cpu:.1f}s CPU")
         if args.against is not None:
-            print("\n".join(compare(Path(args.out) / name, Path(args.against) / name)))
-    return 0
+            lines, same = compare(Path(args.out) / name, Path(args.against) / name)
+            print("\n".join(lines))
+            identical &= same
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

@@ -351,6 +351,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("observables: required for response and decomposition protocols")
     if protocol == "response" and len(config.orders) != len(pumps):
         raise ConfigError("orders: one derivative order per pump channel is required")
+    if protocol == "response" and config.sampling is not None and sum(config.orders) == 0:
+        raise ConfigError("sampling: an order-zero response is the unperturbed signal, unsampled")
     if protocol == "decomposition" and len(pumps) != 1:
         raise ConfigError(
             "pumps: the decomposition protocol expands one drive channel; "

@@ -60,21 +60,24 @@ of its flip masks.  The split is the one with the fewest diagonals in total
 (``_fused_runs``); the terms of a run need not commute.  The product
 formula, and so the Trotter error, is unchanged; only rounding differs from
 applying the rotations one by one.
-``propagator`` decides one column layout per segment (``_column_layout``):
+``propagator`` decides one column layout per segment (``_column_layout``)
+from the two symmetries that ``_parities`` reads off the terms of H:
 - When every term of H has an even number of Y and Z factors, H commutes
   with the global flip F = prod_i X_i, which maps psi to ``psi[::-1]``.  A
   column with ||psi[half:][::-1] - s psi[:half]|| <= 1e-12 ||psi|| for
   s = +1 or -1 stays in that sector, and propagates only its 2**(n-1)
-  amplitudes with the top bit 0, through the same fused ops folded onto
-  that half; it is unfolded as [low, s * low[::-1]].  When every propagated
-  column is folded, the fused diagonals are built on that half only.
+  amplitudes with the top bit 0; it is unfolded as [low, s * low[::-1]].
 - When every term of H flips an even number of sites, H commutes with the
   parity P = prod_i Z_i, which multiplies psi[x] by (-1)**popcount(x).  A
   column with ||psi_k - s P psi_j|| <= 1e-12 ||psi_k|| for an earlier
   propagated column j and s = +1 or -1 is not propagated: its result is
   s P times column j's.  The +eta and -eta shifts of an X or Y pump on a
   ground state of fixed parity are such pairs.
-On exactly flip-symmetric and exactly mirrored columns both give the same
+The propagated columns of one flip sign s (0 for the full route) form one
+column class, and each class gets its own fused ops (``_fused_op``): built
+on all rows for s = 0, and on the lower half only for s = +1 or -1, with s
+folded into the diagonals that read across the top bit.
+On exactly flip-symmetric and exactly mirrored columns this gives the same
 bits as propagating every column in full.  Readouts are still computed by
 ``expectation`` on the unfolded state.
 """
@@ -329,7 +332,7 @@ def _fused_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
     one with the fewest diagonals in total, then the fewest gathers (the
     diagonals of nonzero masks, each an indexed read on top of a
     multiply-add), by an O(terms**2) dynamic program.
-    ``_fused_rotation`` expands any run exactly in term order, so the terms
+    ``_fused_op`` expands any run exactly in term order, so the terms
     of a run need not commute (a bond's XX, YY and ZZ share one flip mask, a
     run of Z fields has none)."""
     terms = h.terms
@@ -355,27 +358,26 @@ def _fused_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
     return tuple(reversed(runs))
 
 
-def _gather_index(n_sites: int, flip: int, folded: bool) -> np.ndarray:
-    """x -> x ^ flip on all 2**n rows, or ``folded`` onto the rows
-    x < 2**(n-1) of a flip-symmetric array, where a flip with the top bit
-    reads the mirrored row x ^ flip ^ (2**n - 1)."""
-    if not folded:
-        return _xor_index(n_sites, flip)
-    half = 2 ** (n_sites - 1)
-    return _xor_index(n_sites - 1, flip ^ (2 * half - 1) if flip & half else flip)
-
-
-def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int, folded: bool):
+def _fused_op(run: Sequence[PauliTerm], dt: float, n_sites: int, sign: int):
     """prod_k exp(-i c_k dt P_k) in term order, which maps psi to
-    sum_f D_f * psi[x ^ f]: returns D_0 and a (f, D_f) pair for every other
-    flip mask f.
+    sum_f D_f * psi[x ^ f], for the columns of flip sign ``sign``: returns
+    D_0 and a (gather index, D_f) pair for every other flip mask f.
 
-    ``folded`` builds each D_f on the rows x < 2**(n-1) only.  That needs
-    every term flip-even (see ``_flip_even``): then D_f[~x] = D_f[x] bitwise
-    at every stage of the expansion, so the rows that a flip with the top bit
-    reads are read at their mirrors, and the half is ``[:2**(n-1)]`` of the
-    full build bitwise."""
-    rows = 2 ** (n_sites - folded)
+    Sign 0 builds on all 2**n rows.  Sign s = +1 or -1 builds on the rows
+    x < 2**(n-1) of a state with F psi = s psi, which needs every term
+    flip-even (``_parities``): then D_f[~x] = D_f[x] bitwise at every stage
+    of the expansion, so the half is the lower half of the full build
+    bitwise, and a mask f with the top bit reads
+    psi[x ^ f] = s psi[x ^ f ^ (2**n - 1)], a gather within the half with s
+    folded into D_f."""
+    folded = sign != 0
+    half = 2 ** (n_sites - 1)
+    rows, mirror = (half, 2 * half - 1) if folded else (2 * half, 0)
+
+    def index(flip: int) -> np.ndarray:
+        # folded, a flip with the top bit reads the mirrored row
+        return _xor_index(n_sites - folded, flip ^ mirror if flip & half else flip)
+
     diagonals = {0: np.ones(rows, dtype=complex)}
     for term in run:
         flip, phase, y_count = term.masks()
@@ -385,96 +387,61 @@ def _fused_rotation(run: Sequence[PauliTerm], dt: float, n_sites: int, folded: b
         for f, diagonal in diagonals.items():
             # P (D_f * psi[x ^ f]) = (P D_f) * psi[x ^ f ^ flip], P acting on D_f as on a state
             signed = diagonal if phase == 0 else diagonal * _phase_signs(n_sites, phase)[:rows]
-            applied = signed if flip == 0 else signed[_gather_index(n_sites, flip, folded)]
+            applied = signed if flip == 0 else signed[index(flip)]
             for g, part in ((f, np.cos(angle) * diagonal), (f ^ flip, scale * applied)):
                 fused[g] = fused[g] + part if g in fused else part
         diagonals = fused
-    return diagonals.pop(0), list(diagonals.items())
+    d0 = diagonals.pop(0)
+    return d0, [(index(f), sign * d if folded and f & half else d) for f, d in diagonals.items()]
 
 
 @lru_cache(maxsize=6)
-def _flip_even(h: OperatorSum) -> bool:
-    """Whether every term of H has an even number of Y and Z factors, so that
-    H commutes with the global flip F = prod_i X_i; decided once per
-    Hamiltonian, like ``_fused_runs``."""
-    return all(term.masks()[1].bit_count() % 2 == 0 for term in h.terms)
-
-
-@lru_cache(maxsize=6)
-def _z_even(h: OperatorSum) -> bool:
-    """Whether every term of H flips an even number of sites, so that H and
-    every fused op commute with the parity P = prod_i Z_i (x and x ^ f have
-    equal popcount parity for every flip mask f they read); decided once per
-    Hamiltonian, like ``_flip_even``."""
-    return all(term.masks()[0].bit_count() % 2 == 0 for term in h.terms)
-
-
-def _flip_signs(h: OperatorSum, amps: np.ndarray) -> tuple[int, ...]:
-    """Per column of a state or block, the sign s = +1 or -1 of its flip
-    sector, F psi = s psi with F psi = ``psi[::-1]``, taken where
-    ||psi[half:][::-1] - s psi[:half]|| <= 1e-12 ||psi||; 0 where neither
-    sign holds or H does not commute with F."""
-    columns = amps.reshape(amps.shape[0], -1).T
-    if not _flip_even(h):
-        return (0,) * len(columns)
-    half = amps.shape[0] // 2
-    signs = []
-    for psi in columns:
-        low, mirrored = psi[:half], psi[half:][::-1]
-        bound = 1e-12 * np.linalg.norm(psi)
-        signs.append(next((s for s in (1, -1) if np.linalg.norm(mirrored - s * low) <= bound), 0))
-    return tuple(signs)
+def _parities(h: OperatorSum) -> tuple[bool, bool]:
+    """(flip_even, z_even) of H, decided once per Hamiltonian like
+    ``_fused_runs``.  flip_even: every term has an even number of Y and Z
+    factors, so H commutes with the global flip F = prod_i X_i.  z_even:
+    every term flips an even number of sites, so H and every fused op
+    commute with the parity P = prod_i Z_i (x and x ^ f have equal popcount
+    parity for every flip mask f they read)."""
+    masks = [term.masks() for term in h.terms]
+    return (
+        all(phase.bit_count() % 2 == 0 for _, phase, _ in masks),
+        all(flip.bit_count() % 2 == 0 for flip, _, _ in masks),
+    )
 
 
 def _column_layout(h: OperatorSum, amps: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Per column k of a state or block, the pair (j, s) that says how Trotter
-    evolution obtains it.  j == k: the column is propagated in the flip
-    sector of sign s (``_flip_signs``; 0 is the full route).  j < k: the
-    column mirrors the propagated column j, psi_k = s P psi_j with the parity
-    P = prod_i Z_i, within ||psi_k - s P psi_j|| <= 1e-12 ||psi_k||, and its
-    result is s P times column j's.  Mirrors are taken only when ``_z_even``
-    holds, and only of the first such propagated column."""
+    evolution obtains it; every match holds within 1e-12 ||psi_k||.
+    j < k: the column mirrors the propagated column j, psi_k = s P psi_j
+    with the parity P = prod_i Z_i, and its result is s P times column j's.
+    Mirrors are taken only when H is z-even (``_parities``), and only of the
+    first such propagated column.  j == k: the column is propagated, in the
+    flip sector F psi = s psi (F psi = ``psi[::-1]``) when H is flip-even
+    and ||psi[half:][::-1] - s psi[:half]|| is within that bound for s = +1
+    or -1, else with s = 0, the full route."""
+    flip_even, z_even = _parities(h)
     columns = amps.reshape(amps.shape[0], -1).T
-    parity = _phase_signs(h.n_sites, 2**h.n_sites - 1) if _z_even(h) else None
+    half = amps.shape[0] // 2
+    parity = _phase_signs(h.n_sites, 2**h.n_sites - 1)
     layout: list[tuple[int, int]] = []
     mirrors: dict[int, np.ndarray] = {}  # P psi_j of each propagated column j
-    for k, (psi, flip_sign) in enumerate(zip(columns, _flip_signs(h, amps))):
+
+    def sign_of(target: np.ndarray, source: np.ndarray, bound: float) -> int:
+        # the first s of +1, -1 with ||target - s source|| <= bound, else 0
+        return next((s for s in (1, -1) if np.linalg.norm(target - s * source) <= bound), 0)
+
+    for k, psi in enumerate(columns):
         bound = 1e-12 * np.linalg.norm(psi)
         match = next(
-            (
-                (j, s)
-                for j, mirror in mirrors.items()
-                for s in (1, -1)
-                if np.linalg.norm(psi - s * mirror) <= bound
-            ),
-            None,
+            ((j, s) for j, mirror in mirrors.items() if (s := sign_of(psi, mirror, bound))), None
         )
         if match is None:
-            match = (k, flip_sign)
-            if parity is not None:
+            match = (k, sign_of(psi[half:][::-1], psi[:half], bound) if flip_even else 0)
+            if z_even:
                 mirrors[k] = parity * psi
         layout.append(match)
     return tuple(layout)
-
-
-def _gather_ops(fused, n_sites: int, sign: int):
-    """The fused ops as (D_0, [(gather index, D_f), ...]) on the full state
-    (sign 0), or folded onto the amplitudes x < 2**(n-1) of a state with
-    F psi = sign * psi: every diagonal keeps its lower half (a folded build
-    is all of it), and a flip mask f with the top bit reads
-    psi[x ^ f] = sign * psi[x ^ f ^ (2**n - 1)], a gather within the lower
-    half with ``sign`` folded into D_f."""
-    if not sign:
-        return [(d0, [(_xor_index(n_sites, f), d) for f, d in flips]) for d0, flips in fused]
-    half = 2 ** (n_sites - 1)
-    ops = []
-    for d0, flips in fused:
-        gathers = [
-            (_gather_index(n_sites, f, True), sign * d[:half] if f & half else d[:half])
-            for f, d in flips
-        ]
-        ops.append((d0[:half], gathers))
-    return ops
 
 
 def _trotter_evolve(
@@ -485,22 +452,23 @@ def _trotter_evolve(
     layout: Sequence[tuple[int, int]],
 ) -> np.ndarray:
     """First-order Trotter evolution of a state or of each column of a block,
-    laid out by ``_column_layout``.  A propagated column in a flip sector
-    propagates its lower half through the folded ops and is unfolded as
-    [low, sign * low[::-1]]; one of sign 0 propagates all its amplitudes; a
-    mirrored column is s P times the result of its source column.
+    laid out by ``_column_layout``.  Each flip sign among the propagated
+    columns is one column class, with its own fused ops (``_fused_op``),
+    built once per call: a column of sign s = +1 or -1 propagates its lower
+    half and is unfolded as [low, s * low[::-1]]; one of sign 0 propagates
+    all its amplitudes.  A mirrored column is s P times the result of its
+    source column.
 
-    The fused diagonals are built on the lower half only when every
-    propagated column is folded.  On exactly flip-symmetric and exactly
-    mirrored columns every route gives the same bits as propagating each
-    column in full: the mirror multiplies every term of x's sum by the same
-    sign s (-1)^popcount(x), since x and x ^ f have equal parity for every
-    flip mask f of a fused op (and, at even n, for the top-bit fold)."""
+    On exactly flip-symmetric and exactly mirrored columns every route gives
+    the same bits as propagating each column in full: a half build is the
+    lower half of the full one bitwise, and the mirror multiplies every term
+    of x's sum by the same sign s (-1)^popcount(x), since x and x ^ f have
+    equal parity for every flip mask f of a fused op (and, at even n, for
+    the top-bit fold)."""
     n = h.n_sites
     dt = t / evolver.n_steps
     signs = {sign for k, (j, sign) in enumerate(layout) if j == k}
-    fused = [_fused_rotation(run, dt, n, 0 not in signs) for run in _fused_runs(h)]
-    ops = {sign: _gather_ops(fused, n, sign) for sign in signs}
+    ops = {sign: [_fused_op(run, dt, n, sign) for run in _fused_runs(h)] for sign in signs}
 
     def propagate(state: np.ndarray, sign: int) -> np.ndarray:
         if sign:

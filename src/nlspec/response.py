@@ -41,8 +41,9 @@ class ResponseSeries:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.shape != values.shape:
             raise ValueError("times and values must have matching shape")
         if not np.all(np.isfinite(values)):

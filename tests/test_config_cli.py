@@ -796,6 +796,14 @@ class TestCLI:
         assert "error: sampling.total_shots:" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    def test_sampling_at_order_zero_exit_two(self, tmp_path, capsys):
+        # the order-zero run writes the unperturbed signal and never reads sampling
+        payload = dict(MINIMAL, orders=[0], sampling={"total_shots": 100})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+        assert "error: sampling: an order-zero response" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schedule_error_exit_two(self, tmp_path, capsys):
         pumps = [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [5.0]}]
         path = write_config(tmp_path, dict(MINIMAL, pumps=pumps))

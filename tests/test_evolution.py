@@ -20,7 +20,7 @@ from nlspec.evolution import (
     evolve,
     propagator,
     _SpectralPlan,
-    _fused_rotation,
+    _fused_op,
     _fused_runs,
     _spectral_plan,
 )
@@ -597,16 +597,33 @@ class TestFusedTrotter:
         assert total_diagonals(runs) <= total_diagonals(commuting_runs(h))
 
 
+def parity_sum(draw, n, even_flips, even_phases):
+    """A random sum of 1-8 Pauli strings on n >= 2 sites, each flipping an
+    even number of sites if ``even_flips`` and with an even number of Y and Z
+    factors if ``even_phases``.  Both hold by construction, with nothing
+    filtered: the last site's bit of such a mask is the parity of the
+    others', and a string that comes out as the identity becomes Z0 Z1."""
+
+    def mask(even):
+        rest = draw(st.integers(0, 2 ** (n - 1) - 1))
+        return rest | (rest.bit_count() % 2 if even else draw(st.integers(0, 1))) << (n - 1)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        flips, phases = mask(even_flips), mask(even_phases)
+        phases = phases if flips | phases else 0b11
+        axes = {i: (flips >> i & 1) + 2 * (phases >> i & 1) for i in range(n)}
+        factors = {i: "_XZY"[axis] for i, axis in axes.items() if axis}
+        coefficient = draw(st.one_of(st.floats(-2, -1e-3), st.floats(1e-3, 2)))
+        terms.append((coefficient, factors))
+    return op(n, *terms)
+
+
 @st.composite
 def flip_even_sums(draw):
     """Random Pauli sums on 2-6 sites whose every term has an even number of
     Y and Z factors, so commutes with the global flip F = prod_i X_i."""
-    n = draw(st.integers(2, 6))
-    factors = st.dictionaries(
-        st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1, max_size=n
-    ).filter(lambda f: sum(axis != "X" for axis in f.values()) % 2 == 0)
-    coefficient = st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
-    return op(n, *draw(st.lists(st.tuples(coefficient, factors), min_size=1, max_size=8)))
+    return parity_sum(draw, draw(st.integers(2, 6)), even_flips=False, even_phases=True)
 
 
 def flip_symmetric(n, sign, seed):
@@ -616,27 +633,35 @@ def flip_symmetric(n, sign, seed):
     return psi / np.linalg.norm(psi)
 
 
-def full_route_only(h, amps):
-    """A stand-in for ``_flip_signs`` that sends every column to the full route."""
-    return (0,) * (1 if amps.ndim == 1 else amps.shape[1])
+def full_route_only(h):
+    """A stand-in for ``_parities`` under which no column is folded or
+    mirrored: every column takes the full route."""
+    return False, False
 
 
-def cut_figure_layouts(name, tmp_path, monkeypatch):
-    """The Trotter column layouts of a bundled figure's run on 3 time points."""
+def cut_figure_run(name, tmp_path, monkeypatch):
+    """The Trotter column layouts of a bundled figure's run on 3 time points,
+    and the (sign, rows) of every fused op it builds."""
     path = Path(__file__).resolve().parents[1] / "figures" / f"{name}.json"
     raw = json.loads(path.read_text())
     raw["time_grid"] = dict(raw["time_grid"], points=3)
-    seen = []
-    original = evolution._trotter_evolve
+    layouts, builds = [], []
+    trotter_evolve, fused_op = evolution._trotter_evolve, evolution._fused_op
 
-    def spy(h, amps, t, evolver, layout):
-        seen.append(layout)
-        return original(h, amps, t, evolver, layout)
+    def layout_spy(h, amps, t, evolver, layout):
+        layouts.append(layout)
+        return trotter_evolve(h, amps, t, evolver, layout)
 
-    monkeypatch.setattr(evolution, "_trotter_evolve", spy)
+    def build_spy(run, dt, n_sites, sign):
+        built = fused_op(run, dt, n_sites, sign)
+        builds.append((sign, built[0].size))
+        return built
+
+    monkeypatch.setattr(evolution, "_trotter_evolve", layout_spy)
+    monkeypatch.setattr(evolution, "_fused_op", build_spy)
     run_experiment(config_from_dict(raw), output_dir=tmp_path)
-    assert seen
-    return seen
+    assert layouts and builds
+    return layouts, builds
 
 
 class TestFlipSector:
@@ -657,40 +682,48 @@ class TestFlipSector:
         u = dense_trotter(h, t, n_steps)
         for amps in (states[0], np.stack(states, axis=1)):
             expected_signs = tuple(signs[: 1 if amps.ndim == 1 else len(signs)])
-            assert evolution._flip_signs(h, amps) == expected_signs
+            layout = evolution._column_layout(h, amps)
+            assert layout == tuple((k, s) for k, s in enumerate(expected_signs))
             folded = evolve(h, amps, t, evolver)
-            with mock.patch.object(evolution, "_flip_signs", full_route_only):
+            with mock.patch.object(evolution, "_parities", full_route_only):
                 full = evolve(h, amps, t, evolver)
             assert np.array_equal(folded, full)
             assert np.max(np.abs(folded - u @ amps)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(flip_even_sums(), st.floats(-2, 2, allow_nan=False))
-    def test_half_build_is_lower_half_of_full_build(self, h, dt):
+    @given(flip_even_sums(), st.floats(-2, 2, allow_nan=False), st.sampled_from([1, -1]))
+    def test_half_build_is_lower_half_of_full_build(self, h, dt, sign):
+        # a gather with the top bit reads the mirrored row, with the sign in its diagonal
         half = 2 ** (h.n_sites - 1)
-        d0, flips = _fused_rotation(h.terms, dt, h.n_sites, False)
-        h0, half_flips = _fused_rotation(h.terms, dt, h.n_sites, True)
+        d0, gathers = _fused_op(h.terms, dt, h.n_sites, 0)
+        h0, half_gathers = _fused_op(h.terms, dt, h.n_sites, sign)
         assert np.array_equal(h0, d0[:half])
-        assert [f for f, _ in half_flips] == [f for f, _ in flips]
-        assert all(np.array_equal(a, b[:half]) for (_, a), (_, b) in zip(half_flips, flips))
+        assert len(half_gathers) == len(gathers)
+        for (index, d), (half_index, half_d) in zip(gathers, half_gathers):
+            top = index[0] & half  # index[0] = 0 ^ f
+            assert np.array_equal(half_index, index[:half] ^ (2 * half - 1 if top else 0))
+            assert np.array_equal(half_d, sign * d[:half] if top else d[:half])
 
     def test_route_selection(self):
         chain = build_xxz(6, 0.7, 0.0, "periodic")
         even, odd = flip_symmetric(6, 1, 3), flip_symmetric(6, -1, 4)
         asymmetric = random_state(6, 5)
-        assert evolution._flip_signs(chain, even) == (1,)
-        assert evolution._flip_signs(chain, odd) == (-1,)
-        assert evolution._flip_signs(chain, asymmetric) == (0,)
+        assert evolution._column_layout(chain, even) == ((0, 1),)
+        assert evolution._column_layout(chain, odd) == ((0, -1),)
+        assert evolution._column_layout(chain, asymmetric) == ((0, 0),)
         # a Z field anticommutes with F: every column takes the full route
         fielded = build_xxz(6, 0.7, 0.3, "periodic")
-        assert evolution._flip_signs(fielded, np.stack([even, odd], axis=1)) == (0, 0)
+        assert evolution._column_layout(fielded, np.stack([even, odd], axis=1)) == ((0, 0), (1, 0))
         # a block decides column by column, and each column sees the
         # single-state propagator
         block = np.stack([even, asymmetric, odd], axis=1)
-        assert evolution._flip_signs(chain, block) == (1, 0, -1)
+        assert evolution._column_layout(chain, block) == ((0, 1), (1, 0), (2, -1))
         out = evolve(chain, block, 1.3, TROTTER10)
         for k in range(3):
             assert np.array_equal(out[:, k], evolve(chain, block[:, k], 1.3, TROTTER10))
+        # the sign-0 class builds on all rows, the others on the half: the full route's bits
+        with mock.patch.object(evolution, "_parities", full_route_only):
+            assert np.array_equal(out, evolve(chain, block, 1.3, TROTTER10))
         u = dense_trotter(chain, 1.3, 10)
         assert np.max(np.abs(out - u @ block)) < 1e-12
 
@@ -699,9 +732,9 @@ class TestFlipSector:
         psi = flip_symmetric(6, 1, 3)
         nudge = np.zeros_like(psi)
         nudge[0] = 1e-14
-        assert evolution._flip_signs(chain, psi + nudge) == (1,)
+        assert evolution._column_layout(chain, psi + nudge) == ((0, 1),)
         nudge[0] = 1e-11
-        assert evolution._flip_signs(chain, psi + nudge) == (0,)
+        assert evolution._column_layout(chain, psi + nudge) == ((0, 0),)
 
     def test_commutator_oracle_folds_odd_kets(self, monkeypatch):
         chain = build_xxz(6, 0.7, 0.0, "periodic")
@@ -719,18 +752,20 @@ class TestFlipSector:
         folded = nested_commutator_prefixes(chain, readout, pulses, grid, psi0, TROTTER10)
         # the F-odd pump makes the once-kicked ket odd, the twice-kicked even
         assert set(seen) == {1, -1}
-        monkeypatch.setattr(evolution, "_flip_signs", full_route_only)
+        monkeypatch.setattr(evolution, "_parities", full_route_only)
         full = nested_commutator_prefixes(chain, readout, pulses, grid, psi0, TROTTER10)
         assert np.array_equal(folded, full)
         assert np.max(np.abs(folded[1])) > 1e-2
 
     def test_cut_fig2_takes_folded_route(self, tmp_path, monkeypatch):
-        layouts = cut_figure_layouts("fig2", tmp_path, monkeypatch)
+        layouts, builds = cut_figure_run("fig2", tmp_path, monkeypatch)
         # the kicked ground state is flip-even in every shift configuration;
         # each -eta shift mirrors its +eta partner, so 7 of 11 columns propagate
         for layout in layouts:
             propagated = [sign for k, (j, sign) in enumerate(layout) if j == k]
             assert len(layout) == 11 and propagated == [1] * 7
+        # so every fused op is built on the half of sign +1, none on all 2**12 rows
+        assert set(builds) == {(1, 2**11)}
 
 
 @st.composite
@@ -738,29 +773,13 @@ def z_even_sums(draw):
     """Random Pauli sums on 2-7 sites whose every term flips an even number
     of sites, so commutes with the parity P = prod_i Z_i; about half of them
     also commute with F = prod_i X_i, so that folded columns are mirrored."""
-    n = draw(st.integers(2, 7))
-    also_flip_even = draw(st.booleans())
-
-    def allowed(factors):
-        flips = sum(axis != "Z" for axis in factors.values())
-        phases = sum(axis != "X" for axis in factors.values())
-        return flips % 2 == 0 and (not also_flip_even or phases % 2 == 0)
-
-    factors = st.dictionaries(
-        st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1, max_size=n
-    ).filter(allowed)
-    coefficient = st.floats(-2, 2, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
-    return op(n, *draw(st.lists(st.tuples(coefficient, factors), min_size=1, max_size=8)))
+    n, also_flip_even = draw(st.integers(2, 7)), draw(st.booleans())
+    return parity_sum(draw, n, even_flips=True, even_phases=also_flip_even)
 
 
 def parity(n):
     """P = prod_i Z_i as its diagonal of signs (-1)^popcount(x)."""
     return np.where(np.bitwise_count(np.arange(2**n)) % 2, -1.0, 1.0)
-
-
-def no_mirrors(h):
-    """A stand-in for ``_z_even`` under which no column is mirrored."""
-    return False
 
 
 class TestMirrorColumns:
@@ -793,15 +812,17 @@ class TestMirrorColumns:
                 expected.append((j, s))
                 continue
             if kind.startswith("flip"):
-                columns.append(flip_symmetric(n, 1 if kind == "flip+" else -1, seed + k))
+                sign = 1 if kind == "flip+" else -1
+                columns.append(flip_symmetric(n, sign, seed + k))
             else:
+                sign = 0
                 columns.append(random_state(n, seed + k))
-            expected.append((k, evolution._flip_signs(h, columns[-1])[0]))
+            expected.append((k, sign if evolution._parities(h)[0] else 0))
         block = np.stack(columns, axis=1)
         assert evolution._column_layout(h, block) == tuple(expected)
         evolver = Evolver("trotter1", n_steps)
         mirrored = evolve(h, block, t, evolver)
-        with mock.patch.object(evolution, "_z_even", no_mirrors):
+        with mock.patch.object(evolution, "_parities", full_route_only):
             assert all(j == k for k, (j, _) in enumerate(evolution._column_layout(h, block)))
             full = evolve(h, block, t, evolver)
         assert np.array_equal(mirrored, full)
@@ -824,7 +845,7 @@ class TestMirrorColumns:
         assert np.max(np.abs(out - dense_trotter(chain, 0.9, 10) @ block)) < 1e-12
 
     def test_cut_fig3a_mirrors_one_column(self, tmp_path, monkeypatch):
-        layouts = cut_figure_layouts("fig3a", tmp_path, monkeypatch)
+        layouts, _ = cut_figure_run("fig3a", tmp_path, monkeypatch)
         # the +eta and -eta kicks of X3 on the sector-2 ground state are mirrors
         for layout in layouts:
             assert len(layout) == 3

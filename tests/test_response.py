@@ -244,6 +244,16 @@ class TestResponseSeries:
         with pytest.raises(ValueError):
             ResponseSeries(1, (1,), np.array([0.0, 1.0]), np.array([0.0]))
 
+    def test_caller_grid_stays_writeable(self, single_qubit):
+        # a series freezes copies of its arrays, not the caller's grid
+        h, x, psi = single_qubit
+        schedule = PulseSchedule([(x, [0.0])])
+        grid = np.linspace(0.5, 2, 4)
+        series = reconstruct_response(h, schedule, x, grid, MultiIndex([1]), EXACT, psi)
+        assert grid.flags.writeable and not series.times.flags.writeable
+        _, diff = response_decomposition(h, schedule, x, grid, [0.1], 2, EXACT, psi)[0]
+        assert grid.flags.writeable and not diff.times.flags.writeable
+
 
 class TestDecomposition:
     def test_zero_amplitude_only_baseline(self, single_qubit):

@@ -56,20 +56,34 @@ def test_run_figures_against_a_rerun(tmp_path, capsys):
         r"against \S+fig4_xzz: 4 of 4 CSVs byte-identical, resolved_config.json byte-identical",
         capsys.readouterr().out,
     )
-    # a moved value is reported with its deviation and its column's scale
+    # a moved value is reported with its deviation and its column's scale,
+    # and fails the comparison
     moved = first / "fig4_xzz" / "correlator_orders.csv"
     header, row, *rest = moved.read_text().split("\n")
     cells = row.split(",")
     cells[2] = repr(float(cells[2]) + 1e-9)
     moved.write_text("\n".join([header, ",".join(cells), *rest]))
-    lines = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
-    assert "3 of 4 CSVs byte-identical" in lines[0]
+    lines, same = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+    assert "3 of 4 CSVs byte-identical" in lines[0] and not same
     assert re.fullmatch(
         r"  correlator_orders\.csv: max\|dev\| 1\.00e-09 in reC1, whose max\|value\| is \S+",
         lines[1],
     )
-    # so is a resolved config that moved
+    assert run_figures.main(argv) == 1
+    # so is a resolved config that moved, with every CSV identical
+    moved.write_text((second / "fig4_xzz" / "correlator_orders.csv").read_text())
     resolved = first / "fig4_xzz" / "resolved_config.json"
     resolved.write_text(resolved.read_text() + "\n")
-    lines = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
-    assert lines[0].endswith("3 of 4 CSVs byte-identical, resolved_config.json differs")
+    lines, same = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+    assert lines[0].endswith("4 of 4 CSVs byte-identical, resolved_config.json differs")
+    assert not same and run_figures.main(argv) == 1
+    # a CSV that either run did not write is missing, whichever run lacks it
+    resolved.write_text((second / "fig4_xzz" / "resolved_config.json").read_text())
+    (second / "fig4_xzz" / "contrast.csv").rename(second / "fig4_xzz" / "extra.csv")
+    lines, same = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+    assert "3 of 5 CSVs byte-identical, resolved_config.json byte-identical" in lines[0]
+    assert lines[1:] == [
+        f"  contrast.csv: missing from {second / 'fig4_xzz'}",
+        f"  extra.csv: missing from {first / 'fig4_xzz'}",
+    ]
+    assert not same
