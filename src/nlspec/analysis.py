@@ -293,10 +293,16 @@ def third_order_2dos(
     return out
 
 
+def s3_shift_rule(pump: OperatorSum) -> ShiftRule:
+    """The rule of each pulse on the "shift_rule" route of ``third_order_2dos``:
+    order 1 on the pump's gap set."""
+    return rule_for_generator(pump, [1])
+
+
 def _shift_rule_rows(h, observable, pump, t_2, t1s, t3s, psi0, evolver) -> np.ndarray:
     """The (T1, T3) shift-rule rows of ``third_order_2dos`` for t1 > 0 and
     t2 > 0, in two ``driven_states`` passes."""
-    rule = rule_for_generator(pump, [1])
+    rule = s3_shift_rule(pump)
     configs, weights = shift_configurations({0: rule, 1: rule, 2: rule}, MultiIndex([1, 1, 1]))
     active = weights != 0.0
     configs, weights = configs[active], weights[active]

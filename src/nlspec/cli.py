@@ -24,14 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisError
+from .analysis import AnalysisError, s3_shift_rule
 from .config import ConfigError, load_config
 from .evolution import PulseSchedule, ScheduleError
 from .models import GroundStateError, build_pump
 from .pauli import DimensionCapError, HermiticityError
 from .response import MultiIndex, decomposition_rule, rules_for_schedule
 from .runner import _pump_probe_drive, run_experiment, verify_experiment, write_csv
-from .shift_rules import ShiftRuleError, channel_gap_set, rule_for_gap_set
+from .shift_rules import ShiftRuleError, channel_gap_set
 from .spectra import SpectrumError, envelope_fit, response_spectrum
 
 EXIT_OK = 0
@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gaps_p = sub.add_parser("gaps", help="print the shift-rule ledger for the pumps")
     gaps_p.add_argument("--config", required=True)
-    gaps_p.add_argument("--max-order", type=int, default=None)
 
     spec_p = sub.add_parser("spectra", help="Fourier post-processing of a series CSV")
     spec_p.add_argument("--input", required=True, help="CSV with a time column first")
@@ -105,32 +104,29 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gaps(args) -> int:
     config = load_config(args.config)
-    protocol, n_shifts, mode = config.protocol, config.shifts.n_shifts, config.shifts.mode
+    protocol, n_shifts = config.protocol, config.shifts.n_shifts
     channels = [(build_pump(c.pump, config.model.n_qubits()), c.times) for c in config.pumps]
-    # the orders whose weights the run solves for (response: each channel's own)
-    orders, rules = [], {}
-    if args.max_order is not None:
-        orders = range(args.max_order + 1)
-    elif protocol in ("pump_probe", "sweep"):
-        _, _, orders, _ = _pump_probe_drive(config)
-    elif protocol == "2dos":
-        orders = [1]
+    # the rules the run builds, by channel, from the functions the run calls
+    rules = {}
+    if protocol == "response":
+        schedule, beta = PulseSchedule(channels), MultiIndex(config.orders)
+        rules = rules_for_schedule(schedule, beta, n_shifts, config.shifts.mode)
     elif protocol == "decomposition":
-        orders = range(config.max_order + 1)
-    elif protocol == "response":
-        rules = rules_for_schedule(PulseSchedule(channels), MultiIndex(config.orders), n_shifts, mode)
-    orders = [r for r in orders if mode == "full" or r % 2]
+        rules = {0: decomposition_rule(channels[0], config.max_order, n_shifts=n_shifts)}
+    elif protocol in ("pump_probe", "sweep"):
+        rules = {0: _pump_probe_drive(config)[3]}
+    elif protocol == "2dos" and config.method == "shift_rule":
+        rules = {0: s3_shift_rule(channels[0][0])}
+    why = {
+        "entropy": "the entropy protocol fits its eta grid",
+        "2dos": "the oracle method takes nested commutators",
+    }.get(protocol, "order 0")
     for i, (channel, (generator, times)) in enumerate(zip(config.pumps, channels)):
         gaps = channel_gap_set(generator, len(times))
         print(f"pump[{i}] kind={channel.pump.kind} support={generator.support}")
         print(f"  gaps ({len(gaps)}): {np.array2string(gaps.gaps, precision=10)}")
         print(f"  unit: {gaps.unit}")
-        if protocol == "decomposition":
-            rules[i] = decomposition_rule((generator, times), orders[-1], n_shifts=n_shifts)
-        elif orders and protocol != "entropy":
-            rules[i] = rule_for_gap_set(gaps, orders, n_shifts=n_shifts, mode=mode)
         if (rule := rules.get(i)) is None:
-            why = "the entropy protocol fits its eta grid" if protocol == "entropy" else "order 0"
             print(f"  no shift rule: {why}")
             continue
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")

@@ -351,8 +351,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("observables: required for response and decomposition protocols")
     if protocol == "response" and len(config.orders) != len(pumps):
         raise ConfigError("orders: one derivative order per pump channel is required")
-    if protocol == "response" and config.sampling is not None and sum(config.orders) == 0:
-        raise ConfigError("sampling: an order-zero response is the unperturbed signal, unsampled")
     if protocol == "decomposition" and len(pumps) != 1:
         raise ConfigError(
             "pumps: the decomposition protocol expands one drive channel; "
@@ -384,7 +382,28 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("model: the sweep protocol sweeps the toric-code coupling")
     if config.method not in S3_METHODS:
         raise ConfigError(f"method: unknown method {config.method!r}, expected one of {S3_METHODS}")
+    read = PROTOCOL_FIELDS[protocol]
+    if "orders" in read and min(config.orders, default=0) < 0:
+        raise ConfigError(f"orders: derivative orders must be >= 0, not {list(config.orders)}")
+    if "max_order" in read and config.max_order < 0:
+        raise ConfigError(f"max_order: must be >= 0, not {config.max_order}")
+    for name in ("eta_eval", "sweep_values"):
+        if name in read and not getattr(config, name):
+            raise ConfigError(f"{name}: at least one value is required")
+    if protocol == "2dos":
+        starts = {"t2": config.t2, "t1_grid": config.t1_grid.start, "t3_grid": config.t3_grid.start}
+        for name, start in starts.items():
+            if start < 0:
+                raise ConfigError(f"{name}: the 2dos protocol's times must be >= 0, not {start}")
     n_qubits = config.model.n_qubits()
+    if "block_size" in read and not 1 <= config.block_size < n_qubits:
+        raise ConfigError(f"block_size: must be in [1, {n_qubits - 1}], not {config.block_size}")
+    for name in ("probe_1", "probe_2"):
+        if name in read:
+            try:
+                OperatorSum((PauliTerm(1.0, dict(getattr(config, name))),), n_qubits)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
     for i, channel in enumerate(pumps):
         try:
             build_pump(channel.pump, n_qubits)

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, build_observable, to_json_dict
 from .evolution import PulseSchedule, blas_pin_unavailable, driven_signal, driven_states
-from .models import ModelSpec, build_model, build_pump, ground_state
+from .models import build_model, build_pump, ground_state
 from .pauli import OperatorSum, PauliTerm
 from .reference import (
     finite_difference_derivative,
@@ -84,39 +84,24 @@ def _materialize(config: ExperimentConfig):
     return h, schedule, observables, psi0
 
 
-def _emit_series_and_spectrum(out: Path, name: str, times, values, files: list[str], dt: float):
-    write_csv(out / f"{name}.csv", ["t[1/J]", "value"], zip(times, values))
-    files.append(f"{name}.csv")
+def _emit_series_and_spectrum(csv, name: str, times, values, dt: float):
+    csv(f"{name}.csv", ["t[1/J]", "value"], zip(times, values))
     if times.size > 1 and dt > 0:
         spec = response_spectrum(values, dt=dt)
-        write_csv(
-            out / f"{name}_spectrum.csv",
+        csv(
+            f"{name}_spectrum.csv",
             ["omega[J]", "magnitude", "real", "imag"],
             zip(spec.frequencies, spec.magnitudes, spec.amplitudes.real, spec.amplitudes.imag),
         )
-        files.append(f"{name}_spectrum.csv")
 
 
-def _run_response(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_response(config: ExperimentConfig, csv) -> dict:
     h, schedule, observables, psi0 = _materialize(config)
     grid = config.time_grid.values()
-    if sum(config.orders) == 0:
-        # order zero: the unperturbed signal itself
-        files = []
-        for label, observable in observables:
-            values = driven_signal(
-                h, schedule, [0.0] * schedule.n_channels, observable, grid,
-                config.evolver, psi0,
-            )
-            _emit_series_and_spectrum(
-                out, f"response_m0_{label}", grid, values, files, config.time_grid.dt
-            )
-        return files, {"orders": list(config.orders)}
     beta = MultiIndex(config.orders)
     rules = rules_for_schedule(
         schedule, beta, n_shifts=config.shifts.n_shifts, mode=config.shifts.mode
     )
-    files: list[str] = []
     meta: dict = {"orders": list(beta.beta), "n_configurations": None}
     plan = None
     if config.sampling is not None:
@@ -130,22 +115,20 @@ def _run_response(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]
         )
         meta["n_configurations"] = series.metadata["n_configurations"]
         name = f"response_{tag}_{label}"
-        _emit_series_and_spectrum(out, name, grid, series.values, files, config.time_grid.dt)
+        _emit_series_and_spectrum(csv, name, grid, series.values, config.time_grid.dt)
         if plan is not None:
-            write_csv(
-                out / f"{name}_sampled.csv",
+            csv(
+                f"{name}_sampled.csv",
                 ["t[1/J]", "estimate", "std_error"],
                 zip(grid, series.metadata["sampled"], series.metadata["std_error"]),
             )
-            files.append(f"{name}_sampled.csv")
-    return files, meta
+    return meta
 
 
-def _run_decomposition(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_decomposition(config: ExperimentConfig, csv) -> dict:
     h, schedule, observables, psi0 = _materialize(config)
     label, observable = observables[0]
     grid = config.time_grid.values()
-    files: list[str] = []
     per_eta = response_decomposition(
         h,
         schedule,
@@ -160,20 +143,16 @@ def _run_decomposition(config: ExperimentConfig, out: Path) -> tuple[list[str], 
     etas = list(config.eta_eval)
     for n in range(config.max_order + 1):
         header = ["t[1/J]"] + [f"A{n}[eta={e:g}]" for e in etas]
-        rows = zip(grid, *(terms[n].values for terms, _ in per_eta))
-        write_csv(out / f"A{n}.csv", header, rows)
-        files.append(f"A{n}.csv")
+        csv(f"A{n}.csv", header, zip(grid, *(terms[n].values for terms, _ in per_eta)))
     header = ["t[1/J]"] + [f"diff[eta={e:g}]" for e in etas]
-    write_csv(out / "diff.csv", header, zip(grid, *(diff.values for _, diff in per_eta)))
-    files.append("diff.csv")
-    meta = {
+    csv("diff.csv", header, zip(grid, *(diff.values for _, diff in per_eta)))
+    return {
         "observable": label,
         "basis": per_eta[0][0][0].metadata["basis"],
         "max_abs_diff": {
             f"{e:g}": float(np.max(np.abs(diff.values))) for e, (_, diff) in zip(etas, per_eta)
         },
     }
-    return files, meta
 
 
 def _pump_probe_drive(config: ExperimentConfig):
@@ -210,7 +189,7 @@ def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive, referenc
     return t1s, t2s, order_values, samples[:, :, rule.n_shifts :]
 
 
-def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_pump_probe(config: ExperimentConfig, csv) -> dict:
     # the contrast ratio C(kappa) / C(0) of each cell
     t1s, t2s, order_values, references = _pump_probe_orders(
         config, build_model(config.model), _pump_probe_drive(config), [0.0, config.kappa]
@@ -223,7 +202,6 @@ def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dic
         except AnalysisError:
             excluded += 1
     orders = list(order_values)
-    files: list[str] = []
     rows = []
     for i, t1 in enumerate(t1s):
         for j, t2 in enumerate(t2s):
@@ -234,10 +212,9 @@ def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dic
     header = ["t1[1/J]", "t2[1/J]"]
     for m in orders:
         header.extend([f"reC{m}", f"imC{m}"])
-    write_csv(out / "correlator_orders.csv", header, rows)
-    files.append("correlator_orders.csv")
-    write_csv(
-        out / "contrast.csv",
+    csv("correlator_orders.csv", header, rows)
+    csv(
+        "contrast.csv",
         ["t1[1/J]", "t2[1/J]", "reR", "imR"],
         (
             [t1, t2, contrast[i, j].real, contrast[i, j].imag]
@@ -245,19 +222,17 @@ def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dic
             for j, t2 in enumerate(t2s)
         ),
     )
-    files.append("contrast.csv")
     finite = contrast[np.isfinite(contrast.real)]
     if finite.size:
         lo, hi = float(finite.real.min()), float(finite.real.max())
         if hi - lo < 1e-12:  # constant contrast: center one unit-width bin
             lo, hi = lo - 0.5, hi + 0.5
         counts, edges = np.histogram(finite.real, bins=41, range=(lo, hi))
-        write_csv(
-            out / "contrast_hist.csv",
+        csv(
+            "contrast_hist.csv",
             ["bin_left", "bin_right", "count"],
             zip(edges[:-1], edges[1:], counts.astype(float)),
         )
-        files.append("contrast_hist.csv")
     slopes = {}
     quadratures = {}
     pairs = [(a, b) for a, b in zip(orders, orders[1:])]
@@ -265,13 +240,12 @@ def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dic
         slope, quadrature = _order_pair_slope(order_values[a], order_values[b], a, b)
         slopes[f"s{a}{b}"] = slope
         quadratures[f"s{a}{b}"] = quadrature
-        write_csv(
-            out / f"cloud_c{a}_c{b}.csv",
+        csv(
+            f"cloud_c{a}_c{b}.csv",
             [f"reC{a}", f"reC{b}"],
             zip(order_values[a].real.ravel(), order_values[b].real.ravel()),
         )
-        files.append(f"cloud_c{a}_c{b}.csv")
-    meta = {
+    return {
         "excluded_contrast_points": excluded,
         "pca_slopes": slopes,
         "pca_quadratures": quadratures,
@@ -279,7 +253,6 @@ def _run_pump_probe(config: ExperimentConfig, out: Path) -> tuple[list[str], dic
         if finite.size
         else None,
     }
-    return files, meta
 
 
 def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
@@ -314,21 +287,17 @@ def _sweep_point(config: ExperimentConfig, drive, g: float):
     ]
 
 
-def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_sweep(config: ExperimentConfig, csv) -> dict:
     g_values = [float(g) for g in config.sweep_values]
     drive = _pump_probe_drive(config)
     _, _, orders, _ = drive
     results = [_sweep_point(config, drive, g) for g in sorted(g_values)]
     pair_names = [f"s{a}{b}" for a, b in zip(orders, orders[1:])]
-    write_csv(
-        out / "s35_vs_g.csv",
-        ["g"] + pair_names,
-        ([g] + slopes for g, slopes in results),
-    )
-    return ["s35_vs_g.csv"], {"orders": orders, "n_g": len(results)}
+    csv("s35_vs_g.csv", ["g"] + pair_names, ([g] + slopes for g, slopes in results))
+    return {"orders": orders, "n_g": len(results)}
 
 
-def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_2dos(config: ExperimentConfig, csv) -> dict:
     h, schedule, observables, psi0 = _materialize(config)
     n = h.n_sites
     pump, _ = schedule.channels[0]
@@ -341,16 +310,14 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     s3 = third_order_2dos(
         h, observable, pump, config.t2, t1s, t3s, psi0, config.evolver, config.method
     )
-    files = []
-    write_csv(
-        out / "s3_time.csv",
+    csv(
+        "s3_time.csv",
         ["t1[1/J]", "t3[1/J]", "S3"],
         ([t1, t3, s3[i, j]] for i, t1 in enumerate(t1s) for j, t3 in enumerate(t3s)),
     )
-    files.append("s3_time.csv")
     spec = spectrum_2d(s3, config.t1_grid.dt, config.t3_grid.dt)
-    write_csv(
-        out / "s3_spectrum.csv",
+    csv(
+        "s3_spectrum.csv",
         ["omega1[J]", "omega3[J]", "magnitude"],
         (
             [w1, w3, spec.magnitudes[i, j]]
@@ -358,76 +325,57 @@ def _run_2dos(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
             for j, w3 in enumerate(spec.frequencies_2)
         ),
     )
-    files.append("s3_spectrum.csv")
     p_diag, p_off = diagonal_offdiagonal_weight(spec)
-    write_csv(out / "spectral_weights.csv", ["p_diag", "p_off"], [[p_diag, p_off]])
-    files.append("spectral_weights.csv")
-    meta = {
+    csv("spectral_weights.csv", ["p_diag", "p_off"], [[p_diag, p_off]])
+    return {
         "p_diag": p_diag,
         "p_off": p_off,
         "off_fraction": p_off / (p_diag + p_off) if p_diag + p_off > 0 else 0.0,
         "method": config.method,
         "readout": readout,
     }
-    return files, meta
 
 
-def _run_entropy(config: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    h = build_model(config.model)
-    pump, psi0 = build_pump(config.pumps[0].pump, h.n_sites), ground_state(h)
-    block, eta_grid = config.block_size, np.asarray(config.eta_grid)
-    files: list[str] = []
-
+def _entropy_point(config: ExperimentConfig, pump: OperatorSum, **parameters):
+    """The entropy fit over the eta grid on the config's model with
+    ``parameters`` replaced, and its ground state kicked by eta_eval, as
+    ``entropy_expansion`` makes its states."""
+    h = build_model(replace(config.model, parameters={**config.model.parameters, **parameters}))
+    psi0 = ground_state(h)
     expansion = entropy_expansion(
-        h, pump, psi0, eta_grid, config.entropy_time, block, config.max_order, config.evolver
+        h, pump, psi0, config.eta_grid, config.entropy_time, config.block_size, config.max_order,
+        config.evolver,
     )
-    write_csv(
-        out / "entropy_vs_eta.csv", ["eta", f"S_{block}"], zip(eta_grid, expansion.entropies)
-    )
-    files.append("entropy_vs_eta.csv")
-    write_csv(
-        out / "entropy_coefficients.csv",
-        ["order", "coefficient"],
-        enumerate(expansion.coefficients),
-    )
-    files.append("entropy_coefficients.csv")
-
-    # the state kicked by eta_eval, as entropy_expansion makes its states
     kick, grid = PulseSchedule([(pump, [0.0])]), [config.entropy_time]
     (state,) = driven_states(h, kick, config.eta_eval, grid, config.evolver, psi0)
-    profile = [[d, entanglement_entropy(state, d)] for d in range(1, h.n_sites)]
-    write_csv(out / "entropy_profile.csv", ["block_size", "S_d"], profile)
-    files.append("entropy_profile.csv")
+    return expansion, state
 
-    meta = {
+
+def _run_entropy(config: ExperimentConfig, csv) -> dict:
+    n, block = config.model.n_qubits(), config.block_size
+    pump = build_pump(config.pumps[0].pump, n)
+    expansion, state = _entropy_point(config, pump)
+    csv("entropy_vs_eta.csv", ["eta", f"S_{block}"], zip(config.eta_grid, expansion.entropies))
+    csv("entropy_coefficients.csv", ["order", "coefficient"], enumerate(expansion.coefficients))
+    profile = [[d, entanglement_entropy(state, d)] for d in range(1, n)]
+    csv("entropy_profile.csv", ["block_size", "S_d"], profile)
+    if config.delta_values:
+        points = [(d, *_entropy_point(config, pump, delta=float(d))) for d in config.delta_values]
+        csv(
+            "entropy_coeffs_vs_delta.csv",
+            ["delta"] + [f"S{k}" for k in range(config.max_order + 1)],
+            ([delta, *fit.coefficients] for delta, fit, _ in points),
+        )
+        csv(
+            "entropy_half_vs_delta.csv",
+            ["delta", f"S_{block}"],
+            ([delta, entanglement_entropy(kicked, block)] for delta, _, kicked in points),
+        )
+    return {
         "block_size": block,
         "fit_condition_number": expansion.condition_number,
         "fit_residual": expansion.residual,
     }
-    if config.delta_values:
-        rows = []
-        half_rows = []
-        for delta in config.delta_values:
-            params = dict(config.model.parameters)
-            params["delta"] = float(delta)
-            h_d = build_model(ModelSpec("xxz", params, config.model.boundary))
-            psi_d = ground_state(h_d)
-            exp_d = entropy_expansion(
-                h_d, pump, psi_d, eta_grid, config.entropy_time, block,
-                config.max_order, config.evolver,
-            )
-            rows.append([delta] + list(exp_d.coefficients))
-            (state,) = driven_states(h_d, kick, config.eta_eval, grid, config.evolver, psi_d)
-            half_rows.append([delta, entanglement_entropy(state, block)])
-        write_csv(
-            out / "entropy_coeffs_vs_delta.csv",
-            ["delta"] + [f"S{k}" for k in range(config.max_order + 1)],
-            rows,
-        )
-        files.append("entropy_coeffs_vs_delta.csv")
-        write_csv(out / "entropy_half_vs_delta.csv", ["delta", f"S_{block}"], half_rows)
-        files.append("entropy_half_vs_delta.csv")
-    return files, meta
 
 
 def run_experiment(
@@ -454,7 +402,14 @@ def run_experiment(
         "response": _run_response, "decomposition": _run_decomposition, "sweep": _run_sweep,
         "pump_probe": _run_pump_probe, "2dos": _run_2dos, "entropy": _run_entropy,
     }[config.protocol]
-    files, meta = run(config, out)
+    files: list[str] = []
+
+    def csv(name: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+        """The run's one CSV writer: writes out/name and lists it, in write order."""
+        write_csv(out / name, header, rows)
+        files.append(name)
+
+    meta = run(config, csv)
     metadata = {
         "engine_version": __version__,
         "protocol": config.protocol,

@@ -404,7 +404,8 @@ def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Per-channel derivative orders beta_a; the response order is their sum."""
+    """Per-channel derivative orders beta_a; the response order is their sum
+    (at 0, the unperturbed signal)."""
 
     beta: tuple[int, ...]
 
@@ -412,8 +413,6 @@ class MultiIndex:
         beta = tuple(int(b) for b in beta)
         if any(b < 0 for b in beta):
             raise ValueError("multi-index entries must be nonnegative")
-        if sum(beta) < 1:
-            raise ValueError("multi-index must have total order >= 1")
         object.__setattr__(self, "beta", beta)
 
     @property

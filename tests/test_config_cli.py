@@ -23,7 +23,7 @@ from nlspec.config import (
     load_config,
     to_json_dict,
 )
-from nlspec import evolution, models, runner
+from nlspec import evolution, models, runner, shift_rules
 from nlspec.runner import run_experiment, verify_experiment
 
 MINIMAL = {
@@ -563,8 +563,9 @@ class TestRunExperiment:
 FIGURE_NAMES = sorted(p.stem for p in FIGURES.glob("*.json"))
 
 
-def cut_figure(name):
-    """A bundled figure on coarser grids and shorter scans."""
+def cut_figure(name, **changes):
+    """A bundled figure on coarser grids and shorter scans, with ``changes``
+    made to its fields."""
     raw = json.loads((FIGURES / f"{name}.json").read_text())
     for grid, points in (("time_grid", 6), ("t1_grid", 3), ("t3_grid", 3)):
         if grid in raw:
@@ -572,7 +573,7 @@ def cut_figure(name):
     for scan in ("sweep_values", "delta_values"):
         if scan in raw:
             raw[scan] = raw[scan][:2]
-    return config_from_dict(raw)
+    return config_from_dict({**raw, **changes})
 
 
 class TestProtocolFields:
@@ -796,13 +797,22 @@ class TestCLI:
         assert "error: sampling.total_shots:" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.csv"))
 
-    def test_sampling_at_order_zero_exit_two(self, tmp_path, capsys):
-        # the order-zero run writes the unperturbed signal and never reads sampling
-        payload = dict(MINIMAL, orders=[0], sampling={"total_shots": 100})
+    def test_sampled_order_zero_run(self, tmp_path):
+        # order zero reads sampling as every order does: its one configuration,
+        # at amplitude 0 with weight 1, takes every shot
+        observable = {"kind": "single_site_pauli", "sites": [2], "axis": "Z"}
+        payload = dict(
+            MINIMAL, orders=[0], observables=[observable], sampling={"total_shots": 4000}
+        )
         out = tmp_path / "out"
-        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
-        assert "error: sampling: an order-zero response" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        name = "response_m0_single_site_pauli_2_z"
+        exact = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
+        sampled = np.loadtxt(out / f"{name}_sampled.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(sampled[:, 0], exact[:, 0]) and np.all(sampled[:, 2] > 0)
+        assert np.all(np.abs(sampled[:, 1] - exact[:, 1]) <= 5 * sampled[:, 2])
+        metadata = json.loads((out / "run_metadata.json").read_text())
+        assert metadata["n_configurations"] == 1 and metadata["variance_bound"] == 1 / 4000
 
     def test_schedule_error_exit_two(self, tmp_path, capsys):
         pumps = [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [5.0]}]
@@ -846,6 +856,53 @@ class TestCLI:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def assert_config_error(self, tmp_path, capsys, figure, changes, field):
+        """A bundled figure with ``changes`` fails at load, in run and in gaps,
+        with a config error that names ``field``."""
+        raw = json.loads((FIGURES / f"{figure}.json").read_text())
+        path = write_config(tmp_path, {**raw, **changes})
+        out = tmp_path / "out"
+        for command in (["run", "--out", str(out)], ["gaps"]):
+            assert main([*command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "figure, changes, field",
+        [
+            ("fig3a", {"orders": [-1]}, "orders"),
+            ("fig4_xxx", {"orders": [-1]}, "orders"),
+            ("fig2", {"max_order": -1}, "max_order"),
+            ("fig2_entropy", {"max_order": -1}, "max_order"),
+            ("fig2", {"eta_eval": []}, "eta_eval"),
+            ("fig4_xxx", {"probe_1": {"9": "X"}}, "probe_1"),
+            ("fig4_sweep", {"sweep_values": []}, "sweep_values"),
+        ],
+        ids=[
+            "response_orders", "pump_probe_orders", "decomposition_max_order",
+            "entropy_max_order", "eta_eval_empty", "probe_off_register", "sweep_values_empty",
+        ],
+    )
+    def test_value_out_of_range_exit_two(self, tmp_path, capsys, figure, changes, field):
+        # unchecked, each crashed with a traceback or wrote a header-only CSV
+        self.assert_config_error(tmp_path, capsys, figure, changes, field)
+
+    @pytest.mark.parametrize(
+        "figure, changes, field",
+        [
+            ("fig2_entropy", {"model": xxz_model(n_sites=6), "block_size": 9}, "block_size"),
+            ("fig2_entropy", {"block_size": 0}, "block_size"),
+            ("fig2_entropy", {"block_size": 12}, "block_size"),
+            ("fig5", {"t2": -0.5}, "t2"),
+            ("fig5", {"t1_grid": {"start": -0.5, "stop": 1.0, "points": 3}}, "t1_grid"),
+            ("fig5", {"t3_grid": {"start": -0.5, "stop": 1.0, "points": 3}}, "t3_grid"),
+        ],
+        ids=["block_above_chain", "block_zero", "block_whole_chain", "t2", "t1_grid", "t3_grid"],
+    )
+    def test_invalid_input_exit_two_not_five(self, tmp_path, capsys, figure, changes, field):
+        # analysis rejects these too (AnalysisError, exit 5); as input errors they exit 2
+        self.assert_config_error(tmp_path, capsys, figure, changes, field)
+
     def test_analysis_error_exit_five(self, tmp_path, capsys):
         payload = dict(MINIMAL, protocol="entropy", eta_grid=[-0.03, 0.0, 0.01], max_order=2)
         del payload["orders"], payload["observables"], payload["time_grid"]
@@ -874,10 +931,12 @@ class TestCLI:
         assert "GroundStateError: Lanczos ground state not converged" in capsys.readouterr().err
 
     def test_gaps_prints_ledger(self, tmp_path, capsys):
+        # MINIMAL's run solves the X kick's three-shift rule at order 1 only
         path = write_config(tmp_path, MINIMAL)
-        assert main(["gaps", "--config", str(path), "--max-order", "2"]) == 0
+        assert main(["gaps", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "gaps" in out and "shifts" in out and "order 2" in out
+        assert "gaps (3): [-2.  0.  2.]" in out and "shifts (3)" in out
+        assert re.findall(r"order (\d+):", out) == ["1"]
 
     def test_gaps_of_a_two_pulse_channel_are_the_sumset(self, tmp_path, capsys):
         pumps = [{"kind": "local_pauli", "site": 1, "axis": "X", "times": [0.0, 1.0]}]
@@ -923,11 +982,41 @@ class TestCLI:
         assert main(["gaps", "--config", str(FIGURES / f"{figure}.json")]) == 0
         assert re.findall(r"order (\d+):", capsys.readouterr().out) == [str(r) for r in orders]
 
-    def test_gaps_max_order_zero(self, tmp_path, capsys):
-        path = write_config(tmp_path, dict(MINIMAL, orders=[3]))
-        assert main(["gaps", "--config", str(path), "--max-order", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "order 0" in out and "order 1" not in out
+    @pytest.mark.parametrize(
+        "name, changes",
+        [(name, {}) for name in FIGURE_NAMES]
+        + [("fig5", {"method": "oracle"}), ("fig3c", {"orders": [0, 0]})],
+        ids=FIGURE_NAMES + ["fig5_oracle", "fig3c_order_zero"],
+    )
+    def test_gaps_prints_the_rules_the_run_builds(
+        self, tmp_path, capsys, monkeypatch, name, changes
+    ):
+        # every shift rule the run builds, in build order, spied on the one
+        # function that solves a rule's weights
+        config = cut_figure(name, **changes)
+        built, solve = [], shift_rules._rule
+        monkeypatch.setattr(shift_rules, "_rule", lambda *a: built.append(solve(*a)) or built[-1])
+        run_experiment(config, output_dir=tmp_path / "out")
+        monkeypatch.setattr(shift_rules, "_rule", solve)
+        path = write_config(tmp_path, to_json_dict(config))
+        assert main(["gaps", "--config", str(path)]) == 0
+        blocks = capsys.readouterr().out.split("pump[")[1:]
+        assert len(blocks) == len(config.pumps)
+        printed = []
+        for block in blocks:
+            shifts = re.search(r"  (shifts \(\d+\): .*?)\n  condition", block, re.S)
+            assert (shifts is None) == ("no shift rule" in block)
+            if shifts:
+                printed.append((shifts[1], re.findall(r"order (\d+):", block)))
+        assert printed == [
+            (
+                f"shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}",
+                [str(r) for r in sorted(rule.coefficients)],
+            )
+            for rule in built
+        ]
+        if changes:
+            assert not built  # no rule: oracle route, order 0
 
     def test_spectra_missing_input_exit_two(self, tmp_path, capsys):
         assert main(["spectra", "--input", str(tmp_path / "absent.csv")]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nlspec.evolution import EXACT, Evolver, PulseSchedule
+from nlspec.evolution import EXACT, Evolver, PulseSchedule, driven_signal
 from nlspec.models import (
     build_pump,
     build_spin_boson,
@@ -104,6 +104,22 @@ class TestReconstructResponse:
                     response_decomposition(h, sched, x, [0.0, 1.0], [0.1], 2, evolver, psi0)
                 with pytest.raises(ValueError, match="psi0"):
                     noisy_response(h, sched, x, [0.0], beta, plan, evolver, psi0)
+
+    @pytest.mark.parametrize("orders", [[0], [0, 0]], ids=["one_channel", "two_channels"])
+    @pytest.mark.parametrize(
+        "evolver", [EXACT, Evolver("trotter1", 3)], ids=["exact", "trotter1"]
+    )
+    def test_order_zero_is_the_unperturbed_signal_bitwise(self, evolver, orders):
+        # one configuration, every channel at amplitude 0, of weight 1
+        h = build_xxz(6, 0.7, 0.3)
+        pumps = [(op(6, (1.0, {1: "X"})), [0.0]), (op(6, (1.0, {3: "Y"})), [0.5])]
+        sched = PulseSchedule(pumps[: len(orders)])
+        a = op(6, (1.0, {2: "Z"}), (0.5, {1: "X", 2: "X"}))
+        grid, psi = np.linspace(0, 2, 9), ground_state(h)
+        series = reconstruct_response(h, sched, a, grid, MultiIndex(orders), evolver, psi)
+        unperturbed = driven_signal(h, sched, [0.0] * len(orders), a, grid, evolver, psi)
+        assert series.metadata["n_configurations"] == 1 and np.all(np.abs(unperturbed) > 1e-3)
+        assert series.values.tobytes() == unperturbed.tobytes()
 
 
 #: candidate pulse times; every one of them is also a grid time

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -87,3 +88,18 @@ def test_run_figures_against_a_rerun(tmp_path, capsys):
         f"  extra.csv: missing from {first / 'fig4_xzz'}",
     ]
     assert not same
+    # so is a files list of run_metadata.json that is reordered or names a
+    # CSV twice, with every file on disk identical
+    (second / "fig4_xzz" / "extra.csv").rename(second / "fig4_xzz" / "contrast.csv")
+    metadata = first / "fig4_xzz" / "run_metadata.json"
+    record = json.loads(metadata.read_text())
+    files = record["files"]
+    for changed in (files[::-1], files + files[:1]):
+        metadata.write_text(json.dumps(dict(record, files=changed)))
+        lines, same = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+        assert "4 of 4 CSVs byte-identical, resolved_config.json byte-identical" in lines[0]
+        assert lines[1:] == [f"  run_metadata.json files: {changed} -> {files}"]
+        assert not same
+    assert run_figures.main(argv) == 1
+    metadata.write_text(json.dumps(record))
+    assert run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")[1]

@@ -425,9 +425,12 @@ class TestMultiIndex:
         assert beta.support == (0, 2)
         assert beta.factorial_product == 12
 
-    def test_requires_positive_order(self):
-        with pytest.raises(ValueError):
-            MultiIndex([0, 0])
+    def test_total_order_zero(self):
+        # the unperturbed signal: no active channel and no factorial to divide
+        beta = MultiIndex([0, 0])
+        assert (beta.order, beta.support, beta.factorial_product) == (0, (), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            MultiIndex([1, -1])
 
     def test_norms_recorded(self):
         rule = rule_for_generator(op(1, (1.0, {0: "X"})), [1, 2])
