@@ -282,7 +282,7 @@ def third_order_2dos(
     if method not in S3_METHODS:
         raise AnalysisError(f"unknown method {method!r}")
     out = np.empty((t1s.size, t3s.size))
-    by_commutator = t1s == 0 if method == "shift_rule" and t_2 > 0 else np.full(t1s.size, True)
+    by_commutator = s3_commutator_rows(t_2, t1s, method)
     for i in np.flatnonzero(by_commutator):
         pulses = [(pump, t1s[i] + t_2), (pump, t1s[i]), (pump, 0.0)]
         out[i] = nested_commutator_series(h, observable, pulses, t1s[i] + t_2 + t3s, psi0, evolver)
@@ -291,6 +291,14 @@ def third_order_2dos(
             h, observable, pump, t_2, t1s[~by_commutator], t3s, psi0, evolver
         )
     return out
+
+
+def s3_commutator_rows(t_2: float, t1_grid: Sequence[float], method: str) -> np.ndarray:
+    """Per t1 of ``third_order_2dos``, whether its row takes the commutator
+    route: every row under "oracle" or when t_2 = 0, else the rows with
+    t1 = 0.  The other rows take the shift rule (``s3_shift_rule``)."""
+    t1s = np.asarray(t1_grid, dtype=float)
+    return t1s == 0 if method == "shift_rule" and t_2 > 0 else np.full(t1s.size, True)
 
 
 def s3_shift_rule(pump: OperatorSum) -> ShiftRule:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisError, s3_shift_rule
+from .analysis import AnalysisError, s3_commutator_rows, s3_shift_rule
 from .config import ConfigError, load_config
 from .evolution import PulseSchedule, ScheduleError
 from .models import GroundStateError, build_pump
@@ -115,11 +115,12 @@ def _cmd_gaps(args) -> int:
         rules = {0: decomposition_rule(channels[0], config.max_order, n_shifts=n_shifts)}
     elif protocol in ("pump_probe", "sweep"):
         rules = {0: _pump_probe_drive(config)[3]}
-    elif protocol == "2dos" and config.method == "shift_rule":
-        rules = {0: s3_shift_rule(channels[0][0])}
+    elif protocol == "2dos":
+        if not s3_commutator_rows(config.t2, config.t1_grid.values(), config.method).all():
+            rules = {0: s3_shift_rule(channels[0][0])}
     why = {
         "entropy": "the entropy protocol fits its eta grid",
-        "2dos": "the oracle method takes nested commutators",
+        "2dos": "every row takes nested commutators",
     }.get(protocol, "order 0")
     for i, (channel, (generator, times)) in enumerate(zip(config.pumps, channels)):
         gaps = channel_gap_set(generator, len(times))

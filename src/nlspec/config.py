@@ -395,6 +395,15 @@ def _validate(config: ExperimentConfig) -> None:
         for name, start in starts.items():
             if start < 0:
                 raise ConfigError(f"{name}: the 2dos protocol's times must be >= 0, not {start}")
+    if "eta_grid" in read:
+        etas = np.asarray(config.eta_grid)
+        if etas.size < config.max_order + 1:
+            raise ConfigError(
+                f"eta_grid: needs at least max_order + 1 = {config.max_order + 1} points, "
+                f"not {etas.size}"
+            )
+        if np.max(np.abs(etas + etas[::-1])) > 1e-12 * max(1.0, np.max(np.abs(etas))):
+            raise ConfigError(f"eta_grid: must be symmetric about 0, not {list(config.eta_grid)}")
     n_qubits = config.model.n_qubits()
     if "block_size" in read and not 1 <= config.block_size < n_qubits:
         raise ConfigError(f"block_size: must be in [1, {n_qubits - 1}], not {config.block_size}")

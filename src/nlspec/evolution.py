@@ -40,6 +40,10 @@ is each popcount sector a group of one block instead.  A group
 whose blocks have exactly zero imaginary part keeps real eigenvectors,
 applied to the gathered complex (C, m, K) states as one batched real GEMM on
 their float64 (C, m, 2K) view.
+A group on which a state's amplitudes are all exactly zero stays zero, and is
+neither transformed nor propagated: an exact run's ground state read off the
+plan (``models.ground_state``) lies in one block, so on a 10-site chain a
+state kicked on one site reaches 3 of the 11 sectors.
 The plan's batched ``eigh`` and its block GEMMs (``to_eigenbasis``,
 ``propagate``) run on one OpenBLAS thread (``_one_blas_thread``), so exact
 evolution gives the same bits under any thread count, and no woken thread
@@ -241,34 +245,58 @@ class _SpectralPlan:
 
     def to_eigenbasis(self, amps: np.ndarray) -> list[np.ndarray]:
         """Per group, the (C, m, K) eigenbasis coefficients of a state
-        (K = 1) or a (dim, K) block: one gather and one batched GEMM."""
+        (K = 1) or a (dim, K) block: one gather and one batched GEMM.  A
+        group whose gathered amplitudes are all exactly zero (``_reaches``)
+        is not transformed: its entry is an empty (0, 0, K) array."""
         flat = amps.reshape(amps.shape[0], -1)
+        coeffs = []
         with _one_blas_thread():
-            return [_to_block_basis(vectors, flat[rows]) for rows, _, vectors in self.groups]
+            for rows, _, vectors in self.groups:
+                gathered = flat[rows]
+                if _reaches(gathered):
+                    coeffs.append(_to_block_basis(vectors, gathered))
+                else:
+                    coeffs.append(gathered[:0, :0])
+        return coeffs
 
     def propagate(self, coeffs: list[np.ndarray], t) -> np.ndarray:
         """exp(-i H t), t shared or (K,) with one per column, applied to the
         state whose eigenbasis coefficients ``to_eigenbasis`` returned, as a
-        (dim, K) array: batched phases, one batched back-transform per group."""
+        (dim, K) array: batched phases, one batched back-transform per group,
+        and zeros on the rows of a group the state does not reach."""
         dim = sum(rows.size for rows, _, _ in self.groups)
-        out = np.empty((dim, coeffs[0].shape[-1]), dtype=complex)
+        out = np.zeros((dim, coeffs[0].shape[-1]), dtype=complex)
         with _one_blas_thread():
             for (rows, values, vectors), c in zip(self.groups, coeffs):
-                out[rows] = _from_block_basis(vectors, np.exp(-1j * values[..., None] * t) * c)
+                if c.size:
+                    out[rows] = _from_block_basis(vectors, np.exp(-1j * values[..., None] * t) * c)
         return out
 
 
-def _coset_rows(n_sites: int, flips: Iterable[int]) -> np.ndarray:
-    """The basis split into the cosets x ^ S of the GF(2) span S of the flip
-    masks, one coset per row: a (2**(n - r), 2**r) array for rank r, each
-    coset ascending, cosets ordered by their smallest index.  A Hamiltonian
-    with these flip masks has no entries between cosets."""
-    basis: list[int] = []  # distinct leading bits, descending
+def _reaches(gathered: np.ndarray) -> bool:
+    """Whether a state reaches a group of the plan: any of its amplitudes
+    there is nonzero.  Zero amplitudes stay exactly zero under the group's
+    block, so an unreached group is written as zeros without a GEMM."""
+    return bool(gathered.any())
+
+
+def _span_basis(flips: Iterable[int]) -> list[int]:
+    """A GF(2) basis of the span of the flip masks, one mask per leading bit,
+    in descending order."""
+    basis: list[int] = []
     for f in flips:
         for b in basis:
             f = min(f, f ^ b)
         if f:
             basis = sorted(basis + [f], reverse=True)
+    return basis
+
+
+def _coset_rows(n_sites: int, basis: Sequence[int]) -> np.ndarray:
+    """The basis split into the cosets x ^ S of the span S of a flip-mask
+    ``_span_basis``, one coset per row: a (2**(n - r), 2**r) array for rank
+    r, each coset ascending, cosets ordered by their smallest index.  A
+    Hamiltonian with these flip masks has no entries between cosets."""
     # clearing every leading bit maps x to the smallest index of its coset
     smallest = np.arange(2**n_sites)
     for b in basis:
@@ -276,29 +304,43 @@ def _coset_rows(n_sites: int, flips: Iterable[int]) -> np.ndarray:
     return np.argsort(smallest, kind="stable").reshape(-1, 2 ** len(basis))
 
 
+def _conserves_popcount(n_sites: int, diagonals: dict[int, np.ndarray]) -> bool:
+    """Whether the operator with these ``flip_diagonals`` commutes with
+    sum_i Z_i: every nonzero entry D_f[x] = H[x, x ^ f] joins two basis
+    states of equal popcount."""
+    x = np.arange(2**n_sites, dtype=np.uint64)
+    popcount = np.bitwise_count(x)
+    return all(
+        np.all((diagonal == 0) | (np.bitwise_count(x ^ np.uint64(f)) == popcount))
+        for f, diagonal in diagonals.items()
+    )
+
+
 @lru_cache(maxsize=6)
 def _spectral_plan(h: OperatorSum) -> _SpectralPlan:
     """One group per popcount sector when H conserves sum_i Z_i, has more
     than ``_EIGH_SITE_CAP`` sites and coset blocks larger than its largest
     sector, C(n, n // 2); otherwise one group of flip-mask cosets (an H
-    whose flip masks span the whole space is one dense block).  Every block
-    is read from ``flip_diagonals`` and diagonalized by one batched ``eigh``
-    per group."""
+    whose flip masks span the whole space is one dense block).  Whether H
+    conserves sum_i Z_i is read off the same ``flip_diagonals``
+    (``_conserves_popcount``), from which every block is read and
+    diagonalized by one batched ``eigh`` per group."""
     n = h.n_sites
     if n > DENSE_SITE_CAP:
         raise DimensionCapError(f"spectral plan of {n} sites exceeds cap {DENSE_SITE_CAP}")
-    groups = [_coset_rows(n, [term.masks()[0] for term in h.terms])]
-    magnetization = OperatorSum([PauliTerm(1.0, {i: "Z"}) for i in range(n)], n)
+    diagonals = flip_diagonals(h)
+    basis = _span_basis(diagonals)
     if (
         n > _EIGH_SITE_CAP
-        and groups[0].shape[1] > math.comb(n, n // 2)
-        and commutator_norm(h, magnetization) == 0.0
+        and 2 ** len(basis) > math.comb(n, n // 2)
+        and _conserves_popcount(n, diagonals)
     ):
         popcount = np.bitwise_count(np.arange(2**n, dtype=np.uint64))
         order = np.argsort(popcount, kind="stable")
         edges = np.append(0, np.cumsum(np.bincount(popcount)))
         groups = [order[None, a:b] for a, b in zip(edges, edges[1:])]
-    diagonals = flip_diagonals(h)
+    else:
+        groups = [_coset_rows(n, basis)]
     return _SpectralPlan(
         tuple((rows, *_block_eigh(dense_block(diagonals, rows))) for rows in groups)
     )

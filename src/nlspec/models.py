@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .evolution import _one_blas_thread
+from .evolution import Evolver, _one_blas_thread, _spectral_plan
 from .pauli import (
     DENSE_SITE_CAP,
     DimensionCapError,
@@ -350,30 +350,70 @@ def _lanczos_ground_state(h: OperatorSum) -> np.ndarray:
     raise GroundStateError(f"Lanczos ground state not converged after {cap} steps")
 
 
-def ground_state(h: OperatorSum) -> np.ndarray:
+#: an exact run reads its ground state off the spectral plan only when the next
+#: plan eigenvalue lies more than this times max(1, |E0|) above E0
+_PLAN_GAP_TOL = 1e-9
+
+
+def _plan_ground_state(h: OperatorSum) -> tuple[np.ndarray, float, float] | None:
+    """(lowest eigenvector, E0, gap) of H's spectral plan, the vector in its
+    block's rows and zero on every other row; None when the next plan
+    eigenvalue lies within ``_PLAN_GAP_TOL`` of E0 (a degenerate ground space)."""
+    plan = _spectral_plan(h)
+    energies = np.concatenate([values.ravel() for _, values, _ in plan.groups])
+    e0, e1 = np.partition(energies, 1)[:2]
+    if e1 - e0 <= _PLAN_GAP_TOL * max(1.0, abs(e0)):
+        return None
+    rows, values, vectors = next(group for group in plan.groups if group[1].min() == e0)
+    block, k = np.unravel_index(np.argmin(values), values.shape)
+    amps = np.zeros(energies.size, dtype=np.complex128)
+    amps[rows[block]] = vectors[block, :, k]
+    return amps, float(e0), float(e1 - e0)
+
+
+def ground_state(
+    h: OperatorSum, evolver: Evolver | None = None, record: dict | None = None
+) -> np.ndarray:
     """Deterministic lowest-energy eigenvector of the Hamiltonian, as a
     read-only complex amplitude array (one state every run shares).
 
-    Commuting all-negative Pauli sums (the toric code at its solvable point)
-    use the stabilizer projection of |0...0>.  Everything else is solved
-    densely up to 2**9 amplitudes and by Lanczos above
-    (``_lanczos_ground_state``, fixed start vector, ``GroundStateError`` if
-    it does not converge), with the global phase pinned by the largest
-    amplitude.  The Lanczos state does not depend on the BLAS thread count,
-    since its tridiagonal ``eigh`` runs on one OpenBLAS thread; the dense
-    ``eigh``'s pick in a degenerate ground space does.
+    For a run whose ``evolver`` is exact, and when E0 is nondegenerate across
+    the plan (``_PLAN_GAP_TOL``), it is the lowest eigenvector of the
+    spectral plan that exact evolution builds for H anyway
+    (``evolution._spectral_plan``): nonzero only in its block's rows, so
+    propagation skips every block the run's states never reach.  Otherwise
+    (no evolver, Trotter evolution, or a degenerate ground space) commuting
+    all-negative Pauli sums (the toric code at its solvable point) use the
+    stabilizer projection of |0...0>, and everything else is solved densely
+    up to 2**9 amplitudes and by Lanczos above (``_lanczos_ground_state``,
+    fixed start vector, ``GroundStateError`` if it does not converge).  The
+    global phase is pinned by the largest amplitude.  The plan and Lanczos
+    states do not depend on the BLAS thread count, since their ``eigh`` runs
+    on one OpenBLAS thread; the dense ``eigh``'s pick in a degenerate ground
+    space does.
+
+    A ``record`` dict is filled with the ``route`` taken (``plan``,
+    ``stabilizer``, ``dense`` or ``lanczos``) and, on the plan route, E0 as
+    ``energy`` and the ``gap`` to the next plan eigenvalue.
     """
     if h.n_sites > DENSE_SITE_CAP:
         raise DimensionCapError(f"ground state for {h.n_sites} sites exceeds cap {DENSE_SITE_CAP}")
-    amps = _stabilizer_projection(h)
-    if amps is None:
-        if 2**h.n_sites <= _DENSE_GROUND_CAP:
-            vals, vecs = np.linalg.eigh(to_dense(h))
-            amps = vecs[:, 0]
-        else:
-            amps = _lanczos_ground_state(h).astype(np.complex128)
+    solved = _plan_ground_state(h) if evolver is not None and evolver.kind == "exact" else None
+    if solved is not None:
+        route, (amps, energy, gap) = "plan", solved
+    elif (amps := _stabilizer_projection(h)) is not None:
+        route = "stabilizer"
+    elif 2**h.n_sites <= _DENSE_GROUND_CAP:
+        route, amps = "dense", np.linalg.eigh(to_dense(h))[1][:, 0]
+    else:
+        route, amps = "lanczos", _lanczos_ground_state(h).astype(np.complex128)
+    if route != "stabilizer":  # the projection comes phase-pinned and normalized
         amps = _canonical_phase(amps)
         amps = amps / np.linalg.norm(amps)
+    if record is not None:
+        record["route"] = route
+        if route == "plan":
+            record.update(energy=energy, gap=gap)
     # every branch made a fresh complex array
     amps.flags.writeable = False
     return amps

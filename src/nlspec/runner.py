@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -74,13 +75,29 @@ class RunResult:
     metadata: dict
 
 
+#: the ground-state records of the run in progress, one per solve in solve
+#: order; None outside ``run_experiment``
+_GROUND_STATES: ContextVar[list[dict] | None] = ContextVar("ground_states", default=None)
+
+
+def _ground_state(h: OperatorSum, config: ExperimentConfig) -> np.ndarray:
+    """The ground state of H for the config's evolver, its ``record`` (route,
+    and E0 and gap on the plan route) kept for the run's metadata."""
+    record: dict = {}
+    psi0 = ground_state(h, config.evolver, record)
+    solves = _GROUND_STATES.get()
+    if solves is not None:
+        solves.append(record)
+    return psi0
+
+
 def _materialize(config: ExperimentConfig):
     h = build_model(config.model)
     n = h.n_sites
     pumps = [(build_pump(c.pump, n), c.times) for c in config.pumps]
     schedule = PulseSchedule(pumps)
     observables = [(o.label(), build_observable(o, n)) for o in config.observables]
-    psi0 = ground_state(h)
+    psi0 = _ground_state(h, config)
     return h, schedule, observables, psi0
 
 
@@ -179,7 +196,7 @@ def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive, referenc
     t1s, t2s = config.t1_grid.values(), config.t3_grid.values()
     etas = np.append(rule.shifts, references)
     samples = pump_probe_correlator(
-        h, pump, probe_1, probe_2, t1s, t2s, etas, ground_state(h), config.evolver
+        h, pump, probe_1, probe_2, t1s, t2s, etas, _ground_state(h, config), config.evolver
     )
     order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
     for i, j in np.ndindex(t1s.size, t2s.size):
@@ -341,7 +358,7 @@ def _entropy_point(config: ExperimentConfig, pump: OperatorSum, **parameters):
     ``parameters`` replaced, and its ground state kicked by eta_eval, as
     ``entropy_expansion`` makes its states."""
     h = build_model(replace(config.model, parameters={**config.model.parameters, **parameters}))
-    psi0 = ground_state(h)
+    psi0 = _ground_state(h, config)
     expansion = entropy_expansion(
         h, pump, psi0, config.eta_grid, config.entropy_time, config.block_size, config.max_order,
         config.evolver,
@@ -409,13 +426,19 @@ def run_experiment(
         write_csv(out / name, header, rows)
         files.append(name)
 
-    meta = run(config, csv)
+    solves: list[dict] = []
+    token = _GROUND_STATES.set(solves)
+    try:
+        meta = run(config, csv)
+    finally:
+        _GROUND_STATES.reset(token)
     metadata = {
         "engine_version": __version__,
         "protocol": config.protocol,
         "seed": config.seed,
         "wall_time_s": time.perf_counter() - start,
         "files": files,
+        "ground_state": solves,
         **meta,
     }
     if blas_pin_unavailable():

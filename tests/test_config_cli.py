@@ -896,19 +896,29 @@ class TestCLI:
             ("fig5", {"t2": -0.5}, "t2"),
             ("fig5", {"t1_grid": {"start": -0.5, "stop": 1.0, "points": 3}}, "t1_grid"),
             ("fig5", {"t3_grid": {"start": -0.5, "stop": 1.0, "points": 3}}, "t3_grid"),
+            ("fig2_entropy", {"eta_grid": [-0.03, 0.0, 0.01], "max_order": 2}, "eta_grid"),
+            ("fig2_entropy", {"eta_grid": [-0.01, 0.0, 0.01]}, "eta_grid"),
         ],
-        ids=["block_above_chain", "block_zero", "block_whole_chain", "t2", "t1_grid", "t3_grid"],
+        ids=[
+            "block_above_chain", "block_zero", "block_whole_chain", "t2", "t1_grid", "t3_grid",
+            "eta_grid_asymmetric", "eta_grid_below_max_order",
+        ],
     )
     def test_invalid_input_exit_two_not_five(self, tmp_path, capsys, figure, changes, field):
         # analysis rejects these too (AnalysisError, exit 5); as input errors they exit 2
         self.assert_config_error(tmp_path, capsys, figure, changes, field)
 
-    def test_analysis_error_exit_five(self, tmp_path, capsys):
-        payload = dict(MINIMAL, protocol="entropy", eta_grid=[-0.03, 0.0, 0.01], max_order=2)
-        del payload["orders"], payload["observables"], payload["time_grid"]
-        path = write_config(tmp_path, payload)
+    def test_analysis_error_exit_five(self, tmp_path, capsys, monkeypatch):
+        from nlspec import cli
+        from nlspec.analysis import AnalysisError
+
+        def failing_run(*args, **kwargs):
+            raise AnalysisError("entropy fit is ill-conditioned (cond 1.00e+11)")
+
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        path = write_config(tmp_path, MINIMAL)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
-        assert "AnalysisError: eta grid must be symmetric" in capsys.readouterr().err
+        assert "AnalysisError: entropy fit is ill-conditioned" in capsys.readouterr().err
 
     def test_hermiticity_error_exit_five(self, tmp_path, capsys, monkeypatch):
         from nlspec import cli
@@ -926,9 +936,50 @@ class TestCLI:
         from nlspec import models
 
         monkeypatch.setattr(models, "_LANCZOS_CAP", 4)
-        path = write_config(tmp_path, CHAIN10)
+        # a Trotter run solves its ground state by Lanczos; an exact one reads the plan
+        path = write_config(tmp_path, dict(CHAIN10, evolver={"kind": "trotter1", "n_steps": 10}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
         assert "GroundStateError: Lanczos ground state not converged" in capsys.readouterr().err
+
+    def test_exact_chain10_reads_its_ground_state_off_the_plan(self, tmp_path, monkeypatch):
+        # no Lanczos step runs, and the X4 kicks move the sector-5 ground
+        # state into sectors 4 to 6 only: the other 8 sectors are never multiplied
+        monkeypatch.setattr(models, "_LANCZOS_CAP", 4)
+        multiplied = []
+
+        def spy(call):
+            return lambda vectors, amps: multiplied.append(vectors) or call(vectors, amps)
+
+        for name in ("_to_block_basis", "_from_block_basis"):
+            monkeypatch.setattr(evolution, name, spy(getattr(evolution, name)))
+        path = write_config(tmp_path, CHAIN10)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        plan = evolution._spectral_plan(models.build_model(load_config(path).model))
+        reached = {id(plan.groups[k][2]) for k in (4, 5, 6)}
+        assert multiplied and {id(vectors) for vectors in multiplied} == reached
+        meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+        (record,) = meta["ground_state"]
+        assert record["route"] == "plan"
+        energies = np.sort(np.concatenate([values.ravel() for _, values, _ in plan.groups]))
+        assert record["energy"] == energies[0]
+        assert record["gap"] == energies[1] - energies[0] > 0.1
+
+    @pytest.mark.parametrize(
+        "config, routes",
+        [
+            (config_from_dict(MINIMAL), ["plan"]),
+            (config_from_dict(dict(MINIMAL, evolver={"kind": "trotter1", "n_steps": 4})), ["dense"]),
+            # the toric code is degenerate at every coupling: one solve per g
+            (cut_figure("fig4_sweep", sweep_values=[0.5, -0.5]), ["dense", "stabilizer"]),
+        ],
+        ids=["exact", "trotter", "toric_sweep"],
+    )
+    def test_metadata_records_each_ground_state_route(self, tmp_path, config, routes):
+        records = run_experiment(config, output_dir=tmp_path).metadata["ground_state"]
+        assert [record["route"] for record in records] == routes
+        for record in records:
+            plan_keys = {"energy", "gap"} if record["route"] == "plan" else set()
+            assert set(record) == {"route"} | plan_keys
 
     def test_gaps_prints_ledger(self, tmp_path, capsys):
         # MINIMAL's run solves the X kick's three-shift rule at order 1 only
@@ -985,8 +1036,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "name, changes",
         [(name, {}) for name in FIGURE_NAMES]
-        + [("fig5", {"method": "oracle"}), ("fig3c", {"orders": [0, 0]})],
-        ids=FIGURE_NAMES + ["fig5_oracle", "fig3c_order_zero"],
+        + [("fig5", {"method": "oracle"}), ("fig5", {"t2": 0.0}), ("fig3c", {"orders": [0, 0]})],
+        ids=FIGURE_NAMES + ["fig5_oracle", "fig5_t2_zero", "fig3c_order_zero"],
     )
     def test_gaps_prints_the_rules_the_run_builds(
         self, tmp_path, capsys, monkeypatch, name, changes
@@ -1016,7 +1067,7 @@ class TestCLI:
             for rule in built
         ]
         if changes:
-            assert not built  # no rule: oracle route, order 0
+            assert not built  # no rule: oracle route, t2 = 0, order 0
 
     def test_spectra_missing_input_exit_two(self, tmp_path, capsys):
         assert main(["spectra", "--input", str(tmp_path / "absent.csv")]) == 2
@@ -1090,8 +1141,9 @@ class TestBlasThreadCount:
     ``eigh`` runs on one OpenBLAS thread, as do the spectral plan's ``eigh``
     and GEMMs and the entropy's Gram product and ``eigvalsh``, so Trotter
     runs, exact evolution and the entropy write the same bytes under any
-    OpenBLAS thread count.  (The dense ground state up to 9 sites still runs
-    at the default count.)"""
+    OpenBLAS thread count.  (The dense ground state, which Trotter runs up to
+    9 sites and degenerate ground spaces take, still runs at the default
+    count.)"""
 
     def test_runs_byte_identical_across_thread_counts(self, tmp_path):
         fig3a = json.loads((FIGURES / "fig3a.json").read_text())

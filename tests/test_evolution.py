@@ -38,6 +38,7 @@ from nlspec.pauli import (
     OperatorSum,
     PauliTerm,
     apply_operator,
+    commutator_norm,
     dense_block,
     expectation,
     flip_diagonals,
@@ -180,6 +181,31 @@ def flip_span_size(h):
     return len(span)
 
 
+@st.composite
+def popcount_sums(draw):
+    """Random Pauli sums on 2 to 6 sites with coefficients in halves, so every
+    sum of entries is exact: XX + YY and XY - YX bond pairs (of one weight,
+    which conserves sum_i Z_i, or of two), ZZ bonds and Z fields, and
+    sometimes one random string."""
+    n = draw(st.integers(2, 6))
+    weight = st.integers(-3, 3).filter(bool).map(lambda k: k / 2)
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    terms = []
+    for (i, j), axes in draw(st.lists(st.tuples(pair, st.sampled_from(["XXYY", "XYYX"])))):
+        c = draw(weight)
+        d = draw(st.sampled_from([c, draw(weight)]))
+        sign = 1 if axes == "XXYY" else -1
+        terms += [(c, {i: axes[0], j: axes[1]}), (sign * d, {i: axes[2], j: axes[3]})]
+    for i, j in draw(st.lists(pair, max_size=3)):
+        terms.append((draw(weight), {i: "Z", j: "Z"}))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        terms.append((draw(weight), {i: "Z"}))
+    if draw(st.booleans()):
+        sites = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        terms.append((draw(weight), {i: draw(st.sampled_from("XYZ")) for i in draw(sites)}))
+    return op(n, *terms)
+
+
 class TestSpectralRoutes:
     """Above 9 sites exact evolution diagonalizes each popcount sector when H
     conserves sum_i Z_i and its flip-mask cosets are larger than its largest
@@ -277,6 +303,54 @@ class TestSpectralRoutes:
     @pytest.mark.parametrize("etas", [[0.4, -0.7], [[0.4, -0.7], [0.0, 1.1], [-1.2, 0.3]]])
     def test_segment_projection_bitwise_equals_evolve_calls(self, etas):
         assert_segment_projection_equals_evolve_calls(build_xxz(5, 0.7, 0.3), etas)
+
+    @pytest.mark.parametrize(
+        "sectors",
+        [[(5,)] * 3, [(5,), (4, 6), ()], [(0, 10), (4,), (0, 4, 10)], [()] * 3],
+        ids=["one", "per_column", "edges", "zero_state"],
+    )
+    def test_unreached_sectors_skip_bitwise(self, sectors, monkeypatch):
+        # column k exactly inside the popcount sectors sectors[k]: the sectors
+        # no column reaches are neither transformed nor propagated, and the
+        # result is the same bits as transforming every sector
+        h = build_xxz(10, 0.5, 0.12)
+        popcount = np.bitwise_count(np.arange(1024))
+        block = np.stack(
+            [random_state(10, k) * np.isin(popcount, inside) for k, inside in enumerate(sectors)],
+            axis=1,
+        )
+        transforms = []
+        to_block_basis = evolution._to_block_basis
+        monkeypatch.setattr(
+            evolution, "_to_block_basis", lambda v, a: transforms.append(1) or to_block_basis(v, a)
+        )
+
+        def run():
+            step = propagator(h, block)
+            return [step(t) for t in (0.3, -1.1)] + [evolve(h, block[:, 0], 0.7)]
+
+        skipped = run()
+        reached = len(set().union(*sectors)) + len(sectors[0])
+        assert len(transforms) == reached
+        monkeypatch.setattr(evolution, "_reaches", lambda gathered: True)
+        full = run()
+        assert len(transforms) == reached + 2 * 11
+        assert all(np.array_equal(a, b) for a, b in zip(skipped, full))
+        assert np.max(np.abs(skipped[0] - dense_propagator(h, 0.3) @ block)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(popcount_sums())
+    def test_popcount_rule_agrees_with_commutator_norm(self, h):
+        n = h.n_sites
+        magnetization = op(n, *((1.0, {i: "Z"}) for i in range(n)))
+        conserves = evolution._conserves_popcount(n, flip_diagonals(h))
+        assert conserves == (commutator_norm(h, magnetization) == 0.0)
+
+    def test_popcount_rule_on_chains(self):
+        chain = build_xxz(10, 0.5, 0.12)
+        assert evolution._conserves_popcount(10, flip_diagonals(chain))
+        tilted = chain + op(10, (0.2, {3: "X"}))
+        assert not evolution._conserves_popcount(10, flip_diagonals(tilted))
 
 
 def assert_segment_projection_equals_evolve_calls(h, etas):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nlspec import models
+from nlspec.evolution import EXACT, Evolver, _spectral_plan
 from nlspec.models import (
     GroundStateError,
     ModelSpec,
@@ -273,6 +274,77 @@ class TestLanczosGroundState:
         monkeypatch.setattr(models, "_LANCZOS_CAP", 4)
         with pytest.raises(GroundStateError, match="4 steps"):
             ground_state(build_xxz(10, 0.5, 0.12))
+
+
+@st.composite
+def small_sums(draw):
+    """Random Pauli sums on 2 to 7 sites: a field of random axis on every
+    site, which leaves few degeneracies, plus up to six random strings."""
+    n = draw(st.integers(2, 7))
+    coefficient = st.builds(lambda m, sign: sign * m, st.floats(0.1, 1.5), st.sampled_from([-1, 1]))
+    axis = st.sampled_from("XYZ")
+    terms = [PauliTerm(draw(coefficient), {i: draw(axis)}) for i in range(n)]
+    sites = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+    for support in draw(st.lists(sites, max_size=6)):
+        terms.append(PauliTerm(draw(coefficient), {i: draw(axis) for i in support}))
+    return OperatorSum(terms, n)
+
+
+xxz_chains = st.builds(
+    lambda delta, h_field, boundary: build_xxz(10, delta, h_field, boundary),
+    st.floats(-1.5, 1.5),
+    st.floats(0.05, 1.0),
+    st.sampled_from(["open", "periodic"]),
+)
+
+
+class TestPlanGroundState:
+    """An exact run reads a nondegenerate ground state off the spectral plan;
+    every other run keeps the stabilizer, dense or Lanczos route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_sums(), xxz_chains))
+    def test_matches_the_direct_route(self, h):
+        record = {}
+        psi = ground_state(h, EXACT, record)
+        assume(record["route"] == "plan" and record["gap"] >= 1e-2)
+        direct = ground_state(h)
+        assert abs(np.vdot(direct, psi)) >= 1 - 1e-12
+        assert expectation(h, psi) == pytest.approx(expectation(h, direct), abs=1e-10)
+        assert expectation(h, psi) == pytest.approx(record["energy"], abs=1e-10)
+        assert not psi.flags.writeable
+
+    def test_state_lies_in_one_block(self):
+        h = build_xxz(10, 0.5, 0.12)
+        psi = ground_state(h, EXACT)
+        reached = [rows for rows, _, _ in _spectral_plan(h).groups if psi[rows].any()]
+        assert len(reached) == 1 and np.count_nonzero(psi) == reached[0].size == 252
+
+    @pytest.mark.parametrize("g", [-0.5, 0.0, 0.5])
+    def test_degenerate_toric_code_keeps_the_direct_route_bitwise(self, g):
+        h = build_toric_code(2, 2, 1.0, g)
+        record = {}
+        psi = ground_state(h, EXACT, record)
+        assert record == {"route": "dense" if g < 0 else "stabilizer"}
+        assert psi.tobytes() == ground_state(h).tobytes()
+
+    @pytest.mark.parametrize("h", [build_xxz(6, 0.7, 0.3), build_xxz(10, 0.7, 0.3)])
+    def test_trotter_keeps_the_direct_route_bitwise(self, h):
+        record = {}
+        psi = ground_state(h, Evolver("trotter1", 10), record)
+        assert record == {"route": "dense" if h.n_sites < 10 else "lanczos"}
+        assert psi.tobytes() == ground_state(h).tobytes()
+
+    def test_nondegenerate_exact_solves_no_dense_eigh_or_lanczos(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a second ground-state solve")
+
+        monkeypatch.setattr(models, "_lanczos_ground_state", refused)
+        monkeypatch.setattr(models, "to_dense", refused)
+        for h in (build_xxz(6, 0.7, 0.3), build_xxz(10, 0.7, 0.3), build_tls_dimer(1.0, 1.3, 0.2)):
+            record = {}
+            ground_state(h, EXACT, record)
+            assert record["route"] == "plan" and record["gap"] > 0
 
 
 class TestModelSpec:
