@@ -76,12 +76,12 @@ def entanglement_entropy(state: np.ndarray, block_size: int, start: int = 0) -> 
         raise AnalysisError("a state holds 2**N amplitudes")
     if not 1 <= block_size < n:
         raise AnalysisError(f"block size must be in [1, {n - 1}]")
+    if not 0 <= start <= n - block_size:
+        raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
     with _one_blas_thread():
         if 2 * block_size <= n:
             rho = partial_trace(amps, range(start, start + block_size))
         else:
-            if not 0 <= start <= n - block_size:
-                raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
             # axes (high bits, block, low bits), site 0 being the LSB
             tensor = amps.reshape(-1, 2**block_size, 2**start)
             rest = np.moveaxis(tensor, 1, -1).reshape(-1, 2**block_size)

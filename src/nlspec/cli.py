@@ -146,10 +146,10 @@ def _cmd_spectra(args) -> int:
     if not Path(args.input).is_file():
         raise ConfigError(f"input CSV {args.input} does not exist")
     try:
-        data = np.loadtxt(args.input, delimiter=",", skiprows=1)
+        data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"input CSV {args.input} is not numeric: {exc}") from exc
-    if data.ndim == 1:
+    if data.shape[1] < 2:
         raise ConfigError("input CSV must have at least two columns")
     if not 1 <= args.column < data.shape[1]:
         raise ConfigError(f"--column must be a value column, 1 to {data.shape[1] - 1}")

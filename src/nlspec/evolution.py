@@ -27,7 +27,8 @@ column k for configuration k: the 2D spectrum carries the states of its
 first pass, one per (t1, configuration), into the second pass that way.
 
 Exact evolution follows one spectral plan per Hamiltonian, built on first use
-and cached: groups of invariant blocks of H, each group a (C, m) array of
+and cached (the one per-Hamiltonian cache: ``verify_experiment`` reads the
+plan its run built): groups of invariant blocks of H, each group a (C, m) array of
 basis indices (one block per row), its blocks read from H's per-flip-mask
 diagonals and diagonalized by one batched ``eigh``.  The plan is one group of
 cosets: a Pauli string maps |x> to |x ^ f> for its flip mask f, so H has no
@@ -61,9 +62,9 @@ First-order Trotter evolution splits the terms into runs of consecutive
 terms, each applied as one fused op: the run's product of rotations in term
 order, expanded once per propagation into one diagonal per mask in the span
 of its flip masks.  The split is the one with the fewest diagonals in total
-(``_fused_runs``); the terms of a run need not commute.  The product
-formula, and so the Trotter error, is unchanged; only rounding differs from
-applying the rotations one by one.
+(``_fused_runs``), made once per propagator; the terms of a run need not
+commute.  The product formula, and so the Trotter error, is unchanged; only
+rounding differs from applying the rotations one by one.
 ``propagator`` decides one column layout per segment (``_column_layout``)
 from the two symmetries that ``_parities`` reads off the terms of H:
 - When every term of H has an even number of Y and Z factors, H commutes
@@ -363,11 +364,10 @@ def _apply_string_rotation(
 _FUSED_MASK_CAP = 4
 
 
-@lru_cache(maxsize=6)
 def _fused_runs(h: OperatorSum) -> tuple[tuple[PauliTerm, ...], ...]:
     """The terms split into runs of consecutive terms, in term order, each
-    applied as one fused op; grouped once per Hamiltonian, not once per
-    propagation.
+    applied as one fused op; grouped once per Trotter propagator, not once
+    per propagation.
 
     A run's fused op has one diagonal per mask in the GF(2) span of its flip
     masks, at most ``_FUSED_MASK_CAP``.  Of all such splits this takes the
@@ -437,14 +437,13 @@ def _fused_op(run: Sequence[PauliTerm], dt: float, n_sites: int, sign: int):
     return d0, [(index(f), sign * d if folded and f & half else d) for f, d in diagonals.items()]
 
 
-@lru_cache(maxsize=6)
 def _parities(h: OperatorSum) -> tuple[bool, bool]:
-    """(flip_even, z_even) of H, decided once per Hamiltonian like
-    ``_fused_runs``.  flip_even: every term has an even number of Y and Z
-    factors, so H commutes with the global flip F = prod_i X_i.  z_even:
-    every term flips an even number of sites, so H and every fused op
-    commute with the parity P = prod_i Z_i (x and x ^ f have equal popcount
-    parity for every flip mask f they read)."""
+    """(flip_even, z_even) of H, decided once per column layout.
+    flip_even: every term has an even number of Y and Z factors, so H
+    commutes with the global flip F = prod_i X_i.  z_even: every term flips
+    an even number of sites, so H and every fused op commute with the parity
+    P = prod_i Z_i (x and x ^ f have equal popcount parity for every flip
+    mask f they read)."""
     masks = [term.masks() for term in h.terms]
     return (
         all(phase.bit_count() % 2 == 0 for _, phase, _ in masks),
@@ -492,14 +491,16 @@ def _trotter_evolve(
     t: float,
     evolver: Evolver,
     layout: Sequence[tuple[int, int]],
+    runs: Sequence[Sequence[PauliTerm]],
 ) -> np.ndarray:
     """First-order Trotter evolution of a state or of each column of a block,
-    laid out by ``_column_layout``.  Each flip sign among the propagated
-    columns is one column class, with its own fused ops (``_fused_op``),
-    built once per call: a column of sign s = +1 or -1 propagates its lower
-    half and is unfolded as [low, s * low[::-1]]; one of sign 0 propagates
-    all its amplitudes.  A mirrored column is s P times the result of its
-    source column.
+    laid out by ``_column_layout``, with the terms split into ``runs``
+    (``_fused_runs``).  Each flip sign among the propagated columns is one
+    column class, with its own fused ops (``_fused_op``), built once per
+    call: a column of sign s = +1 or -1 propagates its lower half and is
+    unfolded as [low, s * low[::-1]]; one of sign 0 propagates all its
+    amplitudes.  A mirrored column is s P times the result of its source
+    column.
 
     On exactly flip-symmetric and exactly mirrored columns every route gives
     the same bits as propagating each column in full: a half build is the
@@ -510,7 +511,7 @@ def _trotter_evolve(
     n = h.n_sites
     dt = t / evolver.n_steps
     signs = {sign for k, (j, sign) in enumerate(layout) if j == k}
-    ops = {sign: [_fused_op(run, dt, n, sign) for run in _fused_runs(h)] for sign in signs}
+    ops = {sign: [_fused_op(run, dt, n, sign) for run in runs] for sign in signs}
 
     def propagate(state: np.ndarray, sign: int) -> np.ndarray:
         if sign:
@@ -546,7 +547,8 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
     For exact evolution the state is projected into the eigenbasis once, on
     the first nonzero dt, and every dt then costs phases and one
     back-transform.  Trotter restarts from ``state`` at every dt, with the
-    column layout (``_column_layout``) decided on the first nonzero dt: a
+    column layout (``_column_layout``) and the runs of terms
+    (``_fused_runs``) decided on the first nonzero dt: a
     column that mirrors an earlier one under P = prod_i Z_i within 1e-12 is
     not propagated but read off that column's result, and a flip-symmetric
     column propagates half its amplitudes.
@@ -556,31 +558,23 @@ def propagator(h: OperatorSum, state: np.ndarray, evolver: Evolver = EXACT):
     amps = np.asarray(state, dtype=np.complex128)
     plan = _spectral_plan(h) if evolver.kind == "exact" else None
     coeffs = None  # the eigenbasis projection, made on first use
-    layout = None  # the Trotter column layout, decided on first use
+    layout = runs = None  # the Trotter column layout and runs, decided on first use
 
     def step(dt: float) -> np.ndarray:
-        nonlocal coeffs, layout
+        nonlocal coeffs, layout, runs
         if not np.isfinite(dt):
             raise ValueError("evolution time must be finite")
         if dt == 0.0:
             return amps
         if plan is None:
             if layout is None:
-                layout = _column_layout(h, amps)
-            return _trotter_evolve(h, amps, dt, evolver, layout)
+                layout, runs = _column_layout(h, amps), _fused_runs(h)
+            return _trotter_evolve(h, amps, dt, evolver, layout, runs)
         if coeffs is None:
             coeffs = plan.to_eigenbasis(amps)
         return plan.propagate(coeffs, dt).reshape(amps.shape)
 
     return step
-
-
-@lru_cache(maxsize=32)
-def _kick_plan(b: OperatorSum):
-    """The per-string rotations of a pairwise-commuting generator, else None."""
-    if terms_commute_pairwise(b):
-        return tuple((term.masks(), term.coefficient) for term in b.terms)
-    return None
 
 
 def apply_kick(b: OperatorSum, eta, state: np.ndarray) -> np.ndarray:
@@ -599,13 +593,12 @@ def apply_kick(b: OperatorSum, eta, state: np.ndarray) -> np.ndarray:
     eta = float(eta) if amps.ndim == 1 else np.broadcast_to(eta, amps.shape[1:])
     if not np.any(eta):
         return amps.copy()
-    rotations = _kick_plan(b)
-    if rotations is None:
+    if not terms_commute_pairwise(b):
         plan = _spectral_plan(b)
         return plan.propagate(plan.to_eigenbasis(amps), eta).reshape(amps.shape)
     out = amps
-    for masks, coefficient in rotations:
-        out = _apply_string_rotation(masks, eta * coefficient, out, b.n_sites)
+    for term in b.terms:
+        out = _apply_string_rotation(term.masks(), eta * term.coefficient, out, b.n_sites)
     return out
 
 

@@ -1,5 +1,9 @@
 """Experiment orchestration: build, run, persist, verify.
 
+A run's state lives in one run scope (``_Run``): its CSV writer, and its one
+model builder (``_Run.model``, once per sweep coupling or entropy anisotropy)
+with the record of each ground-state solve.
+
 Every run writes CSV data files plus two JSON sidecars: the fully resolved
 configuration (byte-stable, reruns produce identical data files for the
 same config and seed) and a metadata record with engine version, wall time,
@@ -14,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -75,29 +78,40 @@ class RunResult:
     metadata: dict
 
 
-#: the ground-state records of the run in progress, one per solve in solve
-#: order; None outside ``run_experiment``
-_GROUND_STATES: ContextVar[list[dict] | None] = ContextVar("ground_states", default=None)
+@dataclass
+class _Run:
+    """One run's state: its config, the directory its CSVs go to (None for
+    ``verify_experiment``, which writes none), the CSVs written and the
+    record of every ground-state solve, each in order."""
+
+    config: ExperimentConfig
+    out: Path | None = None
+    files: list[str] = field(default_factory=list)
+    solves: list[dict] = field(default_factory=list)
+
+    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+        """The run's one CSV writer: writes out/name and lists it."""
+        write_csv(self.out / name, header, rows)
+        self.files.append(name)
+
+    def model(self, **parameters) -> tuple[OperatorSum, np.ndarray]:
+        """H of the config's model with ``parameters`` replaced, and its ground
+        state for the config's evolver; the solve's record (route, and E0 and
+        gap on the plan route) is kept for the run's metadata."""
+        model = self.config.model
+        h = build_model(replace(model, parameters={**model.parameters, **parameters}))
+        record: dict = {}
+        psi0 = ground_state(h, self.config.evolver, record)
+        self.solves.append(record)
+        return h, psi0
 
 
-def _ground_state(h: OperatorSum, config: ExperimentConfig) -> np.ndarray:
-    """The ground state of H for the config's evolver, its ``record`` (route,
-    and E0 and gap on the plan route) kept for the run's metadata."""
-    record: dict = {}
-    psi0 = ground_state(h, config.evolver, record)
-    solves = _GROUND_STATES.get()
-    if solves is not None:
-        solves.append(record)
-    return psi0
-
-
-def _materialize(config: ExperimentConfig):
-    h = build_model(config.model)
+def _materialize(run: _Run):
+    h, psi0 = run.model()
     n = h.n_sites
-    pumps = [(build_pump(c.pump, n), c.times) for c in config.pumps]
+    pumps = [(build_pump(c.pump, n), c.times) for c in run.config.pumps]
     schedule = PulseSchedule(pumps)
-    observables = [(o.label(), build_observable(o, n)) for o in config.observables]
-    psi0 = _ground_state(h, config)
+    observables = [(o.label(), build_observable(o, n)) for o in run.config.observables]
     return h, schedule, observables, psi0
 
 
@@ -112,8 +126,9 @@ def _emit_series_and_spectrum(csv, name: str, times, values, dt: float):
         )
 
 
-def _run_response(config: ExperimentConfig, csv) -> dict:
-    h, schedule, observables, psi0 = _materialize(config)
+def _run_response(run: _Run) -> dict:
+    config, csv = run.config, run.csv
+    h, schedule, observables, psi0 = _materialize(run)
     grid = config.time_grid.values()
     beta = MultiIndex(config.orders)
     rules = rules_for_schedule(
@@ -142,8 +157,9 @@ def _run_response(config: ExperimentConfig, csv) -> dict:
     return meta
 
 
-def _run_decomposition(config: ExperimentConfig, csv) -> dict:
-    h, schedule, observables, psi0 = _materialize(config)
+def _run_decomposition(run: _Run) -> dict:
+    config, csv = run.config, run.csv
+    h, schedule, observables, psi0 = _materialize(run)
     label, observable = observables[0]
     grid = config.time_grid.values()
     per_eta = response_decomposition(
@@ -184,20 +200,20 @@ def _pump_probe_drive(config: ExperimentConfig):
     return pump, probes, orders, rule_for_generator(pump, orders)
 
 
-def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive, references=()):
-    """The (t1, t2) grids and C^(n) per order of a pump-probe config on the
-    model H, and the correlator at each of the ``references`` amplitudes;
-    ``drive`` is the config's ``_pump_probe_drive``.
+def _pump_probe_orders(run: _Run, drive, references=(), **parameters):
+    """The (t1, t2) grids and C^(n) per order of a pump-probe config on its
+    model with ``parameters`` replaced, and the correlator at each of the
+    ``references`` amplitudes; ``drive`` is the config's ``_pump_probe_drive``.
 
     One correlator call samples every cell of the grid at every shift of the
     order rule followed by the references.
     """
+    config = run.config
+    h, psi0 = run.model(**parameters)
     pump, (probe_1, probe_2), orders, rule = drive
     t1s, t2s = config.t1_grid.values(), config.t3_grid.values()
     etas = np.append(rule.shifts, references)
-    samples = pump_probe_correlator(
-        h, pump, probe_1, probe_2, t1s, t2s, etas, _ground_state(h, config), config.evolver
-    )
+    samples = pump_probe_correlator(h, pump, probe_1, probe_2, t1s, t2s, etas, psi0, config.evolver)
     order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
     for i, j in np.ndindex(t1s.size, t2s.size):
         cell = samples[i, j, : rule.n_shifts]
@@ -206,10 +222,11 @@ def _pump_probe_orders(config: ExperimentConfig, h: OperatorSum, drive, referenc
     return t1s, t2s, order_values, samples[:, :, rule.n_shifts :]
 
 
-def _run_pump_probe(config: ExperimentConfig, csv) -> dict:
+def _run_pump_probe(run: _Run) -> dict:
     # the contrast ratio C(kappa) / C(0) of each cell
+    config, csv = run.config, run.csv
     t1s, t2s, order_values, references = _pump_probe_orders(
-        config, build_model(config.model), _pump_probe_drive(config), [0.0, config.kappa]
+        run, _pump_probe_drive(config), [0.0, config.kappa]
     )
     contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
     excluded = 0
@@ -293,10 +310,9 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
     return float("nan"), "none"
 
 
-def _sweep_point(config: ExperimentConfig, drive, g: float):
+def _sweep_point(run: _Run, drive, g: float):
     """The order-pair slopes of the pump-probe run at plaquette coupling g."""
-    model = replace(config.model, parameters={**config.model.parameters, "j_plaquette": g})
-    _, _, order_values, _ = _pump_probe_orders(config, build_model(model), drive)
+    _, _, order_values, _ = _pump_probe_orders(run, drive, j_plaquette=g)
     orders = list(order_values)
     return g, [
         _order_pair_slope(order_values[a], order_values[b], a, b)[0]
@@ -304,18 +320,19 @@ def _sweep_point(config: ExperimentConfig, drive, g: float):
     ]
 
 
-def _run_sweep(config: ExperimentConfig, csv) -> dict:
-    g_values = [float(g) for g in config.sweep_values]
-    drive = _pump_probe_drive(config)
+def _run_sweep(run: _Run) -> dict:
+    g_values = [float(g) for g in run.config.sweep_values]
+    drive = _pump_probe_drive(run.config)
     _, _, orders, _ = drive
-    results = [_sweep_point(config, drive, g) for g in sorted(g_values)]
+    results = [_sweep_point(run, drive, g) for g in sorted(g_values)]
     pair_names = [f"s{a}{b}" for a, b in zip(orders, orders[1:])]
-    csv("s35_vs_g.csv", ["g"] + pair_names, ([g] + slopes for g, slopes in results))
+    run.csv("s35_vs_g.csv", ["g"] + pair_names, ([g] + slopes for g, slopes in results))
     return {"orders": orders, "n_g": len(results)}
 
 
-def _run_2dos(config: ExperimentConfig, csv) -> dict:
-    h, schedule, observables, psi0 = _materialize(config)
+def _run_2dos(run: _Run) -> dict:
+    config, csv = run.config, run.csv
+    h, schedule, observables, psi0 = _materialize(run)
     n = h.n_sites
     pump, _ = schedule.channels[0]
     if observables:
@@ -353,12 +370,12 @@ def _run_2dos(config: ExperimentConfig, csv) -> dict:
     }
 
 
-def _entropy_point(config: ExperimentConfig, pump: OperatorSum, **parameters):
+def _entropy_point(run: _Run, pump: OperatorSum, **parameters):
     """The entropy fit over the eta grid on the config's model with
     ``parameters`` replaced, and its ground state kicked by eta_eval, as
     ``entropy_expansion`` makes its states."""
-    h = build_model(replace(config.model, parameters={**config.model.parameters, **parameters}))
-    psi0 = _ground_state(h, config)
+    config = run.config
+    h, psi0 = run.model(**parameters)
     expansion = entropy_expansion(
         h, pump, psi0, config.eta_grid, config.entropy_time, config.block_size, config.max_order,
         config.evolver,
@@ -368,16 +385,17 @@ def _entropy_point(config: ExperimentConfig, pump: OperatorSum, **parameters):
     return expansion, state
 
 
-def _run_entropy(config: ExperimentConfig, csv) -> dict:
+def _run_entropy(run: _Run) -> dict:
+    config, csv = run.config, run.csv
     n, block = config.model.n_qubits(), config.block_size
     pump = build_pump(config.pumps[0].pump, n)
-    expansion, state = _entropy_point(config, pump)
+    expansion, state = _entropy_point(run, pump)
     csv("entropy_vs_eta.csv", ["eta", f"S_{block}"], zip(config.eta_grid, expansion.entropies))
     csv("entropy_coefficients.csv", ["order", "coefficient"], enumerate(expansion.coefficients))
     profile = [[d, entanglement_entropy(state, d)] for d in range(1, n)]
     csv("entropy_profile.csv", ["block_size", "S_d"], profile)
     if config.delta_values:
-        points = [(d, *_entropy_point(config, pump, delta=float(d))) for d in config.delta_values]
+        points = [(d, *_entropy_point(run, pump, delta=float(d))) for d in config.delta_values]
         csv(
             "entropy_coeffs_vs_delta.csv",
             ["delta"] + [f"S{k}" for k in range(config.max_order + 1)],
@@ -415,36 +433,24 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     _write_json(out / "resolved_config.json", to_json_dict(config))
-    run = {
+    run = _Run(config, out)
+    meta = {
         "response": _run_response, "decomposition": _run_decomposition, "sweep": _run_sweep,
         "pump_probe": _run_pump_probe, "2dos": _run_2dos, "entropy": _run_entropy,
-    }[config.protocol]
-    files: list[str] = []
-
-    def csv(name: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-        """The run's one CSV writer: writes out/name and lists it, in write order."""
-        write_csv(out / name, header, rows)
-        files.append(name)
-
-    solves: list[dict] = []
-    token = _GROUND_STATES.set(solves)
-    try:
-        meta = run(config, csv)
-    finally:
-        _GROUND_STATES.reset(token)
+    }[config.protocol](run)
     metadata = {
         "engine_version": __version__,
         "protocol": config.protocol,
         "seed": config.seed,
         "wall_time_s": time.perf_counter() - start,
-        "files": files,
-        "ground_state": solves,
+        "files": run.files,
+        "ground_state": run.solves,
         **meta,
     }
     if blas_pin_unavailable():
         metadata["blas_pinning"] = "unavailable: no OpenBLAS thread-count symbols found"
     _write_json(out / "run_metadata.json", metadata)
-    return RunResult(out, files + ["resolved_config.json", "run_metadata.json"], metadata)
+    return RunResult(out, run.files + ["resolved_config.json", "run_metadata.json"], metadata)
 
 
 #: amplitude step of the finite-difference baseline in ``verify_experiment``
@@ -482,7 +488,7 @@ def verify_experiment(
             "verification needs a single pulse; the pump lists "
             f"{len(config.pumps[0].times)} times"
         )
-    h, schedule, observables, psi0 = _materialize(config)
+    h, schedule, observables, psi0 = _materialize(_Run(config))
     label, observable = observables[0]
     generator, (t_pulse,) = schedule.channels[0]
     grid = np.linspace(config.time_grid.start, config.time_grid.stop, _VERIFY_TIMES)

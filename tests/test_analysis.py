@@ -76,6 +76,16 @@ class TestEntropy:
         with pytest.raises(AnalysisError):
             entanglement_entropy(np.full(12, 12**-0.5), 2)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+    def test_block_outside_register(self, block):
+        # blocks on both sides of n / 2 = 3, so both the reduced density
+        # matrix and the Gram-matrix branch
+        psi = basis_state(6, 0)
+        for start in (-1, 7 - block, 6):
+            with pytest.raises(AnalysisError, match=f"block of {block} sites at {start}"):
+                entanglement_entropy(psi, block, start=start)
+        assert entanglement_entropy(psi, block, start=6 - block) == pytest.approx(0.0, abs=1e-12)
+
 
 class TestEntropyExpansion:
     def test_zero_pump(self):

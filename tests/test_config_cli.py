@@ -500,6 +500,36 @@ class TestRunExperiment:
             == (tmp_path / "b" / "resolved_config.json").read_bytes()
         )
 
+    def test_alternating_models_write_their_own_bytes(self, tmp_path):
+        # the spectral plan is cached per Hamiltonian: the second run of each
+        # model reads its plan from the cache and writes the first run's bytes
+        a = config_from_dict(MINIMAL)
+        b = config_from_dict(dict(MINIMAL, model=xxz_model(delta=0.6)))
+        evolution._spectral_plan.cache_clear()
+        runs = [run_experiment(c, output_dir=tmp_path / str(k)) for k, c in enumerate([a, b, a, b])]
+        assert evolution._spectral_plan.cache_info().misses == 2
+        csvs = [{name: (r.output_dir / name).read_bytes() for name in r.files[:-2]} for r in runs]
+        assert csvs[0] == csvs[2] and csvs[1] == csvs[3]
+        assert csvs[0].keys() == csvs[1].keys() and csvs[0] != csvs[1]
+
+    def test_runs_in_one_process_record_only_their_own_solves(self, tmp_path):
+        # a cut sweep solves once per coupling, the response run once; verify
+        # between and after them solves too, and writes to neither run
+        sweep = run_experiment(cut_figure("fig4_sweep"), output_dir=tmp_path / "sweep")
+        written = {sweep.output_dir: (sweep.output_dir / "run_metadata.json").read_bytes()}
+        response_config = config_from_dict(MINIMAL)
+        assert verify_experiment(response_config)["passed"]
+        response = run_experiment(response_config, output_dir=tmp_path / "response")
+        written[response.output_dir] = (response.output_dir / "run_metadata.json").read_bytes()
+        assert verify_experiment(response_config)["passed"]
+        for out, metadata in written.items():
+            assert (out / "run_metadata.json").read_bytes() == metadata
+        routes = [
+            [record["route"] for record in json.loads(metadata)["ground_state"]]
+            for metadata in written.values()
+        ]
+        assert routes == [["dense", "dense"], ["plan"]]
+
     def test_sampled_run_propagates_once_per_observable(self, tmp_path, monkeypatch):
         # the exact series and its finite-shot estimate read the same states
         calls = []
@@ -1079,6 +1109,20 @@ class TestCLI:
         assert main(["spectra", "--input", str(series), "--column", "2"]) == 2
         assert "--column must be a value column, 1 to 1" in capsys.readouterr().err
         assert not series.with_suffix(".spectrum.csv").exists()
+
+    def test_spectra_one_row_reaches_the_sample_count(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("t,value\n0.0,1.0\n")
+        assert main(["spectra", "--input", str(series)]) == 2
+        assert "need at least two samples" in capsys.readouterr().err
+        assert not series.with_suffix(".spectrum.csv").exists()
+
+    @pytest.mark.parametrize("rows", ["0.0\n0.5\n1.0\n", "0.0\n"])
+    def test_spectra_one_column_exit_two(self, tmp_path, capsys, rows):
+        series = tmp_path / "series.csv"
+        series.write_text("t\n" + rows)
+        assert main(["spectra", "--input", str(series)]) == 2
+        assert "input CSV must have at least two columns" in capsys.readouterr().err
 
     def test_spectra_non_numeric_exit_two(self, tmp_path, capsys):
         series = tmp_path / "letters.csv"

@@ -653,14 +653,25 @@ class TestFusedTrotter:
             first = [((0, a), (s, a)) for a in "XYZ" for s in (1, n)] + [((1, "X"), (2, "X"))]
             assert [term.factors for term in h.terms[:7]] == first
 
-    def test_terms_grouped_once_per_hamiltonian(self):
+    def test_terms_grouped_once_per_propagator(self, monkeypatch):
         h = build_xxz(5, 0.7, 0.3, "periodic")
         psi = ground_state(h)
         schedule = PulseSchedule([(op(5, (1.0, {2: "X"})), [0.0])])
-        _fused_runs.cache_clear()
+        calls = {"_fused_runs": 0, "_trotter_evolve": 0}
+        for name in calls:
+            original = getattr(evolution, name)
+
+            def spy(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(evolution, name, spy)
+        # the kick at t = 0 starts one propagator, which serves all three times
         driven_signal(h, schedule, [0.3], op(5, (1.0, {2: "Z"})), [0.5, 1.0, 1.5], TROTTER10, psi)
-        info = _fused_runs.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert calls == {"_fused_runs": 1, "_trotter_evolve": 3}
+        # a propagator stepped only by dt = 0 never splits the terms
+        evolution.propagator(h, psi, TROTTER10)(0.0)
+        assert calls["_fused_runs"] == 1
 
     @settings(max_examples=60, deadline=None)
     @given(pauli_sums())
@@ -722,9 +733,9 @@ def cut_figure_run(name, tmp_path, monkeypatch):
     layouts, builds = [], []
     trotter_evolve, fused_op = evolution._trotter_evolve, evolution._fused_op
 
-    def layout_spy(h, amps, t, evolver, layout):
+    def layout_spy(h, amps, t, evolver, layout, runs):
         layouts.append(layout)
-        return trotter_evolve(h, amps, t, evolver, layout)
+        return trotter_evolve(h, amps, t, evolver, layout, runs)
 
     def build_spy(run, dt, n_sites, sign):
         built = fused_op(run, dt, n_sites, sign)
@@ -818,9 +829,9 @@ class TestFlipSector:
         seen = []
         original = evolution._trotter_evolve
 
-        def spy(h, amps, t, evolver, layout):
+        def spy(h, amps, t, evolver, layout, runs):
             seen.extend(sign for k, (j, sign) in enumerate(layout) if j == k)
-            return original(h, amps, t, evolver, layout)
+            return original(h, amps, t, evolver, layout, runs)
 
         monkeypatch.setattr(evolution, "_trotter_evolve", spy)
         folded = nested_commutator_prefixes(chain, readout, pulses, grid, psi0, TROTTER10)

@@ -101,5 +101,15 @@ def test_run_figures_against_a_rerun(tmp_path, capsys):
         assert lines[1:] == [f"  run_metadata.json files: {changed} -> {files}"]
         assert not same
     assert run_figures.main(argv) == 1
+    # and so are ground-state records that name another route or another
+    # number of solves
+    solves = record["ground_state"]
+    assert solves
+    for changed in ([dict(solves[0], route="lanczos")] + solves[1:], solves + solves, []):
+        metadata.write_text(json.dumps(dict(record, ground_state=changed)))
+        lines, same = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+        assert lines[1:] == [f"  run_metadata.json ground_state: {changed} -> {solves}"]
+        assert not same
+    assert run_figures.main(argv) == 1
     metadata.write_text(json.dumps(record))
     assert run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")[1]
