@@ -60,8 +60,8 @@ class PointCloud2D:
         object.__setattr__(self, "points", pts)
 
 
-def entanglement_entropy(state: np.ndarray, block_size: int, start: int = 0) -> float:
-    """Von Neumann entropy (natural log) of a contiguous block of sites.
+def entanglement_entropy(state: np.ndarray, block_size: int) -> float:
+    """Von Neumann entropy (natural log) of the first ``block_size`` sites.
 
     A pure state's block and complement share their nonzero spectrum, so it
     is taken from the smaller side: the block's reduced density matrix, or,
@@ -76,15 +76,12 @@ def entanglement_entropy(state: np.ndarray, block_size: int, start: int = 0) -> 
         raise AnalysisError("a state holds 2**N amplitudes")
     if not 1 <= block_size < n:
         raise AnalysisError(f"block size must be in [1, {n - 1}]")
-    if not 0 <= start <= n - block_size:
-        raise AnalysisError(f"block of {block_size} sites at {start} outside {n} sites")
     with _one_blas_thread():
         if 2 * block_size <= n:
-            rho = partial_trace(amps, range(start, start + block_size))
+            rho = partial_trace(amps, range(block_size))
         else:
-            # axes (high bits, block, low bits), site 0 being the LSB
-            tensor = amps.reshape(-1, 2**block_size, 2**start)
-            rest = np.moveaxis(tensor, 1, -1).reshape(-1, 2**block_size)
+            # rows: the complement's high bits; columns: the block, site 0 being the LSB
+            rest = amps.reshape(-1, 2**block_size)
             rho = rest @ rest.conj().T
         evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-14]
@@ -209,9 +206,13 @@ def correlator_order_expansion(
     return out
 
 
-def contrast_ratio(c_kappa: complex, c_zero: complex, floor: float = 1e-10) -> complex:
+#: reference correlator magnitude at or below which ``contrast_ratio`` refuses
+_CONTRAST_FLOOR = 1e-10
+
+
+def contrast_ratio(c_kappa: complex, c_zero: complex) -> complex:
     """R = C(kappa)/C(0) - 1; a near-zero reference denominator is rejected."""
-    if abs(c_zero) <= floor:
+    if abs(c_zero) <= _CONTRAST_FLOOR:
         raise AnalysisError(f"reference correlator magnitude {abs(c_zero):.2e} below floor")
     return complex(c_kappa / c_zero - 1.0)
 

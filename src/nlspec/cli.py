@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +147,14 @@ def _cmd_spectra(args) -> int:
     if not Path(args.input).is_file():
         raise ConfigError(f"input CSV {args.input} does not exist")
     try:
-        data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file without rows; the size check below says so
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"input CSV {args.input} is not numeric: {exc}") from exc
+    if data.size == 0:
+        raise ConfigError(f"input CSV {args.input} has no data rows")
     if data.shape[1] < 2:
         raise ConfigError("input CSV must have at least two columns")
     if not 1 <= args.column < data.shape[1]:

@@ -229,6 +229,12 @@ class ExperimentConfig:
     delta_values: tuple[float, ...] = ()
     method: str = "shift_rule"
 
+    def __post_init__(self):
+        # here rather than in _validate, so that a seed replaced later
+        # (``run_experiment(seed=...)``) is checked too
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, not {self.seed}")
+
 
 #: the annotation of (site, axis) lists, written as {"site": axis} maps
 _FACTORS = "tuple[tuple[int, str], ...]"

@@ -455,27 +455,23 @@ def run_experiment(
 
 #: amplitude step of the finite-difference baseline in ``verify_experiment``
 _FD_STEP = 1e-3
+#: ``verify_experiment`` checks orders 1 to this one
+_VERIFY_MAX_ORDER = 5
 #: points of the time grid span that ``verify_experiment`` checks
 _VERIFY_TIMES = 11
 
 
-def verify_experiment(
-    config: ExperimentConfig,
-    tolerance: float = 1e-8,
-    max_order: int = 5,
-    coefficient_perturbation: float = 0.0,
-) -> dict:
+def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
     """Cross-check the shift-rule reconstruction against the commutator route.
 
     The config is a response or decomposition config (its first observable
     is checked) with one pump channel of one pulse (``ConfigError``
     otherwise).  The rule is the run's: the config's ``shifts``, weighted
-    for orders 1..``max_order`` (odd ones only in the odd mode).  Returns a report with per-order
-    maximum deviations (plus the finite-difference baseline at low orders),
-    the rule's health (``n_shifts``, ``mode``, ``condition_number``, each
-    order's ``residual``) and a pass flag; used by the CLI `verify`
-    subcommand.  ``coefficient_perturbation`` deliberately corrupts the
-    reconstruction weights (test hook for the failure path).
+    for orders 1 to ``_VERIFY_MAX_ORDER`` (odd ones only in the odd mode).
+    Returns a report with per-order maximum deviations (plus the
+    finite-difference baseline at low orders), the rule's health
+    (``n_shifts``, ``mode``, ``condition_number``, each order's
+    ``residual``) and a pass flag; used by the CLI `verify` subcommand.
     """
     if config.protocol not in ("response", "decomposition"):
         raise ConfigError(f"verify checks response and decomposition configs, not {config.protocol}")
@@ -495,7 +491,7 @@ def verify_experiment(
     grid = grid[grid >= t_pulse]
     # one rule and one propagation of its shifts serve every order
     mode = config.shifts.mode
-    orders = [m for m in range(1, max_order + 1) if mode == "full" or m % 2]
+    orders = [m for m in range(1, _VERIFY_MAX_ORDER + 1) if mode == "full" or m % 2]
     rule = rule_for_generator(generator, orders, config.shifts.n_shifts, mode)
     signals = driven_signal(
         h, schedule, rule.shifts[:, None], observable, grid, config.evolver, psi0
@@ -510,16 +506,12 @@ def verify_experiment(
     fd_sample = dict(zip(fd_etas, fd_signals))
     # row m: the order-m commutator response, every order from one ket block
     oracles = nested_commutator_prefixes(
-        h, observable, [(generator, t_pulse)] * max_order, grid, psi0, config.evolver
+        h, observable, [(generator, t_pulse)] * _VERIFY_MAX_ORDER, grid, psi0, config.evolver
     )
     rows = []
     worst = 0.0
     for m in orders:
-        coefficients = rule.coefficients[m]
-        if coefficient_perturbation:
-            coefficients = coefficients.copy()
-            coefficients[0] += coefficient_perturbation
-        series = coefficients @ signals / math.factorial(m)
+        series = rule.coefficients[m] @ signals / math.factorial(m)
         oracle = oracles[m]
         dev = float(np.max(np.abs(series - oracle)))
         worst = max(worst, dev)

@@ -78,10 +78,21 @@ class EnvelopeFit:
             raise SpectrumError("fitted envelope amplitude must be positive")
 
 
+#: extremum magnitude at or below which ``envelope_fit`` ignores a peak
+_ENVELOPE_FLOOR = 1e-6
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise SpectrumError("values must be finite")
+
+
 def _check_uniform(times: np.ndarray) -> float:
     steps = np.diff(times)
     if steps.size == 0:
         raise SpectrumError("need at least two samples")
+    if not np.all(np.isfinite(steps)):
+        raise SpectrumError("time steps must be finite")
     dt = float(steps[0])
     if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(1.0, abs(dt)):
         raise SpectrumError("time grid must be uniform and ascending")
@@ -98,6 +109,7 @@ def response_spectrum(
     Provide either ``dt`` or the time grid itself (checked for uniformity).
     """
     series = np.asarray(values, dtype=float)
+    _check_finite(series)
     if times is not None:
         dt = _check_uniform(np.asarray(times, dtype=float))
     if dt is None or dt <= 0:
@@ -111,23 +123,22 @@ def response_spectrum(
 def envelope_fit(
     values: Sequence[float],
     times: Sequence[float],
-    floor: float = 1e-6,
 ) -> tuple[EnvelopeFit, np.ndarray]:
     """Fit alpha * exp(-gamma t) to the local extrema of |series|.
 
-    Needs at least three interior extrema above ``floor``.  Returns the fit
-    and the envelope-corrected series values * exp(gamma t) / alpha.
+    Needs at least three interior extrema above ``_ENVELOPE_FLOOR``.  Returns
+    the fit and the envelope-corrected series values * exp(gamma t) / alpha.
     """
     series = np.asarray(values, dtype=float)
     t = np.asarray(times, dtype=float)
     mag = np.abs(series)
-    interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > floor)
+    interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > _ENVELOPE_FLOOR)
     # strict on at least one side so plateaus do not flood the fit
     strict = (mag[1:-1] > mag[:-2]) | (mag[1:-1] > mag[2:])
     idx = np.where(interior & strict)[0] + 1
     if idx.size < 3:
         raise SpectrumError(
-            f"envelope fit needs >= 3 local extrema above {floor:g}; found {idx.size}"
+            f"envelope fit needs >= 3 local extrema above {_ENVELOPE_FLOOR:g}; found {idx.size}"
         )
     design = np.vstack([np.ones(idx.size), t[idx]]).T
     coeffs, *_ = np.linalg.lstsq(design, np.log(mag[idx]), rcond=None)
@@ -148,6 +159,7 @@ def spectrum_2d(
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise SpectrumError("expected a 2D array")
+    _check_finite(grid)
     if dt_1 <= 0 or dt_2 <= 0:
         raise SpectrumError("sample spacings must be positive")
     n1, n2 = grid.shape

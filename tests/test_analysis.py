@@ -59,32 +59,34 @@ class TestEntropy:
         rng = np.random.default_rng(3)
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         psi = amps / np.linalg.norm(amps)
+        # the bit-reversed state: its first sites are psi's last ones
+        mirrored = psi.reshape((2,) * 5).transpose().reshape(-1)
         for d in (1, 2):
             left = entanglement_entropy(psi, d)
-            right = entanglement_entropy(psi, 5 - d, start=d)
+            right = entanglement_entropy(mirrored, 5 - d)
             assert left == pytest.approx(right, abs=1e-10)
-            top = entanglement_entropy(psi, d, start=5 - d)
+            top = entanglement_entropy(mirrored, d)
             assert entanglement_entropy(psi, 5 - d) == pytest.approx(top, abs=1e-10)
 
     def test_invalid_block(self):
         with pytest.raises(AnalysisError):
             entanglement_entropy(basis_state(3, 0), 3)
-        # a block larger than its complement takes the Gram-matrix branch
         with pytest.raises(AnalysisError):
-            entanglement_entropy(basis_state(5, 0), 4, start=2)
+            entanglement_entropy(basis_state(3, 0), 0)
         # 12 amplitudes are no register of qubits
         with pytest.raises(AnalysisError):
             entanglement_entropy(np.full(12, 12**-0.5), 2)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
     def test_block_outside_register(self, block):
-        # blocks on both sides of n / 2 = 3, so both the reduced density
-        # matrix and the Gram-matrix branch
+        # blocks on both sides of n / 2 = 3 fit, through both the reduced
+        # density matrix and the Gram-matrix branch; moved by the register
+        # size either way, they do not
         psi = basis_state(6, 0)
-        for start in (-1, 7 - block, 6):
-            with pytest.raises(AnalysisError, match=f"block of {block} sites at {start}"):
-                entanglement_entropy(psi, block, start=start)
-        assert entanglement_entropy(psi, block, start=6 - block) == pytest.approx(0.0, abs=1e-12)
+        for size in (block - 6, block + 6):
+            with pytest.raises(AnalysisError, match=r"block size must be in \[1, 5\]"):
+                entanglement_entropy(psi, size)
+        assert entanglement_entropy(psi, block) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEntropyExpansion:

@@ -518,10 +518,10 @@ class TestRunExperiment:
         sweep = run_experiment(cut_figure("fig4_sweep"), output_dir=tmp_path / "sweep")
         written = {sweep.output_dir: (sweep.output_dir / "run_metadata.json").read_bytes()}
         response_config = config_from_dict(MINIMAL)
-        assert verify_experiment(response_config)["passed"]
+        assert verify_experiment(response_config, tolerance=1e-8)["passed"]
         response = run_experiment(response_config, output_dir=tmp_path / "response")
         written[response.output_dir] = (response.output_dir / "run_metadata.json").read_bytes()
-        assert verify_experiment(response_config)["passed"]
+        assert verify_experiment(response_config, tolerance=1e-8)["passed"]
         for out, metadata in written.items():
             assert (out / "run_metadata.json").read_bytes() == metadata
         routes = [
@@ -678,6 +678,19 @@ class TestProtocolFields:
         assert len(resolved["eta_grid"]) == 7 and etas.tolist() == resolved["eta_grid"]
 
 
+def perturb_rule_weights(monkeypatch):
+    """Route ``verify_experiment`` through a rule whose first weight of each
+    order is off by 1e-3."""
+    build = runner.rule_for_generator
+
+    def perturbed(*args):
+        rule = build(*args)
+        weights = {m: np.append(c[0] + 1e-3, c[1:]) for m, c in rule.coefficients.items()}
+        return dataclasses.replace(rule, coefficients=weights)
+
+    monkeypatch.setattr(runner, "rule_for_generator", perturbed)
+
+
 class TestVerify:
     def test_passes_on_clean_engine(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
@@ -690,20 +703,42 @@ class TestVerify:
         for row in report["orders"]:
             assert 0.0 <= row["residual"] < 1e-8
 
-    def test_corrupted_coefficients_fail(self, tmp_path):
+    def test_corrupted_coefficients_fail(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, MINIMAL))
-        report = verify_experiment(config, tolerance=1e-8, coefficient_perturbation=1e-3)
+        perturb_rule_weights(monkeypatch)
+        report = verify_experiment(config, tolerance=1e-8)
         assert not report["passed"]
 
-    def test_krylov_chain_checks_nonzero_orders(self, tmp_path):
+    def test_krylov_chain_checks_nonzero_orders(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, CHAIN10))
         report = verify_experiment(config, tolerance=1e-8)
         scales = {row["order"]: row["oracle_scale"] for row in report["orders"]}
         assert scales[1] > 0.5 and scales[3] > 0.3
         assert report["passed"]
         assert report["max_deviation"] < 1e-10
-        corrupted = verify_experiment(config, tolerance=1e-8, coefficient_perturbation=1e-3)
-        assert not corrupted["passed"]
+        perturb_rule_weights(monkeypatch)
+        assert not verify_experiment(config, tolerance=1e-8)["passed"]
+
+    def test_random_chains_pass_at_odd_and_even_orders(self):
+        # seeded random 4-site chains kicked by X1, read out by X2 and by Z2
+        # in turn: X2 responds at odd orders, Z2 at even ones on some chains
+        rng = np.random.default_rng(0)
+        largest = {0: 0.0, 1: 0.0}  # the largest oracle scale by order parity
+        for _ in range(5):
+            delta, h_field = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0))
+            for axis in ("X", "Z"):
+                payload = dict(
+                    MINIMAL,
+                    model=xxz_model(delta=delta, h_field=h_field),
+                    observables=[{"kind": "single_site_pauli", "sites": [2], "axis": axis}],
+                    time_grid={"start": 0.0, "stop": 5.0, "points": 11},
+                )
+                report = verify_experiment(config_from_dict(payload), tolerance=1e-8)
+                assert report["passed"], (delta, h_field, axis)
+                for row in report["orders"]:
+                    parity = row["order"] % 2
+                    largest[parity] = max(largest[parity], row["oracle_scale"])
+        assert min(largest.values()) > 1e-3
 
     def test_one_propagation_per_route(self, tmp_path, monkeypatch):
         calls = []
@@ -766,6 +801,11 @@ class TestCLI:
         payload["model"]["parameters"]["n_sites"] = 13
         big = write_config(tmp_path, payload, "big.json")
         assert main(["verify", "--config", str(big)]) == 4
+
+    def test_verify_deviation_exit_three(self, tmp_path, capsys, monkeypatch):
+        perturb_rule_weights(monkeypatch)
+        assert main(["verify", "--config", str(write_config(tmp_path, MINIMAL))]) == 3
+        assert "FAIL: max deviation" in capsys.readouterr().out
 
     def test_verify_names_the_rule_that_cannot_solve(self, capsys):
         # fig2's 8 shifts are too few for an exact rule on its 153 gaps
@@ -1124,6 +1164,24 @@ class TestCLI:
         assert main(["spectra", "--input", str(series)]) == 2
         assert "input CSV must have at least two columns" in capsys.readouterr().err
 
+    def test_spectra_header_only_exit_two(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("t,value\n")
+        assert main(["spectra", "--input", str(series)]) == 2
+        assert capsys.readouterr().err == f"config error: input CSV {series} has no data rows\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.0,1.0\n0.5,nan\n1.0,0.0\n1.5,0.5\n", "0.0,1.0\n0.5,0.5\ninf,0.0\n1.5,0.5\n"],
+        ids=["value", "time"],
+    )
+    def test_spectra_non_finite_exit_two(self, tmp_path, capsys, rows):
+        series = tmp_path / "series.csv"
+        series.write_text("t,value\n" + rows)
+        assert main(["spectra", "--input", str(series)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not series.with_suffix(".spectrum.csv").exists()
+
     def test_spectra_non_numeric_exit_two(self, tmp_path, capsys):
         series = tmp_path / "letters.csv"
         series.write_text("t,value\na,b\nc,d\n")
@@ -1149,6 +1207,19 @@ class TestCLI:
         a = (tmp_path / "s1" / "response_m1_single_site_pauli_2_x_sampled.csv").read_bytes()
         b = (tmp_path / "s2" / "response_m1_single_site_pauli_2_x_sampled.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("seed_in", ["config", "flag"])
+    def test_negative_seed_exit_two_before_writing(self, tmp_path, capsys, seed_in):
+        payload = dict(MINIMAL, sampling={"total_shots": 300, "mode": "uniform"})
+        argv = ["--out", str(tmp_path / "out")]
+        if seed_in == "config":
+            payload["seed"] = -1
+        else:
+            argv += ["--seed", "-1"]
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), *argv]) == 2
+        assert capsys.readouterr().err == "config error: seed: must be >= 0, not -1\n"
+        assert not (tmp_path / "out").exists()
 
 
 _RUN_WITHOUT_SCIPY = """

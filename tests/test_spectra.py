@@ -65,6 +65,21 @@ class TestResponseSpectrum:
         assert spec.frequencies[1] == pytest.approx(2 * np.pi / (10 * 0.5))
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda: response_spectrum([0.0, 1.0, np.nan, 0.5], dt=0.5),
+            lambda: response_spectrum([0.0, 1.0, 0.0, 0.5], times=[0.0, 0.5, np.inf, 1.5]),
+            lambda: spectrum_2d(np.array([[0.0, 1.0], [np.inf, 0.5]]), 0.5, 0.5),
+        ],
+        ids=["series", "time", "2d"],
+    )
+    def test_rejected(self, transform):
+        with pytest.raises(SpectrumError, match="must be finite"):
+            transform()
+
+
 class TestEnvelopeFit:
     def test_recovers_decay(self):
         t = np.arange(0, 5, 0.02)
