@@ -719,11 +719,12 @@ class TestVerify:
         perturb_rule_weights(monkeypatch)
         assert not verify_experiment(config, tolerance=1e-8)["passed"]
 
-    def test_random_chains_pass_at_odd_and_even_orders(self):
+    @pytest.fixture(scope="class")
+    def random_chain_reports(self):
         # seeded random 4-site chains kicked by X1, read out by X2 and by Z2
         # in turn: X2 responds at odd orders, Z2 at even ones on some chains
         rng = np.random.default_rng(0)
-        largest = {0: 0.0, 1: 0.0}  # the largest oracle scale by order parity
+        reports = []
         for _ in range(5):
             delta, h_field = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0))
             for axis in ("X", "Z"):
@@ -734,10 +735,19 @@ class TestVerify:
                     time_grid={"start": 0.0, "stop": 5.0, "points": 11},
                 )
                 report = verify_experiment(config_from_dict(payload), tolerance=1e-8)
-                assert report["passed"], (delta, h_field, axis)
-                for row in report["orders"]:
-                    parity = row["order"] % 2
-                    largest[parity] = max(largest[parity], row["oracle_scale"])
+                reports.append(((delta, h_field, axis), report))
+        return reports
+
+    def test_random_chain_instances_pass(self, random_chain_reports):
+        for instance, report in random_chain_reports:
+            assert report["passed"], instance
+
+    def test_random_chains_check_nonzero_orders_of_each_parity(self, random_chain_reports):
+        largest = {0: 0.0, 1: 0.0}  # the largest oracle scale by order parity
+        for _, report in random_chain_reports:
+            for row in report["orders"]:
+                parity = row["order"] % 2
+                largest[parity] = max(largest[parity], row["oracle_scale"])
         assert min(largest.values()) > 1e-3
 
     def test_one_propagation_per_route(self, tmp_path, monkeypatch):
