@@ -11,10 +11,11 @@ commit), each config also reports how many of its CSVs are byte-identical to
 DIR/<config-name>/ and whether its resolved_config.json is, and for each CSV
 that moved its largest absolute deviation, the column it is in and that
 column's largest absolute value in DIR; a CSV that only one of the two runs
-wrote is reported missing from the other, and the ``files`` lists and the
-``ground_state`` records of the two run_metadata.json are compared, order
-included.  The script then exits 1 if any CSV moved or is missing, any
-resolved_config.json differs or any files list or ground-state record does.
+wrote is reported missing from the other, and every key of the two
+run_metadata.json but ``wall_time_s`` is compared as sorted-key JSON text
+(so order counts in lists, and a NaN slope on both sides is equal).  The
+script then exits 1 if any CSV moved or is missing, any
+resolved_config.json differs or any run_metadata.json key does.
 Each line reports the run's wall time and the CPU time of all its threads;
 CPU well above wall means BLAS worker threads were busy (or spinning idle).
 Exact evolution, the entropy and the Lanczos ground state above 9 sites
@@ -39,9 +40,9 @@ FIGURE_DIR = Path(__file__).resolve().parent.parent / "figures"
 
 
 def compare(out: Path, reference: Path) -> tuple[list[str], bool]:
-    """Lines comparing the CSVs, resolved_config.json and the run_metadata.json
-    files list and ground-state records of one config's output directory with
-    those of a reference directory, and whether all of them are identical."""
+    """Lines comparing the CSVs, resolved_config.json and run_metadata.json
+    (all but its wall time) of one config's output directory with those of a
+    reference directory, and whether all of them are identical."""
     names = sorted({p.name for d in (out, reference) for p in d.glob("*.csv")})
     moved = []
     for name in names:
@@ -75,7 +76,12 @@ def compare(out: Path, reference: Path) -> tuple[list[str], bool]:
         json.loads(p.read_text()) if p.exists() else {}
         for p in (d / "run_metadata.json" for d in (out, reference))
     )
-    differ = [key for key in ("files", "ground_state") if new_meta.get(key) != old_meta.get(key)]
+    differ = [
+        key
+        for key in sorted((new_meta.keys() | old_meta.keys()) - {"wall_time_s"})
+        if json.dumps(new_meta.get(key), sort_keys=True)
+        != json.dumps(old_meta.get(key), sort_keys=True)
+    ]
     for key in differ:
         lines.append(f"  run_metadata.json {key}: {old_meta.get(key)} -> {new_meta.get(key)}")
     return lines, same and not moved and not differ

@@ -190,19 +190,28 @@ def correlator_order_expansion(
     rule: ShiftRule,
     orders: Sequence[int],
     eta: float,
-) -> dict[int, complex]:
+) -> dict[int, np.ndarray]:
     """C^(n) = (eta^n / n!) d^n C / d eta^n at 0, from the correlator sampled
-    at ``rule.shifts``.
+    at ``rule.shifts`` along the last axis of ``samples``.
 
+    Leading axes (a (T1, T2) grid of cells, say) are kept: each order's array
+    has the shape of ``samples`` without its last axis, 0-d for one cell.
     The shift rule is applied separately to the real and imaginary parts of
-    the samples.
+    the samples, and each part is scaled by eta^n / n! as a real number, so
+    every cell rounds as it would alone.
     """
     samples = np.asarray(samples, dtype=complex)
-    out: dict[int, complex] = {}
+    # np.dot contracts an array of three or more axes one cell at a time with
+    # the BLAS dot, as it does a single cell; on two axes it would call a
+    # matrix-vector product, which sums in another order
+    parts = samples.real[None, None], samples.imag[None, None]
+    out: dict[int, np.ndarray] = {}
     for n in orders:
-        c = rule.coefficients[int(n)]
-        deriv = complex(np.dot(c, samples.real), np.dot(c, samples.imag))
-        out[int(n)] = deriv * (eta ** int(n)) / math.factorial(int(n))
+        n = int(n)
+        c, scale = rule.coefficients[n], eta**n
+        value = np.empty(samples.shape[:-1], dtype=complex)
+        value.real, value.imag = (np.dot(p, c)[0, 0] * scale / math.factorial(n) for p in parts)
+        out[n] = value
     return out
 
 

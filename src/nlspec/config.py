@@ -401,6 +401,10 @@ def _validate(config: ExperimentConfig) -> None:
         for name, start in starts.items():
             if start < 0:
                 raise ConfigError(f"{name}: the 2dos protocol's times must be >= 0, not {start}")
+        for name in ("t1_grid", "t3_grid"):
+            points = getattr(config, name).points
+            if points < 2:
+                raise ConfigError(f"{name}: the 2D spectrum needs at least 2 points, not {points}")
     if "eta_grid" in read:
         etas = np.asarray(config.eta_grid)
         if etas.size < config.max_order + 1:

@@ -2,7 +2,10 @@
 
 A run's state lives in one run scope (``_Run``): its CSV writer, and its one
 model builder (``_Run.model``, once per sweep coupling or entropy anisotropy)
-with the record of each ground-state solve.
+with the record of each ground-state solve.  Protocols hand the writer whole
+arrays, one per column: ``_Run.csv`` broadcasts them together and writes one
+row per element, row-major with the last axis fastest, so a (t1, t2) grid
+file is ``csv(name, header, t1s[:, None], t2s[None, :], values)``.
 
 Every run writes CSV data files plus two JSON sidecars: the fully resolved
 configuration (byte-stable, reruns produce identical data files for the
@@ -89,9 +92,11 @@ class _Run:
     files: list[str] = field(default_factory=list)
     solves: list[dict] = field(default_factory=list)
 
-    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-        """The run's one CSV writer: writes out/name and lists it."""
-        write_csv(self.out / name, header, rows)
+    def csv(self, name: str, header: Sequence[str], *columns) -> None:
+        """The run's one CSV writer: broadcasts ``columns`` together, writes
+        them to out/name row-major (last axis fastest) and lists the file."""
+        grids = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+        write_csv(self.out / name, header, np.column_stack([g.ravel() for g in grids]).tolist())
         self.files.append(name)
 
     def model(self, **parameters) -> tuple[OperatorSum, np.ndarray]:
@@ -116,13 +121,13 @@ def _materialize(run: _Run):
 
 
 def _emit_series_and_spectrum(csv, name: str, times, values, dt: float):
-    csv(f"{name}.csv", ["t[1/J]", "value"], zip(times, values))
+    csv(f"{name}.csv", ["t[1/J]", "value"], times, values)
     if times.size > 1 and dt > 0:
         spec = response_spectrum(values, dt=dt)
         csv(
             f"{name}_spectrum.csv",
             ["omega[J]", "magnitude", "real", "imag"],
-            zip(spec.frequencies, spec.magnitudes, spec.amplitudes.real, spec.amplitudes.imag),
+            spec.frequencies, spec.magnitudes, spec.amplitudes.real, spec.amplitudes.imag,
         )
 
 
@@ -152,7 +157,7 @@ def _run_response(run: _Run) -> dict:
             csv(
                 f"{name}_sampled.csv",
                 ["t[1/J]", "estimate", "std_error"],
-                zip(grid, series.metadata["sampled"], series.metadata["std_error"]),
+                grid, series.metadata["sampled"], series.metadata["std_error"],
             )
     return meta
 
@@ -176,9 +181,9 @@ def _run_decomposition(run: _Run) -> dict:
     etas = list(config.eta_eval)
     for n in range(config.max_order + 1):
         header = ["t[1/J]"] + [f"A{n}[eta={e:g}]" for e in etas]
-        csv(f"A{n}.csv", header, zip(grid, *(terms[n].values for terms, _ in per_eta)))
+        csv(f"A{n}.csv", header, grid, *[terms[n].values for terms, _ in per_eta])
     header = ["t[1/J]"] + [f"diff[eta={e:g}]" for e in etas]
-    csv("diff.csv", header, zip(grid, *(diff.values for _, diff in per_eta)))
+    csv("diff.csv", header, grid, *[diff.values for _, diff in per_eta])
     return {
         "observable": label,
         "basis": per_eta[0][0][0].metadata["basis"],
@@ -214,11 +219,9 @@ def _pump_probe_orders(run: _Run, drive, references=(), **parameters):
     t1s, t2s = config.t1_grid.values(), config.t3_grid.values()
     etas = np.append(rule.shifts, references)
     samples = pump_probe_correlator(h, pump, probe_1, probe_2, t1s, t2s, etas, psi0, config.evolver)
-    order_values = {m: np.empty((t1s.size, t2s.size), dtype=complex) for m in orders}
-    for i, j in np.ndindex(t1s.size, t2s.size):
-        cell = samples[i, j, : rule.n_shifts]
-        for m, v in correlator_order_expansion(cell, rule, orders, config.eta_ref).items():
-            order_values[m][i, j] = v
+    order_values = correlator_order_expansion(
+        samples[:, :, : rule.n_shifts], rule, orders, config.eta_ref
+    )
     return t1s, t2s, order_values, samples[:, :, rule.n_shifts :]
 
 
@@ -230,43 +233,25 @@ def _run_pump_probe(run: _Run) -> dict:
     )
     contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
     excluded = 0
-    for i, j in np.ndindex(contrast.shape):
+    for k, (c_zero, c_kappa) in enumerate(references.reshape(-1, 2)):
         try:
-            contrast[i, j] = contrast_ratio(references[i, j, 1], references[i, j, 0])
+            contrast.flat[k] = contrast_ratio(c_kappa, c_zero)
         except AnalysisError:
             excluded += 1
     orders = list(order_values)
-    rows = []
-    for i, t1 in enumerate(t1s):
-        for j, t2 in enumerate(t2s):
-            row = [t1, t2]
-            for m in orders:
-                row.extend([order_values[m][i, j].real, order_values[m][i, j].imag])
-            rows.append(row)
-    header = ["t1[1/J]", "t2[1/J]"]
-    for m in orders:
-        header.extend([f"reC{m}", f"imC{m}"])
-    csv("correlator_orders.csv", header, rows)
-    csv(
-        "contrast.csv",
-        ["t1[1/J]", "t2[1/J]", "reR", "imR"],
-        (
-            [t1, t2, contrast[i, j].real, contrast[i, j].imag]
-            for i, t1 in enumerate(t1s)
-            for j, t2 in enumerate(t2s)
-        ),
-    )
+    parts = {}
+    for m, v in order_values.items():
+        parts[f"reC{m}"], parts[f"imC{m}"] = v.real, v.imag
+    t1, t2 = t1s[:, None], t2s[None, :]
+    csv("correlator_orders.csv", ["t1[1/J]", "t2[1/J]", *parts], t1, t2, *parts.values())
+    csv("contrast.csv", ["t1[1/J]", "t2[1/J]", "reR", "imR"], t1, t2, contrast.real, contrast.imag)
     finite = contrast[np.isfinite(contrast.real)]
     if finite.size:
         lo, hi = float(finite.real.min()), float(finite.real.max())
         if hi - lo < 1e-12:  # constant contrast: center one unit-width bin
             lo, hi = lo - 0.5, hi + 0.5
         counts, edges = np.histogram(finite.real, bins=41, range=(lo, hi))
-        csv(
-            "contrast_hist.csv",
-            ["bin_left", "bin_right", "count"],
-            zip(edges[:-1], edges[1:], counts.astype(float)),
-        )
+        csv("contrast_hist.csv", ["bin_left", "bin_right", "count"], edges[:-1], edges[1:], counts)
     slopes = {}
     quadratures = {}
     pairs = [(a, b) for a, b in zip(orders, orders[1:])]
@@ -277,7 +262,7 @@ def _run_pump_probe(run: _Run) -> dict:
         csv(
             f"cloud_c{a}_c{b}.csv",
             [f"reC{a}", f"reC{b}"],
-            zip(order_values[a].real.ravel(), order_values[b].real.ravel()),
+            order_values[a].real, order_values[b].real,
         )
     return {
         "excluded_contrast_points": excluded,
@@ -310,24 +295,19 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
     return float("nan"), "none"
 
 
-def _sweep_point(run: _Run, drive, g: float):
-    """The order-pair slopes of the pump-probe run at plaquette coupling g."""
-    _, _, order_values, _ = _pump_probe_orders(run, drive, j_plaquette=g)
-    orders = list(order_values)
-    return g, [
-        _order_pair_slope(order_values[a], order_values[b], a, b)[0]
-        for a, b in zip(orders, orders[1:])
-    ]
-
-
 def _run_sweep(run: _Run) -> dict:
-    g_values = [float(g) for g in run.config.sweep_values]
+    # the order-pair slopes of the pump-probe run at each plaquette coupling g
+    g_values = sorted(float(g) for g in run.config.sweep_values)
     drive = _pump_probe_drive(run.config)
     _, _, orders, _ = drive
-    results = [_sweep_point(run, drive, g) for g in sorted(g_values)]
-    pair_names = [f"s{a}{b}" for a, b in zip(orders, orders[1:])]
-    run.csv("s35_vs_g.csv", ["g"] + pair_names, ([g] + slopes for g, slopes in results))
-    return {"orders": orders, "n_g": len(results)}
+    pairs = list(zip(orders, orders[1:]))
+    slopes = []
+    for g in g_values:
+        _, _, values, _ = _pump_probe_orders(run, drive, j_plaquette=g)
+        slopes.append([_order_pair_slope(values[a], values[b], a, b)[0] for a, b in pairs])
+    header = ["g"] + [f"s{a}{b}" for a, b in pairs]
+    run.csv("s35_vs_g.csv", header, g_values, *np.transpose(slopes))
+    return {"orders": orders, "n_g": len(g_values)}
 
 
 def _run_2dos(run: _Run) -> dict:
@@ -344,23 +324,15 @@ def _run_2dos(run: _Run) -> dict:
     s3 = third_order_2dos(
         h, observable, pump, config.t2, t1s, t3s, psi0, config.evolver, config.method
     )
-    csv(
-        "s3_time.csv",
-        ["t1[1/J]", "t3[1/J]", "S3"],
-        ([t1, t3, s3[i, j]] for i, t1 in enumerate(t1s) for j, t3 in enumerate(t3s)),
-    )
+    csv("s3_time.csv", ["t1[1/J]", "t3[1/J]", "S3"], t1s[:, None], t3s[None, :], s3)
     spec = spectrum_2d(s3, config.t1_grid.dt, config.t3_grid.dt)
     csv(
         "s3_spectrum.csv",
         ["omega1[J]", "omega3[J]", "magnitude"],
-        (
-            [w1, w3, spec.magnitudes[i, j]]
-            for i, w1 in enumerate(spec.frequencies_1)
-            for j, w3 in enumerate(spec.frequencies_2)
-        ),
+        spec.frequencies_1[:, None], spec.frequencies_2[None, :], spec.magnitudes,
     )
     p_diag, p_off = diagonal_offdiagonal_weight(spec)
-    csv("spectral_weights.csv", ["p_diag", "p_off"], [[p_diag, p_off]])
+    csv("spectral_weights.csv", ["p_diag", "p_off"], p_diag, p_off)
     return {
         "p_diag": p_diag,
         "p_off": p_off,
@@ -390,22 +362,22 @@ def _run_entropy(run: _Run) -> dict:
     n, block = config.model.n_qubits(), config.block_size
     pump = build_pump(config.pumps[0].pump, n)
     expansion, state = _entropy_point(run, pump)
-    csv("entropy_vs_eta.csv", ["eta", f"S_{block}"], zip(config.eta_grid, expansion.entropies))
-    csv("entropy_coefficients.csv", ["order", "coefficient"], enumerate(expansion.coefficients))
-    profile = [[d, entanglement_entropy(state, d)] for d in range(1, n)]
-    csv("entropy_profile.csv", ["block_size", "S_d"], profile)
+    csv("entropy_vs_eta.csv", ["eta", f"S_{block}"], config.eta_grid, expansion.entropies)
+    fit = expansion.coefficients
+    csv("entropy_coefficients.csv", ["order", "coefficient"], np.arange(fit.size), fit)
+    blocks = range(1, n)
+    profile = [entanglement_entropy(state, d) for d in blocks]
+    csv("entropy_profile.csv", ["block_size", "S_d"], blocks, profile)
     if config.delta_values:
-        points = [(d, *_entropy_point(run, pump, delta=float(d))) for d in config.delta_values]
+        deltas = config.delta_values
+        points = [_entropy_point(run, pump, delta=float(d)) for d in deltas]
         csv(
             "entropy_coeffs_vs_delta.csv",
             ["delta"] + [f"S{k}" for k in range(config.max_order + 1)],
-            ([delta, *fit.coefficients] for delta, fit, _ in points),
+            deltas, *np.transpose([fit.coefficients for fit, _ in points]),
         )
-        csv(
-            "entropy_half_vs_delta.csv",
-            ["delta", f"S_{block}"],
-            ([delta, entanglement_entropy(kicked, block)] for delta, _, kicked in points),
-        )
+        halves = [entanglement_entropy(kicked, block) for _, kicked in points]
+        csv("entropy_half_vs_delta.csv", ["delta", f"S_{block}"], deltas, halves)
     return {
         "block_size": block,
         "fit_condition_number": expansion.condition_number,
@@ -472,7 +444,10 @@ def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
     finite-difference baseline at low orders), the rule's health
     (``n_shifts``, ``mode``, ``condition_number``, each order's
     ``residual``) and a pass flag; used by the CLI `verify` subcommand.
+    ``tolerance`` must be positive and finite (``ConfigError`` otherwise).
     """
+    if not 0 < tolerance < math.inf:
+        raise ConfigError(f"tolerance: must be positive and finite, not {tolerance!r}")
     if config.protocol not in ("response", "decomposition"):
         raise ConfigError(f"verify checks response and decomposition configs, not {config.protocol}")
     if len(config.pumps) != 1:

@@ -112,8 +112,8 @@ def response_spectrum(
     _check_finite(series)
     if times is not None:
         dt = _check_uniform(np.asarray(times, dtype=float))
-    if dt is None or dt <= 0:
-        raise SpectrumError("a positive sample spacing is required")
+    if dt is None or not 0 < dt < np.inf:
+        raise SpectrumError("a positive, finite sample spacing is required")
     n = series.size
     amps = np.fft.rfft(series - series.mean())
     freqs = 2.0 * np.pi * np.arange(amps.size) / (n * dt)
@@ -160,8 +160,8 @@ def spectrum_2d(
     if grid.ndim != 2:
         raise SpectrumError("expected a 2D array")
     _check_finite(grid)
-    if dt_1 <= 0 or dt_2 <= 0:
-        raise SpectrumError("sample spacings must be positive")
+    if not (0 < dt_1 < np.inf and 0 < dt_2 < np.inf):
+        raise SpectrumError("sample spacings must be positive and finite")
     n1, n2 = grid.shape
     full = np.fft.fft2(grid - grid.mean())
     half1 = n1 // 2 + 1

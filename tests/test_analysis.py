@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +355,26 @@ class TestOrderExpansion:
         out = correlator_order_expansion(np.exp(2j * rule.shifts) * c0, rule, [1, 2], 0.25)
         assert out[1] == pytest.approx((2j * 0.25) * c0, abs=1e-12)
         assert out[2] == pytest.approx((2j * 0.25) ** 2 / 2 * c0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), ()])
+    def test_grid_matches_each_cell_byte_for_byte(self, shape):
+        # a grid of cells, one of them all zero, rounds as each cell does
+        # alone, and as the scalar complex arithmetic does
+        rule = rule_for_generator(op(3, (1.0, {0: "X"}), (0.5, {1: "X"}), (0.25, {2: "X"})), range(6))
+        rng = np.random.default_rng(7)
+        samples = rng.normal(size=(*shape, rule.n_shifts, 2)) @ [1.0, 1j]
+        samples[(0,) * len(shape)] = 0.0
+        orders, eta = [1, 2, 3, 5], 0.3
+        out = correlator_order_expansion(samples, rule, orders, eta)
+        for cell in np.ndindex(shape):
+            alone = correlator_order_expansion(samples[cell], rule, orders, eta)
+            s = samples[cell]
+            for n in orders:
+                c = rule.coefficients[n]
+                scalar = complex(np.dot(c, s.real), np.dot(c, s.imag)) * eta**n / math.factorial(n)
+                assert out[n].shape == shape and alone[n].shape == ()
+                assert out[n][cell].tobytes() == alone[n].tobytes()
+                assert out[n][cell].tobytes() == np.complex128(scalar).tobytes()
 
 
 class TestPCASlope:

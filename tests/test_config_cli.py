@@ -817,6 +817,16 @@ class TestCLI:
         assert main(["verify", "--config", str(write_config(tmp_path, MINIMAL))]) == 3
         assert "FAIL: max deviation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_verify_tolerance_positive_and_finite(self, tmp_path, capsys, tolerance):
+        # unchecked, nan and -1 failed a clean engine with exit 3 and inf
+        # passed whatever the deviation
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["verify", "--config", str(path), f"--tolerance={tolerance}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: tolerance: ")
+        with pytest.raises(ConfigError, match="^tolerance: must be positive and finite"):
+            verify_experiment(load_config(path), float(tolerance))
+
     def test_verify_names_the_rule_that_cannot_solve(self, capsys):
         # fig2's 8 shifts are too few for an exact rule on its 153 gaps
         assert main(["verify", "--config", str(FIGURES / "fig2.json")]) == 2
@@ -987,6 +997,13 @@ class TestCLI:
     def test_invalid_input_exit_two_not_five(self, tmp_path, capsys, figure, changes, field):
         # analysis rejects these too (AnalysisError, exit 5); as input errors they exit 2
         self.assert_config_error(tmp_path, capsys, figure, changes, field)
+
+    @pytest.mark.parametrize("field", ["t1_grid", "t3_grid"])
+    def test_one_point_2dos_grid_exit_two_before_writing(self, tmp_path, capsys, field):
+        # unchecked, the run wrote resolved_config.json and s3_time.csv before
+        # the 2D spectrum failed with an error that named no field
+        grid = json.loads((FIGURES / "fig5.json").read_text())[field]
+        self.assert_config_error(tmp_path, capsys, "fig5", {field: {**grid, "points": 1}}, field)
 
     def test_analysis_error_exit_five(self, tmp_path, capsys, monkeypatch):
         from nlspec import cli

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlspec import runner
-from nlspec.analysis import entanglement_entropy
+from nlspec.analysis import correlator_order_expansion, entanglement_entropy, pump_probe_correlator
 from nlspec.cli import main
 from nlspec.config import load_config
 from nlspec.evolution import apply_kick
@@ -34,7 +34,7 @@ def load_meta(out_dir):
 
 
 class TestPumpProbeProtocol:
-    def _config(self, tmp_path, pump, probe_1, probe_2):
+    def _config(self, tmp_path, pump, probe_1, probe_2, t1_grid=SMALL_GRID, t3_grid=SMALL_GRID):
         payload = {
             "protocol": "pump_probe",
             "model": TORIC,
@@ -44,8 +44,8 @@ class TestPumpProbeProtocol:
             "orders": [1, 3, 5],
             "eta_ref": 0.3,
             "evolver": {"kind": "exact"},
-            "t1_grid": SMALL_GRID,
-            "t3_grid": SMALL_GRID,
+            "t1_grid": t1_grid,
+            "t3_grid": t3_grid,
         }
         return load_config(write_config(tmp_path, payload))
 
@@ -77,6 +77,36 @@ class TestPumpProbeProtocol:
         assert meta["mean_contrast"][0] == pytest.approx(-2.0, abs=1e-10)
         contrast = np.loadtxt(tmp_path / "out" / "contrast.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(contrast[:, 2] + 2.0)) < 1e-10
+
+    def test_non_square_grid_keeps_its_axes_apart(self, tmp_path):
+        # 2 t1 by 3 t2 points: rows run over t2 fastest, and each row holds
+        # the orders of the correlator at its own (t1, t2)
+        config = self._config(
+            tmp_path,
+            {"0": "X", "2": "Z", "4": "Z"},
+            {"0": "X"},
+            {"2": "Z", "4": "Z"},
+            t1_grid={"start": 0.3, "stop": 0.9, "points": 2},
+            t3_grid={"start": 0.2, "stop": 1.4, "points": 3},
+        )
+        run_experiment(config, output_dir=tmp_path / "out")
+        table = np.loadtxt(tmp_path / "out" / "correlator_orders.csv", delimiter=",", skiprows=1)
+        t1s, t2s = config.t1_grid.values(), config.t3_grid.values()
+        assert np.array_equal(table[:, 0], np.repeat(t1s, 3))
+        assert np.array_equal(table[:, 1], np.tile(t2s, 2))
+        pump, probes, orders, rule = runner._pump_probe_drive(config)
+        h = build_model(config.model)
+        etas = np.append(rule.shifts, [0.0, config.kappa])
+        samples = pump_probe_correlator(
+            h, pump, *probes, t1s, t2s, etas, ground_state(h, config.evolver), config.evolver
+        )
+        expected = correlator_order_expansion(
+            samples[..., : rule.n_shifts], rule, orders, config.eta_ref
+        )
+        for k, m in enumerate(orders):
+            assert np.array_equal(table[:, 2 + 2 * k], expected[m].real.ravel())
+            assert np.array_equal(table[:, 3 + 2 * k], expected[m].imag.ravel())
+        assert np.max(np.abs(table[:, 2:4])) > 1e-3  # first order is alive
 
     @pytest.mark.parametrize("name", ["fig4_contrast_xxx", "fig4_contrast_xzz"])
     def test_bundled_contrast_orders_vanish_by_symmetry(self, tmp_path, name):

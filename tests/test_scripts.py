@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -93,5 +94,21 @@ def test_run_figures_against_a_rerun(tmp_path, capsys):
         assert lines[1:] == [f"  run_metadata.json ground_state: {changed} -> {solves}"]
         assert not same
     assert run_figures.main(argv) == 1
+    # and so is any other metadata value, while the wall time is not compared
+    excluded = record["excluded_contrast_points"]
+    metadata.write_text(
+        json.dumps(dict(record, excluded_contrast_points=excluded + 1, wall_time_s=-1.0))
+    )
+    lines, same = run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")
+    assert lines[1:] == [
+        f"  run_metadata.json excluded_contrast_points: {excluded + 1} -> {excluded}"
+    ]
+    assert not same and run_figures.main(argv) == 1
     metadata.write_text(json.dumps(record))
     assert run_figures.compare(second / "fig4_xzz", first / "fig4_xzz")[1]
+    # a NaN slope in both runs has not moved
+    contrast = ["--only", "fig4_contrast_xxx"]
+    assert run_figures.main([*contrast, "--out", str(first)]) == 0
+    slopes = json.loads((first / "fig4_contrast_xxx" / "run_metadata.json").read_text())
+    assert math.isnan(slopes["pca_slopes"]["s13"])
+    assert run_figures.main([*contrast, "--out", str(second), "--against", str(first)]) == 0

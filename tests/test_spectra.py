@@ -79,6 +79,21 @@ class TestNonFinite:
         with pytest.raises(SpectrumError, match="must be finite"):
             transform()
 
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda dt: response_spectrum([0.0, 1.0, 0.0, 0.5], dt=dt),
+            lambda dt: spectrum_2d(np.eye(2), dt, 0.5),
+            lambda dt: spectrum_2d(np.eye(2), 0.5, dt),
+        ],
+        ids=["series", "2d_axis_1", "2d_axis_2"],
+    )
+    def test_spacing_rejected(self, transform, spacing):
+        # unchecked, an infinite spacing gave all-zero frequencies
+        with pytest.raises(SpectrumError, match="finite"):
+            transform(spacing)
+
 
 class TestEnvelopeFit:
     def test_recovers_decay(self):
