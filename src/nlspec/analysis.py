@@ -215,15 +215,17 @@ def correlator_order_expansion(
     return out
 
 
-#: reference correlator magnitude at or below which ``contrast_ratio`` refuses
+#: reference correlator magnitude at or below which ``contrast_ratio`` gives NaN
 _CONTRAST_FLOOR = 1e-10
 
 
-def contrast_ratio(c_kappa: complex, c_zero: complex) -> complex:
-    """R = C(kappa)/C(0) - 1; a near-zero reference denominator is rejected."""
-    if abs(c_zero) <= _CONTRAST_FLOOR:
-        raise AnalysisError(f"reference correlator magnitude {abs(c_zero):.2e} below floor")
-    return complex(c_kappa / c_zero - 1.0)
+def contrast_ratio(c_kappa, c_zero) -> complex | np.ndarray:
+    """R = C(kappa)/C(0) - 1, elementwise over matching arrays (or scalars);
+    NaN + NaNj where |C(0)| is at or below ``_CONTRAST_FLOOR``."""
+    c_kappa, c_zero = np.asarray(c_kappa, dtype=complex), np.asarray(c_zero, dtype=complex)
+    kept = np.abs(c_zero) > _CONTRAST_FLOOR
+    ratio = c_kappa / np.where(kept, c_zero, 1.0) - 1.0
+    return np.where(kept, ratio, complex(np.nan, np.nan))[()]
 
 
 def pca_slope(cloud: PointCloud2D) -> float:

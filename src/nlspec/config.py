@@ -26,6 +26,7 @@ fields, defaults included, and round-trips exactly through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -405,6 +406,13 @@ def _validate(config: ExperimentConfig) -> None:
             points = getattr(config, name).points
             if points < 2:
                 raise ConfigError(f"{name}: the 2D spectrum needs at least 2 points, not {points}")
+        t1, t3 = config.t1_grid, config.t3_grid
+        if t1.points != t3.points or not math.isclose(t1.dt, t3.dt, rel_tol=1e-9):
+            raise ConfigError(
+                "t1_grid/t3_grid: the diagonal weights need a square frequency mesh (equal "
+                f"points and spacing), not {t1.points} points at {t1.dt:g} and "
+                f"{t3.points} at {t3.dt:g}"
+            )
     if "eta_grid" in read:
         etas = np.asarray(config.eta_grid)
         if etas.size < config.max_order + 1:

@@ -189,11 +189,12 @@ def response_decomposition(
     evolver: Evolver,
     psi0: np.ndarray,
     n_shifts: int | None = None,
-) -> list[tuple[dict[int, ResponseSeries], ResponseSeries]]:
+) -> tuple[np.ndarray, np.ndarray, ShiftRule]:
     """Order-by-order expansion A^n(t) = (eta^n / n!) F^(n)(0; t) plus the
-    truncation residual diff(t) = <A(t)>_eta - sum_n A^n(t), one
-    (terms, diff) pair per amplitude in ``eta_evals``.
+    truncation residual diff(t) = <A(t)>_eta - sum_n A^n(t).
 
+    Returns the (E, max_order + 1, G) terms, one row per amplitude in
+    ``eta_evals``, the (E, G) residuals and the rule the derivatives used.
     Single-channel protocol; all pulses in the channel share the amplitude.
     The shifted samples and the reference signals are propagated together,
     and each derivative F^(n)(0; t) is computed once for every amplitude.
@@ -209,26 +210,14 @@ def response_decomposition(
     etas = np.concatenate([rule.shifts, eta_evals])[:, None]
     signals = driven_signal(h, schedule, etas, observable, grid, evolver, psi0)
     samples, references = signals[: rule.n_shifts], signals[rule.n_shifts :]
-    derivs = [rule.coefficients[n] @ samples for n in range(max_order + 1)]
-    out = []
-    for eta_eval, reference in zip(eta_evals.tolist(), references):
-        terms: dict[int, ResponseSeries] = {}
-        partial = np.zeros(grid.size)
-        factorial = 1.0
-        for n, deriv in enumerate(derivs):
-            if n > 0:
-                factorial *= n
-            values = (eta_eval**n / factorial) * deriv
-            partial += values
-            terms[n] = ResponseSeries(
-                n, (n,), grid, values, {"eta_eval": eta_eval, "basis": rule.basis}
-            )
-        diff = ResponseSeries(
-            max_order,
-            (max_order,),
-            grid,
-            reference - partial,
-            {"eta_eval": eta_eval, "kind": "truncation_residual"},
-        )
-        out.append((terms, diff))
-    return out
+    derivs = np.array([rule.coefficients[n] @ samples for n in range(max_order + 1)])
+    # each scale eta^n / n! is a Python float over a running float n!, and the
+    # terms are summed from order 0 up, so every value keeps its bits
+    factorials = np.cumprod([1.0, *range(1, max_order + 1)]).tolist()
+    scales = [[eta**n / f for n, f in enumerate(factorials)] for eta in eta_evals.tolist()]
+    terms = np.array(scales)[:, :, None] * derivs
+    residuals = references - sum(terms.swapaxes(0, 1))
+    # a non-finite term or reference leaves its residual non-finite
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("response values must be finite")
+    return terms, residuals, rule

@@ -53,8 +53,9 @@ from .response import (
     reconstruct_response,
     response_decomposition,
     rules_for_schedule,
+    shift_configurations,
 )
-from .sampling import allocate_shots_for_rules, variance_bound_for_rules
+from .sampling import allocate_shots, variance_bound
 from .shift_rules import rule_for_generator
 from .spectra import response_spectrum, spectrum_2d, diagonal_offdiagonal_weight
 
@@ -143,8 +144,9 @@ def _run_response(run: _Run) -> dict:
     plan = None
     if config.sampling is not None:
         total, mode = config.sampling.total_shots, config.sampling.mode
-        plan = allocate_shots_for_rules(rules, beta, total, mode, config.seed)
-        meta["variance_bound"] = variance_bound_for_rules(rules, beta, total, mode)
+        _, weights = shift_configurations(rules, beta)
+        plan = allocate_shots(weights, total, mode, config.seed)
+        meta["variance_bound"] = variance_bound(weights, total, mode)
     tag = "m" + "-".join(str(b) for b in beta.beta)
     for label, observable in observables:
         series = reconstruct_response(
@@ -167,7 +169,7 @@ def _run_decomposition(run: _Run) -> dict:
     h, schedule, observables, psi0 = _materialize(run)
     label, observable = observables[0]
     grid = config.time_grid.values()
-    per_eta = response_decomposition(
+    terms, residuals, rule = response_decomposition(
         h,
         schedule,
         observable,
@@ -178,18 +180,14 @@ def _run_decomposition(run: _Run) -> dict:
         psi0,
         n_shifts=config.shifts.n_shifts,
     )
-    etas = list(config.eta_eval)
+    etas = [f"{e:g}" for e in config.eta_eval]
     for n in range(config.max_order + 1):
-        header = ["t[1/J]"] + [f"A{n}[eta={e:g}]" for e in etas]
-        csv(f"A{n}.csv", header, grid, *[terms[n].values for terms, _ in per_eta])
-    header = ["t[1/J]"] + [f"diff[eta={e:g}]" for e in etas]
-    csv("diff.csv", header, grid, *[diff.values for _, diff in per_eta])
+        csv(f"A{n}.csv", ["t[1/J]"] + [f"A{n}[eta={e}]" for e in etas], grid, *terms[:, n])
+    csv("diff.csv", ["t[1/J]"] + [f"diff[eta={e}]" for e in etas], grid, *residuals)
     return {
         "observable": label,
-        "basis": per_eta[0][0][0].metadata["basis"],
-        "max_abs_diff": {
-            f"{e:g}": float(np.max(np.abs(diff.values))) for e, (_, diff) in zip(etas, per_eta)
-        },
+        "basis": rule.basis,
+        "max_abs_diff": dict(zip(etas, np.abs(residuals).max(axis=1).tolist())),
     }
 
 
@@ -231,13 +229,8 @@ def _run_pump_probe(run: _Run) -> dict:
     t1s, t2s, order_values, references = _pump_probe_orders(
         run, _pump_probe_drive(config), [0.0, config.kappa]
     )
-    contrast = np.full((t1s.size, t2s.size), np.nan + 1j * np.nan, dtype=complex)
-    excluded = 0
-    for k, (c_zero, c_kappa) in enumerate(references.reshape(-1, 2)):
-        try:
-            contrast.flat[k] = contrast_ratio(c_kappa, c_zero)
-        except AnalysisError:
-            excluded += 1
+    contrast = contrast_ratio(references[..., 1], references[..., 0])
+    excluded = int(np.count_nonzero(np.isnan(contrast)))
     orders = list(order_values)
     parts = {}
     for m, v in order_values.items():

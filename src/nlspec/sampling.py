@@ -24,7 +24,7 @@ import numpy as np
 from .config import ConfigError
 from .evolution import Evolver, PulseSchedule
 from .pauli import OperatorSum, PauliTerm, expectation
-from .response import MultiIndex, ResponseSeries, reconstruct_response, shift_configurations
+from .response import MultiIndex, ResponseSeries, reconstruct_response
 from .shift_rules import ShiftRule
 
 
@@ -113,18 +113,6 @@ def allocate_shots(
     return SamplingPlan(total_shots, tuple(counts), mode, seed)
 
 
-def allocate_shots_for_rules(
-    rules: Mapping[int, ShiftRule],
-    beta: MultiIndex,
-    total_shots: int,
-    mode: str = "uniform",
-    seed: int = 0,
-) -> SamplingPlan:
-    """``allocate_shots`` over the weights of ``shift_configurations(rules, beta)``."""
-    _, weights = shift_configurations(rules, beta)
-    return allocate_shots(weights, total_shots, mode, seed)
-
-
 def sample_expectation(
     observable: OperatorSum,
     state: np.ndarray,
@@ -165,41 +153,26 @@ def sample_expectation(
     return float(estimate), float(math.sqrt(variance))
 
 
-def variance_bound(
-    l2_squared: Sequence[float],
-    l1: Sequence[float],
-    n_shifts: Sequence[int],
-    total_shots: int,
-    mode: str = "uniform",
-) -> float:
+def variance_bound(weights: Sequence[float], total_shots: int, mode: str = "uniform") -> float:
     """Worst-case estimator variance for unit-bounded per-shot outcomes.
 
-    Per channel a the inputs are ||c_a||_2^2, ||c_a||_1 and the shift count
-    M_a; weights factorize over channels, giving
+    ``weights`` are the P configuration weights C_p of ``shift_configurations``;
+    with N_tot shots in all,
 
-        uniform:  (prod_a M_a) (prod_a ||c_a||_2^2) / N_tot
-        optimal:  (prod_a ||c_a||_1)^2 / N_tot
+        uniform:  P (sum_p C_p^2) / N_tot
+        optimal:  (sum_p |C_p|)^2 / N_tot
+
+    For weights that factorize over channels, these are the per-channel
+    products (prod_a M_a)(prod_a ||c_a||_2^2) and (prod_a ||c_a||_1)^2.
     """
+    w = np.asarray(weights, dtype=float)
     if total_shots < 1:
         raise ValueError("total_shots must be positive")
     if mode == "uniform":
-        m_prod = math.prod(int(m) for m in n_shifts)
-        return m_prod * math.prod(float(v) for v in l2_squared) / total_shots
+        return w.size * float(np.sum(w**2)) / total_shots
     if mode == "optimal":
-        return math.prod(float(v) for v in l1) ** 2 / total_shots
+        return float(np.sum(np.abs(w))) ** 2 / total_shots
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def variance_bound_for_rules(
-    rules: Mapping[int, ShiftRule],
-    beta: MultiIndex,
-    total_shots: int,
-    mode: str = "uniform",
-) -> float:
-    l2sq = [rules[a].l2_norm_squared(beta.beta[a]) for a in beta.support]
-    l1 = [rules[a].l1_norm(beta.beta[a]) for a in beta.support]
-    ms = [rules[a].n_shifts for a in beta.support]
-    return variance_bound(l2sq, l1, ms, total_shots, mode)
 
 
 def noisy_response(

@@ -99,6 +99,13 @@ def _check_uniform(times: np.ndarray) -> float:
     return dt
 
 
+def _check_times(series: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if t.shape != series.shape:
+        raise SpectrumError(f"times: {t.size} times for {series.size} values")
+    return t
+
+
 def response_spectrum(
     values: Sequence[float],
     dt: float | None = None,
@@ -106,12 +113,13 @@ def response_spectrum(
 ) -> SpectrumGrid:
     """One-sided DFT of a real series after mean subtraction.
 
-    Provide either ``dt`` or the time grid itself (checked for uniformity).
+    Provide either ``dt`` or the time grid itself (checked for uniformity and
+    for one time per value).
     """
     series = np.asarray(values, dtype=float)
     _check_finite(series)
     if times is not None:
-        dt = _check_uniform(np.asarray(times, dtype=float))
+        dt = _check_uniform(_check_times(series, times))
     if dt is None or not 0 < dt < np.inf:
         raise SpectrumError("a positive, finite sample spacing is required")
     n = series.size
@@ -130,7 +138,7 @@ def envelope_fit(
     the fit and the envelope-corrected series values * exp(gamma t) / alpha.
     """
     series = np.asarray(values, dtype=float)
-    t = np.asarray(times, dtype=float)
+    t = _check_times(series, times)
     mag = np.abs(series)
     interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > _ENVELOPE_FLOOR)
     # strict on at least one side so plateaus do not flood the fit

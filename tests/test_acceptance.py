@@ -40,7 +40,7 @@ from nlspec.response import (
     response_decomposition,
     rules_for_schedule,
 )
-from nlspec.sampling import allocate_shots, noisy_response, variance_bound_for_rules
+from nlspec.sampling import allocate_shots, noisy_response, variance_bound
 from nlspec.shift_rules import rule_for_generator
 from nlspec.spectra import diagonal_offdiagonal_weight, spectrum_2d
 
@@ -116,10 +116,10 @@ def test_criterion_03_decomposition_residual_monotone():
     grid = np.linspace(0.0, 5.0, 51)
     max_diff = {}
     for eta in (0.05, 0.2, 0.5):
-        _, diff = response_decomposition(
+        _, (diff,), _ = response_decomposition(
             h, schedule, observable, grid, [eta], 7, TROTTER10, psi, n_shifts=8
-        )[0]
-        max_diff[eta] = float(np.max(np.abs(diff.values)))
+        )
+        max_diff[eta] = float(np.max(np.abs(diff)))
     assert max_diff[0.05] < max_diff[0.2] < max_diff[0.5]
     report(
         3,
@@ -196,10 +196,10 @@ def test_criterion_05_shot_noise_bound():
     grid = np.linspace(0.5, 4.5, 5)
     n_tot = 3 * 8192
     reps = 200
-    bound = variance_bound_for_rules(rules, beta, n_tot, "uniform")
+    weights = rules[0].coefficients[1]
+    bound = variance_bound(weights, n_tot, "uniform")
     draws_uniform = np.empty((reps, grid.size))
     draws_optimal = np.empty((reps, grid.size))
-    weights = rules[0].coefficients[1]
     for r in range(reps):
         plan_u = allocate_shots(weights, n_tot, "uniform", seed=1000 + r)
         plan_o = allocate_shots(weights, n_tot, "optimal", seed=1000 + r)
@@ -339,10 +339,10 @@ def test_criterion_09_selection_rules():
     )
     summary = []
     for label, observable, forbidden, allowed in cases:
-        terms, _ = response_decomposition(
+        (terms,), _, _ = response_decomposition(
             h, schedule, observable, grid, [1.0], 5, EXACT, psi
-        )[0]
-        peak = {m: float(np.max(np.abs(terms[m].values))) for m in range(1, 6)}
+        )
+        peak = {m: float(np.max(np.abs(terms[m]))) for m in range(1, 6)}
         for m in forbidden:
             assert peak[m] < 1e-9, f"{label}: order {m} = {peak[m]:.2e}"
         assert max(peak[m] for m in allowed) > 1e-6  # selection, not extinction

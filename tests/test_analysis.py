@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlspec.analysis import (
+    _CONTRAST_FLOOR,
     AnalysisError,
     PointCloud2D,
     contrast_ratio,
@@ -334,9 +335,23 @@ class TestContrastRatio:
     def test_quarter_rotation(self):
         assert contrast_ratio(0.5j, 0.5) == pytest.approx(-1.0 + 1.0j)
 
-    def test_small_reference_rejected(self):
-        with pytest.raises(AnalysisError):
-            contrast_ratio(1.0, 1e-12)
+    def test_nan_at_and_below_the_floor(self):
+        # |C(0)| <= 1e-10 gives NaN + NaNj; just above it, the ratio
+        at, above = _CONTRAST_FLOOR, np.nextafter(_CONTRAST_FLOOR, 1.0)
+        values = contrast_ratio([1.0, 1.0, 1.0, 0.5j], [1e-12, at * 1j, above, 0.5])
+        assert np.isnan(values.real[:2]).all() and np.isnan(values.imag[:2]).all()
+        assert np.isfinite(values[2:]).all()
+        assert values[2] == 1.0 / above - 1.0 and values[3] == -1.0 + 1.0j
+        assert np.isnan(contrast_ratio(1.0, at))
+
+    def test_grid_matches_each_cell(self):
+        # the per-cell quotient, to the bit, in every cell of a grid
+        rng = np.random.default_rng(3)
+        c_kappa, c_zero = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        grid = contrast_ratio(c_kappa, c_zero)
+        assert grid.shape == (3, 4)
+        for cell in np.ndindex(3, 4):
+            assert grid[cell] == complex(c_kappa[cell] / c_zero[cell] - 1.0)
 
 
 class TestOrderExpansion:

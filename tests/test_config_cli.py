@@ -1005,6 +1005,16 @@ class TestCLI:
         grid = json.loads((FIGURES / "fig5.json").read_text())[field]
         self.assert_config_error(tmp_path, capsys, "fig5", {field: {**grid, "points": 1}}, field)
 
+    @pytest.mark.parametrize(
+        "t3_grid", [{"points": 42}, {"stop": 30.0}], ids=["points", "spacing"]
+    )
+    def test_non_square_2dos_mesh_exit_two_before_writing(self, tmp_path, capsys, t3_grid):
+        # unchecked, the run wrote resolved_config.json, s3_time.csv and
+        # s3_spectrum.csv before the diagonal weights failed naming no field
+        grid = json.loads((FIGURES / "fig5.json").read_text())["t3_grid"]
+        changes = {"t3_grid": {**grid, **t3_grid}}
+        self.assert_config_error(tmp_path, capsys, "fig5", changes, "t1_grid/t3_grid")
+
     def test_analysis_error_exit_five(self, tmp_path, capsys, monkeypatch):
         from nlspec import cli
         from nlspec.analysis import AnalysisError

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nlspec import response
 from nlspec.evolution import EXACT, Evolver, PulseSchedule, driven_signal
 from nlspec.models import (
     build_pump,
@@ -267,8 +269,8 @@ class TestResponseSeries:
         grid = np.linspace(0.5, 2, 4)
         series = reconstruct_response(h, schedule, x, grid, MultiIndex([1]), EXACT, psi)
         assert grid.flags.writeable and not series.times.flags.writeable
-        _, diff = response_decomposition(h, schedule, x, grid, [0.1], 2, EXACT, psi)[0]
-        assert grid.flags.writeable and not diff.times.flags.writeable
+        response_decomposition(h, schedule, x, grid, [0.1], 2, EXACT, psi)
+        assert grid.flags.writeable
 
 
 class TestDecomposition:
@@ -276,10 +278,10 @@ class TestDecomposition:
         h, x, psi = single_qubit
         grid = np.linspace(0, 3, 7)
         sched = PulseSchedule([(x, [0.0])])
-        terms, diff = response_decomposition(h, sched, x, grid, [0.0], 3, EXACT, psi)[0]
-        assert np.max(np.abs(diff.values)) < 1e-12
+        (terms,), (diff,), _ = response_decomposition(h, sched, x, grid, [0.0], 3, EXACT, psi)
+        assert np.max(np.abs(diff)) < 1e-12
         for n in (1, 2, 3):
-            assert np.max(np.abs(terms[n].values)) < 1e-12  # eta^n factor kills them
+            assert np.max(np.abs(terms[n])) < 1e-12  # eta^n factor kills them
 
     def test_cosine_taylor_remainder(self):
         # analytic band-limited signal F(eta) = cos(2 eta), t-independent:
@@ -290,14 +292,14 @@ class TestDecomposition:
         psi = basis_state(1, 0)
         grid = np.array([0.0, 1.0])
         eta = 0.1
-        terms, diff = response_decomposition(
+        (terms,), (diff,), _ = response_decomposition(
             h, PulseSchedule([(b, [0.0])]), a, grid, [eta], 2, EXACT, psi
-        )[0]
-        assert np.allclose(terms[0].values, 1.0)
-        assert np.max(np.abs(terms[1].values)) < 1e-12
-        assert np.allclose(terms[2].values, -2 * eta**2, atol=1e-12)
+        )
+        assert np.allclose(terms[0], 1.0)
+        assert np.max(np.abs(terms[1])) < 1e-12
+        assert np.allclose(terms[2], -2 * eta**2, atol=1e-12)
         expected_diff = np.cos(2 * eta) - (1 - 2 * eta**2)
-        assert np.allclose(diff.values, expected_diff, atol=1e-12)
+        assert np.allclose(diff, expected_diff, atol=1e-12)
 
     def test_polynomial_signal_truncates_exactly(self):
         # with the taylor rule, a polynomial signal of degree m yields
@@ -323,8 +325,8 @@ class TestDecomposition:
         grid = np.linspace(0, 4, 9)
         residuals = []
         for max_order in (1, 3, 5):
-            _, diff = response_decomposition(h, sched, a, grid, [0.4], max_order, EXACT, psi)[0]
-            residuals.append(np.max(np.abs(diff.values)))
+            _, diff, _ = response_decomposition(h, sched, a, grid, [0.4], max_order, EXACT, psi)
+            residuals.append(np.max(np.abs(diff)))
         assert residuals[0] > residuals[1] > residuals[2]
 
     def test_all_amplitudes_in_one_call_equal_separate_calls(self):
@@ -338,16 +340,44 @@ class TestDecomposition:
         grid = np.linspace(0, 2, 5)
         trotter = Evolver("trotter1", 4)
         etas = [0.05, 0.2, 0.5]
-        together = response_decomposition(h, sched, a, grid, etas, 5, trotter, psi, n_shifts=6)
-        assert len(together) == len(etas)
-        for eta, (terms, diff) in zip(etas, together):
-            [(alone_terms, alone_diff)] = response_decomposition(
+        terms, diffs, _ = response_decomposition(h, sched, a, grid, etas, 5, trotter, psi, n_shifts=6)
+        assert terms.shape == (len(etas), 6, grid.size) and diffs.shape == (len(etas), grid.size)
+        for e, eta in enumerate(etas):
+            alone_terms, alone_diffs, _ = response_decomposition(
                 h, sched, a, grid, [eta], 5, trotter, psi, n_shifts=6
             )
-            assert diff.metadata["eta_eval"] == eta
-            assert np.array_equal(diff.values, alone_diff.values)
-            for k in range(6):
-                assert np.array_equal(terms[k].values, alone_terms[k].values)
+            assert np.array_equal(diffs[e], alone_diffs[0])
+            assert np.array_equal(terms[e], alone_terms[0])
+
+    def test_terms_and_residuals_bitwise(self):
+        # A_n = (eta^n / n!) c_n . samples, and diff = reference - sum_n A_n
+        # summed from order 0, each to the bit
+        n = 4
+        h = build_xxz(n, 0.6, 0.2)
+        psi = ground_state(h)
+        sched = PulseSchedule([(build_pump(PumpSpec("local_pauli", site=1), n), [0.0])])
+        a = op(n, (1.0, {2: "Z"}))
+        grid = np.linspace(0, 2, 6)
+        trotter, etas = Evolver("trotter1", 5), [0.05, 0.3]
+        terms, residuals, rule = response_decomposition(h, sched, a, grid, etas, 4, trotter, psi)
+        signals = driven_signal(
+            h, sched, np.append(rule.shifts, etas)[:, None], a, grid, trotter, psi
+        )
+        samples, references = signals[: rule.n_shifts], signals[rule.n_shifts :]
+        for e, eta in enumerate(etas):
+            partial = np.zeros(grid.size)
+            for k in range(5):
+                expected = (eta**k / math.factorial(k)) * (rule.coefficients[k] @ samples)
+                assert terms[e, k].tobytes() == expected.tobytes()
+                partial += terms[e, k]
+            assert residuals[e].tobytes() == (references[e] - partial).tobytes()
+
+    def test_nonfinite_signal_rejected(self, single_qubit, monkeypatch):
+        h, x, psi = single_qubit
+        sched = PulseSchedule([(x, [0.0])])
+        monkeypatch.setattr(response, "driven_signal", lambda *args: np.full((4, 2), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            response_decomposition(h, sched, x, [0.0, 1.0], [0.1], 2, EXACT, psi)
 
     def test_scalar_amplitude_rejected(self, single_qubit):
         h, x, psi = single_qubit

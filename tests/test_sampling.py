@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 from nlspec.evolution import EXACT, PulseSchedule
 from nlspec.models import build_xxz, ground_state
 from nlspec.pauli import OperatorSum, PauliTerm, expectation
-from nlspec.response import MultiIndex, reconstruct_response, rules_for_schedule
+from nlspec.response import (
+    MultiIndex,
+    reconstruct_response,
+    rules_for_schedule,
+    shift_configurations,
+)
 from nlspec.sampling import (
     SamplingPlan,
     ShotBudgetError,
@@ -13,7 +20,6 @@ from nlspec.sampling import (
     noisy_response,
     sample_expectation,
     variance_bound,
-    variance_bound_for_rules,
 )
 
 
@@ -119,19 +125,46 @@ class TestAllocation:
 
 
 class TestVarianceBound:
+    # one channel of weights (1, 0, -1): 3 shifts, ||c||_2^2 = ||c||_1 = 2
+    ONE = [1.0, 0.0, -1.0]
+
     def test_single_channel_uniform(self):
-        assert variance_bound([2.0], [2.0], [3], 300, "uniform") == pytest.approx(0.02)
+        assert variance_bound(self.ONE, 300, "uniform") == pytest.approx(0.02)
 
     def test_two_channel_factorization(self):
         # two channels, 3 shifts each, 100 shots per configuration
-        bound = variance_bound([2.0, 2.0], [2.0, 2.0], [3, 3], 900, "uniform")
+        bound = variance_bound(np.multiply.outer(self.ONE, self.ONE).ravel(), 900, "uniform")
         assert bound == pytest.approx(0.04)
 
     def test_optimal_uses_l1(self):
-        assert variance_bound([2.0], [2.0], [3], 100, "optimal") == pytest.approx(0.04)
+        assert variance_bound(self.ONE, 100, "optimal") == pytest.approx(0.04)
 
     def test_vanishes_with_budget(self):
-        assert variance_bound([2.0], [2.0], [3], 10**9, "uniform") < 1e-8
+        assert variance_bound(self.ONE, 10**9, "uniform") < 1e-8
+
+    @staticmethod
+    def per_channel(rules, beta, total_shots, mode):
+        """The bound as the product of per-channel norms."""
+        l2sq = [rules[a].l2_norm_squared(beta.beta[a]) for a in beta.support]
+        l1 = [rules[a].l1_norm(beta.beta[a]) for a in beta.support]
+        if mode == "uniform":
+            m_prod = math.prod(rules[a].n_shifts for a in beta.support)
+            return m_prod * math.prod(l2sq) / total_shots
+        return math.prod(l1) ** 2 / total_shots
+
+    @pytest.mark.parametrize("mode", ["uniform", "optimal"])
+    def test_matches_per_channel_norms(self, mode):
+        # bitwise on one channel, to rounding on two, whose weights are products
+        sched = PulseSchedule([(op(3, (1.0, {0: "X"}), (0.5, {1: "Y"})), [0.0])] * 2)
+        for beta in (MultiIndex([3, 0]), MultiIndex([2, 3])):
+            rules = rules_for_schedule(sched, beta)
+            _, weights = shift_configurations(rules, beta)
+            bound = variance_bound(weights, 4096, mode)
+            expected = self.per_channel(rules, beta, 4096, mode)
+            if len(beta.support) == 1:
+                assert bound == expected
+            else:
+                assert bound == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +222,7 @@ class TestNoisyResponse:
     def test_variance_within_bound(self, xxz_setup):
         h, psi, a, sched, beta, rules = xxz_setup
         n_tot = 3 * 2048
-        bound = variance_bound_for_rules(rules, beta, n_tot, "uniform")
+        bound = variance_bound(shift_configurations(rules, beta)[1], n_tot, "uniform")
         reps = 120
         grid = np.array([1.0, 3.0])
         draws = np.empty((reps, grid.size))

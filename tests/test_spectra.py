@@ -60,6 +60,11 @@ class TestResponseSpectrum:
         with pytest.raises(SpectrumError):
             response_spectrum([0.0, 1.0, 0.0], times=[0.0, 0.1, 0.3])
 
+    def test_times_of_another_length_rejected(self):
+        # unchecked, 6 values with 2 times gave a spectrum at the 2 times' spacing
+        with pytest.raises(SpectrumError, match="2 times for 6 values"):
+            response_spectrum(np.arange(6.0), times=[0.0, 0.5])
+
     def test_frequency_convention(self):
         spec = response_spectrum(np.arange(10.0), dt=0.5)
         assert spec.frequencies[1] == pytest.approx(2 * np.pi / (10 * 0.5))
@@ -114,6 +119,13 @@ class TestEnvelopeFit:
         t = np.arange(0, 5, 0.02)
         with pytest.raises(SpectrumError):
             envelope_fit(np.exp(-0.3 * t), t)
+
+    def test_times_of_another_length_rejected(self):
+        # unchecked, a bare IndexError or a broadcasting ValueError
+        t = np.arange(0, 5, 0.02)
+        series = np.exp(-0.5 * t) * np.sin(5 * t)
+        with pytest.raises(SpectrumError, match="100 times for 250 values"):
+            envelope_fit(series, t[:100])
 
     def test_roundtrip_within_residual(self):
         t = np.arange(0, 6, 0.02)
