@@ -46,7 +46,6 @@ class PointCloud2D:
     """A set of (x, y) samples, e.g. paired response orders over a sweep."""
 
     points: np.ndarray
-    labels: tuple[str, str] = ("x", "y")
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

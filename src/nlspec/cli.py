@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisError, s3_commutator_rows, s3_shift_rule
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, make_output_dir
 from .evolution import PulseSchedule, ScheduleError
 from .models import GroundStateError, build_pump
 from .pauli import DimensionCapError, HermiticityError
@@ -81,6 +81,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
+    # made before the verification runs, so that a bad path fails at once
+    out = make_output_dir(args.out) if args.out else None
     report = verify_experiment(config, tolerance=args.tolerance)
     print(f"observable: {report['observable']}  tolerance: {report['tolerance']:.2e}")
     rule = f"{report['n_shifts']} shifts ({report['mode']})"
@@ -92,9 +94,7 @@ def _cmd_verify(args) -> int:
             f"{row['order']:>5}  {row['max_abs_shift_rule_minus_commutator']:>22.3e}  "
             f"{fd:>20}  {row['oracle_scale']:>12.3e}  {row['residual']:>13.2e}"
         )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
     if not report["passed"]:
         print(f"FAIL: max deviation {report['max_deviation']:.3e} exceeds tolerance")
@@ -134,18 +134,20 @@ def _cmd_gaps(args) -> int:
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")
         print(f"  condition number: {rule.condition_number:.3e}")
         for r in sorted(rule.coefficients):
-            c = rule.coefficients[r]
             print(
                 f"  order {r}: residual {rule.residuals[r]:.2e}  "
-                f"|c|_1 {np.sum(np.abs(c)):.6g}  |c|_2^2 {np.sum(c * c):.6g}"
+                f"|c|_1 {rule.l1_norm(r):.6g}  |c|_2^2 {rule.l2_norm_squared(r):.6g}"
             )
-            print(f"    c = {np.array2string(c, precision=10)}")
+            print(f"    c = {np.array2string(rule.coefficients[r], precision=10)}")
     return EXIT_OK
 
 
 def _cmd_spectra(args) -> int:
     if not Path(args.input).is_file():
         raise ConfigError(f"input CSV {args.input} does not exist")
+    out = Path(args.out) if args.out else Path(args.input).with_suffix(".spectrum.csv")
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"output CSV {out}: not a file in an existing directory")
     try:
         with warnings.catch_warnings():
             # numpy warns on a file without rows; the size check below says so
@@ -167,7 +169,6 @@ def _cmd_spectra(args) -> int:
         meta = {"alpha": fit.alpha, "gamma": fit.gamma, "residual": fit.residual}
         print(f"envelope: alpha={fit.alpha:.6g} gamma={fit.gamma:.6g}")
     spectrum = response_spectrum(values, times=times)
-    out = Path(args.out) if args.out else Path(args.input).with_suffix(".spectrum.csv")
     write_csv(
         out,
         ["omega[J]", "magnitude", "real", "imag"],

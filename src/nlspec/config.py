@@ -431,30 +431,46 @@ def _validate(config: ExperimentConfig) -> None:
                 OperatorSum((PauliTerm(1.0, dict(getattr(config, name))),), n_qubits)
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
+    for name, specs in (("pumps", [c.pump for c in pumps]), ("observables", config.observables)):
+        for i, sites in enumerate(spec.sites for spec in specs):
+            if len(set(sites)) < len(sites):  # the term {i: a, i: b} would keep b alone
+                raise ConfigError(f"{name}[{i}].sites: a site repeats in {list(sites)}")
     for i, channel in enumerate(pumps):
         try:
             build_pump(channel.pump, n_qubits)
         except ValueError as exc:
             raise ConfigError(f"pumps[{i}]: {exc}") from exc
+    labels = [obs.label() for obs in config.observables]
     for i, obs in enumerate(config.observables):
         try:
             build_observable(obs, n_qubits)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"observables[{i}]: {exc}") from exc
+        if (first := labels.index(labels[i])) < i:  # the label names the observable's files
+            raise ConfigError(f"observables[{first}] and observables[{i}]: both are {labels[i]!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(raw)
+
+
+def make_output_dir(path: str | Path) -> Path:
+    """``path`` made a directory; ``ConfigError`` if it is a file or under one."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path} cannot be made: {exc}") from exc
+    return Path(path)
 
 
 def _json(value, annotation: str = ""):

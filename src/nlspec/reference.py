@@ -15,7 +15,8 @@
   response to the whole list.
 
 * ``finite_difference_derivative`` is the deliberately imperfect baseline:
-  minimal central stencils whose truncation error is the caller's problem.
+  minimal central stencils at two steps, Richardson-combined, whose
+  remaining truncation error is the caller's problem.
 
 * ``stepwise_subtraction`` recovers the odd series coefficients A^1, A^3,
   A^5 from signals at three pump amplitudes by successive cancellation of
@@ -25,7 +26,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -186,16 +186,6 @@ def _powerset(items: Sequence[int]):
         yield from itertools.combinations(items, r)
 
 
-@dataclass(frozen=True)
-class FiniteDifference:
-    """Plain central-stencil estimate plus its Richardson refinement."""
-
-    value: float | np.ndarray
-    refined: float | np.ndarray
-    step: float
-    order: int
-
-
 def _central_stencil(order: int) -> np.ndarray:
     """Integer offsets of the minimal symmetric stencil for the given order."""
     half = (order + 1) // 2
@@ -221,13 +211,13 @@ def _stencil_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 
 def finite_difference_derivative(
     sampler: Callable[[float], float | np.ndarray], order: int, step: float
-) -> FiniteDifference:
-    """Central finite-difference m-th derivative at 0 with spacing ``step``.
+) -> float | np.ndarray:
+    """Richardson-refined central finite-difference m-th derivative at 0.
 
-    Also evaluates the half-step stencil and returns the Richardson
-    combination (4 D_{h/2} - D_h) / 3, which cancels the leading h^2 error
-    of the symmetric stencil.  A sampler that returns an array (say, one
-    value per time) gives estimates of that shape, element by element.
+    (4 D_{h/2} - D_h) / 3 of the minimal central stencils D_h at spacing
+    ``step`` and D_{h/2} at half of it, which cancels their leading h^2 error.
+    A sampler that returns an array (say, one value per time) gives an
+    estimate of that shape, element by element.
     """
     if order < 0 or order > 7:
         raise ValueError("finite differences supported for orders 0..7")
@@ -239,10 +229,7 @@ def finite_difference_derivative(
         weights = _stencil_weights(offsets, order) / h**order
         return sum(w * sampler(x * h) for w, x in zip(weights, offsets))
 
-    coarse = estimate(step)
-    fine = estimate(step / 2.0)
-    refined = (4.0 * fine - coarse) / 3.0
-    return FiniteDifference(coarse, refined, step, order)
+    return (4.0 * estimate(step / 2.0) - estimate(step)) / 3.0
 
 
 def stepwise_subtraction(values: Mapping[float, object]) -> tuple:

@@ -34,23 +34,15 @@ _SHIFT_BUDGET = 33
 class ResponseSeries:
     """A response contribution sampled on a time grid."""
 
-    order: int
-    multi_index: tuple[int, ...]
-    times: np.ndarray
     values: np.ndarray
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        # copies, so that freezing them leaves the caller's arrays writeable
-        times = np.array(self.times, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writeable
         values = np.array(self.values, dtype=float)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have matching shape")
         if not np.all(np.isfinite(values)):
             raise ValueError("response values must be finite")
-        times.flags.writeable = False
         values.flags.writeable = False
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "metadata", dict(self.metadata))
 
@@ -113,6 +105,7 @@ def reconstruct_response(
     time's block of their states gives the exact series through
     ``expectation`` and, given a ``sampling.SamplingPlan``, its finite-shot
     estimate, each cell drawn by ``SamplingPlan.draw``.  The metadata holds
+    the configuration count P as ``"n_configurations"`` and, given a plan,
     that estimate as ``"sampled"`` and its per-time standard error
     sqrt(sum_p C_p^2 se_p^2) as ``"std_error"``.
     """
@@ -140,14 +133,10 @@ def reconstruct_response(
                 sampled[k] += scale * estimate
                 variances[k] += scale**2 * error**2
     total = weights[active] @ exact / beta.factorial_product
-    meta = {
-        "n_configurations": len(configs),
-        "shifts": {a: rules[a].shifts.tolist() for a in beta.support},
-        "evolver": evolver.kind,
-    }
+    meta = {"n_configurations": len(configs)}
     if plan is not None:
         meta.update(sampled=sampled, std_error=np.sqrt(variances))
-    return ResponseSeries(beta.order, beta.beta, grid, total, meta)
+    return ResponseSeries(total, meta)
 
 
 def decomposition_rule(

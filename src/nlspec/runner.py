@@ -39,7 +39,7 @@ from .analysis import (
     pump_probe_correlator,
     third_order_2dos,
 )
-from .config import ConfigError, ExperimentConfig, build_observable, to_json_dict
+from .config import ConfigError, ExperimentConfig, build_observable, make_output_dir, to_json_dict
 from .evolution import PulseSchedule, blas_pin_unavailable, driven_signal, driven_states
 from .models import build_model, build_pump, ground_state
 from .pauli import OperatorSum, PauliTerm
@@ -249,7 +249,7 @@ def _run_pump_probe(run: _Run) -> dict:
     quadratures = {}
     pairs = [(a, b) for a, b in zip(orders, orders[1:])]
     for a, b in pairs:
-        slope, quadrature = _order_pair_slope(order_values[a], order_values[b], a, b)
+        slope, quadrature = _order_pair_slope(order_values[a], order_values[b])
         slopes[f"s{a}{b}"] = slope
         quadratures[f"s{a}{b}"] = quadrature
         csv(
@@ -267,7 +267,7 @@ def _run_pump_probe(run: _Run) -> dict:
     }
 
 
-def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
+def _order_pair_slope(values_a, values_b) -> tuple[float, str]:
     """Principal-axis slope of an order pair, real quadrature preferred.
 
     Probe products carrying an overall factor i put the signal entirely in
@@ -279,9 +279,7 @@ def _order_pair_slope(values_a, values_b, a, b) -> tuple[float, str]:
         ("imag", values_a.imag, values_b.imag),
     ):
         try:
-            cloud = PointCloud2D(
-                np.column_stack([xs.ravel(), ys.ravel()]), (f"C{a}", f"C{b}")
-            )
+            cloud = PointCloud2D(np.column_stack([xs.ravel(), ys.ravel()]))
             return pca_slope(cloud), quadrature
         except AnalysisError:
             continue
@@ -297,7 +295,7 @@ def _run_sweep(run: _Run) -> dict:
     slopes = []
     for g in g_values:
         _, _, values, _ = _pump_probe_orders(run, drive, j_plaquette=g)
-        slopes.append([_order_pair_slope(values[a], values[b], a, b)[0] for a, b in pairs])
+        slopes.append([_order_pair_slope(values[a], values[b])[0] for a, b in pairs])
     header = ["g"] + [f"s{a}{b}" for a, b in pairs]
     run.csv("s35_vs_g.csv", header, g_values, *np.transpose(slopes))
     return {"orders": orders, "n_g": len(g_values)}
@@ -394,8 +392,7 @@ def run_experiment(
         raise ValueError(f"runs are serial; threads={threads!r} is not supported")
     if seed is not None:
         config = replace(config, seed=seed)
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(output_dir if output_dir is not None else config.output_dir)
     start = time.perf_counter()
     _write_json(out / "resolved_config.json", to_json_dict(config))
     run = _Run(config, out)
@@ -487,7 +484,7 @@ def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
         if m <= 2:
             fd = finite_difference_derivative(fd_sample.__getitem__, m, _FD_STEP)
             target = oracle[::stride]
-            fd_dev = float(np.max(np.abs(fd.refined / math.factorial(m) - target)))
+            fd_dev = float(np.max(np.abs(fd / math.factorial(m) - target)))
         rows.append(
             {
                 "order": m,

@@ -190,5 +190,4 @@ def noisy_response(
     noisy response series and its per-time standard error."""
     exact = reconstruct_response(h, schedule, observable, t_grid, beta, evolver, psi0, rules, plan)
     meta = {"sampling_mode": plan.mode, "total_shots": plan.total_shots, "seed": plan.seed}
-    series = ResponseSeries(beta.order, beta.beta, exact.times, exact.metadata["sampled"], meta)
-    return series, exact.metadata["std_error"]
+    return ResponseSeries(exact.metadata["sampled"], meta), exact.metadata["std_error"]

@@ -61,7 +61,6 @@ class GapSet:
 
     gaps: np.ndarray
     unit: float | None
-    tol: float
 
     def __post_init__(self):
         gaps = np.asarray(self.gaps, dtype=float)
@@ -70,7 +69,7 @@ class GapSet:
 
     @property
     def positive(self) -> np.ndarray:
-        return self.gaps[self.gaps > self.tol]
+        return self.gaps[self.gaps > GAP_TOL]
 
     @property
     def max_gap(self) -> float:
@@ -183,7 +182,7 @@ def gap_set(generator: OperatorSum) -> GapSet:
     values = _spectrum(generator, GAP_TOL)
     diffs = (values[:, None] - values[None, :]).ravel()
     gaps = _symmetric(_dedup_sorted(diffs, GAP_TOL), GAP_TOL)
-    return GapSet(gaps, _common_unit(gaps[gaps > GAP_TOL], GAP_TOL), GAP_TOL)
+    return GapSet(gaps, _common_unit(gaps[gaps > GAP_TOL], GAP_TOL))
 
 
 def channel_gap_set(generator: OperatorSum, n_pulses: int) -> GapSet:
@@ -198,8 +197,8 @@ def channel_gap_set(generator: OperatorSum, n_pulses: int) -> GapSet:
     single = gap_set(generator)
     gaps = single.gaps
     for _ in range(n_pulses - 1):
-        gaps = _dedup_sorted(np.add.outer(gaps, single.gaps).ravel(), single.tol)
-    return GapSet(_symmetric(gaps, single.tol), single.unit, single.tol)
+        gaps = _dedup_sorted(np.add.outer(gaps, single.gaps).ravel(), GAP_TOL)
+    return GapSet(_symmetric(gaps, GAP_TOL), single.unit)
 
 
 def _alias_free_count(harmonics: Sequence[int], n: int, residue) -> int:
@@ -324,7 +323,6 @@ class ShiftRule:
 
     shifts: np.ndarray
     coefficients: Mapping[int, np.ndarray]
-    gap_set: GapSet | None
     residuals: Mapping[int, float]
     condition_number: float
     basis: str
@@ -352,7 +350,7 @@ class ShiftRule:
         return float(np.sum(self.coefficients[order] ** 2))
 
 
-def _rule(grid: np.ndarray, orders: Sequence[int], system, gaps: GapSet | None, basis: str) -> ShiftRule:
+def _rule(grid: np.ndarray, orders: Sequence[int], system, basis: str) -> ShiftRule:
     """The one order loop: weights for every order from ``_solve`` on
     ``system(grid, order)``.
 
@@ -368,7 +366,7 @@ def _rule(grid: np.ndarray, orders: Sequence[int], system, gaps: GapSet | None, 
         c, residuals[r], k = _solve(*system(grid, r))
         coefficients[r] = 0.5 * (c + (-1) ** r * c[::-1])
         cond = max(cond, k)
-    return ShiftRule(grid, coefficients, gaps, residuals, cond, basis)
+    return ShiftRule(grid, coefficients, residuals, cond, basis)
 
 
 def rule_for_gap_set(
@@ -380,7 +378,7 @@ def rule_for_gap_set(
         raise ShiftRuleError("the odd-order reduction applies to odd orders only")
     grid = shift_grid(gaps, n_shifts=n_shifts, mode=mode)
     basis = "fourier-odd" if mode == "odd" else "fourier"
-    return _rule(grid, orders, partial(_fourier_system, gaps), gaps, basis)
+    return _rule(grid, orders, partial(_fourier_system, gaps), basis)
 
 
 def rule_for_generator(
@@ -399,7 +397,7 @@ def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule
         raise ShiftRuleError("taylor rule needs at least 2 shifts")
     if scale <= 0:
         raise ShiftRuleError("taylor rule scale must be positive")
-    return _rule(np.linspace(-scale, scale, n_shifts), orders, _taylor_system, None, "taylor")
+    return _rule(np.linspace(-scale, scale, n_shifts), orders, _taylor_system, "taylor")
 
 
 @dataclass(frozen=True)
@@ -414,10 +412,6 @@ class MultiIndex:
         if any(b < 0 for b in beta):
             raise ValueError("multi-index entries must be nonnegative")
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def order(self) -> int:
-        return sum(self.beta)
 
     @property
     def support(self) -> tuple[int, ...]:

@@ -23,7 +23,6 @@ class SpectrumGrid:
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
-    dt: float
 
     def __post_init__(self):
         freq = np.asarray(self.frequencies, dtype=float)
@@ -45,8 +44,6 @@ class Spectrum2D:
     frequencies_1: np.ndarray
     frequencies_2: np.ndarray
     amplitudes: np.ndarray
-    dt_1: float
-    dt_2: float
 
     def __post_init__(self):
         f1 = np.asarray(self.frequencies_1, dtype=float)
@@ -125,7 +122,7 @@ def response_spectrum(
     n = series.size
     amps = np.fft.rfft(series - series.mean())
     freqs = 2.0 * np.pi * np.arange(amps.size) / (n * dt)
-    return SpectrumGrid(freqs, amps, dt)
+    return SpectrumGrid(freqs, amps)
 
 
 def envelope_fit(
@@ -177,7 +174,7 @@ def spectrum_2d(
     amps = full[:half1, :half2]
     f1 = 2.0 * np.pi * np.arange(half1) / (n1 * dt_1)
     f2 = 2.0 * np.pi * np.arange(half2) / (n2 * dt_2)
-    return Spectrum2D(f1, f2, amps, dt_1, dt_2)
+    return Spectrum2D(f1, f2, amps)
 
 
 def diagonal_offdiagonal_weight(spec: Spectrum2D) -> tuple[float, float]:

@@ -783,6 +783,21 @@ class TestVerify:
         assert report["passed"]
 
 
+#: an observable or pump on a repeated site; unchecked, each built another
+#: operator: Z2 for X2 Z2, Y3 - X3 for the current on (3, 3), 2 Z1, X0 Z1 Z2,
+#: and one merged term for the cosine profile's repeated site
+REPEATED_SITES = [
+    ("observables", {"kind": "correlation", "sites": [2, 2], "axes": "XZ"}),
+    ("observables", {"kind": "spin_current", "sites": [3, 3], "axis": "Z"}),
+    ("observables", {"kind": "two_site_magnetization", "sites": [1, 1]}),
+    ("observables", {"kind": "four_point", "sites": [0, 1, 1, 2], "axes": "XXZZ"}),
+    (
+        "pumps",
+        {"kind": "cosine_profile", "axis": "X", "momentum": 1, "sites": [0, 2, 2], "times": [0.0]},
+    ),
+]
+
+
 class TestCLI:
     def test_run_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
@@ -798,6 +813,37 @@ class TestCLI:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_run_unusable_paths_exit_two(self, tmp_path, capsys):
+        # each exited 1 with a traceback: IsADirectoryError, UnicodeDecodeError,
+        # FileExistsError and NotADirectoryError
+        config, taken, binary = write_config(tmp_path, MINIMAL), tmp_path / "taken", tmp_path / "b"
+        taken.write_text("")
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (tmp_path, binary):
+            assert main(["run", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: config file {path} ")
+        for out in (taken, taken / "sub"):
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: output directory {out} ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "config.json", "taken"]
+
+    def test_gaps_unreadable_config_exit_two(self, tmp_path, capsys):
+        binary = tmp_path / "b.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (tmp_path, binary):
+            assert main(["gaps", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: config file {path} ")
+
+    def test_verify_out_file_exit_two_before_verifying(self, tmp_path, capsys, monkeypatch):
+        # the whole verification ran before the report's directory failed
+        monkeypatch.setattr("nlspec.cli.verify_experiment", lambda *a, **k: pytest.fail("ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path, MINIMAL)
+        for out in (taken, taken / "sub"):
+            assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: output directory {out} ")
 
     def test_verify_exit_codes(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
@@ -933,8 +979,24 @@ class TestCLI:
                 },
                 "method: unknown method 'orcale'",
             ),
+            (
+                # label() ignores the coefficient: the second observable's CSVs
+                # overwrote the first's, and run_metadata.json listed each twice
+                {
+                    "observables": [
+                        {"kind": "single_site_pauli", "sites": [2], "axis": "Z", "coefficient": c}
+                        for c in (1.0, 2.0)
+                    ]
+                },
+                "observables[0] and observables[1]: both are 'single_site_pauli_2_z'",
+            ),
+        ]
+        + [
+            ({where: [*MINIMAL[where], spec]}, f"{where}[1].sites: a site repeats in ")
+            for where, spec in REPEATED_SITES
         ],
-        ids=["decomposition_two_channels", "2dos_unknown_method"],
+        ids=["decomposition_two_channels", "2dos_unknown_method", "shared_label"]
+        + [f"repeated_{spec['kind']}_site" for _, spec in REPEATED_SITES],
     )
     def test_fails_at_load_exit_two(self, tmp_path, capsys, changes, message):
         # a change to None drops the field, as does every change to orders
@@ -1165,11 +1227,15 @@ class TestCLI:
             shifts = re.search(r"  (shifts \(\d+\): .*?)\n  condition", block, re.S)
             assert (shifts is None) == ("no shift rule" in block)
             if shifts:
-                printed.append((shifts[1], re.findall(r"order (\d+):", block)))
+                norms = re.findall(r"order (\d+): .*\|c\|_1 (\S+)  \|c\|_2\^2 (\S+)", block)
+                printed.append((shifts[1], norms))
         assert printed == [
             (
                 f"shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}",
-                [str(r) for r in sorted(rule.coefficients)],
+                [
+                    (str(r), f"{rule.l1_norm(r):.6g}", f"{rule.l2_norm_squared(r):.6g}")
+                    for r in sorted(rule.coefficients)
+                ],
             )
             for rule in built
         ]
@@ -1225,6 +1291,15 @@ class TestCLI:
         assert main(["spectra", "--input", str(series)]) == 2
         assert f"input CSV {series} is not numeric" in capsys.readouterr().err
         assert not series.with_suffix(".spectrum.csv").exists()
+
+    def test_spectra_out_directory_exit_two(self, tmp_path, capsys):
+        # a directory, or a missing parent, raised a traceback after the spectrum was computed
+        series = tmp_path / "series.csv"
+        series.write_text("t,value\n0.0,1.0\n0.5,0.5\n1.0,0.0\n")
+        for out in (tmp_path, tmp_path / "absent" / "spec.csv"):
+            assert main(["spectra", "--input", str(series), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: output CSV {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
     def test_spectra_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
