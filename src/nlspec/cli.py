@@ -85,7 +85,7 @@ def _cmd_verify(args) -> int:
     out = make_output_dir(args.out) if args.out else None
     report = verify_experiment(config, tolerance=args.tolerance)
     print(f"observable: {report['observable']}  tolerance: {report['tolerance']:.2e}")
-    rule = f"{report['n_shifts']} shifts ({report['mode']})"
+    rule = f"{report['n_shifts']} shifts ({report['basis']})"
     print(f"shift rule: {rule}, condition number {report['condition_number']:.3e}")
     print("order  max|shift rule - commutator|  max|fd - commutator|  oracle scale  rule residual")
     for row in report["orders"]:
@@ -111,7 +111,7 @@ def _cmd_gaps(args) -> int:
     rules = {}
     if protocol == "response":
         schedule, beta = PulseSchedule(channels), MultiIndex(config.orders)
-        rules = rules_for_schedule(schedule, beta, n_shifts, config.shifts.mode)
+        rules = rules_for_schedule(schedule, beta, n_shifts)
     elif protocol == "decomposition":
         rules = {0: decomposition_rule(channels[0], config.max_order, n_shifts=n_shifts)}
     elif protocol in ("pump_probe", "sweep"):
@@ -134,20 +134,27 @@ def _cmd_gaps(args) -> int:
         print(f"  shifts ({rule.n_shifts}): {np.array2string(rule.shifts, precision=10)}")
         print(f"  condition number: {rule.condition_number:.3e}")
         for r in sorted(rule.coefficients):
+            # w_max^r bounds |c|_1 of every rule exact on the gaps from below
             print(
-                f"  order {r}: residual {rule.residuals[r]:.2e}  "
-                f"|c|_1 {rule.l1_norm(r):.6g}  |c|_2^2 {rule.l2_norm_squared(r):.6g}"
+                f"  order {r}: residual {rule.residuals[r]:.2e}  |c|_1 {rule.l1_norm(r):.6g}  "
+                f"floor {gaps.max_gap**r:.6g}  |c|_2^2 {rule.l2_norm_squared(r):.6g}"
             )
             print(f"    c = {np.array2string(rule.coefficients[r], precision=10)}")
     return EXIT_OK
 
 
 def _cmd_spectra(args) -> int:
-    if not Path(args.input).is_file():
-        raise ConfigError(f"input CSV {args.input} does not exist")
-    out = Path(args.out) if args.out else Path(args.input).with_suffix(".spectrum.csv")
-    if out.is_dir() or not out.parent.is_dir():
-        raise ConfigError(f"output CSV {out}: not a file in an existing directory")
+    source = Path(args.input)
+    if not source.is_file():
+        state = "is not a file" if source.exists() else "does not exist"
+        raise ConfigError(f"input CSV {source} {state}")
+    out = Path(args.out) if args.out else source.with_suffix(".spectrum.csv")
+    envelope = out.with_suffix(".envelope.json")
+    # every output is checked before anything is written
+    outputs = {"CSV": out, "JSON": envelope} if args.envelope else {"CSV": out}
+    for kind, path in outputs.items():
+        if path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"output {kind} {path}: not a file in an existing directory")
     try:
         with warnings.catch_warnings():
             # numpy warns on a file without rows; the size check below says so
@@ -180,7 +187,7 @@ def _cmd_spectra(args) -> int:
         ),
     )
     if meta:
-        out.with_suffix(".envelope.json").write_text(json.dumps(meta, indent=2) + "\n")
+        envelope.write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 

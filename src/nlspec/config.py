@@ -178,12 +178,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ShiftSettings:
-    mode: str = "full"
     n_shifts: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("full", "odd"):
-            raise ConfigError(f"shifts.mode: unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -373,10 +368,6 @@ def _validate(config: ExperimentConfig) -> None:
     first_only = {"decomposition": "observables", "2dos": "observables", "entropy": "eta_eval"}
     if protocol in first_only and len(getattr(config, first_only[protocol])) > 1:
         raise ConfigError(f"{first_only[protocol]}: the {protocol} protocol reads one entry")
-    if protocol == "decomposition" and config.shifts.mode != "full":
-        raise ConfigError(
-            "shifts.mode: the decomposition protocol expands every order; only 'full' applies"
-        )
     if protocol in ("pump_probe", "sweep") and not (config.probe_1 and config.probe_2):
         raise ConfigError("probe_1/probe_2: pump-probe protocols need both probe strings")
     if protocol in ("pump_probe", "sweep") and not config.orders:

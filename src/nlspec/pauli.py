@@ -286,45 +286,26 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return np.einsum("hml,hnl->mn", tensor, tensor.conj())
 
 
-def pauli_product(
-    factors_a: tuple[tuple[int, str], ...], factors_b: tuple[tuple[int, str], ...]
-) -> tuple[complex, tuple[tuple[int, str], ...]]:
-    """Multiply two Pauli strings symbolically: returns (phase, factors)."""
-    table = {
-        ("X", "Y"): (1j, "Z"),
-        ("Y", "Z"): (1j, "X"),
-        ("Z", "X"): (1j, "Y"),
-        ("Y", "X"): (-1j, "Z"),
-        ("Z", "Y"): (-1j, "X"),
-        ("X", "Z"): (-1j, "Y"),
-    }
-    result = dict(factors_a)
-    phase: complex = 1.0
-    for site, axis in factors_b:
-        if site not in result:
-            result[site] = axis
-        elif result[site] == axis:
-            del result[site]
-        else:
-            ph, new_axis = table[(result[site], axis)]
-            phase *= ph
-            result[site] = new_axis
-    return phase, tuple(sorted(result.items()))
-
-
 def commutator_norm(op_a: OperatorSum, op_b: OperatorSum) -> float:
-    """Max |coefficient| of [A, B] computed symbolically (exact, matrix-free)."""
-    acc: dict[tuple[tuple[int, str], ...], complex] = {}
+    """Max |coefficient| of [A, B] computed symbolically (exact, matrix-free).
+
+    Only anticommuting string pairs contribute, each 2 a b P_a P_b.  On the
+    ``PauliTerm.masks`` form, P_a P_b is the string of flip fa ^ fb and phase
+    pa ^ pb times i^(ya + yb - popcount(f & p)) (-1)^popcount(pa & fb).
+    """
+    acc: dict[tuple[int, int], complex] = {}
     for ta in op_a.terms:
+        fa, pa, ya = ta.masks()
         for tb in op_b.terms:
-            w = ta.coefficient * tb.coefficient
-            ph_ab, f_ab = pauli_product(ta.factors, tb.factors)
-            ph_ba, f_ba = pauli_product(tb.factors, ta.factors)
-            acc[f_ab] = acc.get(f_ab, 0.0) + w * ph_ab
-            acc[f_ba] = acc.get(f_ba, 0.0) - w * ph_ba
-    if not acc:
-        return 0.0
-    return float(max(abs(v) for v in acc.values()))
+            if strings_commute(ta, tb):
+                continue
+            fb, pb, yb = tb.masks()
+            f, p = fa ^ fb, pa ^ pb
+            phase = (1, 1j, -1, -1j)[(ya + yb - (f & p).bit_count()) % 4]
+            sign = -1 if (pa & fb).bit_count() % 2 else 1
+            w = 2.0 * ta.coefficient * tb.coefficient * sign
+            acc[f, p] = acc.get((f, p), 0.0) + w * phase
+    return float(max(map(abs, acc.values()), default=0.0))
 
 
 def strings_commute(a: PauliTerm, b: PauliTerm) -> bool:

@@ -48,21 +48,19 @@ class ResponseSeries:
 
 
 def rules_for_schedule(
-    schedule: PulseSchedule,
-    beta: MultiIndex,
-    n_shifts: int | None = None,
-    mode: str = "full",
+    schedule: PulseSchedule, beta: MultiIndex, n_shifts: int | None = None
 ) -> dict[int, ShiftRule]:
     """One shift rule per active channel, keyed by channel index, on the
     channel's gap set (``channel_gap_set``: a channel pulsed P times needs
-    the P-fold sumset of its generator's gaps)."""
+    the P-fold sumset of its generator's gaps); a channel of odd order gets
+    the +-s grid (``rule_for_gap_set``)."""
     if len(beta.beta) != schedule.n_channels:
         raise ValueError("multi-index length must equal the channel count")
     rules: dict[int, ShiftRule] = {}
     for a in beta.support:
         generator, times = schedule.channels[a]
         gaps = channel_gap_set(generator, len(times))
-        rules[a] = rule_for_gap_set(gaps, [beta.beta[a]], n_shifts=n_shifts, mode=mode)
+        rules[a] = rule_for_gap_set(gaps, [beta.beta[a]], n_shifts=n_shifts)
     return rules
 
 

@@ -137,9 +137,7 @@ def _run_response(run: _Run) -> dict:
     h, schedule, observables, psi0 = _materialize(run)
     grid = config.time_grid.values()
     beta = MultiIndex(config.orders)
-    rules = rules_for_schedule(
-        schedule, beta, n_shifts=config.shifts.n_shifts, mode=config.shifts.mode
-    )
+    rules = rules_for_schedule(schedule, beta, n_shifts=config.shifts.n_shifts)
     meta: dict = {"orders": list(beta.beta), "n_configurations": None}
     plan = None
     if config.sampling is not None:
@@ -428,12 +426,14 @@ def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
 
     The config is a response or decomposition config (its first observable
     is checked) with one pump channel of one pulse (``ConfigError``
-    otherwise).  The rule is the run's: the config's ``shifts``, weighted
-    for orders 1 to ``_VERIFY_MAX_ORDER`` (odd ones only in the odd mode).
-    Returns a report with per-order maximum deviations (plus the
-    finite-difference baseline at low orders), the rule's health
-    (``n_shifts``, ``mode``, ``condition_number``, each order's
-    ``residual``) and a pass flag; used by the CLI `verify` subcommand.
+    otherwise).  The rule is of the run's family, on the config's
+    ``n_shifts``: the odd orders up to ``_VERIFY_MAX_ORDER`` when the run's
+    rule is odd (a response config of odd order), else orders 1 to
+    ``_VERIFY_MAX_ORDER``.  Returns a report with per-order maximum
+    deviations (plus the finite-difference baseline at low orders), the
+    rule's health (``n_shifts``, ``basis``, ``condition_number``, each
+    order's ``residual``) and a pass flag; used by the CLI `verify`
+    subcommand.
     ``tolerance`` must be positive and finite (``ConfigError`` otherwise).
     """
     if not 0 < tolerance < math.inf:
@@ -455,9 +455,9 @@ def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
     grid = np.linspace(config.time_grid.start, config.time_grid.stop, _VERIFY_TIMES)
     grid = grid[grid >= t_pulse]
     # one rule and one propagation of its shifts serve every order
-    mode = config.shifts.mode
-    orders = [m for m in range(1, _VERIFY_MAX_ORDER + 1) if mode == "full" or m % 2]
-    rule = rule_for_generator(generator, orders, config.shifts.n_shifts, mode)
+    odd = config.protocol == "response" and all(m % 2 for m in config.orders)
+    orders = range(1, _VERIFY_MAX_ORDER + 1, 2 if odd else 1)
+    rule = rule_for_generator(generator, orders, config.shifts.n_shifts)
     signals = driven_signal(
         h, schedule, rule.shifts[:, None], observable, grid, config.evolver, psi0
     )
@@ -498,7 +498,7 @@ def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
         "observable": label,
         "tolerance": tolerance,
         "n_shifts": rule.n_shifts,
-        "mode": mode,
+        "basis": rule.basis,
         "condition_number": float(rule.condition_number),
         "orders": rows,
         "max_deviation": worst,

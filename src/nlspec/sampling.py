@@ -156,20 +156,21 @@ def sample_expectation(
 def variance_bound(weights: Sequence[float], total_shots: int, mode: str = "uniform") -> float:
     """Worst-case estimator variance for unit-bounded per-shot outcomes.
 
-    ``weights`` are the P configuration weights C_p of ``shift_configurations``;
-    with N_tot shots in all,
+    ``weights`` are the configuration weights C_p of ``shift_configurations``;
+    with N_tot shots in all, split as ``allocate_shots`` splits them,
 
-        uniform:  P (sum_p C_p^2) / N_tot
+        uniform:  P' (sum_p C_p^2) / N_tot,  P' the count of nonzero C_p
         optimal:  (sum_p |C_p|)^2 / N_tot
 
     For weights that factorize over channels, these are the per-channel
-    products (prod_a M_a)(prod_a ||c_a||_2^2) and (prod_a ||c_a||_1)^2.
+    products (prod_a M_a)(prod_a ||c_a||_2^2) and (prod_a ||c_a||_1)^2, M_a
+    the count of nonzero weights of channel a.
     """
     w = np.asarray(weights, dtype=float)
     if total_shots < 1:
         raise ValueError("total_shots must be positive")
     if mode == "uniform":
-        return w.size * float(np.sum(w**2)) / total_shots
+        return np.count_nonzero(w) * float(np.sum(w**2)) / total_shots
     if mode == "optimal":
         return float(np.sum(np.abs(w))) ** 2 / total_shots
     raise ValueError(f"unknown mode {mode!r}")

@@ -7,22 +7,28 @@ then exact linear combinations of samples F(s_p): the weights c_p^(r) solve
 
     sum_p c_p^(r) exp(i omega s_p) = (i omega)^r   for every omega in Omega.
 
-Three rule flavors are provided:
+Three rule flavors (``ShiftRule.basis``) are provided:
 
-* ``full``   - one shift per signed gap (the default, exact for any order);
-* ``odd``    - antisymmetric weights on +-s_p pairs, valid for odd orders,
-               needing only one shift per positive gap;
-* ``taylor`` - a truncated polynomial (finite-difference style) rule with a
-               caller-chosen shift count, exact on polynomial signals only.
-               This is the fallback when the gap set is incommensurate or
-               too large to sample exhaustively.
+* ``fourier-odd`` - antisymmetric weights on +-s_p pairs, one pair per
+  positive gap.  ``rule_for_gap_set`` builds it whenever every requested
+  order is odd and the spectrum is commensurate: on gaps that are the
+  harmonics 1..K of one unit its l1 norm sum_p |c_p|, the factor that
+  multiplies shot noise, is the floor w_max^r of every exact rule (M. Riesz's
+  equidistant formula; Wierichs et al., Quantum 6, 677 (2022));
+* ``fourier``     - one shift per signed gap, exact for any order; every
+  other order set gets it, and so does an odd one whose +- system fails the
+  checks of ``_solve``;
+* ``taylor``      - a truncated polynomial (finite-difference style) rule with
+  a caller-chosen shift count, exact on polynomial signals only.  This is the
+  fallback when the gap set is incommensurate or too large to sample
+  exhaustively.
 
 Every flavor is one linear system per order, solved by ``_solve`` (condition
 limit, exact or least-squares solve, residual and realness checks) in the one
 order loop ``_rule``.  The grids are exactly antisymmetric and the gap sets
-exactly symmetric, so the weights have exact parity, c[::-1] = (-1)^r c
-(Wierichs et al., Quantum 6, 677 (2022)); ``_rule`` imposes it bitwise, and
-an odd order puts exactly 0.0 on the shift at 0, which callers skip.
+exactly symmetric, so the weights have exact parity, c[::-1] = (-1)^r c;
+``_rule`` imposes it bitwise, and an odd order puts exactly 0.0 on the shift
+at 0, which callers skip.
 """
 
 from __future__ import annotations
@@ -369,22 +375,28 @@ def _rule(grid: np.ndarray, orders: Sequence[int], system, basis: str) -> ShiftR
     return ShiftRule(grid, coefficients, residuals, cond, basis)
 
 
-def rule_for_gap_set(
-    gaps: GapSet, orders: Sequence[int], n_shifts: int | None = None, mode: str = "full"
-) -> ShiftRule:
-    """Build a ShiftRule carrying weights for every requested order; the odd
-    mode solves the same Fourier system on its +-s grid."""
-    if mode == "odd" and any(int(r) % 2 == 0 for r in orders):
-        raise ShiftRuleError("the odd-order reduction applies to odd orders only")
-    grid = shift_grid(gaps, n_shifts=n_shifts, mode=mode)
-    basis = "fourier-odd" if mode == "odd" else "fourier"
-    return _rule(grid, orders, partial(_fourier_system, gaps), basis)
+def rule_for_gap_set(gaps: GapSet, orders: Sequence[int], n_shifts: int | None = None) -> ShiftRule:
+    """Build a ShiftRule carrying weights for every requested order.
+
+    All-odd orders on a commensurate spectrum, with ``n_shifts`` None or
+    even, take the +-s grid ("fourier-odd"); any other order set, or an odd
+    one whose +-s system ``_solve`` rejects, takes the full grid ("fourier").
+    """
+    system = partial(_fourier_system, gaps)
+    odd = all(int(r) % 2 for r in orders) and gaps.unit is not None
+    if odd and (n_shifts is None or n_shifts % 2 == 0):
+        try:
+            return _rule(shift_grid(gaps, n_shifts, mode="odd"), orders, system, "fourier-odd")
+        except ShiftRuleError:
+            # too few pairs for the gaps, or too ill-conditioned a system
+            pass
+    return _rule(shift_grid(gaps, n_shifts), orders, system, "fourier")
 
 
 def rule_for_generator(
-    generator: OperatorSum, orders: Sequence[int], n_shifts: int | None = None, mode: str = "full"
+    generator: OperatorSum, orders: Sequence[int], n_shifts: int | None = None
 ) -> ShiftRule:
-    return rule_for_gap_set(gap_set(generator), orders, n_shifts, mode)
+    return rule_for_gap_set(gap_set(generator), orders, n_shifts)
 
 
 def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule:

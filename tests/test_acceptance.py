@@ -87,7 +87,8 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_two_point_rule():
     """Spectrum {+-1/2}: odd rule is {-pi/2, pi/2} with weights (-1/2, 1/2)."""
     generator = op(1, (0.5, {0: "X"}))
-    rule = rule_for_generator(generator, [1], mode="odd")
+    rule = rule_for_generator(generator, [1])
+    assert rule.basis == "fourier-odd"
     assert np.allclose(rule.shifts, [-np.pi / 2, np.pi / 2], atol=1e-15)
     assert np.allclose(rule.coefficients[1], [-0.5, 0.5], atol=1e-15)
     rng = np.random.default_rng(5)

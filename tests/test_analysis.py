@@ -540,10 +540,10 @@ class TestThirdOrder2DOS:
         a = op(2, (1.0, {0: "X"}), (1.0, {1: "X"}))
         grid = np.linspace(0.4, 2.8, 14)
         third_order_2dos(h, a, pump, 0.5, grid, grid, ground_state(h), EXACT, "shift_rule")
-        # the distinct first shifts that carry weight (the one at 0 weighs
-        # exactly 0.0), then every (t1, configuration) pair
+        # the distinct first shifts, each of which carries weight on the +-
+        # grid of order 1, then every (t1, configuration) pair
         weights = rule_for_generator(pump, [1]).coefficients[1]
-        assert calls[0] == (np.count_nonzero(weights), 1) == (weights.size - 1, 1)
+        assert calls[0] == (np.count_nonzero(weights), 1) == (weights.size, 1)
         assert len(calls) == 2 and calls[1][0] % 14 == 0
 
     def test_trotter_consistency_between_paths(self):

@@ -269,14 +269,14 @@ class TestConfigParsing:
             pytest.param(
                 "fig2",
                 {"shifts": {"mode": "odd", "n_shifts": 8}},
-                "shifts.mode: the decomposition",
+                r"shifts: unknown field\(s\) \['mode'\]",
                 id="decomposition_odd",
             )
         ],
     )
     def test_ignored_setting_rejected(self, figure, changes, message):
-        # each field is one that the protocol's run never reads; the odd
-        # mode is a shifts setting that the decomposition run ignores
+        # each field is one that the protocol's run never reads; a shift
+        # mode is no setting at all, since the orders pick the grid
         path = FIGURES / f"{figure}.json"
         with pytest.raises(ConfigError, match=message):
             config_from_dict(dict(json.loads(path.read_text()), **changes))
@@ -584,7 +584,7 @@ class TestRunExperiment:
         # every field the response run reads, those MINIMAL leaves at their
         # defaults included, and no other
         assert sorted(resolved) == sorted(COMMON_FIELDS + PROTOCOL_FIELDS["response"])
-        assert resolved["shifts"] == {"mode": "full", "n_shifts": None}
+        assert resolved["shifts"] == {"n_shifts": None}
         assert resolved["sampling"] is None and "t1_grid" not in resolved
         echoed = load_config(tmp_path / "out" / "resolved_config.json")
         assert echoed == config
@@ -712,6 +712,8 @@ class TestVerify:
     def test_krylov_chain_checks_nonzero_orders(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, CHAIN10))
         report = verify_experiment(config, tolerance=1e-8)
+        # CHAIN10's order 3 is odd, so its run and verify take the +- grid
+        assert (report["n_shifts"], report["basis"]) == (2, "fourier-odd")
         scales = {row["order"]: row["oracle_scale"] for row in report["orders"]}
         assert scales[1] > 0.5 and scales[3] > 0.3
         assert report["passed"]
@@ -721,17 +723,19 @@ class TestVerify:
 
     @pytest.fixture(scope="class")
     def random_chain_reports(self):
-        # seeded random 4-site chains kicked by X1, read out by X2 and by Z2
-        # in turn: X2 responds at odd orders, Z2 at even ones on some chains
+        # seeded random 4-site chains kicked by X1, read out by X2 at order 1
+        # and by Z2 at order 2 in turn: X2 responds at odd orders, Z2 at even
+        # ones on some chains, and an even order makes verify check them all
         rng = np.random.default_rng(0)
         reports = []
         for _ in range(5):
             delta, h_field = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0))
-            for axis in ("X", "Z"):
+            for axis, order in (("X", 1), ("Z", 2)):
                 payload = dict(
                     MINIMAL,
                     model=xxz_model(delta=delta, h_field=h_field),
                     observables=[{"kind": "single_site_pauli", "sites": [2], "axis": axis}],
+                    orders=[order],
                     time_grid={"start": 0.0, "stop": 5.0, "points": 11},
                 )
                 report = verify_experiment(config_from_dict(payload), tolerance=1e-8)
@@ -770,17 +774,22 @@ class TestVerify:
         # fig3a's 12-site Trotter chain, at the engine's site cap
         report = verify_experiment(load_config(FIGURES / "fig3a.json"), tolerance=1e-8)
         assert report["passed"] and report["max_deviation"] < 1e-12
-        assert (report["n_shifts"], report["mode"]) == (3, "full")
+        assert (report["n_shifts"], report["basis"]) == (3, "fourier")
         assert max(row["oracle_scale"] for row in report["orders"]) > 0.1
 
     def test_checks_the_config_shift_rule(self, tmp_path):
-        # the odd rule of an X kick is the +-pi/4 pair; the default full
-        # rule would take 3 shifts
-        payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd"})
-        report = verify_experiment(load_config(write_config(tmp_path, payload)), tolerance=1e-8)
-        assert (report["n_shifts"], report["mode"]) == (2, "odd")
-        assert [row["order"] for row in report["orders"]] == [1, 3, 5]
-        assert report["passed"]
+        # the run's rule of an X kick at odd order is the +-pi/4 pair, at
+        # even order the full 3-shift rule; verify checks that rule's family
+        for order, n_shifts, basis, checked in (
+            (3, 2, "fourier-odd", [1, 3, 5]),
+            (2, 3, "fourier", [1, 2, 3, 4, 5]),
+        ):
+            payload = dict(MINIMAL, orders=[order])
+            config = load_config(write_config(tmp_path, payload))
+            report = verify_experiment(config, tolerance=1e-8)
+            assert (report["n_shifts"], report["basis"]) == (n_shifts, basis)
+            assert [row["order"] for row in report["orders"]] == checked
+            assert report["passed"]
 
 
 #: an observable or pump on a repeated site; unchecked, each built another
@@ -849,9 +858,9 @@ class TestCLI:
         path = write_config(tmp_path, MINIMAL)
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "report")]) == 0
         out = capsys.readouterr().out
-        assert "3 shifts (full), condition number" in out and "rule residual" in out
+        assert "2 shifts (fourier-odd), condition number" in out and "rule residual" in out
         report = json.loads((tmp_path / "report" / "verify_report.json").read_text())
-        assert (report["n_shifts"], report["mode"]) == (3, "full")
+        assert (report["n_shifts"], report["basis"]) == (2, "fourier-odd")
         # an absurd tolerance cannot fail a clean engine; break it instead
         payload = json.loads(json.dumps(MINIMAL))
         payload["model"]["parameters"]["n_sites"] = 13
@@ -904,20 +913,28 @@ class TestCLI:
         assert main(["verify", "--config", str(write_config(tmp_path, payload))]) == 2
         assert message in capsys.readouterr().err
 
-    def test_odd_shift_count_in_odd_mode_exit_two(self, tmp_path, capsys):
-        # odd mode takes +- pairs: 5 shifts would run 4, while
-        # resolved_config.json echoed 5
-        payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd", "n_shifts": 5})
+    def test_odd_shift_count_takes_the_full_grid(self, tmp_path, capsys):
+        # +- pairs cannot make 5 shifts, so an odd order runs the full grid
+        # on the 5 that resolved_config.json echoes
+        payload = dict(MINIMAL, orders=[3], shifts={"n_shifts": 5})
         path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        metadata = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+        assert metadata["n_configurations"] == 5
+        assert main(["gaps", "--config", str(path)]) == 0
+        assert "shifts (5)" in capsys.readouterr().out
+
+    def test_shifts_mode_setting_exit_two(self, tmp_path, capsys):
+        # the orders pick the grid; a config that still sets a mode is refused
+        path = write_config(tmp_path, dict(MINIMAL, shifts={"mode": "odd"}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "an even shift count, not 5" in capsys.readouterr().err
-        assert main(["gaps", "--config", str(path)]) == 2
-        assert not list((tmp_path / "out").glob("*.csv"))
+        assert "shifts: unknown field(s) ['mode']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "observable, total_shots",
         [
-            # the order-1 rule weighs 2 of its 3 shifts; 1 shot leaves one out
+            # the order-1 rule weighs both of its 2 shifts; 1 shot leaves one out
             ({"kind": "single_site_pauli", "sites": [2], "axis": "X"}, 1),
             # one shot per weighted shift cannot measure both Z strings
             ({"kind": "two_site_magnetization", "sites": [2, 3]}, 2),
@@ -1151,11 +1168,11 @@ class TestCLI:
             assert set(record) == {"route"} | plan_keys
 
     def test_gaps_prints_ledger(self, tmp_path, capsys):
-        # MINIMAL's run solves the X kick's three-shift rule at order 1 only
+        # MINIMAL's run solves the X kick's two-shift odd rule at order 1 only
         path = write_config(tmp_path, MINIMAL)
         assert main(["gaps", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "gaps (3): [-2.  0.  2.]" in out and "shifts (3)" in out
+        assert "gaps (3): [-2.  0.  2.]" in out and "shifts (2)" in out
         assert re.findall(r"order (\d+):", out) == ["1"]
 
     def test_gaps_of_a_two_pulse_channel_are_the_sumset(self, tmp_path, capsys):
@@ -1163,7 +1180,8 @@ class TestCLI:
         path = write_config(tmp_path, dict(MINIMAL, pumps=pumps))
         assert main(["gaps", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "gaps (5): [-4. -2.  0.  2.  4.]" in out and "shifts (5)" in out
+        # order 1 takes one +- pair per positive gap
+        assert "gaps (5): [-4. -2.  0.  2.  4.]" in out and "shifts (4)" in out
 
     def test_gaps_uses_the_decomposition_rule(self, capsys):
         # fig2's 153 gaps take the 8-shift truncated rule that its run uses
@@ -1173,10 +1191,19 @@ class TestCLI:
 
     def test_gaps_uses_the_odd_rule(self, tmp_path, capsys):
         # the run solves the odd rule at the channel's order 3 only
-        payload = dict(MINIMAL, orders=[3], shifts={"mode": "odd"})
+        payload = dict(MINIMAL, orders=[3])
         assert main(["gaps", "--config", str(write_config(tmp_path, payload))]) == 0
         out = capsys.readouterr().out
         assert "shifts (2)" in out and re.findall(r"order (\d+):", out) == ["3"]
+
+    def test_gaps_prints_the_floor_next_to_the_l1_norm(self, capsys):
+        # fig4_sweep's toric Y pump (w_max = 8) runs the odd rule, which
+        # reaches the floor w_max^n of every exact rule at orders 1, 3 and 5
+        assert main(["gaps", "--config", str(FIGURES / "fig4_sweep.json")]) == 0
+        out = capsys.readouterr().out
+        assert "shifts (8)" in out
+        norms = re.findall(r"order \d+: .*\|c\|_1 (\S+)  floor (\S+)  ", out)
+        assert norms == [("8", "8"), ("512", "512"), ("32768", "32768")]
 
     def test_gaps_lists_each_channels_own_order(self, tmp_path, capsys):
         # fig3c's run solves pump 0 at order 3 and pump 1 at order 2; an
@@ -1227,7 +1254,9 @@ class TestCLI:
             shifts = re.search(r"  (shifts \(\d+\): .*?)\n  condition", block, re.S)
             assert (shifts is None) == ("no shift rule" in block)
             if shifts:
-                norms = re.findall(r"order (\d+): .*\|c\|_1 (\S+)  \|c\|_2\^2 (\S+)", block)
+                norms = re.findall(
+                    r"order (\d+): .*\|c\|_1 (\S+)  floor \S+  \|c\|_2\^2 (\S+)", block
+                )
                 printed.append((shifts[1], norms))
         assert printed == [
             (
@@ -1245,6 +1274,24 @@ class TestCLI:
     def test_spectra_missing_input_exit_two(self, tmp_path, capsys):
         assert main(["spectra", "--input", str(tmp_path / "absent.csv")]) == 2
         assert "absent.csv does not exist" in capsys.readouterr().err
+
+    def test_spectra_directory_input_is_not_a_file(self, tmp_path, capsys):
+        assert main(["spectra", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: input CSV {tmp_path} is not a file\n"
+
+    def test_spectra_envelope_directory_exit_two_before_writing(self, tmp_path, capsys):
+        # a directory at the envelope's path raised IsADirectoryError after the
+        # spectrum CSV was written
+        series = tmp_path / "series.csv"
+        t = np.linspace(0.0, 10.0, 64)
+        data = np.column_stack([t, np.exp(-0.3 * t) * np.cos(3.0 * t)])
+        np.savetxt(series, data, delimiter=",", header="t,value", comments="")
+        (tmp_path / "series.spectrum.envelope.json").mkdir()
+        assert main(["spectra", "--input", str(series), "--envelope"]) == 2
+        assert capsys.readouterr().err.startswith("config error: output JSON ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "series.csv", "series.spectrum.envelope.json"
+        ]
 
     def test_spectra_column_out_of_range_exit_two(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

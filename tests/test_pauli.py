@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,22 @@ class TestCommutatorAlgebra:
         assert dense_norm <= 2 ** 3 * sym + 1e-12
         if sym == 0.0:
             assert dense_norm < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_is_the_largest_pauli_coefficient_of_the_commutator(self, seed, n_terms):
+        # [A, B] = sum_Q c_Q Q with c_Q = tr(Q [A, B]) / 2^n, over all 64 strings
+        a, b = random_operator(3, n_terms, seed), random_operator(3, n_terms, seed + 1)
+        da, db = to_dense(a), to_dense(b)
+        commutator = da @ db - db @ da
+        strings = [
+            {site: x for site, x in enumerate(axes) if x != "I"}
+            for axes in itertools.product("IXYZ", repeat=3)
+        ]
+        largest = max(abs(np.trace(to_dense(op(3, (1.0, f))) @ commutator)) / 8 for f in strings)
+        sym = commutator_norm(a, b)
+        assert abs(sym - largest) <= 1e-12 * max(1.0, largest)
+        assert (sym == 0.0) == (largest < 1e-12)
 
     def test_terms_commute_pairwise(self):
         assert terms_commute_pairwise(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))

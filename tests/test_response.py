@@ -89,8 +89,10 @@ class TestReconstructResponse:
         beta = MultiIndex([2, 1])
         rules = rules_for_schedule(sched, beta)
         configs, weights = shift_configurations(rules, beta)
-        assert configs.shape == (9, 2)  # 3 x 3 Cartesian grid
-        assert weights.shape == (9,)
+        # order 2 takes the full 3-shift grid, order 1 one +- pair
+        assert [rules[a].n_shifts for a in (0, 1)] == [3, 2]
+        assert configs.shape == (6, 2)  # 3 x 2 Cartesian grid
+        assert weights.shape == (6,)
 
     def test_requires_initial_state(self, single_qubit):
         # the shared kernel rejects a missing, wrong-length or unnormalized
@@ -235,9 +237,13 @@ class TestPulseSummedResponse:
         observable = op(3, (1.0, {1: "Z"}), (0.5, {2: "X"}))
         grid = np.linspace(0.0, 2.1, 7)
         schedule, beta = PulseSchedule(channels), MultiIndex([order])
-        # the sumset {-4, -2, 0, 2, 4} of two pulses needs five shifts
+        # the sumset {-4, -2, 0, 2, 4} of two pulses needs five shifts, or
+        # at odd orders one +- pair per positive gap
         shifts = rules_for_schedule(schedule, beta)[0].shifts
-        assert shifts == pytest.approx(np.pi / 6 * np.arange(-2, 3))
+        if order % 2:
+            assert shifts == pytest.approx(np.pi / 8 * np.array([-3, -1, 1, 3]))
+        else:
+            assert shifts == pytest.approx(np.pi / 6 * np.arange(-2, 3))
         series = reconstruct_response(h, schedule, observable, grid, beta, EXACT, psi)
         oracle = pulse_summed_oracle(h, observable, channels, [order], grid, psi)
         assert np.max(np.abs(series.values - oracle)) < 1e-8

@@ -9,6 +9,7 @@ from nlspec.models import build_pump, PumpSpec
 from nlspec.pauli import OperatorSum, PauliTerm
 from nlspec.shift_rules import (
     GAP_TOL,
+    RESIDUAL_TOL,
     MultiIndex,
     ShiftRuleError,
     channel_gap_set,
@@ -200,7 +201,8 @@ class TestShiftGrid:
         gaps = gap_set(op(2, (0.3, {0: "X"}), (1.0, {1: "X"})))
         half = np.pi * (2 * np.arange(1, 5) - 1) / (2 * 6 * gaps.unit)
         assert np.allclose(shift_grid(gaps, mode="odd"), np.concatenate([-half[::-1], half]))
-        assert rule_for_gap_set(gaps, [1, 3], mode="odd").condition_number < 10
+        rule = rule_for_gap_set(gaps, [1, 3])
+        assert rule.basis == "fourier-odd" and rule.condition_number < 10
 
     def test_five_gap_grid(self):
         gaps = gap_set(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
@@ -238,13 +240,21 @@ class TestCoefficients:
         assert np.allclose(c, [0, 1, 0], atol=1e-12)
 
     def test_odd_rule_coefficients(self):
-        rule = rule_for_generator(op(1, (0.5, {0: "Z"})), [1], mode="odd")
+        rule = rule_for_generator(op(1, (0.5, {0: "Z"})), [1])
+        assert rule.basis == "fourier-odd"
         assert np.allclose(rule.shifts, [-np.pi / 2, np.pi / 2])
         assert np.allclose(rule.coefficients[1], [-0.5, 0.5], atol=1e-14)
 
-    def test_odd_rule_rejects_even_order(self):
-        with pytest.raises(ShiftRuleError):
-            rule_for_generator(op(1, (0.5, {0: "Z"})), [2], mode="odd")
+    def test_an_even_order_takes_the_full_grid(self):
+        for orders in ([2], [1, 2], [0, 3]):
+            rule = rule_for_generator(op(1, (0.5, {0: "Z"})), orders)
+            assert rule.basis == "fourier"
+            assert np.allclose(rule.shifts, [-np.pi / 2, 0.0, np.pi / 2])
+
+    def test_odd_shift_count_takes_the_full_grid(self):
+        # +- pairs make even counts only
+        rule = rule_for_generator(op(1, (0.5, {0: "Z"})), [1], n_shifts=5)
+        assert (rule.basis, rule.n_shifts) == ("fourier", 5)
 
     def test_degenerate_shifts_rejected(self):
         gaps = gap_set(op(1, (1.0, {0: "X"})))
@@ -288,18 +298,16 @@ class TestReconstruction:
         st.lists(st.integers(1, 10), min_size=1, max_size=3),
         st.integers(0, 10_000),
         st.integers(0, 3),
-        st.sampled_from(["full", "odd"]),
     )
-    def test_commensurate_site_disjoint_pumps_solve(self, tenths, seed, order, mode):
+    def test_commensurate_site_disjoint_pumps_solve(self, tenths, seed, order):
         # coefficients in tenths skip harmonics of the gap unit: 0.3 X0 + X1
         # has harmonics 0, 3, 7, 10 and 13 of 0.2, two of them equal mod M + 1
-        # and two with equal folded residues mod 2K
+        # and two with equal folded residues mod 2K; odd orders take the +-
+        # grid, even ones the full grid
         gen = op(len(tenths), *((k / 10, {i: "X"}) for i, k in enumerate(tenths)))
         gaps = gap_set(gen)
         assert gaps.unit is not None
-        if mode == "odd":
-            order |= 1
-        rule = rule_for_generator(gen, [order], mode=mode)
+        rule = rule_for_generator(gen, [order])
         f, derivative = band_limited_signal(gaps.gaps, seed)
         value = float(np.dot(rule.coefficients[order], [f(s) for s in rule.shifts]))
         assert abs(value - derivative(order)) < 1e-9 * max(1.0, abs(derivative(order)))
@@ -318,11 +326,56 @@ class TestReconstruction:
         order = 2 * half_order - 1
         gen = op(1, (0.5, {0: "Z"}))
         gaps = gap_set(gen)
-        rule = rule_for_generator(gen, [order], mode="odd")
+        rule = rule_for_generator(gen, [order])
+        assert rule.basis == "fourier-odd"
         f, derivative = band_limited_signal(gaps.gaps, seed)
         samples = [f(s) for s in rule.shifts]
         value = float(np.dot(rule.coefficients[order], samples))
         assert abs(value - derivative(order)) < 1e-12 * max(1.0, abs(derivative(order)))
+
+
+class TestOddRuleAtTheFloor:
+    """All-odd orders take the +- grid, whose l1 norm is the shot-noise factor
+    of the rule; on gaps that are the harmonics 1..K of one unit it reaches
+    w_max^n, the floor of every exact rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.sampled_from([1, -1]), st.sampled_from("XYZ")),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0.3, 0.5, 1.0, 1.7]),
+        st.sampled_from([1, 3, 5]),
+    )
+    def test_l1_norm_is_the_floor(self, terms, scale, order):
+        gen = op(len(terms), *((s * k * scale, {i: a}) for i, (k, s, a) in enumerate(terms)))
+        gaps = gap_set(gen)
+        assert gaps.unit is not None
+        harmonics = gaps.positive / gaps.unit
+        assume(np.allclose(harmonics, np.arange(1, harmonics.size + 1)))
+        rule = rule_for_gap_set(gaps, [order])
+        assert rule.basis == "fourier-odd" and rule.residuals[order] <= RESIDUAL_TOL
+        floor = gaps.max_gap**order
+        assert abs(rule.l1_norm(order) - floor) <= 1e-12 * floor
+
+    @pytest.mark.parametrize(
+        "coefficients", [(-1.6, 1.1, -1.8, -1.5), (0.5, -1.9, 0.2, -1.9)], ids=["cond", "real"]
+    )
+    def test_unsolvable_pairs_fall_back_to_the_full_grid(self, coefficients):
+        # the +- system fails the condition limit (1.5e8) and the realness
+        # check (at condition 2.4e7); the full grid solves both exactly
+        gen = op(4, *((c, {i: "X"}) for i, c in enumerate(coefficients)))
+        gaps = gap_set(gen)
+        odd = shift_rules._fourier_system(gaps, shift_grid(gaps, mode="odd"), 1)
+        with pytest.raises(ShiftRuleError):
+            shift_rules._solve(*odd)
+        rule = rule_for_generator(gen, [1])
+        assert (rule.basis, rule.n_shifts) == ("fourier", len(gaps))
+        f, derivative = band_limited_signal(gaps.gaps, 3)
+        value = float(np.dot(rule.coefficients[1], [f(s) for s in rule.shifts]))
+        assert abs(value - derivative(1)) < 1e-9 * max(1.0, abs(derivative(1)))
 
 
 class TestTaylorRule:
@@ -365,12 +418,12 @@ def kick_generators(draw):
 
 class TestExactParity:
     """Antisymmetric shifts and a symmetric gap set give weights of exact
-    parity, c[::-1] = (-1)^r c, in every mode."""
+    parity, c[::-1] = (-1)^r c, on every grid."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         kick_generators(),
-        st.sampled_from(["full", "odd", "taylor"]),
+        st.sampled_from(["fourier", "odd", "taylor"]),
         st.sets(st.integers(0, 4), min_size=1),
         st.integers(5, 8),
         st.floats(0.05, 1.0),
@@ -381,7 +434,7 @@ class TestExactParity:
             if mode == "taylor":
                 rule = taylor_rule(orders, n_taylor, scale)
             elif mode == "odd":
-                rule = rule_for_gap_set(gaps, {2 * r + 1 for r in orders}, mode="odd")
+                rule = rule_for_gap_set(gaps, {2 * r + 1 for r in orders})
             else:
                 rule = rule_for_gap_set(gaps, orders)
         except ShiftRuleError:
@@ -403,7 +456,9 @@ class TestExactParity:
         for rule in (taylor_rule([1], 7, 0.3), rule_for_gap_set(incommensurate, [1])):
             assert np.all(rule.shifts[::-1] == -rule.shifts)
         commensurate = gap_set(op(2, (1.0, {0: "X"}), (1.0, {1: "X"})))
-        assert np.array_equal(rule_for_gap_set(commensurate, [1]).shifts, shift_grid(commensurate))
+        for orders, mode in (([2], "full"), ([1], "odd")):
+            rule = rule_for_gap_set(commensurate, orders)
+            assert np.array_equal(rule.shifts, shift_grid(commensurate, mode=mode))
 
 
 class TestIncommensurate:
