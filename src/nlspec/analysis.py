@@ -248,10 +248,6 @@ def pca_slope(cloud: PointCloud2D) -> float:
     return float(v[1] / v[0])
 
 
-#: the reconstruction routes of ``third_order_2dos``
-S3_METHODS = ("shift_rule", "oracle")
-
-
 def third_order_2dos(
     h: OperatorSum,
     observable: OperatorSum,
@@ -290,10 +286,10 @@ def third_order_2dos(
     t3s = np.asarray(t3_grid, dtype=float)
     if np.any(t1s < 0) or np.any(t3s < 0):
         raise AnalysisError("t1 and t3 grids must be nonnegative")
-    if method not in S3_METHODS:
+    if method not in ("shift_rule", "oracle"):
         raise AnalysisError(f"unknown method {method!r}")
     out = np.empty((t1s.size, t3s.size))
-    by_commutator = s3_commutator_rows(t_2, t1s, method)
+    by_commutator = s3_commutator_rows(t_2, t1s) | (method == "oracle")
     for i in np.flatnonzero(by_commutator):
         pulses = [(pump, t1s[i] + t_2), (pump, t1s[i]), (pump, 0.0)]
         out[i] = nested_commutator_series(h, observable, pulses, t1s[i] + t_2 + t3s, psi0, evolver)
@@ -304,12 +300,12 @@ def third_order_2dos(
     return out
 
 
-def s3_commutator_rows(t_2: float, t1_grid: Sequence[float], method: str) -> np.ndarray:
-    """Per t1 of ``third_order_2dos``, whether its row takes the commutator
-    route: every row under "oracle" or when t_2 = 0, else the rows with
-    t1 = 0.  The other rows take the shift rule (``s3_shift_rule``)."""
+def s3_commutator_rows(t_2: float, t1_grid: Sequence[float]) -> np.ndarray:
+    """Per t1 of the "shift_rule" route of ``third_order_2dos``, whether its
+    row takes the commutator route: every row when t_2 = 0, else the rows
+    with t1 = 0.  The other rows take the shift rule (``s3_shift_rule``)."""
     t1s = np.asarray(t1_grid, dtype=float)
-    return t1s == 0 if method == "shift_rule" and t_2 > 0 else np.full(t1s.size, True)
+    return t1s == 0 if t_2 > 0 else np.full(t1s.size, True)
 
 
 def s3_shift_rule(pump: OperatorSum) -> ShiftRule:

@@ -2,7 +2,7 @@
 
 Subcommands:
   run      execute an experiment config and write its artifacts
-  verify   cross-check the shift-rule engine against the commutator oracle
+  verify   check a response, decomposition or 2dos run against the commutator oracle
   gaps     print each pump channel's gap set (the sumset over its pulses) and
            the shift rule the run builds on it: shifts, weights and norms
   spectra  post-process an existing time-series CSV into a spectrum
@@ -85,6 +85,7 @@ def _cmd_verify(args) -> int:
     out = make_output_dir(args.out) if args.out else None
     report = verify_experiment(config, tolerance=args.tolerance)
     print(f"observable: {report['observable']}  tolerance: {report['tolerance']:.2e}")
+    print(f"times checked: {report['n_times']}")
     rule = f"{report['n_shifts']} shifts ({report['basis']})"
     print(f"shift rule: {rule}, condition number {report['condition_number']:.3e}")
     print("order  max|shift rule - commutator|  max|fd - commutator|  oracle scale  rule residual")
@@ -117,7 +118,7 @@ def _cmd_gaps(args) -> int:
     elif protocol in ("pump_probe", "sweep"):
         rules = {0: _pump_probe_drive(config)[3]}
     elif protocol == "2dos":
-        if not s3_commutator_rows(config.t2, config.t1_grid.values(), config.method).all():
+        if not s3_commutator_rows(config.t2, config.t1_grid.values()).all():
             rules = {0: s3_shift_rule(channels[0][0])}
     why = {
         "entropy": "the entropy protocol fits its eta grid",

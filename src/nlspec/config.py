@@ -20,7 +20,8 @@ a pump or an observable only ``kind`` plus its kind's row of ``KIND_FIELDS``
 rejected, so a typo or an ignored setting fails loudly, and missing
 required fields are reported by name.  ``to_json_dict`` writes the same
 fields, defaults included, and round-trips exactly through
-``config_from_dict``.
+``config_from_dict``.  No field picks a reconstruction route: a run takes
+the shift rule, and ``nlspec verify`` compares it with the oracle's.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .analysis import S3_METHODS
 from .evolution import EXACT, Evolver
 from .models import ModelSpec, PumpSpec, build_pump
 from .pauli import OperatorSum, PauliTerm
@@ -46,7 +46,7 @@ PROTOCOL_FIELDS = {
     "decomposition": ("observables", "time_grid", "shifts", "eta_eval", "max_order"),
     "pump_probe": ("probe_1", "probe_2", "t1_grid", "t3_grid", "orders", "eta_ref", "kappa"),
     "sweep": ("probe_1", "probe_2", "t1_grid", "t3_grid", "orders", "eta_ref", "sweep_values"),
-    "2dos": ("observables", "t1_grid", "t3_grid", "t2", "method"),
+    "2dos": ("observables", "t1_grid", "t3_grid", "t2"),
     "entropy": ("eta_grid", "block_size", "entropy_time", "eta_eval", "max_order", "delta_values"),
 }
 
@@ -223,7 +223,6 @@ class ExperimentConfig:
     block_size: int | None = None
     entropy_time: float = 1.0
     delta_values: tuple[float, ...] = ()
-    method: str = "shift_rule"
 
     def __post_init__(self):
         # here rather than in _validate, so that a seed replaced later
@@ -378,8 +377,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("delta_values: the anisotropy scan needs the xxz model")
     if protocol == "sweep" and config.model.kind != "toric_code":
         raise ConfigError("model: the sweep protocol sweeps the toric-code coupling")
-    if config.method not in S3_METHODS:
-        raise ConfigError(f"method: unknown method {config.method!r}, expected one of {S3_METHODS}")
     read = PROTOCOL_FIELDS[protocol]
     if "orders" in read and min(config.orders, default=0) < 0:
         raise ConfigError(f"orders: derivative orders must be >= 0, not {list(config.orders)}")
@@ -431,14 +428,18 @@ def _validate(config: ExperimentConfig) -> None:
             build_pump(channel.pump, n_qubits)
         except ValueError as exc:
             raise ConfigError(f"pumps[{i}]: {exc}") from exc
-    labels = [obs.label() for obs in config.observables]
     for i, obs in enumerate(config.observables):
         try:
             build_observable(obs, n_qubits)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"observables[{i}]: {exc}") from exc
-        if (first := labels.index(labels[i])) < i:  # the label names the observable's files
-            raise ConfigError(f"observables[{first}] and observables[{i}]: both are {labels[i]!r}")
+    # a label names its observable's files, or its amplitude's decomposition columns
+    labels = [obs.label() for obs in config.observables]
+    etas = [f"{e:g}" for e in config.eta_eval] if "eta_eval" in read else []
+    for name, names in (("observables", labels), ("eta_eval", etas)):
+        for i, label in enumerate(names):
+            if (first := names.index(label)) < i:
+                raise ConfigError(f"{name}[{first}] and {name}[{i}]: both are {label!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

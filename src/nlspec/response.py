@@ -155,9 +155,7 @@ def decomposition_rule(
     generator, times = channel
     gaps = channel_gap_set(generator, len(times))
     exact_feasible = gaps.unit is not None and len(gaps) <= _SHIFT_BUDGET
-    if n_shifts is None and exact_feasible:
-        return rule_for_gap_set(gaps, orders)
-    if n_shifts is not None and exact_feasible and n_shifts >= len(gaps):
+    if exact_feasible and (n_shifts is None or n_shifts >= len(gaps)):
         return rule_for_gap_set(gaps, orders, n_shifts=n_shifts)
     m = n_shifts if n_shifts is not None else max_order + 1
     if m < max_order + 1:

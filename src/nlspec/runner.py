@@ -37,6 +37,8 @@ from .analysis import (
     pca_slope,
     PointCloud2D,
     pump_probe_correlator,
+    s3_commutator_rows,
+    s3_shift_rule,
     third_order_2dos,
 )
 from .config import ConfigError, ExperimentConfig, build_observable, make_output_dir, to_json_dict
@@ -50,6 +52,7 @@ from .reference import (
 )
 from .response import (
     MultiIndex,
+    decomposition_rule,
     reconstruct_response,
     response_decomposition,
     rules_for_schedule,
@@ -113,77 +116,85 @@ class _Run:
 
 
 def _materialize(run: _Run):
+    """H, the pulse schedule, the (label, operator) observables and psi0; a
+    config without observables (2dos) reads X_0 + X_1, which no kind expresses."""
     h, psi0 = run.model()
     n = h.n_sites
     pumps = [(build_pump(c.pump, n), c.times) for c in run.config.pumps]
     schedule = PulseSchedule(pumps)
-    observables = [(o.label(), build_observable(o, n)) for o in run.config.observables]
+    observables = [(o.label(), build_observable(o, n)) for o in run.config.observables] or [
+        (" + ".join(f"X_{i}" for i in range(min(2, n))),
+         OperatorSum(tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n))
+    ]
     return h, schedule, observables, psi0
 
 
-def _emit_series_and_spectrum(csv, name: str, times, values, dt: float):
-    csv(f"{name}.csv", ["t[1/J]", "value"], times, values)
-    if times.size > 1 and dt > 0:
-        spec = response_spectrum(values, dt=dt)
-        csv(
-            f"{name}_spectrum.csv",
-            ["omega[J]", "magnitude", "real", "imag"],
-            spec.frequencies, spec.magnitudes, spec.amplitudes.real, spec.amplitudes.imag,
-        )
-
-
-def _run_response(run: _Run) -> dict:
-    config, csv = run.config, run.csv
-    h, schedule, observables, psi0 = _materialize(run)
+def _response_series(config: ExperimentConfig, system) -> tuple[dict, dict, dict]:
+    """The response compute step on ``_materialize``'s ``system``: a ``ResponseSeries``
+    per observable label, the channels' shift rules and the run's metadata."""
+    h, schedule, observables, psi0 = system
     grid = config.time_grid.values()
     beta = MultiIndex(config.orders)
     rules = rules_for_schedule(schedule, beta, n_shifts=config.shifts.n_shifts)
-    meta: dict = {"orders": list(beta.beta), "n_configurations": None}
+    meta: dict = {"orders": list(beta.beta)}
     plan = None
     if config.sampling is not None:
         total, mode = config.sampling.total_shots, config.sampling.mode
         _, weights = shift_configurations(rules, beta)
         plan = allocate_shots(weights, total, mode, config.seed)
         meta["variance_bound"] = variance_bound(weights, total, mode)
-    tag = "m" + "-".join(str(b) for b in beta.beta)
-    for label, observable in observables:
-        series = reconstruct_response(
-            h, schedule, observable, grid, beta, config.evolver, psi0, rules, plan
-        )
-        meta["n_configurations"] = series.metadata["n_configurations"]
+    series = {
+        label: reconstruct_response(h, schedule, obs, grid, beta, config.evolver, psi0, rules, plan)
+        for label, obs in observables
+    }
+    meta["n_configurations"] = next(iter(series.values())).metadata["n_configurations"]
+    return series, rules, meta
+
+
+def _run_response(run: _Run) -> dict:
+    config, csv = run.config, run.csv
+    series, _, meta = _response_series(config, _materialize(run))
+    grid, dt = config.time_grid.values(), config.time_grid.dt
+    tag = "m" + "-".join(str(b) for b in config.orders)
+    for label, response in series.items():
         name = f"response_{tag}_{label}"
-        _emit_series_and_spectrum(csv, name, grid, series.values, config.time_grid.dt)
-        if plan is not None:
+        csv(f"{name}.csv", ["t[1/J]", "value"], grid, response.values)
+        if grid.size > 1 and dt > 0:
+            spec = response_spectrum(response.values, dt=dt)
+            csv(
+                f"{name}_spectrum.csv",
+                ["omega[J]", "magnitude", "real", "imag"],
+                spec.frequencies, spec.magnitudes, spec.amplitudes.real, spec.amplitudes.imag,
+            )
+        if config.sampling is not None:
             csv(
                 f"{name}_sampled.csv",
                 ["t[1/J]", "estimate", "std_error"],
-                grid, series.metadata["sampled"], series.metadata["std_error"],
+                grid, response.metadata["sampled"], response.metadata["std_error"],
             )
     return meta
 
 
+def _decomposition_terms(config: ExperimentConfig, system):
+    """The decomposition compute step: (terms, residuals, rule) of the first observable."""
+    h, schedule, observables, psi0 = system
+    return response_decomposition(
+        h, schedule, observables[0][1], config.time_grid.values(), config.eta_eval,
+        config.max_order, config.evolver, psi0, n_shifts=config.shifts.n_shifts,
+    )
+
+
 def _run_decomposition(run: _Run) -> dict:
     config, csv = run.config, run.csv
-    h, schedule, observables, psi0 = _materialize(run)
-    label, observable = observables[0]
+    system = _materialize(run)
+    terms, residuals, rule = _decomposition_terms(config, system)
     grid = config.time_grid.values()
-    terms, residuals, rule = response_decomposition(
-        h,
-        schedule,
-        observable,
-        grid,
-        config.eta_eval,
-        config.max_order,
-        config.evolver,
-        psi0,
-        n_shifts=config.shifts.n_shifts,
-    )
     etas = [f"{e:g}" for e in config.eta_eval]
     for n in range(config.max_order + 1):
         csv(f"A{n}.csv", ["t[1/J]"] + [f"A{n}[eta={e}]" for e in etas], grid, *terms[:, n])
     csv("diff.csv", ["t[1/J]"] + [f"diff[eta={e}]" for e in etas], grid, *residuals)
     return {
-        "observable": label,
+        "observable": system[2][0][0],
         "basis": rule.basis,
         "max_abs_diff": dict(zip(etas, np.abs(residuals).max(axis=1).tolist())),
     }
@@ -299,20 +310,21 @@ def _run_sweep(run: _Run) -> dict:
     return {"orders": orders, "n_g": len(g_values)}
 
 
+def _s3(config: ExperimentConfig, system, method: str) -> np.ndarray:
+    """The 2dos compute step on ``system``: S3 of the first observable over
+    the (t1, t3) grid by ``method`` ("shift_rule", the run's, or "oracle")."""
+    h, schedule, observables, psi0 = system
+    return third_order_2dos(
+        h, observables[0][1], schedule.channels[0][0], config.t2, config.t1_grid.values(),
+        config.t3_grid.values(), psi0, config.evolver, method,
+    )
+
+
 def _run_2dos(run: _Run) -> dict:
     config, csv = run.config, run.csv
-    h, schedule, observables, psi0 = _materialize(run)
-    n = h.n_sites
-    pump, _ = schedule.channels[0]
-    if observables:
-        readout, observable = observables[0]
-    else:  # X_0 + X_1, which no observable kind expresses
-        readout = " + ".join(f"X_{i}" for i in range(min(2, n)))
-        observable = OperatorSum(tuple(PauliTerm(1.0, {i: "X"}) for i in range(min(2, n))), n)
+    system = _materialize(run)
+    s3 = _s3(config, system, "shift_rule")
     t1s, t3s = config.t1_grid.values(), config.t3_grid.values()
-    s3 = third_order_2dos(
-        h, observable, pump, config.t2, t1s, t3s, psi0, config.evolver, config.method
-    )
     csv("s3_time.csv", ["t1[1/J]", "t3[1/J]", "S3"], t1s[:, None], t3s[None, :], s3)
     spec = spectrum_2d(s3, config.t1_grid.dt, config.t3_grid.dt)
     csv(
@@ -326,8 +338,7 @@ def _run_2dos(run: _Run) -> dict:
         "p_diag": p_diag,
         "p_off": p_off,
         "off_fraction": p_off / (p_diag + p_off) if p_diag + p_off > 0 else 0.0,
-        "method": config.method,
-        "readout": readout,
+        "readout": system[2][0][0],
     }
 
 
@@ -415,88 +426,83 @@ def run_experiment(
 
 #: amplitude step of the finite-difference baseline in ``verify_experiment``
 _FD_STEP = 1e-3
-#: ``verify_experiment`` checks orders 1 to this one
-_VERIFY_MAX_ORDER = 5
-#: points of the time grid span that ``verify_experiment`` checks
+#: ``verify_experiment`` cuts a longer time grid to this many points of its span
 _VERIFY_TIMES = 11
 
 
 def verify_experiment(config: ExperimentConfig, tolerance: float) -> dict:
-    """Cross-check the shift-rule reconstruction against the commutator route.
-
-    The config is a response or decomposition config (its first observable
-    is checked) with one pump channel of one pulse (``ConfigError``
-    otherwise).  The rule is of the run's family, on the config's
-    ``n_shifts``: the odd orders up to ``_VERIFY_MAX_ORDER`` when the run's
-    rule is odd (a response config of odd order), else orders 1 to
-    ``_VERIFY_MAX_ORDER``.  Returns a report with per-order maximum
-    deviations (plus the finite-difference baseline at low orders), the
-    rule's health (``n_shifts``, ``basis``, ``condition_number``, each
-    order's ``residual``) and a pass flag; used by the CLI `verify`
-    subcommand.
-    ``tolerance`` must be positive and finite (``ConfigError`` otherwise).
-    """
+    """The CLI `verify` report: the run's compute step, on the first observable
+    without sampling and on at most ``_VERIFY_TIMES`` points of the time grid's
+    span, against the commutator oracle (2dos: S3's "oracle" route), with a
+    finite-difference baseline at orders 1 and 2.  ``ConfigError`` first for a
+    ``tolerance`` not positive and finite, or a config that cannot be checked
+    or whose check would compare a route with itself."""
+    protocol, pumps = config.protocol, config.pumps
     if not 0 < tolerance < math.inf:
         raise ConfigError(f"tolerance: must be positive and finite, not {tolerance!r}")
-    if config.protocol not in ("response", "decomposition"):
-        raise ConfigError(f"verify checks response and decomposition configs, not {config.protocol}")
-    if len(config.pumps) != 1:
-        raise ConfigError(
-            f"verification needs a single pump channel; the config has {len(config.pumps)}"
-        )
-    if len(config.pumps[0].times) != 1:
-        raise ConfigError(
-            "verification needs a single pulse; the pump lists "
-            f"{len(config.pumps[0].times)} times"
-        )
-    h, schedule, observables, psi0 = _materialize(_Run(config))
-    label, observable = observables[0]
+    if protocol not in ("response", "decomposition", "2dos"):
+        raise ConfigError(f"verify checks response, decomposition and 2dos configs, not {protocol}")
+    if (pulses := [len(c.times) for c in pumps]) != [1]:
+        raise ConfigError(f"verify needs a single pump channel of a single pulse, not {pulses}")
+    if {"response": config.orders, "decomposition": (config.max_order,)}.get(protocol) == (0,):
+        raise ConfigError(f"verify: the {protocol} run's order is 0, the unperturbed signal")
+    if protocol == "decomposition":
+        channel = (build_pump(pumps[0].pump, config.model.n_qubits()), pumps[0].times)
+        rule = decomposition_rule(channel, config.max_order, n_shifts=config.shifts.n_shifts)
+        if rule.basis == "taylor":  # exact only to degree n_shifts - 1 in the amplitude
+            raise ConfigError(
+                f"verify checks exact rules, not the run's truncated taylor rule on "
+                f"{rule.n_shifts} shifts in [{rule.shifts[0]:.6g}, {rule.shifts[-1]:.6g}]"
+            )
+    if protocol == "2dos" and s3_commutator_rows(config.t2, config.t1_grid.values()).all():
+        raise ConfigError(f"verify: at t2 = {config.t2:g} every 2dos row takes the oracle's route")
+    grid = replace(config.time_grid, points=min(config.time_grid.points, _VERIFY_TIMES))
+    config = replace(config, observables=config.observables[:1], sampling=None, time_grid=grid)
+    h, schedule, ((label, observable),), psi0 = system = _materialize(_Run(config))
     generator, (t_pulse,) = schedule.channels[0]
-    grid = np.linspace(config.time_grid.start, config.time_grid.stop, _VERIFY_TIMES)
-    grid = grid[grid >= t_pulse]
-    # one rule and one propagation of its shifts serve every order
-    odd = config.protocol == "response" and all(m % 2 for m in config.orders)
-    orders = range(1, _VERIFY_MAX_ORDER + 1, 2 if odd else 1)
-    rule = rule_for_generator(generator, orders, config.shifts.n_shifts)
-    signals = driven_signal(
-        h, schedule, rule.shifts[:, None], observable, grid, config.evolver, psi0
-    )
-    # every finite-difference stencil amplitude over the sampled times at once
-    stride = max(1, len(grid) // 4)
-    # sorted distinct amplitudes; np.unique would import numpy.ma on first use
-    fd_etas = sorted({x for m in (1, 2) for x in stencil_amplitudes(m, _FD_STEP).tolist()})
-    fd_signals = driven_signal(
-        h, schedule, np.array(fd_etas)[:, None], observable, grid[::stride], config.evolver, psi0
-    )
-    fd_sample = dict(zip(fd_etas, fd_signals))
-    # row m: the order-m commutator response, every order from one ket block
-    oracles = nested_commutator_prefixes(
-        h, observable, [(generator, t_pulse)] * _VERIFY_MAX_ORDER, grid, psi0, config.evolver
-    )
-    rows = []
-    worst = 0.0
-    for m in orders:
-        series = rule.coefficients[m] @ signals / math.factorial(m)
-        oracle = oracles[m]
-        dev = float(np.max(np.abs(series - oracle)))
-        worst = max(worst, dev)
-        fd_dev = None
-        if m <= 2:
-            fd = finite_difference_derivative(fd_sample.__getitem__, m, _FD_STEP)
-            target = oracle[::stride]
-            fd_dev = float(np.max(np.abs(fd / math.factorial(m) - target)))
-        rows.append(
-            {
-                "order": m,
-                "max_abs_shift_rule_minus_commutator": dev,
-                "max_abs_fd_minus_commutator": fd_dev,
-                "oracle_scale": float(np.max(np.abs(oracle))),
-                "residual": float(rule.residuals[m]),
-            }
+    times, fd = grid.values(), {}
+    if protocol == "2dos":
+        values, rule = _s3(config, system, "shift_rule"), s3_shift_rule(generator)
+        checks = [(3, values, _s3(config, system, "oracle"), rule.residuals[1])]
+    else:
+        if protocol == "response":
+            series, rules, _ = _response_series(config, system)
+            rule, m, etas = rules[0], config.orders[0], 1.0
+            computed = {m: series[label].values}
+        else:  # the written columns A_n, eta^n times the order-n response
+            terms, _, rule = _decomposition_terms(config, system)
+            m, etas = config.max_order, np.array(config.eta_eval)[:, None]
+            computed = {n: terms[:, n] for n in range(1, m + 1)}
+        # row n: the order-n commutator response, every order from one ket block
+        oracles = nested_commutator_prefixes(
+            h, observable, [(generator, t_pulse)] * m, times, psi0, config.evolver
         )
+        checks = [(n, v, etas**n * oracles[n], rule.residuals[n]) for n, v in computed.items()]
+        if fd_orders := [n for n in computed if n <= 2]:
+            # every stencil amplitude at once, sorted and distinct (np.unique imports numpy.ma)
+            amps = sorted({x for n in fd_orders for x in stencil_amplitudes(n, _FD_STEP)})
+            signals = driven_signal(
+                h, schedule, np.array(amps)[:, None], observable, times, config.evolver, psi0
+            )
+            sample = dict(zip(amps, signals)).__getitem__
+            for n in fd_orders:
+                estimate = finite_difference_derivative(sample, n, _FD_STEP)
+                fd[n] = float(np.max(np.abs(estimate / math.factorial(n) - oracles[n])))
+    rows = [
+        {
+            "order": n,
+            "max_abs_shift_rule_minus_commutator": float(np.max(np.abs(values - oracle))),
+            "max_abs_fd_minus_commutator": fd.get(n),
+            "oracle_scale": float(np.max(np.abs(oracle))),
+            "residual": float(residual),
+        }
+        for n, values, oracle, residual in checks
+    ]
+    worst = max(row["max_abs_shift_rule_minus_commutator"] for row in rows)
     return {
         "observable": label,
         "tolerance": tolerance,
+        "n_times": checks[0][1].size if protocol == "2dos" else times.size,
         "n_shifts": rule.n_shifts,
         "basis": rule.basis,
         "condition_number": float(rule.condition_number),

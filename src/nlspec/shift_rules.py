@@ -393,10 +393,8 @@ def rule_for_gap_set(gaps: GapSet, orders: Sequence[int], n_shifts: int | None =
     return _rule(shift_grid(gaps, n_shifts), orders, system, "fourier")
 
 
-def rule_for_generator(
-    generator: OperatorSum, orders: Sequence[int], n_shifts: int | None = None
-) -> ShiftRule:
-    return rule_for_gap_set(gap_set(generator), orders, n_shifts)
+def rule_for_generator(generator: OperatorSum, orders: Sequence[int]) -> ShiftRule:
+    return rule_for_gap_set(gap_set(generator), orders)
 
 
 def taylor_rule(orders: Sequence[int], n_shifts: int, scale: float) -> ShiftRule:

@@ -23,7 +23,7 @@ from nlspec.config import (
     load_config,
     to_json_dict,
 )
-from nlspec import evolution, models, runner, shift_rules
+from nlspec import analysis, evolution, models, runner, shift_rules
 from nlspec.runner import run_experiment, verify_experiment
 
 MINIMAL = {
@@ -92,7 +92,6 @@ SAMPLE_VALUES = {
     "block_size": 1,
     "entropy_time": 0.5,
     "delta_values": [1.0],
-    "method": "oracle",
 }
 
 #: every (protocol, field) pair that the protocol's run never reads
@@ -251,8 +250,8 @@ class TestConfigParsing:
         assert set(SAMPLE_VALUES) == names
         assert all(set(fields) <= names for fields in PROTOCOL_FIELDS.values())
         # 5 settable common fields on each protocol, plus its own row
-        assert 5 * len(PROTOCOL_FIELDS) + sum(map(len, PROTOCOL_FIELDS.values())) == 65
-        assert len(UNREAD) == 85
+        assert 5 * len(PROTOCOL_FIELDS) + sum(map(len, PROTOCOL_FIELDS.values())) == 64
+        assert len(UNREAD) == 80
 
     @pytest.mark.parametrize(
         "figure, changes, message",
@@ -272,11 +271,21 @@ class TestConfigParsing:
                 r"shifts: unknown field\(s\) \['mode'\]",
                 id="decomposition_odd",
             )
+        ]
+        + [
+            pytest.param(
+                FIGURE_OF[protocol],
+                {"method": "oracle"},
+                rf"config: unknown field\(s\) \['method'\] for the {protocol} protocol",
+                id=f"{protocol}_method",
+            )
+            for protocol in PROTOCOL_FIELDS
         ],
     )
     def test_ignored_setting_rejected(self, figure, changes, message):
         # each field is one that the protocol's run never reads; a shift
-        # mode is no setting at all, since the orders pick the grid
+        # mode is no setting at all, since the orders pick the grid, and no
+        # protocol has a method, since "oracle" is verify's route
         path = FIGURES / f"{figure}.json"
         with pytest.raises(ConfigError, match=message):
             config_from_dict(dict(json.loads(path.read_text()), **changes))
@@ -678,17 +687,21 @@ class TestProtocolFields:
         assert len(resolved["eta_grid"]) == 7 and etas.tolist() == resolved["eta_grid"]
 
 
+def perturbed(rule):
+    """``rule`` with the first weight of each order off by 1e-3."""
+    weights = {m: np.append(c[0] + 1e-3, c[1:]) for m, c in rule.coefficients.items()}
+    return dataclasses.replace(rule, coefficients=weights)
+
+
 def perturb_rule_weights(monkeypatch):
-    """Route ``verify_experiment`` through a rule whose first weight of each
-    order is off by 1e-3."""
-    build = runner.rule_for_generator
-
-    def perturbed(*args):
-        rule = build(*args)
-        weights = {m: np.append(c[0] + 1e-3, c[1:]) for m, c in rule.coefficients.items()}
-        return dataclasses.replace(rule, coefficients=weights)
-
-    monkeypatch.setattr(runner, "rule_for_generator", perturbed)
+    """Hand the response compute step, which the run and verify share, rules
+    whose first weight of each order is off by 1e-3."""
+    build = runner.rules_for_schedule
+    monkeypatch.setattr(
+        runner,
+        "rules_for_schedule",
+        lambda *a, **k: {channel: perturbed(rule) for channel, rule in build(*a, **k).items()},
+    )
 
 
 class TestVerify:
@@ -712,10 +725,12 @@ class TestVerify:
     def test_krylov_chain_checks_nonzero_orders(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, CHAIN10))
         report = verify_experiment(config, tolerance=1e-8)
-        # CHAIN10's order 3 is odd, so its run and verify take the +- grid
+        # CHAIN10's order 3 is odd, so its run takes the +- grid; verify
+        # checks that order on 11 times of the run's 16-point span
         assert (report["n_shifts"], report["basis"]) == (2, "fourier-odd")
-        scales = {row["order"]: row["oracle_scale"] for row in report["orders"]}
-        assert scales[1] > 0.5 and scales[3] > 0.3
+        assert report["n_times"] == 11
+        ((order, scale),) = [(row["order"], row["oracle_scale"]) for row in report["orders"]]
+        assert order == 3 and scale > 0.3
         assert report["passed"]
         assert report["max_deviation"] < 1e-10
         perturb_rule_weights(monkeypatch)
@@ -757,18 +772,22 @@ class TestVerify:
     def test_one_propagation_per_route(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting_driven_signal(*args, **kwargs):
-            calls.append(np.shape(args[2]))
-            return driven_signal(*args, **kwargs)
+        def counting(name):
+            function = getattr(runner, name)
 
-        driven_signal = runner.driven_signal
-        monkeypatch.setattr(runner, "driven_signal", counting_driven_signal)
+            def counted(*args, **kwargs):
+                calls.append((name, np.shape(args[2]) if name == "driven_signal" else None))
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(runner, name, counted)
+
+        for name in ("reconstruct_response", "driven_signal"):
+            counting(name)
         config = load_config(write_config(tmp_path, MINIMAL))
         assert verify_experiment(config, tolerance=1e-8)["passed"]
-        # the shared shifts of orders 1..5, then every stencil amplitude of
-        # orders 1 and 2 at step and half-step (+-h, +-h/2 and 0)
-        assert len(calls) == 2
-        assert calls[1] == (5, 1)
+        # the run's own reconstruction of order 1, then the stencil
+        # amplitudes of order 1 at step and half-step (+-h and +-h/2)
+        assert calls == [("reconstruct_response", None), ("driven_signal", (4, 1))]
 
     def test_twelve_site_figure_passes(self):
         # fig3a's 12-site Trotter chain, at the engine's site cap
@@ -779,17 +798,50 @@ class TestVerify:
 
     def test_checks_the_config_shift_rule(self, tmp_path):
         # the run's rule of an X kick at odd order is the +-pi/4 pair, at
-        # even order the full 3-shift rule; verify checks that rule's family
-        for order, n_shifts, basis, checked in (
-            (3, 2, "fourier-odd", [1, 3, 5]),
-            (2, 3, "fourier", [1, 2, 3, 4, 5]),
-        ):
+        # even order the full 3-shift rule; verify checks the run's order
+        # with it, and orders 1 and 2 against finite differences too
+        for order, n_shifts, basis in ((3, 2, "fourier-odd"), (2, 3, "fourier")):
             payload = dict(MINIMAL, orders=[order])
             config = load_config(write_config(tmp_path, payload))
             report = verify_experiment(config, tolerance=1e-8)
             assert (report["n_shifts"], report["basis"]) == (n_shifts, basis)
-            assert [row["order"] for row in report["orders"]] == checked
+            (row,) = report["orders"]
+            assert row["order"] == order
+            assert (row["max_abs_fd_minus_commutator"] is None) == (order > 2)
             assert report["passed"]
+
+    def test_decomposition_checks_every_written_column(self, tmp_path):
+        # A_1..A_3 at both amplitudes against eta^n times the order-n oracle
+        payload = dict(MINIMAL, protocol="decomposition", eta_eval=[0.1, 0.4], max_order=3)
+        del payload["orders"]
+        report = verify_experiment(load_config(write_config(tmp_path, payload)), tolerance=1e-8)
+        assert [row["order"] for row in report["orders"]] == [1, 2, 3]
+        assert report["basis"] == "fourier" and report["n_times"] == 7
+        assert report["passed"] and max(row["oracle_scale"] for row in report["orders"]) > 1e-2
+
+    def test_run_mutations_fail(self, tmp_path, monkeypatch):
+        # verify runs the run's compute step: a 1e-6 relative error in the
+        # run's reconstruction fails it, as perturbed run rules do
+        path = write_config(tmp_path, MINIMAL)
+        build = runner.reconstruct_response
+
+        def scaled(*args, **kwargs):
+            series = build(*args, **kwargs)
+            return dataclasses.replace(series, values=series.values * (1 + 1e-6))
+
+        monkeypatch.setattr(runner, "reconstruct_response", scaled)
+        assert not verify_experiment(load_config(path), tolerance=1e-8)["passed"]
+        assert main(["verify", "--config", str(path)]) == 3
+
+    def test_2d_rule_mutation_fails(self, tmp_path, monkeypatch):
+        # the 2D shift-rule route against its oracle route, on a cut fig5
+        config = cut_figure("fig5")
+        assert verify_experiment(config, tolerance=1e-8)["passed"]
+        build = analysis.s3_shift_rule
+        monkeypatch.setattr(analysis, "s3_shift_rule", lambda pump: perturbed(build(pump)))
+        assert not verify_experiment(config, tolerance=1e-8)["passed"]
+        path = write_config(tmp_path, to_json_dict(config))
+        assert main(["verify", "--config", str(path)]) == 3
 
 
 #: an observable or pump on a repeated site; unchecked, each built another
@@ -882,17 +934,43 @@ class TestCLI:
         with pytest.raises(ConfigError, match="^tolerance: must be positive and finite"):
             verify_experiment(load_config(path), float(tolerance))
 
-    def test_verify_names_the_rule_that_cannot_solve(self, capsys):
-        # fig2's 8 shifts are too few for an exact rule on its 153 gaps
-        assert main(["verify", "--config", str(FIGURES / "fig2.json")]) == 2
-        assert "8 shifts cannot satisfy 153 gap constraints" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_verify_bundled_figure(self, capsys, monkeypatch, name):
+        # each refusal names its reason; fig2's comes before the model is built
+        refusals = {
+            "fig2": "not the run's truncated taylor rule on 8 shifts",
+            "fig3c": "needs a single pump channel of a single pulse, not [1, 1]",
+        }
+        if name == "fig2":
+            monkeypatch.setattr(runner, "_materialize", lambda run: pytest.fail("built"))
+        code = main(["verify", "--config", str(FIGURES / f"{name}.json")])
+        out, err = capsys.readouterr()
+        if name in ("fig3a", "fig3b", "fig5", "fig5_indirect"):
+            assert code == 0 and "PASS: max deviation" in out
+        else:
+            protocol = load_config(FIGURES / f"{name}.json").protocol
+            reason = refusals.get(name, f"decomposition and 2dos configs, not {protocol}")
+            assert code == 2 and reason in err
 
-    def test_verify_without_observable_exit_two(self, capsys):
-        # fig5 is a 2dos config, which has no time_grid to check the response on
-        assert main(["verify", "--config", str(FIGURES / "fig5.json")]) == 2
-        assert "verify checks response and decomposition configs, not 2dos" in (
-            capsys.readouterr().err
-        )
+    @pytest.mark.parametrize(
+        "figure, changes, message",
+        [
+            ("fig3a", {"orders": [0]}, "the response run's order is 0, the unperturbed signal"),
+            ("fig2", {"max_order": 0}, "the decomposition run's order is 0"),
+            ("fig5", {"t2": 0.0}, "at t2 = 0 every 2dos row takes the oracle's route"),
+        ],
+        ids=["order_zero", "max_order_zero", "2dos_t2_zero"],
+    )
+    def test_verify_nothing_to_compare_exit_two(
+        self, tmp_path, capsys, monkeypatch, figure, changes, message
+    ):
+        # each compares a route with itself: the unperturbed signal at order
+        # 0, the oracle's route on every 2dos row at t2 = 0
+        monkeypatch.setattr(runner, "_materialize", lambda run: pytest.fail("built"))
+        raw = json.loads((FIGURES / f"{figure}.json").read_text())
+        path = write_config(tmp_path, dict(raw, **changes))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "pumps, message",
@@ -987,14 +1065,20 @@ class TestCLI:
                 "the decomposition protocol expands one drive channel; the config has 2",
             ),
             (
+                # the 2D route is not a setting: "oracle" is verify's
                 {
                     "protocol": "2dos",
-                    "method": "orcale",
+                    "method": "oracle",
                     "time_grid": None,
                     "t1_grid": MINIMAL["time_grid"],
                     "t3_grid": MINIMAL["time_grid"],
                 },
-                "method: unknown method 'orcale'",
+                "config: unknown field(s) ['method'] for the 2dos protocol",
+            ),
+            (
+                # both wrote the header A1[eta=0.2], and max_abs_diff kept one "0.2"
+                {"protocol": "decomposition", "eta_eval": [0.2, 0.5, 0.2000001]},
+                "eta_eval[0] and eta_eval[2]: both are '0.2'",
             ),
             (
                 # label() ignores the coefficient: the second observable's CSVs
@@ -1012,7 +1096,8 @@ class TestCLI:
             ({where: [*MINIMAL[where], spec]}, f"{where}[1].sites: a site repeats in ")
             for where, spec in REPEATED_SITES
         ],
-        ids=["decomposition_two_channels", "2dos_unknown_method", "shared_label"]
+        ids=["decomposition_two_channels", "2dos_unknown_method", "repeated_eta_label"]
+        + ["shared_label"]
         + [f"repeated_{spec['kind']}_site" for _, spec in REPEATED_SITES],
     )
     def test_fails_at_load_exit_two(self, tmp_path, capsys, changes, message):
@@ -1232,8 +1317,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "name, changes",
         [(name, {}) for name in FIGURE_NAMES]
-        + [("fig5", {"method": "oracle"}), ("fig5", {"t2": 0.0}), ("fig3c", {"orders": [0, 0]})],
-        ids=FIGURE_NAMES + ["fig5_oracle", "fig5_t2_zero", "fig3c_order_zero"],
+        + [("fig5", {"t2": 0.0}), ("fig3c", {"orders": [0, 0]})],
+        ids=FIGURE_NAMES + ["fig5_t2_zero", "fig3c_order_zero"],
     )
     def test_gaps_prints_the_rules_the_run_builds(
         self, tmp_path, capsys, monkeypatch, name, changes
@@ -1269,7 +1354,7 @@ class TestCLI:
             for rule in built
         ]
         if changes:
-            assert not built  # no rule: oracle route, t2 = 0, order 0
+            assert not built  # no rule: t2 = 0, order 0
 
     def test_spectra_missing_input_exit_two(self, tmp_path, capsys):
         assert main(["spectra", "--input", str(tmp_path / "absent.csv")]) == 2

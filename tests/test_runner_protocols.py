@@ -187,7 +187,6 @@ class Test2DOSProtocol:
             "t1_grid": grid,
             "t3_grid": grid,
             "t2": 0.5,
-            "method": "shift_rule",
         }
         config = load_config(write_config(tmp_path, payload))
         run_experiment(config, output_dir=tmp_path / "out")

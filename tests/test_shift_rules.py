@@ -253,7 +253,7 @@ class TestCoefficients:
 
     def test_odd_shift_count_takes_the_full_grid(self):
         # +- pairs make even counts only
-        rule = rule_for_generator(op(1, (0.5, {0: "Z"})), [1], n_shifts=5)
+        rule = rule_for_gap_set(gap_set(op(1, (0.5, {0: "Z"}))), [1], n_shifts=5)
         assert (rule.basis, rule.n_shifts) == ("fourier", 5)
 
     def test_degenerate_shifts_rejected(self):
